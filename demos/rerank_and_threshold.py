@@ -37,14 +37,14 @@ print(f"selected threshold {threshold}")
 records = []
 for result in results[cut:]:
     mention = by_mention[result.mention_id]
-    order = [e for e, _ in rerank.score_candidates(reranker, featurizer, mention, result)]
+    scored = rerank.score_candidates(reranker, featurizer, mention, result)
     records.append(
         EvalRecord(
             mention_id=result.mention_id,
             gold=golds[result.mention_id],
             ranking=result.event_ids,
-            predicted=rerank.predict_set(reranker, featurizer, mention, result, threshold),
-            rerank_order=order,
+            predicted=rerank.kept_set(scored, rerank.candidate_probs(scored), threshold),
+            rerank_order=[e for e, _ in scored],
         )
     )
 

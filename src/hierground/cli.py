@@ -338,7 +338,7 @@ def _gold_chains(
 
 
 def cmd_rerank_train(
-    config: dict, checkpoint: str, train_retrievals: str, dev_retrievals: str | None
+    config: dict, train_retrievals: str, dev_retrievals: str | None
 ) -> list[str]:
     data = _load_corpus(config, "events", "relations", "mentions")
     golds = _gold_chains(config, data, data["mentions"])
@@ -367,7 +367,6 @@ def cmd_rerank_train(
             rerank_config.k,
         )
     rerank.save_reranker(_outdir(config) / "reranker.bin", params, threshold)
-    _ = checkpoint  # the bi-encoder checkpoint fixed the retrievals upstream
     return ["reranker.bin"]
 
 
@@ -415,9 +414,7 @@ def cmd_evaluate(
             mention = mentions_by_id[result.mention_id]
             scored = rerank.score_candidates(reranker_params, featurizer, mention, result)
             rerank_order = [event_id for event_id, _ in scored]
-            predicted = rerank.predict_set(
-                reranker_params, featurizer, mention, result, threshold
-            )
+            predicted = rerank.kept_set(scored, rerank.candidate_probs(scored), threshold)
         records.append(
             metrics.EvalRecord(
                 mention_id=result.mention_id,
@@ -582,7 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerank-train", help="train the pair reranker")
     _add_common(p)
     _add_corpus(p, "events", "relations", "mentions")
-    p.add_argument("--checkpoint")
+    p.add_argument(
+        "--checkpoint", help="rejected: the retrievals already fix the bi-encoder"
+    )
     p.add_argument("--train-retrievals", required=True)
     p.add_argument("--dev-retrievals")
     p.add_argument("--rerank-k", dest="rerank_k", type=int)
@@ -647,8 +646,13 @@ def main(argv: list[str] | None = None) -> int:
         elif command == "retrieve":
             artifacts = cmd_retrieve(config, args.checkpoint, args.split, args.out)
         elif command == "rerank-train":
+            if args.checkpoint is not None:
+                raise ConfigError(
+                    "rerank-train does not use --checkpoint: the bi-encoder "
+                    "checkpoint fixed the retrievals upstream"
+                )
             artifacts = cmd_rerank_train(
-                config, args.checkpoint, args.train_retrievals, args.dev_retrievals
+                config, args.train_retrievals, args.dev_retrievals
             )
         elif command == "evaluate":
             artifacts = cmd_evaluate(

@@ -256,6 +256,10 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, dict[str, np.ndarr
             raise InvalidConfig(
                 f"unsupported checkpoint format {header.get('format_version')!r}"
             )
+        # encoder headers carry no "kind"; the reranker's says "reranker"
+        kind = header.get("kind", "encoder")
+        if kind != "encoder" or not {"F", "d", "towers"} <= header.keys():
+            raise InvalidConfig(f"{path} is a {kind} checkpoint, not an encoder one")
         F, d = int(header["F"]), int(header["d"])
 
         def read_array(shape: tuple[int, ...]) -> np.ndarray:

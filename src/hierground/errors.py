@@ -18,6 +18,17 @@ class UnknownEvent(HiergroundError):
         super().__init__(msg)
 
 
+class UnknownMention(HiergroundError):
+    """A mention id does not resolve to any loaded mention."""
+
+    def __init__(self, mention_id: str, context: str = ""):
+        self.mention_id = mention_id
+        msg = f"unknown mention id {mention_id!r}"
+        if context:
+            msg += f" ({context})"
+        super().__init__(msg)
+
+
 class CycleDetected(HiergroundError):
     """The hierarchy edges contain a cycle; ``cycle`` lists one offender."""
 

@@ -30,6 +30,8 @@ from .errors import (
     EmptyRetrievals,
     InvalidConfig,
     ParseError,
+    UnknownEvent,
+    UnknownMention,
 )
 from .kb import Event
 from .metrics import NULL_EVENT, EvalRecord, set_metrics
@@ -45,35 +47,36 @@ DEFAULT_GRID = (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9)
 NGRAM_SIZES = (3, 4, 5)
 
 
-def _bucket_counts(text: str, buckets: int = BLOCK_BUCKETS) -> dict[int, float]:
+Block = tuple[np.ndarray, np.ndarray]
+
+
+def _bucket_counts(text: str, buckets: int = BLOCK_BUCKETS) -> Block:
+    """Ascending bucket ids of the text's n-grams and their counts."""
     counts: dict[int, float] = {}
     for n in NGRAM_SIZES:
         for start in range(len(text) - n + 1):
             bucket = fnv1a64(text[start : start + n].encode("utf-8")) % buckets
             counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    return counts
+    keys = sorted(counts)
+    return np.array(keys, dtype=np.int64), np.array([counts[k] for k in keys], dtype=float)
 
 
-def _pair_fv(
-    mention_counts: dict[int, float], event_counts: dict[int, float]
-) -> FeatureVector:
-    """Concatenate the three L2-normalized blocks into one sparse vector."""
-    interaction = {
-        b: min(c, event_counts[b]) for b, c in mention_counts.items() if b in event_counts
-    }
-    indices: list[int] = []
-    values: list[float] = []
-    for block, counts in enumerate((mention_counts, event_counts, interaction)):
-        if not counts:
-            continue
-        keys = sorted(counts)
-        vals = np.array([counts[k] for k in keys])
-        vals = vals / np.linalg.norm(vals)
-        indices.extend(block * BLOCK_BUCKETS + k for k in keys)
-        values.extend(vals.tolist())
+def _pair_fv(mention: Block, event: Block) -> FeatureVector:
+    """Concatenate the three L2-normalized blocks into one sparse vector.
+
+    The interaction block holds, for every bucket both texts hit, the
+    smaller of the two counts.
+    """
+    (m_keys, m_counts), (e_keys, e_counts) = mention, event
+    shared, m_at, e_at = np.intersect1d(
+        m_keys, e_keys, assume_unique=True, return_indices=True
+    )
+    blocks = (mention, event, (shared, np.minimum(m_counts[m_at], e_counts[e_at])))
     return FeatureVector(
-        indices=np.array(indices, dtype=np.int64),
-        values=np.array(values),
+        indices=np.concatenate(
+            [block * BLOCK_BUCKETS + keys for block, (keys, _) in enumerate(blocks)]
+        ),
+        values=np.concatenate([counts / np.linalg.norm(counts) for _, counts in blocks]),
         F=PAIR_DIM,
     )
 
@@ -93,7 +96,11 @@ def featurize_pair(
 
 
 class PairFeaturizer:
-    """Memoized pair featurization over a fixed corpus."""
+    """Memoized pair featurization over a fixed corpus.
+
+    Each mention window and each (event, language) text is hashed once;
+    its bucket counts are kept on the instance as sorted arrays.
+    """
 
     def __init__(
         self,
@@ -108,8 +115,8 @@ class PairFeaturizer:
         self.mode = mode
         self.max_context_chars = max_context_chars
         self.max_cand_chars = max_cand_chars
-        self._mention: dict[str, dict[int, float]] = {}
-        self._event: dict[tuple[str, str], dict[int, float]] = {}
+        self._mention: dict[str, Block] = {}
+        self._event: dict[tuple[str, str], Block] = {}
 
     def pair_fv(self, mention: Mention, event_id: str) -> FeatureVector:
         if mention.id not in self._mention:
@@ -119,10 +126,11 @@ class PairFeaturizer:
         language = mention.language if self.mode == "multilingual" else "en"
         key = (event_id, language)
         if key not in self._event:
+            event = self.events.get(event_id)
+            if event is None:
+                raise UnknownEvent(event_id, f"candidate of mention {mention.id!r}")
             self._event[key] = _bucket_counts(
-                event_text(
-                    self.events[event_id], language, max_cand_chars=self.max_cand_chars
-                )
+                event_text(event, language, max_cand_chars=self.max_cand_chars)
             )
         return _pair_fv(self._mention[mention.id], self._event[key])
 
@@ -214,6 +222,13 @@ def substitute_missing_golds(candidates: list[str], gold: frozenset[str]) -> lis
     return out
 
 
+def _mention_of(mentions: dict[str, Mention], mention_id: str) -> Mention:
+    try:
+        return mentions[mention_id]
+    except KeyError:
+        raise UnknownMention(mention_id, "retrieval list") from None
+
+
 def train_reranker(
     results: list[RetrievalResult],
     golds: dict[str, tuple[str, ...]],
@@ -231,8 +246,8 @@ def train_reranker(
         raise EmptyRetrievals("reranker needs training retrievals")
     examples: list[tuple[FeatureVector, float]] = []
     for result in results:
+        mention = _mention_of(mentions, result.mention_id)
         gold = frozenset(golds[result.mention_id])
-        mention = mentions[result.mention_id]
         candidate_ids = substitute_missing_golds(result.event_ids[: config.k], gold)
         for event_id in candidate_ids:
             examples.append(
@@ -252,31 +267,28 @@ def train_reranker(
 def _reranker_sgd_step(
     params: RerankerParams, batch: list[tuple[FeatureVector, float]], lr: float
 ) -> None:
+    """One SGD step on the mean BCE of the batch.
+
+    The batch's sparse rows become a dense design matrix over the union
+    of their feature indices, so the forward pass and the gradient of V
+    are two matrix products restricted to those rows of V.
+    """
     n = len(batch)
-    dV_indices: list[np.ndarray] = []
-    dV_contribs: list[np.ndarray] = []
-    dc = np.zeros(params.h)
-    dw = np.zeros(params.h)
-    db = 0.0
-    for fv, label in batch:
-        z = fv.values @ params.V[fv.indices] + params.c
-        a = np.tanh(z)
-        score = float(params.w @ a + params.b)
-        g = (float(sigmoid(np.array([score]))[0]) - label) / n
-        dz = g * params.w * (1.0 - a * a)
-        dw += g * a
-        db += g
-        dc += dz
-        dV_indices.append(fv.indices)
-        dV_contribs.append(np.outer(fv.values, dz))
-    indices = np.concatenate(dV_indices)
-    rows, inverse = np.unique(indices, return_inverse=True)
-    grad = np.zeros((rows.size, params.h))
-    np.add.at(grad, inverse, np.concatenate(dV_contribs))
-    params.V[rows] -= lr * grad
-    params.c -= lr * dc
-    params.w -= lr * dw
-    params.b -= lr * db
+    rows, cols = np.unique(
+        np.concatenate([fv.indices for fv, _ in batch]), return_inverse=True
+    )
+    example = np.repeat(np.arange(n), [fv.indices.size for fv, _ in batch])
+    X = np.zeros((n, rows.size))
+    X[example, cols] = np.concatenate([fv.values for fv, _ in batch])
+    labels = np.array([label for _, label in batch])
+    V_rows = params.V[rows]
+    A = np.tanh(X @ V_rows + params.c)
+    G = (sigmoid(A @ params.w + params.b) - labels) / n
+    DZ = G[:, None] * params.w * (1.0 - A * A)
+    params.V[rows] = V_rows - lr * (X.T @ DZ)
+    params.c -= lr * DZ.sum(axis=0)
+    params.w -= lr * (G @ A)
+    params.b -= lr * float(G.sum())
 
 
 def score_candidates(
@@ -287,12 +299,27 @@ def score_candidates(
     k: int | None = None,
 ) -> list[tuple[str, float]]:
     """Candidates rescored and sorted descending, ties by ascending id."""
+    if not result.candidates:
+        raise EmptyRetrievals(f"mention {mention.id!r} has no candidates")
     ids = result.event_ids if k is None else result.event_ids[:k]
     scored = [
         (event_id, score_pair(params, featurizer.pair_fv(mention, event_id)))
         for event_id in ids
     ]
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+
+
+def candidate_probs(scored: list[tuple[str, float]]) -> np.ndarray:
+    """sigmoid of each score, in the order of ``scored``."""
+    return sigmoid(np.array([score for _, score in scored]))
+
+
+def kept_set(
+    scored: list[tuple[str, float]], probs: np.ndarray, threshold: float
+) -> frozenset[str]:
+    """Scored candidates whose probability is >= threshold, or {NULL} when none."""
+    kept = frozenset(event_id for (event_id, _), p in zip(scored, probs) if p >= threshold)
+    return kept if kept else frozenset({NULL_EVENT})
 
 
 def predict_set(
@@ -304,12 +331,8 @@ def predict_set(
     k: int | None = None,
 ) -> frozenset[str]:
     """Candidates with sigmoid(score) >= threshold, or {NULL} when none."""
-    if not result.candidates:
-        raise EmptyRetrievals(f"mention {mention.id!r} has no candidates")
     scored = score_candidates(params, featurizer, mention, result, k)
-    scores = sigmoid(np.array([s for _, s in scored]))
-    kept = frozenset(event_id for (event_id, _), p in zip(scored, scores) if p >= threshold)
-    return kept if kept else frozenset({NULL_EVENT})
+    return kept_set(scored, candidate_probs(scored), threshold)
 
 
 def select_threshold(
@@ -323,28 +346,34 @@ def select_threshold(
 ) -> float:
     """Grid value maximizing strict accuracy x macro F1 x micro F1 on dev.
 
-    Ties resolve toward the smaller threshold, which keeps recall when
-    the product plateaus.
+    Each candidate is scored once; every grid value is then evaluated
+    from the same rerank orders and probabilities.  Ties resolve toward
+    the smaller threshold, which keeps recall when the product plateaus.
     """
     if not grid:
         raise InvalidConfig("threshold grid must be non-empty")
+    scored_results = []
+    for result in results:
+        mention = _mention_of(mentions, result.mention_id)
+        scored = score_candidates(params, featurizer, mention, result, k)
+        scored_results.append(
+            (result, scored, candidate_probs(scored), [e for e, _ in scored])
+        )
     best_tau = None
     best_product = -1.0
     for tau in sorted(grid):
-        records = []
-        for result in results:
-            mention = mentions[result.mention_id]
-            order = [e for e, _ in score_candidates(params, featurizer, mention, result, k)]
-            records.append(
+        m = set_metrics(
+            [
                 EvalRecord(
                     mention_id=result.mention_id,
                     gold=golds[result.mention_id],
                     ranking=result.event_ids,
-                    predicted=predict_set(params, featurizer, mention, result, tau, k),
+                    predicted=kept_set(scored, probs, tau),
                     rerank_order=order,
                 )
-            )
-        m = set_metrics(records)
+                for result, scored, probs, order in scored_results
+            ]
+        )
         product = m["strict_acc"] * m["macro_f1"] * m["micro_f1"]
         if product > best_product:
             best_product = product

@@ -276,6 +276,95 @@ class TestErrors:
         assert last_error(capsys)["error"] == "ConfigError"
 
 
+def only_error(capsys) -> dict:
+    """The single JSON error record the failed command wrote to stderr."""
+    lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def broken_retrievals(pipeline, tmp_path, source: str, field: str) -> str:
+    """A copy of a retrievals file whose first record names an unknown id."""
+    records = [
+        json.loads(line)
+        for line in (pipeline / source).read_text("utf-8").splitlines()
+        if line.strip()
+    ]
+    if field == "mention":
+        records[0]["mention_id"] = "NOPE"
+    else:
+        records[0]["candidates"][0]["event"] = "QNOPE"
+    path = tmp_path / f"broken_{field}_{source}"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
+class TestUnknownIdsInRetrievals:
+    @pytest.mark.parametrize(
+        "flag, field, error, bad_id",
+        [
+            ("--train-retrievals", "mention", "UnknownMention", "NOPE"),
+            ("--train-retrievals", "event", "UnknownEvent", "QNOPE"),
+            ("--dev-retrievals", "mention", "UnknownMention", "NOPE"),
+            ("--dev-retrievals", "event", "UnknownEvent", "QNOPE"),
+        ],
+    )
+    def test_rerank_train(self, pipeline, tmp_path, capsys, flag, field, error, bad_id):
+        good = str(pipeline / "retrievals_train.jsonl")
+        bad = broken_retrievals(pipeline, tmp_path, "retrievals_train.jsonl", field)
+        retrievals = {"--train-retrievals": good, "--dev-retrievals": good, flag: bad}
+        rc = main(
+            ["rerank-train", "--output-dir", str(tmp_path), *SEED,
+             *corpus_args(pipeline), "--rerank-epochs", "1",
+             *[arg for pair in retrievals.items() for arg in pair]]
+        )
+        assert rc == 1
+        record = only_error(capsys)
+        assert record["error"] == error
+        assert bad_id in record["message"]
+        assert not (tmp_path / "reranker.bin").exists()
+
+    def test_evaluate_unknown_event(self, pipeline, tmp_path, capsys):
+        bad = broken_retrievals(pipeline, tmp_path, "retrievals_dev.jsonl", "event")
+        rc = main(
+            ["evaluate", "--output-dir", str(tmp_path), *SEED,
+             *corpus_args(pipeline), "--splits", str(pipeline / "splits.json"),
+             "--retrievals", bad, "--split", "dev", "--ks", "4,8",
+             "--reranker", str(pipeline / "reranker.bin")]
+        )
+        assert rc == 1
+        record = only_error(capsys)
+        assert record["error"] == "UnknownEvent"
+        assert record["context"]["event_id"] == "QNOPE"
+
+
+class TestCheckpointFlags:
+    def test_retrieve_rejects_reranker_checkpoint(self, pipeline, tmp_path, capsys):
+        rc = main(
+            ["retrieve", "--output-dir", str(tmp_path), *SEED,
+             "--events", str(pipeline / "events.jsonl"),
+             "--mentions", str(pipeline / "mentions.jsonl"),
+             "--checkpoint", str(pipeline / "reranker.bin")]
+        )
+        assert rc == 1
+        record = only_error(capsys)
+        assert record["error"] == "InvalidConfig"
+        assert "reranker" in record["message"]
+
+    def test_rerank_train_rejects_checkpoint_flag(self, pipeline, tmp_path, capsys):
+        rc = main(
+            ["rerank-train", "--output-dir", str(tmp_path), *SEED,
+             *corpus_args(pipeline),
+             "--train-retrievals", str(pipeline / "retrievals_train.jsonl"),
+             "--checkpoint", "/nonexistent/x.bin"]
+        )
+        assert rc == 1
+        record = only_error(capsys)
+        assert record["error"] == "ConfigError"
+        assert "--checkpoint" in record["message"]
+        assert not (tmp_path / "reranker.bin").exists()
+
+
 class TestConfigResolution:
     def test_flag_overrides_config_file(self, tmp_path):
         config = tmp_path / "config.json"

@@ -2,24 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hierground import rerank
 from hierground.dataset import Mention
-from hierground.encoder import fnv1a64, span_window
+from hierground.encoder import FeatureVector, fnv1a64, span_window
 from hierground.errors import (
     DimensionMismatch,
     EmptyRetrievals,
     InvalidConfig,
     ParseError,
+    UnknownEvent,
+    UnknownMention,
 )
 from hierground.kb import Event, Label
-from hierground.metrics import NULL_EVENT
+from hierground.metrics import NULL_EVENT, EvalRecord, set_metrics
 from hierground.rerank import (
     BLOCK_BUCKETS,
     NGRAM_SIZES,
+    DEFAULT_GRID,
     PAIR_DIM,
     PairFeaturizer,
     RerankConfig,
     RerankerParams,
+    _bucket_counts,
+    _pair_fv,
+    _reranker_sgd_step,
     featurize_pair,
     init_reranker,
     load_predictions,
@@ -524,3 +533,246 @@ class TestPredictionsFile:
         with pytest.raises(ParseError) as err:
             load_predictions(path)
         assert err.value.line == 1
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: the dict, per-example and per-threshold versions the
+# array, batched and score-once code replaced.
+
+
+def pair_fv_oracle(
+    mention_counts: dict[int, float], event_counts: dict[int, float]
+) -> FeatureVector:
+    interaction = {
+        b: min(c, event_counts[b]) for b, c in mention_counts.items() if b in event_counts
+    }
+    indices: list[int] = []
+    values: list[float] = []
+    for block, counts in enumerate((mention_counts, event_counts, interaction)):
+        if not counts:
+            continue
+        keys = sorted(counts)
+        vals = np.array([counts[k] for k in keys])
+        vals = vals / np.linalg.norm(vals)
+        indices.extend(block * BLOCK_BUCKETS + k for k in keys)
+        values.extend(vals.tolist())
+    return FeatureVector(
+        indices=np.array(indices, dtype=np.int64), values=np.array(values), F=PAIR_DIM
+    )
+
+
+def sgd_step_oracle(params: RerankerParams, batch, lr: float) -> None:
+    n = len(batch)
+    dV_indices, dV_contribs = [], []
+    dc = np.zeros(params.h)
+    dw = np.zeros(params.h)
+    db = 0.0
+    for fv, label in batch:
+        a = np.tanh(fv.values @ params.V[fv.indices] + params.c)
+        score = float(params.w @ a + params.b)
+        g = (float(sigmoid(np.array([score]))[0]) - label) / n
+        dz = g * params.w * (1.0 - a * a)
+        dw += g * a
+        db += g
+        dc += dz
+        dV_indices.append(fv.indices)
+        dV_contribs.append(np.outer(fv.values, dz))
+    rows, inverse = np.unique(np.concatenate(dV_indices), return_inverse=True)
+    grad = np.zeros((rows.size, params.h))
+    np.add.at(grad, inverse, np.concatenate(dV_contribs))
+    params.V[rows] -= lr * grad
+    params.c -= lr * dc
+    params.w -= lr * dw
+    params.b -= lr * db
+
+
+def select_threshold_oracle(params, featurizer, results, golds, mentions, grid, k=None):
+    best_tau, best_product = None, -1.0
+    for tau in sorted(grid):
+        records = []
+        for result in results:
+            mention = mentions[result.mention_id]
+            order = [e for e, _ in score_candidates(params, featurizer, mention, result, k)]
+            records.append(
+                EvalRecord(
+                    mention_id=result.mention_id,
+                    gold=golds[result.mention_id],
+                    ranking=result.event_ids,
+                    predicted=predict_set(params, featurizer, mention, result, tau, k),
+                    rerank_order=order,
+                )
+            )
+        m = set_metrics(records)
+        product = m["strict_acc"] * m["macro_f1"] * m["micro_f1"]
+        if product > best_product:
+            best_product, best_tau = product, tau
+    return float(best_tau)
+
+
+def assert_params_close(got: RerankerParams, want: RerankerParams, tol: float = 1e-12):
+    assert np.max(np.abs(got.V - want.V)) <= tol
+    assert np.max(np.abs(got.c - want.c)) <= tol
+    assert np.max(np.abs(got.w - want.w)) <= tol
+    assert abs(got.b - want.b) <= tol
+
+
+def copy_params(params: RerankerParams) -> RerankerParams:
+    return RerankerParams(params.V.copy(), params.c.copy(), params.w.copy(), params.b)
+
+
+# small alphabets make shared n-grams common, and the two-letter one makes
+# a shared n-gram occur a different number of times in the two texts
+pair_texts = st.one_of(
+    st.text(alphabet="ab", max_size=30), st.text(alphabet="abcde éß中", max_size=24)
+)
+
+
+class TestArrayPairFeatures:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mention_text=pair_texts, event_text=pair_texts)
+    @example(mention_text="", event_text="")
+    @example(mention_text="ab", event_text="abcab")
+    @example(mention_text="abcab", event_text="ab")
+    @example(mention_text="aaaaaa", event_text="aaab")
+    def test_bit_equal_to_dict_version(self, mention_text, event_text):
+        keys, counts = _bucket_counts(mention_text)
+        oracle_counts = bucket_oracle(mention_text)
+        assert keys.tolist() == sorted(oracle_counts)
+        assert counts.tolist() == [oracle_counts[k] for k in sorted(oracle_counts)]
+
+        got = _pair_fv(_bucket_counts(mention_text), _bucket_counts(event_text))
+        want = pair_fv_oracle(bucket_oracle(mention_text), bucket_oracle(event_text))
+        assert got.indices.dtype == want.indices.dtype == np.int64
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.indices, want.indices)
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def sgd_batch(seed: int, size: int):
+    """Real pair features, so examples share the rows of their blocks."""
+    events, mentions, _, results = training_fixture()
+    featurizer = PairFeaturizer(events)
+    rng = np.random.default_rng(seed)
+    batch = []
+    for _ in range(size):
+        result = results[int(rng.integers(len(results)))]
+        event_id = result.event_ids[int(rng.integers(2))]
+        fv = featurizer.pair_fv(mentions[result.mention_id], event_id)
+        batch.append((fv, float(rng.integers(2))))
+    return batch
+
+
+class TestBatchedSGD:
+    @pytest.mark.parametrize("size", [1, 4, 16, 37])
+    def test_one_step_matches_per_example_oracle(self, size):
+        batch = sgd_batch(seed=size, size=size)
+        params = init_reranker(PAIR_DIM, hidden=8, seed=size)
+        params.V *= 20.0  # push tanh away from its linear region
+        params.w = np.random.default_rng(size).normal(size=8)
+        want = copy_params(params)
+        _reranker_sgd_step(params, batch, lr=0.7)
+        sgd_step_oracle(want, batch, lr=0.7)
+        assert_params_close(params, want)
+
+    @pytest.mark.parametrize("batch_size", [4, 8, 16])
+    def test_full_training_matches_per_example_oracle(self, batch_size, monkeypatch):
+        events, mentions, golds, results = training_fixture()
+        config = RerankConfig(k=2, epochs=5, batch_size=batch_size, learning_rate=1.0)
+        got = train_reranker(results, golds, mentions, PairFeaturizer(events), config)
+        monkeypatch.setattr(rerank, "_reranker_sgd_step", sgd_step_oracle)
+        want = train_reranker(results, golds, mentions, PairFeaturizer(events), config)
+        assert_params_close(got, want)
+
+
+def calibration_corpus(seed: int):
+    """Retrieval lists of 3 candidates with one- or two-event gold sets."""
+    events, mentions, _, _ = training_fixture()
+    ids = [event.id for event in events]
+    rng = np.random.default_rng(seed)
+    results, golds = [], {}
+    for mention_id in mentions:
+        picked = list(rng.choice(ids, size=3, replace=False))
+        results.append(RetrievalResult(mention_id, [(e, 1.0) for e in picked]))
+        golds[mention_id] = tuple(picked[: int(rng.integers(1, 3))])
+    return events, mentions, golds, results
+
+
+class TestScoreOnceCalibration:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_threshold_as_rescoring_loop(self, seed):
+        events, mentions, golds, results = calibration_corpus(seed)
+        featurizer = PairFeaturizer(events)
+        params = init_reranker(PAIR_DIM, hidden=4, seed=seed)
+        params.V *= 40.0
+        params.w = np.random.default_rng(seed).normal(size=4)
+        rng = np.random.default_rng(100 + seed)
+        grid = tuple(float(g) for g in rng.uniform(0.01, 0.99, size=5))
+        # the default grid adds products that tie across grid values
+        for candidate_grid in (grid, DEFAULT_GRID, grid + DEFAULT_GRID):
+            for k in (None, 2):
+                got = select_threshold(
+                    params, featurizer, results, golds, mentions, candidate_grid, k
+                )
+                want = select_threshold_oracle(
+                    params, featurizer, results, golds, mentions, candidate_grid, k
+                )
+                assert got == want
+
+    def test_constant_scores_tie_everywhere(self):
+        events, mentions, golds, results = calibration_corpus(0)
+        featurizer = PairFeaturizer(events)
+        params = RerankerParams(
+            V=np.zeros((PAIR_DIM, 1)), c=np.zeros(1), w=np.zeros(1), b=0.0
+        )
+        got = select_threshold(params, featurizer, results, golds, mentions)
+        want = select_threshold_oracle(
+            params, featurizer, results, golds, mentions, DEFAULT_GRID
+        )
+        assert got == want == min(DEFAULT_GRID)
+
+    @pytest.mark.parametrize("grid", [(0.5,), DEFAULT_GRID, tuple(np.linspace(0.05, 0.95, 19))])
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_each_pair_scored_once(self, grid, k, monkeypatch):
+        events, mentions, golds, results = calibration_corpus(1)
+        calls = []
+        original = rerank.score_pair
+
+        def counting(params, fv):
+            calls.append(fv)
+            return original(params, fv)
+
+        monkeypatch.setattr(rerank, "score_pair", counting)
+        select_threshold(
+            init_reranker(PAIR_DIM, hidden=4, seed=0),
+            PairFeaturizer(events),
+            results,
+            golds,
+            mentions,
+            grid,
+            k,
+        )
+        assert len(calls) == sum(len(r.event_ids[:k]) for r in results)
+
+
+class TestUnknownIds:
+    def test_unknown_event_is_typed(self):
+        events, mention, _ = overlap_corpus()
+        with pytest.raises(UnknownEvent) as err:
+            PairFeaturizer(events).pair_fv(mention, "QNOPE")
+        assert err.value.event_id == "QNOPE"
+
+    def test_unknown_mention_is_typed(self):
+        events, mentions, golds, results = training_fixture()
+        results = results + [RetrievalResult("NOPE", results[0].candidates)]
+        with pytest.raises(UnknownMention):
+            train_reranker(
+                results, golds, mentions, PairFeaturizer(events), RerankConfig(k=2)
+            )
+        with pytest.raises(UnknownMention):
+            select_threshold(
+                init_reranker(PAIR_DIM, hidden=2),
+                PairFeaturizer(events),
+                results,
+                golds,
+                mentions,
+            )
