@@ -351,12 +351,16 @@ def cmd_rerank_train(
         config["encoder"]["max_cand_chars"],
     )
     train_results = retrieval.load_retrievals(train_retrievals)
+    rerank.check_retrieval_ids(train_results, mentions_by_id, featurizer.events)
+    threshold = rerank_config.threshold
+    dev_results = None
+    if threshold is None and dev_retrievals:
+        dev_results = retrieval.load_retrievals(dev_retrievals)
+        rerank.check_retrieval_ids(dev_results, mentions_by_id, featurizer.events)
     params = rerank.train_reranker(
         train_results, golds, mentions_by_id, featurizer, rerank_config
     )
-    threshold = rerank_config.threshold
-    if threshold is None and dev_retrievals:
-        dev_results = retrieval.load_retrievals(dev_retrievals)
+    if dev_results is not None:
         threshold = rerank.select_threshold(
             params,
             featurizer,

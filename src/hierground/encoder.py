@@ -213,6 +213,30 @@ def encode(params: EncoderParams, fv: FeatureVector, tower: str) -> np.ndarray:
     return fv.values @ W[fv.indices]
 
 
+def design_matrix(fvs: list[FeatureVector], F: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending feature rows a batch touches and its dense local matrix.
+
+    ``X[i, j]`` is feature ``rows[j]`` of ``fvs[i]``: ``X @ W[rows]``
+    encodes the batch, and ``X.T @ G`` maps the gradient ``G`` of its
+    encodings to the gradient of ``W[rows]``.
+    """
+    for fv in fvs:
+        if fv.F != F:
+            raise DimensionMismatch(f"feature space {fv.F} vs tower rows {F}")
+    rows, cols = np.unique(
+        np.concatenate([fv.indices for fv in fvs]), return_inverse=True
+    )
+    n = len(fvs)
+    example = np.repeat(np.arange(n), [fv.indices.size for fv in fvs])
+    # bincount sums an index repeated within one vector, as encode does
+    X = np.bincount(
+        example * rows.size + cols,
+        weights=np.concatenate([fv.values for fv in fvs]),
+        minlength=n * rows.size,
+    ).reshape(n, rows.size)
+    return rows, X
+
+
 def pair_score(m_vec: np.ndarray, e_vec: np.ndarray) -> float:
     if m_vec.shape != e_vec.shape:
         raise DimensionMismatch(f"embedding shapes {m_vec.shape} vs {e_vec.shape}")

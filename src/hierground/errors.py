@@ -93,6 +93,19 @@ class NoHierarchyEdges(HiergroundError):
     """A hierarchy-aware strategy needs at least one child-parent edge."""
 
 
+class TrainingDiverged(HiergroundError):
+    """A training step produced a loss that is not a finite number."""
+
+    def __init__(self, loss: str, epoch: int, step: int, value: float):
+        self.loss = loss
+        self.epoch = epoch
+        self.step = step
+        super().__init__(
+            f"{loss} loss is {value!r} at epoch {epoch}, step {step}; "
+            "lower the learning rate"
+        )
+
+
 class KTooLarge(HiergroundError):
     """Requested more neighbours than the candidate pool holds."""
 

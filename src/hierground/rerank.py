@@ -21,6 +21,7 @@ from .encoder import (
     DEFAULT_MAX_CAND_CHARS,
     DEFAULT_MAX_CONTEXT_CHARS,
     FeatureVector,
+    design_matrix,
     event_text,
     fnv1a64,
     span_window,
@@ -229,6 +230,19 @@ def _mention_of(mentions: dict[str, Mention], mention_id: str) -> Mention:
         raise UnknownMention(mention_id, "retrieval list") from None
 
 
+def check_retrieval_ids(
+    results: list[RetrievalResult],
+    mentions: dict[str, Mention],
+    events: dict[str, Event],
+) -> None:
+    """Raise UnknownMention or UnknownEvent for the first id not in the corpus."""
+    for result in results:
+        _mention_of(mentions, result.mention_id)
+        for event_id in result.event_ids:
+            if event_id not in events:
+                raise UnknownEvent(event_id, f"candidate of mention {result.mention_id!r}")
+
+
 def train_reranker(
     results: list[RetrievalResult],
     golds: dict[str, tuple[str, ...]],
@@ -269,17 +283,12 @@ def _reranker_sgd_step(
 ) -> None:
     """One SGD step on the mean BCE of the batch.
 
-    The batch's sparse rows become a dense design matrix over the union
-    of their feature indices, so the forward pass and the gradient of V
-    are two matrix products restricted to those rows of V.
+    The batch's design matrix spans the union of its feature indices, so
+    the forward pass and the gradient of V are two matrix products
+    restricted to those rows of V.
     """
     n = len(batch)
-    rows, cols = np.unique(
-        np.concatenate([fv.indices for fv, _ in batch]), return_inverse=True
-    )
-    example = np.repeat(np.arange(n), [fv.indices.size for fv, _ in batch])
-    X = np.zeros((n, rows.size))
-    X[example, cols] = np.concatenate([fv.values for fv, _ in batch])
+    rows, X = design_matrix([fv for fv, _ in batch], params.P)
     labels = np.array([label for _, label in batch])
     V_rows = params.V[rows]
     A = np.tanh(X @ V_rows + params.c)

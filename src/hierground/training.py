@@ -30,7 +30,9 @@ from .encoder import (
     DEFAULT_MAX_CONTEXT_CHARS,
     EncoderParams,
     FeatureVector,
-    encode,
+    design_matrix,
+    # unused here, but perfbench's tracer wraps the ``training.encode`` binding
+    encode,  # noqa: F401
     featurize_event,
     featurize_mention,
     init_encoder,
@@ -40,6 +42,7 @@ from .errors import (
     EmptyTrainSplit,
     InvalidConfig,
     NoHierarchyEdges,
+    TrainingDiverged,
 )
 from .kb import Event, HierarchyForest
 from .seeding import substream_rng
@@ -160,10 +163,6 @@ class SparseGrad:
     rows: np.ndarray
     grad: np.ndarray
 
-    @classmethod
-    def empty(cls, d: int) -> "SparseGrad":
-        return cls(rows=np.empty(0, dtype=np.int64), grad=np.empty((0, d)))
-
     def densify(self, F: int, d: int) -> np.ndarray:
         dense = np.zeros((F, d))
         dense[self.rows] = self.grad
@@ -194,24 +193,6 @@ def _bce(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, scores) - labels * scores
 
 
-def _scatter_rows(
-    fvs: list[FeatureVector], row_grads: np.ndarray, d: int
-) -> SparseGrad:
-    """Accumulate per-input gradients into unique tower rows."""
-    if not fvs:
-        return SparseGrad.empty(d)
-    indices = np.concatenate([fv.indices for fv in fvs])
-    if indices.size == 0:
-        return SparseGrad.empty(d)
-    contribs = np.concatenate(
-        [np.outer(fv.values, row_grads[i]) for i, fv in enumerate(fvs)]
-    )
-    rows, inverse = np.unique(indices, return_inverse=True)
-    grad = np.zeros((rows.size, d))
-    np.add.at(grad, inverse, contribs)
-    return SparseGrad(rows=rows, grad=grad)
-
-
 def linking_loss(
     params: EncoderParams,
     mention_fvs: list[FeatureVector],
@@ -231,9 +212,10 @@ def linking_loss(
         raise EmptyTrainSplit("linking batch must contain mentions and events")
     if len(mention_fvs) != len(gold_sets) or len(pool_ids) != len(pool_fvs):
         raise DimensionMismatch("batch lists must align")
-    d = params.d
-    M = np.stack([encode(params, fv, "mention") for fv in mention_fvs])
-    E = np.stack([encode(params, fv, "event") for fv in pool_fvs])
+    m_rows, X_m = design_matrix(mention_fvs, params.F)
+    e_rows, X_e = design_matrix(pool_fvs, params.F)
+    M = X_m @ params.W_mention[m_rows]
+    E = X_e @ params.W_event[e_rows]
     S = M @ E.T
     Y = np.array(
         [[1.0 if eid in gold else 0.0 for eid in pool_ids] for gold in gold_sets]
@@ -241,8 +223,8 @@ def linking_loss(
     n_cells = S.size
     loss = float(_bce(S, Y).sum() / n_cells)
     G = (sigmoid(S) - Y) / n_cells
-    grad_mention = _scatter_rows(mention_fvs, G @ E, d)
-    grad_event = _scatter_rows(pool_fvs, G.T @ M, d)
+    grad_mention = SparseGrad(m_rows, X_m.T @ (G @ E))
+    grad_event = SparseGrad(e_rows, X_e.T @ (G.T @ M))
     degenerate = bool(Y.min() == Y.max())
     return LinkingLossResult(loss, grad_mention, grad_event, degenerate)
 
@@ -277,9 +259,15 @@ def hierarchy_loss(
         raise NoHierarchyEdges("hierarchy batch must be non-empty")
     if len(child_fvs) != n or len(parent_ids) != n:
         raise DimensionMismatch("pair lists must align")
-    d = params.d
-    E_p = np.stack([encode(params, fv, "event") for fv in parent_fvs])
-    E_c = np.stack([encode(params, fv, "event") for fv in child_fvs])
+    # pairs repeat events (they are drawn with replacement), so each
+    # distinct FeatureVector object is encoded once and its slots gathered
+    slot_fvs = [*parent_fvs, *child_fvs]
+    distinct = {id(fv): fv for fv in slot_fvs}
+    position = {key: i for i, key in enumerate(distinct)}
+    slots = np.array([position[id(fv)] for fv in slot_fvs])
+    rows, X = design_matrix(list(distinct.values()), params.F)
+    E = (X @ params.W_event[rows])[slots]
+    E_p, E_c = E[:n], E[n:]
     re_p, im_p = _project(head, E_p)
     re_c, im_c = _project(head, E_c)
     r = head.r
@@ -304,9 +292,10 @@ def hierarchy_loss(
     }
     dE_p = d_re_p @ head.W_re + d_im_p @ head.W_im
     dE_c = d_re_c @ head.W_re + d_im_c @ head.W_im
-    grad_event = _scatter_rows(
-        list(parent_fvs) + list(child_fvs), np.concatenate([dE_p, dE_c]), d
-    )
+    # sum the slot gradients of each distinct vector before projecting
+    slot_of = np.zeros((len(distinct), 2 * n))
+    slot_of[slots, np.arange(2 * n)] = 1.0
+    grad_event = SparseGrad(rows, X.T @ (slot_of @ np.concatenate([dE_p, dE_c])))
     degenerate = bool(Y.min() == Y.max())
     return HierarchyLossResult(loss, grad_event, grad_head, degenerate)
 
@@ -320,6 +309,8 @@ class EpochLog:
     epoch: int
     linking_loss: float
     hierarchy_loss: float | None
+    degenerate_linking_batches: int = 0
+    degenerate_hierarchy_batches: int | None = None
     step_linking_losses: list[float] = field(default_factory=list)
     step_hierarchy_losses: list[float] = field(default_factory=list)
 
@@ -334,6 +325,8 @@ class TrainLog:
                 "epoch": e.epoch,
                 "linking_loss": e.linking_loss,
                 "hierarchy_loss": e.hierarchy_loss,
+                "degenerate_linking_batches": e.degenerate_linking_batches,
+                "degenerate_hierarchy_batches": e.degenerate_hierarchy_batches,
             }
             for e in self.epochs
         ]
@@ -342,7 +335,7 @@ class TrainLog:
 def write_training_log(log: TrainLog, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in log.to_records():
-            fh.write(json.dumps(record) + "\n")
+            fh.write(json.dumps(record, allow_nan=False) + "\n")
 
 
 def _apply_sparse(W: np.ndarray, grad: SparseGrad, lr: float) -> None:
@@ -453,6 +446,8 @@ def hierarchy_pairs(
     return pairs
 
 
+# overflow surfaces as a non-finite loss, which raises TrainingDiverged
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     instances: list[GroundingInstance],
     events: list[Event],
@@ -476,6 +471,8 @@ def train(
     stable for both objectives.  The linking loss is still evaluated
     (without updates) during pretrain epochs so every log record carries
     both trends.  Identical inputs and seed give bit-identical parameters.
+    The first step whose linking or hierarchy loss is not finite raises
+    ``TrainingDiverged``, so a diverged run returns no parameters.
     """
     if not instances:
         raise EmptyTrainSplit("no training mentions")
@@ -509,10 +506,14 @@ def train(
         batches = _pack_batches(order, sizes, config.batch_size)
         link_losses: list[float] = []
         hier_losses: list[float] = []
-        for batch_indices in batches:
+        link_degenerate = hier_degenerate = 0
+        for step, batch_indices in enumerate(batches):
             batch = [instances[i] for i in batch_indices]
             link = linking_loss(params, *build_linking_batch(batch, cache))
+            if not np.isfinite(link.loss):
+                raise TrainingDiverged("linking", epoch, step, link.loss)
             link_losses.append(link.loss)
+            link_degenerate += link.degenerate
 
             hier = None
             if hier_active:
@@ -524,7 +525,10 @@ def train(
                     [pair_parent_fvs[i] for i in picks],
                     [pair_child_fvs[i] for i in picks],
                 )
+                if not np.isfinite(hier.loss):
+                    raise TrainingDiverged("hierarchy", epoch, step, hier.loss)
                 hier_losses.append(hier.loss)
+                hier_degenerate += hier.degenerate
 
             # the weight scales hierarchy steps in every phase; during
             # pretraining it doubles as a hierarchy-specific learning
@@ -550,6 +554,8 @@ def train(
                 epoch=epoch,
                 linking_loss=float(np.mean(link_losses)),
                 hierarchy_loss=float(np.mean(hier_losses)) if hier_losses else None,
+                degenerate_linking_batches=link_degenerate,
+                degenerate_hierarchy_batches=hier_degenerate if hier_losses else None,
                 step_linking_losses=link_losses,
                 step_hierarchy_losses=hier_losses,
             )

@@ -338,6 +338,53 @@ class TestUnknownIdsInRetrievals:
         assert record["context"]["event_id"] == "QNOPE"
 
 
+class TestDevRetrievalsCheckedFirst:
+    @pytest.mark.parametrize(
+        "field, error", [("mention", "UnknownMention"), ("event", "UnknownEvent")]
+    )
+    def test_bad_dev_file_fails_before_training(
+        self, pipeline, tmp_path, capsys, monkeypatch, field, error
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the reranker was trained before the dev file was checked")
+
+        monkeypatch.setattr(rerank, "train_reranker", no_training)
+        bad = broken_retrievals(pipeline, tmp_path, "retrievals_dev.jsonl", field)
+        rc = main(
+            ["rerank-train", "--output-dir", str(tmp_path), *SEED,
+             *corpus_args(pipeline),
+             "--train-retrievals", str(pipeline / "retrievals_train.jsonl"),
+             "--dev-retrievals", bad]
+        )
+        assert rc == 1
+        assert only_error(capsys)["error"] == error
+        assert not (tmp_path / "reranker.bin").exists()
+
+
+class TestTrainingDivergence:
+    def test_diverging_train_writes_no_artifacts(self, tmp_path):
+        # a subprocess, so that anything numpy prints to stderr is seen too
+        o = ["--output-dir", str(tmp_path)]
+        c = corpus_args(tmp_path)
+        assert main(["synth", *o, *SEED, "--n-trees", "10", "--mentions-per-event", "2"]) == 0
+        assert main(["split", *o, *SEED, "--events", c[1], "--relations", c[3]]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "hierground.cli", "train", *o, *SEED, *c,
+             "--splits", str(tmp_path / "splits.json"),
+             "--learning-rate", "1e9", "--epochs", "6", "--F", "4096"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, lines
+        record = json.loads(lines[0])
+        assert record["error"] == "TrainingDiverged"
+        assert set(record["context"]) == {"loss", "epoch", "step"}
+        assert not (tmp_path / "checkpoint.bin").exists()
+        assert not (tmp_path / "training_log.jsonl").exists()
+
+
 class TestCheckpointFlags:
     def test_retrieve_rejects_reranker_checkpoint(self, pipeline, tmp_path, capsys):
         rc = main(

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hierground import training
 from hierground.dataset import (
     GroundingInstance,
     Mention,
@@ -12,18 +15,27 @@ from hierground.dataset import (
     expand_gold,
     generate_synthetic,
 )
-from hierground.encoder import EncoderParams, FeatureVector, featurize_event
+from hierground.encoder import EncoderParams, FeatureVector, encode, featurize_event
 from hierground.errors import (
     DimensionMismatch,
     EmptyTrainSplit,
     InvalidConfig,
     NoHierarchyEdges,
+    TrainingDiverged,
 )
 from hierground.kb import Event, Label, RelationEdge, RelationProperty, build_forest
 from hierground.training import (
     ComplExHead,
+    EpochLog,
+    HierarchyLossResult,
+    LinkingLossResult,
+    SparseGrad,
     TrainConfig,
+    TrainLog,
+    _bce,
     _FeatureCache,
+    _project,
+    _random_fv,
     build_linking_batch,
     complex_score,
     complex_score_matrix,
@@ -32,7 +44,9 @@ from hierground.training import (
     hierarchy_pairs,
     init_head,
     linking_loss,
+    sigmoid,
     train,
+    write_training_log,
 )
 
 LN2 = math.log(2.0)
@@ -668,3 +682,249 @@ class TestTrain:
         config = TrainConfig(strategy="BASELINE", epochs=8, seed=0)
         params, head, log = train_small(config)
         assert log.epochs[-1].linking_loss < log.epochs[0].linking_loss
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: both losses as they were before the design-matrix kernel,
+# encoding one FeatureVector at a time and scattering per-input outer
+# products.  The kernel sums in another order, so losses and gradient
+# values are compared to 1e-12 and gradient rows exactly.
+
+
+def scatter_rows_oracle(fvs, row_grads, d):
+    indices = np.concatenate([fv.indices for fv in fvs])
+    if indices.size == 0:
+        return SparseGrad(rows=np.empty(0, dtype=np.int64), grad=np.empty((0, d)))
+    contribs = np.concatenate(
+        [np.outer(fv.values, row_grads[i]) for i, fv in enumerate(fvs)]
+    )
+    rows, inverse = np.unique(indices, return_inverse=True)
+    grad = np.zeros((rows.size, d))
+    np.add.at(grad, inverse, contribs)
+    return SparseGrad(rows=rows, grad=grad)
+
+
+def linking_loss_oracle(params, mention_fvs, gold_sets, pool_ids, pool_fvs):
+    M = np.stack([encode(params, fv, "mention") for fv in mention_fvs])
+    E = np.stack([encode(params, fv, "event") for fv in pool_fvs])
+    S = M @ E.T
+    Y = np.array(
+        [[1.0 if eid in gold else 0.0 for eid in pool_ids] for gold in gold_sets]
+    )
+    n_cells = S.size
+    loss = float(_bce(S, Y).sum() / n_cells)
+    G = (sigmoid(S) - Y) / n_cells
+    return LinkingLossResult(
+        loss,
+        scatter_rows_oracle(mention_fvs, G @ E, params.d),
+        scatter_rows_oracle(pool_fvs, G.T @ M, params.d),
+        bool(Y.min() == Y.max()),
+    )
+
+
+def hierarchy_loss_oracle(params, head, parent_ids, parent_fvs, child_fvs):
+    n = len(parent_fvs)
+    E_p = np.stack([encode(params, fv, "event") for fv in parent_fvs])
+    E_c = np.stack([encode(params, fv, "event") for fv in child_fvs])
+    re_p, im_p = _project(head, E_p)
+    re_c, im_c = _project(head, E_c)
+    r = head.r
+    S = (im_p * r) @ re_c.T - (re_p * r) @ im_c.T
+    pid = np.array(parent_ids)
+    Y = (pid[None, :] == pid[:, None]).astype(float)
+    loss = float(_bce(S, Y).sum() / n)
+    G = (sigmoid(S) - Y) / n
+    d_im_p = G @ (re_c * r)
+    d_re_p = -(G @ (im_c * r))
+    d_re_c = G.T @ (im_p * r)
+    d_im_c = -(G.T @ (re_p * r))
+    d_r = ((G @ re_c) * im_p).sum(axis=0) - ((G @ im_c) * re_p).sum(axis=0)
+    grad_head = {
+        "W_re": d_re_p.T @ E_p + d_re_c.T @ E_c,
+        "W_im": d_im_p.T @ E_p + d_im_c.T @ E_c,
+        "b_re": d_re_p.sum(axis=0) + d_re_c.sum(axis=0),
+        "b_im": d_im_p.sum(axis=0) + d_im_c.sum(axis=0),
+        "r": d_r,
+    }
+    dE_p = d_re_p @ head.W_re + d_im_p @ head.W_im
+    dE_c = d_re_c @ head.W_re + d_im_c @ head.W_im
+    grad_event = scatter_rows_oracle(
+        list(parent_fvs) + list(child_fvs), np.concatenate([dE_p, dE_c]), params.d
+    )
+    return HierarchyLossResult(loss, grad_event, grad_head, bool(Y.min() == Y.max()))
+
+
+def assert_grads_match(new: SparseGrad, old: SparseGrad) -> None:
+    assert np.array_equal(new.rows, old.rows)
+    assert new.grad.shape == old.grad.shape
+    np.testing.assert_allclose(new.grad, old.grad, rtol=0, atol=1e-12)
+
+
+@st.composite
+def fv_batches(draw, n_slots: int):
+    """Towers, a head and ``n_slots`` feature vectors drawn from a few bases.
+
+    Slots repeat a base object or hold an equal but distinct copy of it;
+    bases may be empty, and sometimes every base is.
+    """
+    F = draw(st.integers(4, 40))
+    d = draw(st.integers(1, 4))
+    all_empty = draw(st.booleans()) and draw(st.booleans())
+    bases = []
+    for _ in range(draw(st.integers(1, 5))):
+        indices = draw(
+            st.lists(st.integers(0, F - 1), unique=True, max_size=0 if all_empty else 8)
+        )
+        values = np.array(
+            draw(st.lists(st.floats(0.1, 1.0), min_size=len(indices), max_size=len(indices)))
+        )
+        if values.size:
+            values /= np.linalg.norm(values)
+        bases.append(FeatureVector(np.array(indices, dtype=np.int64), values, F))
+    fvs = []
+    for _ in range(n_slots):
+        base = bases[draw(st.integers(0, len(bases) - 1))]
+        if draw(st.booleans()):
+            base = FeatureVector(base.indices.copy(), base.values.copy(), F)
+        fvs.append(base)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = EncoderParams(
+        W_mention=rng.uniform(-1.0, 1.0, size=(F, d)),
+        W_event=rng.uniform(-1.0, 1.0, size=(F, d)),
+    )
+    head = ComplExHead(*(rng.uniform(-1.0, 1.0, size=s) for s in [(d, d)] * 2 + [d] * 3))
+    return params, head, fvs
+
+
+class TestOracleEquivalence:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_linking_loss(self, data):
+        n_mentions = data.draw(st.integers(1, 6))
+        n_pool = data.draw(st.integers(1, 6))
+        params, _, fvs = data.draw(fv_batches(n_mentions + n_pool))
+        pool_ids = [f"E{i}" for i in range(n_pool)]
+        gold_sets = [
+            frozenset(data.draw(st.lists(st.sampled_from(pool_ids), max_size=3)))
+            for _ in range(n_mentions)
+        ]
+        args = (params, fvs[:n_mentions], gold_sets, pool_ids, fvs[n_mentions:])
+        new, old = linking_loss(*args), linking_loss_oracle(*args)
+        assert new.loss == pytest.approx(old.loss, rel=0, abs=1e-12)
+        assert new.degenerate == old.degenerate
+        assert_grads_match(new.grad_mention, old.grad_mention)
+        assert_grads_match(new.grad_event, old.grad_event)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_hierarchy_loss(self, data):
+        n = data.draw(st.integers(1, 8))
+        params, head, fvs = data.draw(fv_batches(2 * n))
+        parent_ids = data.draw(
+            st.lists(st.sampled_from(["P0", "P1", "P2"]), min_size=n, max_size=n)
+        )
+        args = (params, head, parent_ids, fvs[:n], fvs[n:])
+        new, old = hierarchy_loss(*args), hierarchy_loss_oracle(*args)
+        assert new.loss == pytest.approx(old.loss, rel=0, abs=1e-12)
+        assert new.degenerate == old.degenerate
+        assert_grads_match(new.grad_event, old.grad_event)
+        for name, grad in old.grad_head.items():
+            np.testing.assert_allclose(new.grad_head[name], grad, rtol=0, atol=1e-12)
+
+    def test_hierarchy_repeated_pair_objects(self):
+        # the training loop hands the same cached object to every slot
+        # that draws its pair
+        F, d = 32, 3
+        rng = np.random.default_rng(5)
+        params = EncoderParams(
+            W_mention=rng.uniform(-1, 1, size=(F, d)),
+            W_event=rng.uniform(-1, 1, size=(F, d)),
+        )
+        head = ComplExHead(*(rng.uniform(-1, 1, size=s) for s in [(d, d)] * 2 + [d] * 3))
+        parents = [_random_fv(rng, F, 4) for _ in range(2)]
+        children = [_random_fv(rng, F, 4) for _ in range(3)]
+        picks = [0, 1, 1, 2, 0, 2, 2, 1]
+        args = (
+            params,
+            head,
+            [f"P{min(p, 1)}" for p in picks],
+            [parents[min(p, 1)] for p in picks],
+            [children[p] for p in picks],
+        )
+        new, old = hierarchy_loss(*args), hierarchy_loss_oracle(*args)
+        assert new.loss == pytest.approx(old.loss, rel=0, abs=1e-12)
+        assert_grads_match(new.grad_event, old.grad_event)
+
+    @pytest.mark.parametrize("strategy", ["BASELINE", "HP", "HJL", "HP_HJL"])
+    def test_train_matches_oracle_module(self, strategy, monkeypatch):
+        config = TrainConfig(strategy=strategy, epochs=3, pretrain_epochs=1, seed=2)
+        params, head, log = train_small(config)
+        monkeypatch.setattr(training, "linking_loss", linking_loss_oracle)
+        monkeypatch.setattr(training, "hierarchy_loss", hierarchy_loss_oracle)
+        o_params, o_head, o_log = train_small(config)
+        np.testing.assert_allclose(params.W_mention, o_params.W_mention, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(params.W_event, o_params.W_event, rtol=0, atol=1e-12)
+        for name, array in o_head.arrays().items():
+            np.testing.assert_allclose(head.arrays()[name], array, rtol=0, atol=1e-12)
+        for new, old in zip(log.epochs, o_log.epochs):
+            np.testing.assert_allclose(
+                new.step_linking_losses, old.step_linking_losses, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                new.step_hierarchy_losses, old.step_hierarchy_losses, rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("loss", ["linking", "hierarchy"])
+    def test_feature_space_mismatch(self, loss):
+        # an empty vector from the wrong space is rejected too
+        params = EncoderParams(W_mention=np.zeros((12, 2)), W_event=np.zeros((12, 2)))
+        good = basis_fv(0, 12)
+        bad = FeatureVector(np.empty(0, dtype=np.int64), np.empty(0), F=16)
+        with pytest.raises(DimensionMismatch):
+            if loss == "linking":
+                linking_loss(params, [good], [frozenset({"E0"})], ["E0", "E1"], [good, bad])
+            else:
+                head = init_head(2, seed=0)
+                hierarchy_loss(params, head, ["P0", "P0"], [good, good], [good, bad])
+
+
+class TestTrainingLogCounters:
+    def test_degenerate_batches_are_counted(self):
+        # one mention whose pool is exactly its gold chain labels every
+        # linking cell positive; a single hierarchy edge labels every
+        # hierarchy cell positive
+        events, forest, instances = small_corpus()
+        inst = next(i for i in instances if i.mention.anchor_event in forest.parent)
+        child = inst.mention.anchor_event
+        edge = {child, forest.parent[child]}
+        config = TrainConfig(strategy="HP_HJL", epochs=3, pretrain_epochs=1, seed=0)
+        _, _, log = train([inst], events, forest, config, F=512, d=8, hier_events=edge)
+        records = log.to_records()
+        assert [r["degenerate_linking_batches"] for r in records] == [1, 1, 1]
+        assert [r["degenerate_hierarchy_batches"] for r in records] == [1, 1, 1]
+
+    def test_no_hierarchy_step_logs_null(self):
+        _, _, log = train_small(TrainConfig(strategy="HP", epochs=2, pretrain_epochs=1))
+        first, second = log.to_records()
+        assert isinstance(first["degenerate_hierarchy_batches"], int)
+        assert second["degenerate_hierarchy_batches"] is None
+
+    @pytest.mark.parametrize(
+        "strategy, weight, loss",
+        # at unit weight the hierarchy steps blow up the head and the event
+        # tower together, and the hierarchy score, a product of both,
+        # overflows before the linking score does
+        [("BASELINE", 0.01, "linking"), ("HP", 1.0, "hierarchy")],
+    )
+    def test_diverging_run_raises(self, strategy, weight, loss):
+        config = TrainConfig(
+            strategy=strategy, learning_rate=1e200, hier_loss_weight=weight, epochs=2
+        )
+        with pytest.raises(TrainingDiverged) as info:
+            train_small(config)
+        assert (info.value.loss, info.value.epoch, info.value.step) == (loss, 0, 1)
+
+    def test_log_rejects_non_finite_values(self, tmp_path):
+        log = TrainLog([EpochLog(epoch=0, linking_loss=float("nan"), hierarchy_loss=None)])
+        with pytest.raises(ValueError):
+            write_training_log(log, tmp_path / "training_log.jsonl")
