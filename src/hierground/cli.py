@@ -149,8 +149,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             _set_path(config, dotted, value)
     if config["output_dir"] is None:
         config["output_dir"] = "."
-    if config["mode"] not in ("multilingual", "crosslingual"):
-        raise ConfigError(f"mode must be multilingual or crosslingual, got {config['mode']!r}")
+    if config["mode"] not in encoder.LANGUAGE_MODES:
+        raise ConfigError(f"mode must be one of {encoder.LANGUAGE_MODES}, got {config['mode']!r}")
     return config
 
 
@@ -515,7 +515,7 @@ def cmd_grad_check(config: dict) -> list[str]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--mode", choices=("multilingual", "crosslingual"))
+    parser.add_argument("--mode", choices=encoder.LANGUAGE_MODES)
     parser.add_argument("--seed", type=int)
 
 
@@ -634,41 +634,37 @@ def _error_record(exc: Exception) -> str:
     )
 
 
+def _rerank_train(config: dict, args: argparse.Namespace) -> list[str]:
+    if args.checkpoint is not None:
+        raise ConfigError(
+            "rerank-train does not use --checkpoint: the bi-encoder "
+            "checkpoint fixed the retrievals upstream"
+        )
+    return cmd_rerank_train(config, args.train_retrievals, args.dev_retrievals)
+
+
+# subcommand -> handler(resolved config, parsed arguments) -> artifact names
+COMMANDS = {
+    "ingest": lambda config, args: cmd_ingest(config),
+    "split": lambda config, args: cmd_split(config),
+    "synth": lambda config, args: cmd_synth(config),
+    "train": lambda config, args: cmd_train(config),
+    "retrieve": lambda config, args: cmd_retrieve(config, args.checkpoint, args.split, args.out),
+    "rerank-train": _rerank_train,
+    "evaluate": lambda config, args: cmd_evaluate(
+        config, args.retrievals, args.reranker, args.split, args.atomic_only
+    ),
+    "relext": lambda config, args: cmd_relext(config, args.retrievals, args.split),
+    "grad-check": lambda config, args: cmd_grad_check(config),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        command = args.command
-        if command == "ingest":
-            artifacts = cmd_ingest(config)
-        elif command == "split":
-            artifacts = cmd_split(config)
-        elif command == "synth":
-            artifacts = cmd_synth(config)
-        elif command == "train":
-            artifacts = cmd_train(config)
-        elif command == "retrieve":
-            artifacts = cmd_retrieve(config, args.checkpoint, args.split, args.out)
-        elif command == "rerank-train":
-            if args.checkpoint is not None:
-                raise ConfigError(
-                    "rerank-train does not use --checkpoint: the bi-encoder "
-                    "checkpoint fixed the retrievals upstream"
-                )
-            artifacts = cmd_rerank_train(
-                config, args.train_retrievals, args.dev_retrievals
-            )
-        elif command == "evaluate":
-            artifacts = cmd_evaluate(
-                config, args.retrievals, args.reranker, args.split, args.atomic_only
-            )
-        elif command == "relext":
-            artifacts = cmd_relext(config, args.retrievals, args.split)
-        elif command == "grad-check":
-            artifacts = cmd_grad_check(config)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {command!r}")
-        _finish(config, command, artifacts)
+        artifacts = COMMANDS[args.command](config, args)
+        _finish(config, args.command, artifacts)
     except (HiergroundError, OSError, ValueError) as exc:
         print(_error_record(exc), file=sys.stderr)
         return 1

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .dataset import Mention
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig, UnknownEvent
 from .kb import FALLBACK_LANGUAGE, Event
 from .seeding import substream_rng
 
@@ -25,6 +26,7 @@ DEFAULT_D = 32
 DEFAULT_MAX_CONTEXT_CHARS = 128
 DEFAULT_MAX_CAND_CHARS = 128
 NGRAM_SIZES = (3, 4, 5)
+LANGUAGE_MODES = ("multilingual", "crosslingual")
 
 # private-use codepoints wrap the span so marker-adjacent n-grams are
 # distinct features; real text never contains them
@@ -77,26 +79,38 @@ class FeatureVector:
         return dense
 
 
+def ngram_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending bucket ids in [0, buckets) of the text's character 3-5-grams
+    and their float counts."""
+    counts: dict[int, float] = {}
+    for n in NGRAM_SIZES:
+        for start in range(len(text) - n + 1):
+            bucket = fnv1a64(text[start : start + n].encode("utf-8")) % buckets
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    keys = sorted(counts)
+    return np.array(keys, dtype=np.int64), np.array([counts[k] for k in keys], dtype=float)
+
+
 def hash_text(text: str, F: int) -> FeatureVector:
     """Count character 3-5-grams, hash each into [0, F), L2-normalize.
 
     Texts too short for any n-gram produce the zero vector and bump the
     empty-feature-vector warning counter.
     """
-    counts: dict[int, float] = {}
-    for n in NGRAM_SIZES:
-        for start in range(len(text) - n + 1):
-            index = fnv1a64(text[start : start + n].encode("utf-8")) % F
-            counts[index] = counts.get(index, 0.0) + 1.0
-    if not counts:
+    indices, counts = ngram_counts(text, F)
+    if not indices.size:
         WARNING_COUNTS["empty_feature_vector"] += 1
-        return FeatureVector(
-            indices=np.empty(0, dtype=np.int64), values=np.empty(0), F=F
-        )
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices])
-    values /= np.linalg.norm(values)
-    return FeatureVector(indices=indices, values=values, F=F)
+        return FeatureVector(indices=indices, values=counts, F=F)
+    return FeatureVector(indices=indices, values=counts / np.linalg.norm(counts), F=F)
+
+
+def hashed(F: int) -> Callable[[str], FeatureVector]:
+    """The bi-encoder's text features: ``hash_text`` over F.
+
+    The module attribute is looked up at each call, so a wrapper installed
+    on ``encoder.hash_text`` sees every bi-encoder hash.
+    """
+    return lambda text: hash_text(text, F)
 
 
 def span_window(mention: Mention, max_context_chars: int) -> str:
@@ -160,6 +174,61 @@ def featurize_event(
     when neither language is present.
     """
     return hash_text(event_text(event, language, fallback, max_cand_chars), F)
+
+
+class TextFeaturizer:
+    """Memoized features of mention windows and event texts over a corpus.
+
+    ``features`` maps a text to what the caller stores per text: training's
+    ``hashed(F)`` vectors, the retrieval index's event-tower encodings, or
+    the reranker's raw bucket counts.
+    An event is featurized in the mention's language in multilingual mode
+    and always in the fallback language (English) in crosslingual mode;
+    each mention id and each (event id, resolved language) is featurized
+    once, and a repeated lookup returns the same object.
+    """
+
+    def __init__(
+        self,
+        events: list[Event],
+        features: Callable[[str], Any],
+        mode: str = "multilingual",
+        max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
+        max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
+    ):
+        if mode not in LANGUAGE_MODES:
+            raise InvalidConfig(f"language mode must be one of {LANGUAGE_MODES}, got {mode!r}")
+        self.events = {event.id: event for event in events}
+        self.features = features
+        self.mode = mode
+        self.max_context_chars = max_context_chars
+        self.max_cand_chars = max_cand_chars
+        self._mention: dict[str, Any] = {}
+        self._event: dict[tuple[str, str], Any] = {}
+
+    def language(self, mention_language: str) -> str:
+        """The label language events are featurized in for such a mention."""
+        return mention_language if self.mode == "multilingual" else FALLBACK_LANGUAGE
+
+    def mention(self, mention: Mention) -> Any:
+        if mention.id not in self._mention:
+            self._mention[mention.id] = self.features(
+                span_window(mention, self.max_context_chars)
+            )
+        return self._mention[mention.id]
+
+    def event(self, event_id: str, mention_language: str, context: str = "") -> Any:
+        """Features of the event's text for a mention in ``mention_language``;
+        ``context`` says where an unknown ``event_id`` came from."""
+        key = (event_id, self.language(mention_language))
+        if key not in self._event:
+            event = self.events.get(event_id)
+            if event is None:
+                raise UnknownEvent(event_id, context)
+            self._event[key] = self.features(
+                event_text(event, key[1], max_cand_chars=self.max_cand_chars)
+            )
+        return self._event[key]
 
 
 @dataclass

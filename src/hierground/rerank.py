@@ -21,10 +21,9 @@ from .encoder import (
     DEFAULT_MAX_CAND_CHARS,
     DEFAULT_MAX_CONTEXT_CHARS,
     FeatureVector,
+    TextFeaturizer,
     design_matrix,
-    event_text,
-    fnv1a64,
-    span_window,
+    ngram_counts,
 )
 from .errors import (
     DimensionMismatch,
@@ -45,21 +44,13 @@ N_BLOCKS = 3
 PAIR_DIM = N_BLOCKS * BLOCK_BUCKETS
 DEFAULT_HIDDEN = 32
 DEFAULT_GRID = (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9)
-NGRAM_SIZES = (3, 4, 5)
 
 
 Block = tuple[np.ndarray, np.ndarray]
 
 
-def _bucket_counts(text: str, buckets: int = BLOCK_BUCKETS) -> Block:
-    """Ascending bucket ids of the text's n-grams and their counts."""
-    counts: dict[int, float] = {}
-    for n in NGRAM_SIZES:
-        for start in range(len(text) - n + 1):
-            bucket = fnv1a64(text[start : start + n].encode("utf-8")) % buckets
-            counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    keys = sorted(counts)
-    return np.array(keys, dtype=np.int64), np.array([counts[k] for k in keys], dtype=float)
+def _block_counts(text: str) -> Block:
+    return ngram_counts(text, BLOCK_BUCKETS)
 
 
 def _pair_fv(mention: Block, event: Block) -> FeatureVector:
@@ -89,18 +80,14 @@ def featurize_pair(
     max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
     max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
 ) -> FeatureVector:
-    language = mention.language if mode == "multilingual" else "en"
-    return _pair_fv(
-        _bucket_counts(span_window(mention, max_context_chars)),
-        _bucket_counts(event_text(event, language, max_cand_chars=max_cand_chars)),
-    )
+    return PairFeaturizer([event], mode, max_context_chars, max_cand_chars).pair_fv(mention, event.id)
 
 
-class PairFeaturizer:
+class PairFeaturizer(TextFeaturizer):
     """Memoized pair featurization over a fixed corpus.
 
-    Each mention window and each (event, language) text is hashed once;
-    its bucket counts are kept on the instance as sorted arrays.
+    Each mention window and each (event, language) text is hashed once
+    into raw ``BLOCK_BUCKETS`` counts, kept as sorted arrays.
     """
 
     def __init__(
@@ -110,30 +97,13 @@ class PairFeaturizer:
         max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
         max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
     ):
-        if mode not in ("multilingual", "crosslingual"):
-            raise InvalidConfig(f"unknown language mode {mode!r}")
-        self.events = {event.id: event for event in events}
-        self.mode = mode
-        self.max_context_chars = max_context_chars
-        self.max_cand_chars = max_cand_chars
-        self._mention: dict[str, Block] = {}
-        self._event: dict[tuple[str, str], Block] = {}
+        super().__init__(events, _block_counts, mode, max_context_chars, max_cand_chars)
 
     def pair_fv(self, mention: Mention, event_id: str) -> FeatureVector:
-        if mention.id not in self._mention:
-            self._mention[mention.id] = _bucket_counts(
-                span_window(mention, self.max_context_chars)
-            )
-        language = mention.language if self.mode == "multilingual" else "en"
-        key = (event_id, language)
-        if key not in self._event:
-            event = self.events.get(event_id)
-            if event is None:
-                raise UnknownEvent(event_id, f"candidate of mention {mention.id!r}")
-            self._event[key] = _bucket_counts(
-                event_text(event, language, max_cand_chars=self.max_cand_chars)
-            )
-        return _pair_fv(self._mention[mention.id], self._event[key])
+        return _pair_fv(
+            self.mention(mention),
+            self.event(event_id, mention.language, f"candidate of mention {mention.id!r}"),
+        )
 
 
 @dataclass

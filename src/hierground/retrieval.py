@@ -19,15 +19,15 @@ from .encoder import (
     DEFAULT_MAX_CAND_CHARS,
     DEFAULT_MAX_CONTEXT_CHARS,
     EncoderParams,
+    TextFeaturizer,
     encode,
-    featurize_event,
     featurize_mention,
+    hashed,
 )
 from .errors import InvalidConfig, KTooLarge, ParseError, UnknownEvent
 from .kb import Event
 
 DEFAULT_K = 8
-LANGUAGE_MODES = ("multilingual", "crosslingual")
 
 
 @dataclass
@@ -43,11 +43,11 @@ class RetrievalResult:
 
 
 class CandidateIndex:
-    """Immutable encodings of the candidate pool, per language.
+    """Immutable encodings of the candidate pool, per label language.
 
-    Crosslingual mode holds a single English matrix; multilingual mode
-    builds one matrix per mention language on first use, falling back to
-    English labels where a language is missing.
+    Each (event, resolved language) is encoded once by the event tower;
+    one matrix is stacked per resolved language on first use (a single
+    English one in crosslingual mode).
     """
 
     def __init__(
@@ -58,41 +58,28 @@ class CandidateIndex:
         mode: str = "multilingual",
         max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
     ):
-        if mode not in LANGUAGE_MODES:
-            raise InvalidConfig(f"language mode must be one of {LANGUAGE_MODES}")
-        by_id = {event.id: event for event in events}
+        hasher = hashed(params.F)
+        self.featurizer = TextFeaturizer(
+            events,
+            lambda text: encode(params, hasher(text), "event"),
+            mode,
+            max_cand_chars=max_cand_chars,
+        )
         for event_id in pool:
-            if event_id not in by_id:
+            if event_id not in self.featurizer.events:
                 raise UnknownEvent(event_id, "candidate pool")
-        self.params = params
-        self.mode = mode
-        self.max_cand_chars = max_cand_chars
         self.ids: list[str] = sorted(set(pool))
-        self._events = by_id
         self._matrices: dict[str, np.ndarray] = {}
-        if mode == "crosslingual":
-            self.matrix("en")
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def matrix(self, language: str) -> np.ndarray:
-        lang = "en" if self.mode == "crosslingual" else language
+        lang = self.featurizer.language(language)
         if lang not in self._matrices:
-            rows = [
-                encode(
-                    self.params,
-                    featurize_event(
-                        self._events[event_id],
-                        lang,
-                        max_cand_chars=self.max_cand_chars,
-                        F=self.params.F,
-                    ),
-                    "event",
-                )
-                for event_id in self.ids
-            ]
-            self._matrices[lang] = np.stack(rows)
+            self._matrices[lang] = np.stack(
+                [self.featurizer.event(event_id, lang) for event_id in self.ids]
+            )
         return self._matrices[lang]
 
 

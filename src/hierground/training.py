@@ -30,11 +30,11 @@ from .encoder import (
     DEFAULT_MAX_CONTEXT_CHARS,
     EncoderParams,
     FeatureVector,
+    TextFeaturizer,
     design_matrix,
     # unused here, but perfbench's tracer wraps the ``training.encode`` binding
     encode,  # noqa: F401
-    featurize_event,
-    featurize_mention,
+    hashed,
     init_encoder,
 )
 from .errors import (
@@ -44,7 +44,7 @@ from .errors import (
     NoHierarchyEdges,
     TrainingDiverged,
 )
-from .kb import Event, HierarchyForest
+from .kb import FALLBACK_LANGUAGE, Event, HierarchyForest
 from .seeding import substream_rng
 
 STRATEGIES = ("BASELINE", "HP", "HJL", "HP_HJL")
@@ -128,6 +128,20 @@ def _project(head: ComplExHead, vectors: np.ndarray) -> tuple[np.ndarray, np.nda
     return vectors @ head.W_re.T + head.b_re, vectors @ head.W_im.T + head.b_im
 
 
+def _complex_cells(
+    re_p: np.ndarray, im_p: np.ndarray, re_c: np.ndarray, im_c: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """S[i, j] = Im(p_i).(Re(c_j) * r) - Re(p_i).(Im(c_j) * r) from projections."""
+    return (im_p * r) @ re_c.T - (re_p * r) @ im_c.T
+
+
+def complex_score_matrix(
+    head: ComplExHead, parent_vecs: np.ndarray, child_vecs: np.ndarray
+) -> np.ndarray:
+    """S[i, j] = s(parent_i, child_j) for row-stacked encodings."""
+    return _complex_cells(*_project(head, parent_vecs), *_project(head, child_vecs), head.r)
+
+
 def complex_score(head: ComplExHead, e_p_vec: np.ndarray, e_c_vec: np.ndarray) -> float:
     """s(e_p, e_c) = Im(e_p).(Re(e_c) * r) - Re(e_p).(Im(e_c) * r).
 
@@ -136,20 +150,7 @@ def complex_score(head: ComplExHead, e_p_vec: np.ndarray, e_c_vec: np.ndarray) -
     """
     if e_p_vec.shape != (head.d,) or e_c_vec.shape != (head.d,):
         raise DimensionMismatch(f"event encodings must be {head.d}-dim")
-    re_p, im_p = _project(head, e_p_vec[None, :])
-    re_c, im_c = _project(head, e_c_vec[None, :])
-    return float(
-        np.sum(im_p[0] * (re_c[0] * head.r)) - np.sum(re_p[0] * (im_c[0] * head.r))
-    )
-
-
-def complex_score_matrix(
-    head: ComplExHead, parent_vecs: np.ndarray, child_vecs: np.ndarray
-) -> np.ndarray:
-    """S[i, j] = s(parent_i, child_j) for row-stacked encodings."""
-    re_p, im_p = _project(head, parent_vecs)
-    re_c, im_c = _project(head, child_vecs)
-    return (im_p * head.r) @ re_c.T - (re_p * head.r) @ im_c.T
+    return float(complex_score_matrix(head, e_p_vec[None, :], e_c_vec[None, :])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def hierarchy_loss(
     re_p, im_p = _project(head, E_p)
     re_c, im_c = _project(head, E_c)
     r = head.r
-    S = (im_p * r) @ re_c.T - (re_p * r) @ im_c.T
+    S = _complex_cells(re_p, im_p, re_c, im_c, r)
     pid = np.array(parent_ids)
     Y = (pid[None, :] == pid[:, None]).astype(float)
     loss = float(_bce(S, Y).sum() / n)
@@ -364,48 +365,8 @@ def _pack_batches(order: np.ndarray, sizes: list[int], batch_pairs: int) -> list
     return batches
 
 
-class _FeatureCache:
-    """Memoized featurization for mentions and (event, language) pairs."""
-
-    def __init__(
-        self,
-        events: list[Event],
-        mode: str,
-        F: int,
-        max_context_chars: int,
-        max_cand_chars: int,
-    ):
-        if mode not in ("multilingual", "crosslingual"):
-            raise InvalidConfig(f"unknown language mode {mode!r}")
-        self.events = {event.id: event for event in events}
-        self.mode = mode
-        self.F = F
-        self.max_context_chars = max_context_chars
-        self.max_cand_chars = max_cand_chars
-        self._mention: dict[str, FeatureVector] = {}
-        self._event: dict[tuple[str, str], FeatureVector] = {}
-
-    def mention_fv(self, instance: GroundingInstance) -> FeatureVector:
-        m = instance.mention
-        if m.id not in self._mention:
-            self._mention[m.id] = featurize_mention(m, self.max_context_chars, self.F)
-        return self._mention[m.id]
-
-    def event_fv(self, event_id: str, language: str) -> FeatureVector:
-        lang = language if self.mode == "multilingual" else "en"
-        key = (event_id, lang)
-        if key not in self._event:
-            self._event[key] = featurize_event(
-                self.events[event_id],
-                lang,
-                max_cand_chars=self.max_cand_chars,
-                F=self.F,
-            )
-        return self._event[key]
-
-
 def build_linking_batch(
-    instances: list[GroundingInstance], cache: _FeatureCache
+    instances: list[GroundingInstance], featurizer: TextFeaturizer
 ) -> tuple[list[FeatureVector], list[frozenset[str]], list[str], list[FeatureVector]]:
     """Mention features plus the deduplicated in-batch event pool.
 
@@ -413,7 +374,7 @@ def build_linking_batch(
     in different languages contribute the same event, the first
     mention's language determines its featurization.
     """
-    mention_fvs = [cache.mention_fv(inst) for inst in instances]
+    mention_fvs = [featurizer.mention(inst.mention) for inst in instances]
     gold_sets = [inst.gold_set for inst in instances]
     pool_ids: list[str] = []
     pool_fvs: list[FeatureVector] = []
@@ -423,7 +384,7 @@ def build_linking_batch(
             if event_id not in seen:
                 seen.add(event_id)
                 pool_ids.append(event_id)
-                pool_fvs.append(cache.event_fv(event_id, inst.mention.language))
+                pool_fvs.append(featurizer.event(event_id, inst.mention.language))
     return mention_fvs, gold_sets, pool_ids, pool_fvs
 
 
@@ -480,7 +441,7 @@ def train(
     uses_hierarchy = strategy in ("HP", "HJL", "HP_HJL")
     pretrain = config.pretrain_epochs if strategy in ("HP", "HP_HJL") else 0
 
-    cache = _FeatureCache(events, mode, F, max_context_chars, max_cand_chars)
+    featurizer = TextFeaturizer(events, hashed(F), mode, max_context_chars, max_cand_chars)
     params = init_encoder(F, d, config.seed)
     head = init_head(d, config.seed)
 
@@ -488,8 +449,8 @@ def train(
     if uses_hierarchy and not pairs:
         raise NoHierarchyEdges("strategy needs hierarchy edges in the train events")
     pair_parent_ids = [p for p, _ in pairs]
-    pair_parent_fvs = [cache.event_fv(p, "en") for p, _ in pairs]
-    pair_child_fvs = [cache.event_fv(c, "en") for _, c in pairs]
+    pair_parent_fvs = [featurizer.event(p, FALLBACK_LANGUAGE) for p, _ in pairs]
+    pair_child_fvs = [featurizer.event(c, FALLBACK_LANGUAGE) for _, c in pairs]
 
     batch_rng = substream_rng(config.seed, "batch")
     hier_rng = substream_rng(config.seed, "hier")
@@ -509,7 +470,7 @@ def train(
         link_degenerate = hier_degenerate = 0
         for step, batch_indices in enumerate(batches):
             batch = [instances[i] for i in batch_indices]
-            link = linking_loss(params, *build_linking_batch(batch, cache))
+            link = linking_loss(params, *build_linking_batch(batch, featurizer))
             if not np.isfinite(link.loss):
                 raise TrainingDiverged("linking", epoch, step, link.loss)
             link_losses.append(link.loss)

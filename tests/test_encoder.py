@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from hierground.dataset import Mention
+from hierground import encoder, rerank, retrieval, training
+from hierground.dataset import GroundingInstance, Mention
 from hierground.encoder import (
     DEFAULT_F,
     NGRAM_SIZES,
@@ -15,12 +16,14 @@ from hierground.encoder import (
     WARNING_COUNTS,
     EncoderParams,
     FeatureVector,
+    TextFeaturizer,
     encode,
     event_text,
     featurize_event,
     featurize_mention,
     fnv1a64,
     hash_text,
+    hashed,
     init_encoder,
     load_checkpoint,
     pair_score,
@@ -28,7 +31,7 @@ from hierground.encoder import (
     save_checkpoint,
     span_window,
 )
-from hierground.errors import DimensionMismatch, InvalidConfig, MissingLabel
+from hierground.errors import DimensionMismatch, InvalidConfig, MissingLabel, UnknownEvent
 from hierground.kb import Event, Label
 
 
@@ -328,3 +331,88 @@ class TestCheckpoint:
         path.write_bytes(b'{"format_version": 2}\n')
         with pytest.raises(InvalidConfig):
             load_checkpoint(path)
+
+
+class TestLanguageRule:
+    """Training, retrieval and the reranker resolve an event's language alike."""
+
+    F = 64
+    EVENT = Event(
+        id="E1",
+        labels={
+            "en": Label(title="flood summit", description="river basin talks"),
+            "de": Label(title="hochwassergipfel", description="gespraeche am fluss"),
+        },
+    )
+    EN_ONLY = Event(id="E2", labels={"en": Label(title="storm season", description="")})
+
+    # (mode, mention language, event, resolved language, label language)
+    CASES = [
+        ("multilingual", "de", EVENT, "de", "de"),
+        ("multilingual", "fr", EN_ONLY, "fr", "en"),
+        ("crosslingual", "de", EVENT, "en", "en"),
+        ("crosslingual", "fr", EN_ONLY, "en", "en"),
+    ]
+
+    @pytest.mark.parametrize(
+        "mode, language, event, resolved, label_language",
+        CASES,
+        ids=[f"{mode}-{language}" for mode, language, *_ in CASES],
+    )
+    def test_one_rule_for_all_featurizers(
+        self, mode, language, event, resolved, label_language
+    ):
+        events = [self.EVENT, self.EN_ONLY]
+        mention = Mention(
+            id="M1", language=language, context="flood talks begin", span_start=0,
+            span_end=5, anchor_event=event.id,
+        )
+        text = event_text(event, label_language)
+        assert text == event_text(event, resolved)
+        want = featurize_event(event, label_language, F=self.F)
+
+        featurizer = TextFeaturizer(events, hashed(self.F), mode)
+        _, _, pool_ids, pool_fvs = training.build_linking_batch(
+            [GroundingInstance(mention=mention, gold=(event.id,))], featurizer
+        )
+        assert pool_ids == [event.id]
+        assert list(featurizer._event) == [(event.id, resolved)]
+        assert np.array_equal(pool_fvs[0].indices, want.indices)
+        assert pool_fvs[0].values.tobytes() == want.values.tobytes()
+
+        params = init_encoder(F=self.F, d=4, seed=0)
+        index = retrieval.CandidateIndex(params, events, [event.id], mode)
+        row = index.matrix(language)[0]
+        assert list(index._matrices) == [resolved]
+        assert row.tobytes() == encode(params, want, "event").tobytes()
+
+        pairs = rerank.PairFeaturizer(events, mode)
+        fv = pairs.pair_fv(mention, event.id)
+        assert list(pairs._event) == [(event.id, resolved)]
+        in_block = (fv.indices >= rerank.BLOCK_BUCKETS) & (
+            fv.indices < 2 * rerank.BLOCK_BUCKETS
+        )
+        keys, counts = encoder.ngram_counts(text, rerank.BLOCK_BUCKETS)
+        assert np.array_equal(fv.indices[in_block] - rerank.BLOCK_BUCKETS, keys)
+        assert fv.values[in_block].tobytes() == (counts / np.linalg.norm(counts)).tobytes()
+
+    def test_unknown_mode_rejected_everywhere(self):
+        events = [self.EVENT]
+        with pytest.raises(InvalidConfig):
+            TextFeaturizer(events, hashed(self.F), "bilingual")
+        with pytest.raises(InvalidConfig):
+            retrieval.CandidateIndex(
+                init_encoder(F=self.F, d=4, seed=0), events, ["E1"], "bilingual"
+            )
+        with pytest.raises(InvalidConfig):
+            rerank.PairFeaturizer(events, "bilingual")
+
+    def test_unknown_event_is_typed(self):
+        featurizer = TextFeaturizer([self.EVENT], hashed(self.F))
+        with pytest.raises(UnknownEvent) as err:
+            featurizer.event("QNOPE", "en")
+        assert err.value.event_id == "QNOPE"
+
+    def test_cache_hit_returns_the_same_object(self):
+        featurizer = TextFeaturizer([self.EVENT], hashed(self.F), "crosslingual")
+        assert featurizer.event("E1", "de") is featurizer.event("E1", "fr")

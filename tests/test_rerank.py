@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from hierground import rerank
 from hierground.dataset import Mention
-from hierground.encoder import FeatureVector, fnv1a64, span_window
+from hierground.encoder import (
+    NGRAM_SIZES,
+    FeatureVector,
+    fnv1a64,
+    hash_text,
+    ngram_counts,
+    span_window,
+)
 from hierground.errors import (
     DimensionMismatch,
     EmptyRetrievals,
@@ -20,13 +27,11 @@ from hierground.kb import Event, Label
 from hierground.metrics import NULL_EVENT, EvalRecord, set_metrics
 from hierground.rerank import (
     BLOCK_BUCKETS,
-    NGRAM_SIZES,
     DEFAULT_GRID,
     PAIR_DIM,
     PairFeaturizer,
     RerankConfig,
     RerankerParams,
-    _bucket_counts,
     _pair_fv,
     _reranker_sgd_step,
     featurize_pair,
@@ -635,17 +640,32 @@ class TestArrayPairFeatures:
     @example(mention_text="abcab", event_text="ab")
     @example(mention_text="aaaaaa", event_text="aaab")
     def test_bit_equal_to_dict_version(self, mention_text, event_text):
-        keys, counts = _bucket_counts(mention_text)
+        keys, counts = ngram_counts(mention_text, BLOCK_BUCKETS)
         oracle_counts = bucket_oracle(mention_text)
         assert keys.tolist() == sorted(oracle_counts)
         assert counts.tolist() == [oracle_counts[k] for k in sorted(oracle_counts)]
 
-        got = _pair_fv(_bucket_counts(mention_text), _bucket_counts(event_text))
+        got = _pair_fv(
+            ngram_counts(mention_text, BLOCK_BUCKETS), ngram_counts(event_text, BLOCK_BUCKETS)
+        )
         want = pair_fv_oracle(bucket_oracle(mention_text), bucket_oracle(event_text))
         assert got.indices.dtype == want.indices.dtype == np.int64
         assert got.values.dtype == want.values.dtype
         assert np.array_equal(got.indices, want.indices)
         assert got.values.tobytes() == want.values.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=pair_texts, F=st.sampled_from([2**18, BLOCK_BUCKETS, 7]))
+    @example(text="", F=7)
+    @example(text="ab", F=2**18)
+    @example(text="abc", F=BLOCK_BUCKETS)
+    def test_hash_text_is_normalized_ngram_counts(self, text, F):
+        keys, counts = ngram_counts(text, F)
+        fv = hash_text(text, F)
+        assert fv.indices.dtype == keys.dtype == np.int64
+        assert np.array_equal(fv.indices, keys)
+        want = counts / np.linalg.norm(counts) if keys.size else counts
+        assert fv.values.tobytes() == want.tobytes()
 
 
 def sgd_batch(seed: int, size: int):

@@ -15,7 +15,14 @@ from hierground.dataset import (
     expand_gold,
     generate_synthetic,
 )
-from hierground.encoder import EncoderParams, FeatureVector, encode, featurize_event
+from hierground.encoder import (
+    EncoderParams,
+    FeatureVector,
+    TextFeaturizer,
+    encode,
+    featurize_event,
+    hashed,
+)
 from hierground.errors import (
     DimensionMismatch,
     EmptyTrainSplit,
@@ -33,7 +40,6 @@ from hierground.training import (
     TrainConfig,
     TrainLog,
     _bce,
-    _FeatureCache,
     _project,
     _random_fv,
     build_linking_batch,
@@ -467,7 +473,7 @@ def mention_of(mid: str, anchor: str, text: str, language: str = "en") -> Mentio
 class TestBuildLinkingBatch:
     def test_pool_deduplicates_by_event_id(self):
         events, edges, forest = tiny_kb()
-        cache = _FeatureCache(events, "multilingual", 64, 200, 128)
+        featurizer = TextFeaturizer(events, hashed(64), "multilingual", 200, 128)
         mentions = [
             mention_of("M1", "E2", "relief crews arrive"),
             mention_of("M2", "E2", "more relief crews"),
@@ -475,7 +481,7 @@ class TestBuildLinkingBatch:
         ]
         instances = expand_gold(forest, mentions)
         mention_fvs, gold_sets, pool_ids, pool_fvs = build_linking_batch(
-            instances, cache
+            instances, featurizer
         )
         assert pool_ids == ["E2", "E1"]
         assert len(pool_fvs) == 2
@@ -487,13 +493,13 @@ class TestBuildLinkingBatch:
 
     def test_first_contributor_language_wins(self):
         events, edges, forest = tiny_kb()
-        cache = _FeatureCache(events, "multilingual", 64, 200, 128)
+        featurizer = TextFeaturizer(events, hashed(64), "multilingual", 200, 128)
         mentions = [
             mention_of("M1", "E3", "sturm naht bald", language="de"),
             mention_of("M2", "E3", "storm approaching now"),
         ]
         instances = expand_gold(forest, mentions)
-        _, _, pool_ids, pool_fvs = build_linking_batch(instances, cache)
+        _, _, pool_ids, pool_fvs = build_linking_batch(instances, featurizer)
         assert pool_ids == ["E3"]
         by_id = {e.id: e for e in events}
         want = featurize_event(by_id["E3"], "de", max_cand_chars=128, F=64)
