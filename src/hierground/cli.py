@@ -351,12 +351,12 @@ def cmd_rerank_train(
         config["encoder"]["max_cand_chars"],
     )
     train_results = retrieval.load_retrievals(train_retrievals)
-    rerank.check_retrieval_ids(train_results, mentions_by_id, featurizer.events)
+    rerank.check_retrieval_ids(train_results, mentions_by_id, featurizer.corpus)
     threshold = rerank_config.threshold
     dev_results = None
     if threshold is None and dev_retrievals:
         dev_results = retrieval.load_retrievals(dev_retrievals)
-        rerank.check_retrieval_ids(dev_results, mentions_by_id, featurizer.events)
+        rerank.check_retrieval_ids(dev_results, mentions_by_id, featurizer.corpus)
     params = rerank.train_reranker(
         train_results, golds, mentions_by_id, featurizer, rerank_config
     )
@@ -409,6 +409,7 @@ def cmd_evaluate(
             config["encoder"]["max_context_chars"],
             config["encoder"]["max_cand_chars"],
         )
+        featurizer.mentions([mentions_by_id[result.mention_id] for result in results])
 
     records = []
     for result in results:

@@ -24,6 +24,7 @@ from .kb import (
     RelationEdge,
     RelationProperty,
     ancestor_chain,
+    require_text,
 )
 from .seeding import substream_rng
 
@@ -580,7 +581,7 @@ def load_mentions(path: str | Path) -> list[Mention]:
                 mention = Mention(
                     id=obj["id"],
                     language=obj["language"],
-                    context=obj["context"],
+                    context=require_text(path, line_no, "context", obj["context"]),
                     span_start=int(obj["span_start"]),
                     span_end=int(obj["span_end"]),
                     anchor_event=obj["anchor_event"],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, BinaryIO, Callable
 
 import numpy as np
 
@@ -36,6 +36,7 @@ SPAN_CLOSE = ""
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_CHUNK_TEXTS = 256
 
 WARNING_COUNTS = {"empty_feature_vector": 0}
 
@@ -46,7 +47,11 @@ def reset_warning_counts() -> None:
 
 
 def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash; fixed constants, no per-process salting."""
+    """FNV-1a 64-bit hash; fixed constants, no per-process salting.
+
+    The scalar reference for ``ngram_counts_many``, which hashes whole
+    lists of n-grams bit-equal to it; the library itself never calls it.
+    """
     h = _FNV_OFFSET
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
@@ -79,38 +84,109 @@ class FeatureVector:
         return dense
 
 
+def _utf8_bytes(cp: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The UTF-8 encoding of each code point: the lead bytes, and for each
+    k = 1..3 the positions of the code points that have a k-th
+    continuation byte together with those bytes."""
+    width = 1 + (cp >= 0x80) + (cp >= 0x800) + (cp >= 0x10000).astype(np.int64)
+    lead = cp >> 6 * (width - 1) | np.array([0, 0, 0xC0, 0xE0, 0xF0])[width]
+    continuation = []
+    for k in range(1, 4):
+        at = np.flatnonzero(width > k)
+        byte = cp[at] >> 6 * (width[at] - 1 - k) & 0x3F | 0x80
+        continuation.append((at, byte.astype(np.uint64)))
+    return lead.astype(np.uint64), continuation
+
+
+def ngram_counts_many(
+    texts: list[str], buckets: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per text, the ascending bucket ids in [0, buckets) of its character
+    3-5-grams and their float counts.
+
+    Bit-equal to bucketing ``fnv1a64`` of each n-gram's UTF-8 bytes, but
+    every n-gram of a run of texts is hashed in whole-array steps: the
+    state of the n-gram starting at each character advances one character
+    at a time, its lead byte for all starts at once and its continuation
+    bytes only where the character has them.  Runs of ``_CHUNK_TEXTS``
+    texts bound the scratch arrays.  Text that does not encode as UTF-8 (a
+    lone surrogate) raises ``UnicodeEncodeError``.
+    """
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    for lo in range(0, len(texts), _CHUNK_TEXTS):
+        out += _ngram_counts_chunk(texts[lo : lo + _CHUNK_TEXTS], buckets)
+    return out
+
+
+def _ngram_counts_chunk(
+    texts: list[str], buckets: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    cp = np.frombuffer("".join(texts).encode("utf-32-le"), dtype="<u4").astype(np.int64)
+    size = cp.size
+    lengths = np.array([len(text) for text in texts])
+    text_of = np.repeat(np.arange(len(texts)), lengths)
+    # characters left in its text from each start, this one included
+    left = np.cumsum(lengths)[text_of] - np.arange(size)
+    lead, continuation = _utf8_bytes(cp)
+    lead = np.concatenate([lead, np.zeros(max(NGRAM_SIZES), np.uint64)])
+    prime, width = np.uint64(_FNV_PRIME), np.uint64(buckets)
+
+    h = np.full(size, _FNV_OFFSET, dtype=np.uint64)
+    keys = []
+    for j in range(max(NGRAM_SIZES)):
+        h ^= lead[j : j + size]
+        h *= prime
+        for at, byte in continuation:
+            start = at - j
+            keep = start >= 0
+            start = start[keep]
+            h[start] = (h[start] ^ byte[keep]) * prime
+        n = j + 1
+        if n in NGRAM_SIZES:
+            valid = left >= n
+            keys.append(text_of[valid] * buckets + (h[valid] % width).astype(np.int64))
+    cells, counts = np.unique(np.concatenate(keys), return_counts=True)
+    owner = cells // buckets
+    bounds = np.searchsorted(owner, np.arange(len(texts) + 1))
+    bucket, counts = cells - owner * buckets, counts.astype(float)
+    return [(bucket[lo:hi], counts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def ngram_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending bucket ids in [0, buckets) of the text's character 3-5-grams
-    and their float counts."""
-    counts: dict[int, float] = {}
-    for n in NGRAM_SIZES:
-        for start in range(len(text) - n + 1):
-            bucket = fnv1a64(text[start : start + n].encode("utf-8")) % buckets
-            counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    keys = sorted(counts)
-    return np.array(keys, dtype=np.int64), np.array([counts[k] for k in keys], dtype=float)
+    """``ngram_counts_many`` of one text."""
+    return ngram_counts_many([text], buckets)[0]
+
+
+def hash_texts(texts: list[str], F: int) -> list[FeatureVector]:
+    """Count each text's character 3-5-grams, hash each into [0, F),
+    L2-normalize.
+
+    Texts too short for any n-gram produce the zero vector and bump the
+    empty-feature-vector warning counter once each.
+    """
+    vectors = []
+    for indices, counts in ngram_counts_many(texts, F):
+        if indices.size:
+            counts = counts / np.linalg.norm(counts)
+        else:
+            WARNING_COUNTS["empty_feature_vector"] += 1
+        vectors.append(FeatureVector(indices=indices, values=counts, F=F))
+    return vectors
 
 
 def hash_text(text: str, F: int) -> FeatureVector:
-    """Count character 3-5-grams, hash each into [0, F), L2-normalize.
+    """``hash_texts`` of one text."""
+    return hash_texts([text], F)[0]
 
-    Texts too short for any n-gram produce the zero vector and bump the
-    empty-feature-vector warning counter.
+
+def hashed(F: int) -> Callable[[list[str]], list[FeatureVector]]:
+    """The bi-encoder's text features: ``hash_texts`` over F.
+
+    Featurizers hash whole lists of texts through this, so a wrapper
+    installed on ``encoder.hash_text`` sees only one-text calls, none of
+    the batched ones.
     """
-    indices, counts = ngram_counts(text, F)
-    if not indices.size:
-        WARNING_COUNTS["empty_feature_vector"] += 1
-        return FeatureVector(indices=indices, values=counts, F=F)
-    return FeatureVector(indices=indices, values=counts / np.linalg.norm(counts), F=F)
-
-
-def hashed(F: int) -> Callable[[str], FeatureVector]:
-    """The bi-encoder's text features: ``hash_text`` over F.
-
-    The module attribute is looked up at each call, so a wrapper installed
-    on ``encoder.hash_text`` sees every bi-encoder hash.
-    """
-    return lambda text: hash_text(text, F)
+    return lambda texts: hash_texts(texts, F)
 
 
 def span_window(mention: Mention, max_context_chars: int) -> str:
@@ -179,9 +255,10 @@ def featurize_event(
 class TextFeaturizer:
     """Memoized features of mention windows and event texts over a corpus.
 
-    ``features`` maps a text to what the caller stores per text: training's
-    ``hashed(F)`` vectors, the retrieval index's event-tower encodings, or
-    the reranker's raw bucket counts.
+    ``features`` maps a list of texts to what the caller stores per text:
+    training's ``hashed(F)`` vectors, the retrieval index's event-tower
+    encodings, or the reranker's raw bucket counts.  Each lookup hands all
+    of its misses to one ``features`` call.
     An event is featurized in the mention's language in multilingual mode
     and always in the fallback language (English) in crosslingual mode;
     each mention id and each (event id, resolved language) is featurized
@@ -191,14 +268,14 @@ class TextFeaturizer:
     def __init__(
         self,
         events: list[Event],
-        features: Callable[[str], Any],
+        features: Callable[[list[str]], list[Any]],
         mode: str = "multilingual",
         max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
         max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
     ):
         if mode not in LANGUAGE_MODES:
             raise InvalidConfig(f"language mode must be one of {LANGUAGE_MODES}, got {mode!r}")
-        self.events = {event.id: event for event in events}
+        self.corpus = {event.id: event for event in events}
         self.features = features
         self.mode = mode
         self.max_context_chars = max_context_chars
@@ -210,25 +287,44 @@ class TextFeaturizer:
         """The label language events are featurized in for such a mention."""
         return mention_language if self.mode == "multilingual" else FALLBACK_LANGUAGE
 
+    def _fill(self, memo: dict, texts: dict) -> None:
+        """Featurize the texts (key -> text) in one call into the memo."""
+        if texts:
+            memo.update(zip(texts, self.features(list(texts.values()))))
+
+    def mentions(self, mentions: list[Mention]) -> list[Any]:
+        self._fill(
+            self._mention,
+            {
+                m.id: span_window(m, self.max_context_chars)
+                for m in mentions
+                if m.id not in self._mention
+            },
+        )
+        return [self._mention[m.id] for m in mentions]
+
+    def events(
+        self, event_ids: list[str], mention_language: str, context: str = ""
+    ) -> list[Any]:
+        """Features of the events' texts for a mention in ``mention_language``;
+        ``context`` says where an unknown event id came from."""
+        language = self.language(mention_language)
+        keys = [(event_id, language) for event_id in event_ids]
+        texts = {}
+        for key in keys:
+            if key not in self._event and key not in texts:
+                event = self.corpus.get(key[0])
+                if event is None:
+                    raise UnknownEvent(key[0], context)
+                texts[key] = event_text(event, language, max_cand_chars=self.max_cand_chars)
+        self._fill(self._event, texts)
+        return [self._event[key] for key in keys]
+
     def mention(self, mention: Mention) -> Any:
-        if mention.id not in self._mention:
-            self._mention[mention.id] = self.features(
-                span_window(mention, self.max_context_chars)
-            )
-        return self._mention[mention.id]
+        return self.mentions([mention])[0]
 
     def event(self, event_id: str, mention_language: str, context: str = "") -> Any:
-        """Features of the event's text for a mention in ``mention_language``;
-        ``context`` says where an unknown ``event_id`` came from."""
-        key = (event_id, self.language(mention_language))
-        if key not in self._event:
-            event = self.events.get(event_id)
-            if event is None:
-                raise UnknownEvent(event_id, context)
-            self._event[key] = self.features(
-                event_text(event, key[1], max_cand_chars=self.max_cand_chars)
-            )
-        return self._event[key]
+        return self.events([event_id], mention_language, context)[0]
 
 
 @dataclass
@@ -341,6 +437,15 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(extra_heads[name], dtype="<f8").tobytes())
 
 
+def read_f8(fh: BinaryIO, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The next row-major '<f8' array of ``shape`` in ``fh``, read straight
+    into its own memory; None when the file ends first."""
+    array = np.empty(int(np.prod(shape)), dtype="<f8")
+    if fh.readinto(array.view(np.uint8)) != array.nbytes:
+        return None
+    return array.reshape(shape)
+
+
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -356,11 +461,10 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, dict[str, np.ndarr
         F, d = int(header["F"]), int(header["d"])
 
         def read_array(shape: tuple[int, ...]) -> np.ndarray:
-            count = int(np.prod(shape))
-            data = fh.read(count * 8)
-            if len(data) != count * 8:
+            array = read_f8(fh, shape)
+            if array is None:
                 raise InvalidConfig("checkpoint truncated")
-            return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            return array
 
         towers = {name: read_array((F, d)) for name in header["towers"]}
         extra = {

@@ -277,7 +277,10 @@ def load_events(path: str | Path) -> list[Event]:
                     str(path), line_no, f"label for {lang!r} needs a title"
                 )
             labels[lang] = Label(
-                title=str(lab["title"]), description=str(lab.get("description", ""))
+                title=require_text(path, line_no, f"{lang} title", str(lab["title"])),
+                description=require_text(
+                    path, line_no, f"{lang} description", str(lab.get("description", ""))
+                ),
             )
         seen.add(event_id)
         events.append(Event(id=event_id, labels=labels))
@@ -323,6 +326,20 @@ def write_relations(edges: list[RelationEdge], path: str | Path) -> None:
                 "object": edge.object,
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def require_text(path: str | Path, line_no: int, field: str, value) -> str:
+    """``value`` if it is a string that encodes as UTF-8 (JSON can spell a
+    lone surrogate, which cannot be hashed); ParseError otherwise."""
+    if not isinstance(value, str):
+        raise ParseError(str(path), line_no, f"{field} must be a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(
+            str(path), line_no, f"{field} does not encode as UTF-8: {exc.reason} at {exc.start}"
+        ) from None
+    return value
 
 
 def _iter_jsonl(path: str | Path):

@@ -23,7 +23,8 @@ from .encoder import (
     FeatureVector,
     TextFeaturizer,
     design_matrix,
-    ngram_counts,
+    ngram_counts_many,
+    read_f8,
 )
 from .errors import (
     DimensionMismatch,
@@ -49,8 +50,8 @@ DEFAULT_GRID = (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9)
 Block = tuple[np.ndarray, np.ndarray]
 
 
-def _block_counts(text: str) -> Block:
-    return ngram_counts(text, BLOCK_BUCKETS)
+def _block_counts(texts: list[str]) -> list[Block]:
+    return ngram_counts_many(texts, BLOCK_BUCKETS)
 
 
 def _pair_fv(mention: Block, event: Block) -> FeatureVector:
@@ -102,8 +103,12 @@ class PairFeaturizer(TextFeaturizer):
     def pair_fv(self, mention: Mention, event_id: str) -> FeatureVector:
         return _pair_fv(
             self.mention(mention),
-            self.event(event_id, mention.language, f"candidate of mention {mention.id!r}"),
+            self.event(event_id, mention.language, _candidate_of(mention)),
         )
+
+
+def _candidate_of(mention: Mention) -> str:
+    return f"candidate of mention {mention.id!r}"
 
 
 @dataclass
@@ -228,11 +233,13 @@ def train_reranker(
     """
     if not results:
         raise EmptyRetrievals("reranker needs training retrievals")
+    result_mentions = [_mention_of(mentions, result.mention_id) for result in results]
+    featurizer.mentions(result_mentions)
     examples: list[tuple[FeatureVector, float]] = []
-    for result in results:
-        mention = _mention_of(mentions, result.mention_id)
+    for result, mention in zip(results, result_mentions):
         gold = frozenset(golds[result.mention_id])
         candidate_ids = substitute_missing_golds(result.event_ids[: config.k], gold)
+        featurizer.events(candidate_ids, mention.language, _candidate_of(mention))
         for event_id in candidate_ids:
             examples.append(
                 (featurizer.pair_fv(mention, event_id), 1.0 if event_id in gold else 0.0)
@@ -277,15 +284,24 @@ def score_candidates(
     result: RetrievalResult,
     k: int | None = None,
 ) -> list[tuple[str, float]]:
-    """Candidates rescored and sorted descending, ties by ascending id."""
+    """Candidates rescored and sorted descending, ties by ascending id.
+
+    A candidate listed more than once is scored once and kept as often as
+    it is listed.
+    """
     if not result.candidates:
         raise EmptyRetrievals(f"mention {mention.id!r} has no candidates")
     ids = result.event_ids if k is None else result.event_ids[:k]
-    scored = [
-        (event_id, score_pair(params, featurizer.pair_fv(mention, event_id)))
-        for event_id in ids
-    ]
-    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+    distinct = list(dict.fromkeys(ids))
+    featurizer.events(distinct, mention.language, _candidate_of(mention))
+    scores = {
+        event_id: score_pair(params, featurizer.pair_fv(mention, event_id))
+        for event_id in distinct
+    }
+    return sorted(
+        ((event_id, scores[event_id]) for event_id in ids),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
 
 
 def candidate_probs(scored: list[tuple[str, float]]) -> np.ndarray:
@@ -331,9 +347,10 @@ def select_threshold(
     """
     if not grid:
         raise InvalidConfig("threshold grid must be non-empty")
+    result_mentions = [_mention_of(mentions, result.mention_id) for result in results]
+    featurizer.mentions(result_mentions)
     scored_results = []
-    for result in results:
-        mention = _mention_of(mentions, result.mention_id)
+    for result, mention in zip(results, result_mentions):
         scored = score_candidates(params, featurizer, mention, result, k)
         scored_results.append(
             (result, scored, candidate_probs(scored), [e for e, _ in scored])
@@ -419,14 +436,10 @@ def load_reranker(path: str | Path) -> tuple[RerankerParams, float | None]:
             raise ParseError(str(path), 1, "not a reranker checkpoint")
         arrays = {}
         for spec_entry in header["arrays"]:
-            shape = tuple(spec_entry["shape"])
-            count = int(np.prod(shape))
-            data = fh.read(count * 8)
-            if len(data) != count * 8:
+            array = read_f8(fh, tuple(spec_entry["shape"]))
+            if array is None:
                 raise ParseError(str(path), 1, "checkpoint truncated")
-            arrays[spec_entry["name"]] = (
-                np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-            )
+            arrays[spec_entry["name"]] = array
     params = RerankerParams(
         V=arrays["V"], c=arrays["c"], w=arrays["w"], b=float(arrays["b"][0])
     )

@@ -21,8 +21,8 @@ from .encoder import (
     EncoderParams,
     TextFeaturizer,
     encode,
-    featurize_mention,
-    hashed,
+    hash_texts,
+    span_window,
 )
 from .errors import InvalidConfig, KTooLarge, ParseError, UnknownEvent
 from .kb import Event
@@ -47,7 +47,8 @@ class CandidateIndex:
 
     Each (event, resolved language) is encoded once by the event tower;
     one matrix is stacked per resolved language on first use (a single
-    English one in crosslingual mode).
+    English one in crosslingual mode), from one hashing call over the
+    whole pool.
     """
 
     def __init__(
@@ -58,15 +59,14 @@ class CandidateIndex:
         mode: str = "multilingual",
         max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
     ):
-        hasher = hashed(params.F)
         self.featurizer = TextFeaturizer(
             events,
-            lambda text: encode(params, hasher(text), "event"),
+            lambda texts: [encode(params, fv, "event") for fv in hash_texts(texts, params.F)],
             mode,
             max_cand_chars=max_cand_chars,
         )
         for event_id in pool:
-            if event_id not in self.featurizer.events:
+            if event_id not in self.featurizer.corpus:
                 raise UnknownEvent(event_id, "candidate pool")
         self.ids: list[str] = sorted(set(pool))
         self._matrices: dict[str, np.ndarray] = {}
@@ -77,9 +77,7 @@ class CandidateIndex:
     def matrix(self, language: str) -> np.ndarray:
         lang = self.featurizer.language(language)
         if lang not in self._matrices:
-            self._matrices[lang] = np.stack(
-                [self.featurizer.event(event_id, lang) for event_id in self.ids]
-            )
+            self._matrices[lang] = np.stack(self.featurizer.events(self.ids, lang))
         return self._matrices[lang]
 
 
@@ -128,12 +126,12 @@ def retrieve_mentions(
     k: int = DEFAULT_K,
     max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
 ) -> list[RetrievalResult]:
-    results = []
-    for mention in mentions:
-        fv = featurize_mention(mention, max_context_chars, params.F)
-        vec = encode(params, fv, "mention")
-        results.append(topk(index, vec, k, mention.language, mention.id))
-    return results
+    """Top-k candidates of each mention; all windows are hashed in one call."""
+    fvs = hash_texts([span_window(m, max_context_chars) for m in mentions], params.F)
+    return [
+        topk(index, encode(params, fv, "mention"), k, mention.language, mention.id)
+        for mention, fv in zip(mentions, fvs)
+    ]
 
 
 def write_retrievals(results: list[RetrievalResult], path: str | Path) -> None:

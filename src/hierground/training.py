@@ -374,18 +374,20 @@ def build_linking_batch(
     in different languages contribute the same event, the first
     mention's language determines its featurization.
     """
-    mention_fvs = [featurizer.mention(inst.mention) for inst in instances]
+    mention_fvs = featurizer.mentions([inst.mention for inst in instances])
     gold_sets = [inst.gold_set for inst in instances]
-    pool_ids: list[str] = []
-    pool_fvs: list[FeatureVector] = []
-    seen: set[str] = set()
+    # pool id -> the resolved language of the first mention contributing it
+    pool: dict[str, str] = {}
     for inst in instances:
+        language = featurizer.language(inst.mention.language)
         for event_id in inst.gold:
-            if event_id not in seen:
-                seen.add(event_id)
-                pool_ids.append(event_id)
-                pool_fvs.append(featurizer.event(event_id, inst.mention.language))
-    return mention_fvs, gold_sets, pool_ids, pool_fvs
+            pool.setdefault(event_id, language)
+    fv_of: dict[str, FeatureVector] = {}
+    for language in dict.fromkeys(pool.values()):
+        ids = [event_id for event_id, lang in pool.items() if lang == language]
+        fv_of.update(zip(ids, featurizer.events(ids, language)))
+    pool_ids = list(pool)
+    return mention_fvs, gold_sets, pool_ids, [fv_of[event_id] for event_id in pool_ids]
 
 
 def hierarchy_pairs(
@@ -449,8 +451,8 @@ def train(
     if uses_hierarchy and not pairs:
         raise NoHierarchyEdges("strategy needs hierarchy edges in the train events")
     pair_parent_ids = [p for p, _ in pairs]
-    pair_parent_fvs = [featurizer.event(p, FALLBACK_LANGUAGE) for p, _ in pairs]
-    pair_child_fvs = [featurizer.event(c, FALLBACK_LANGUAGE) for _, c in pairs]
+    pair_fvs = featurizer.events([*pair_parent_ids, *(c for _, c in pairs)], FALLBACK_LANGUAGE)
+    pair_parent_fvs, pair_child_fvs = pair_fvs[: len(pairs)], pair_fvs[len(pairs) :]
 
     batch_rng = substream_rng(config.seed, "batch")
     hier_rng = substream_rng(config.seed, "hier")

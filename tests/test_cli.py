@@ -412,6 +412,43 @@ class TestCheckpointFlags:
         assert not (tmp_path / "reranker.bin").exists()
 
 
+class TestUnencodableText:
+    """A lone surrogate (legal as a JSON escape) is rejected where it is read."""
+
+    @pytest.mark.parametrize(
+        "source, field",
+        [("mentions.jsonl", "context"), ("events.jsonl", "title"),
+         ("events.jsonl", "description")],
+    )
+    def test_retrieve_names_the_file_and_line(self, pipeline, tmp_path, capsys, source, field):
+        records = [
+            json.loads(line)
+            for line in (pipeline / source).read_text("utf-8").splitlines()
+        ]
+        if field == "context":
+            records[2]["context"] += " \ud800"
+        else:
+            records[2]["labels"]["en"][field] = "bad \udfff text"
+        broken = tmp_path / source
+        broken.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        corpus = {name: pipeline / name for name in ("events.jsonl", "mentions.jsonl")}
+        corpus[source] = broken
+        rc = main(
+            ["retrieve", "--output-dir", str(tmp_path), *SEED,
+             "--events", str(corpus["events.jsonl"]),
+             "--mentions", str(corpus["mentions.jsonl"]),
+             "--checkpoint", str(pipeline / "checkpoint.bin"),
+             "--out", "retrievals.jsonl"]
+        )
+        assert rc == 1
+        record = only_error(capsys)
+        assert record["error"] == "ParseError"
+        assert record["context"]["path"] == str(broken)
+        assert record["context"]["line"] == 3
+        assert field in record["message"]
+        assert not (tmp_path / "retrievals.jsonl").exists()
+
+
 class TestConfigResolution:
     def test_flag_overrides_config_file(self, tmp_path):
         config = tmp_path / "config.json"

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hierground import encoder, rerank, retrieval, training
 from hierground.dataset import GroundingInstance, Mention
@@ -23,9 +25,11 @@ from hierground.encoder import (
     featurize_mention,
     fnv1a64,
     hash_text,
+    hash_texts,
     hashed,
     init_encoder,
     load_checkpoint,
+    ngram_counts_many,
     pair_score,
     reset_warning_counts,
     save_checkpoint,
@@ -69,6 +73,70 @@ class TestHash:
 
     def test_stable_across_calls(self):
         assert fnv1a64(b"stable") == fnv1a64(b"stable")
+
+
+def scalar_ngram_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-text dict loop over ``fnv1a64`` that the kernel replaced."""
+    counts: dict[int, float] = {}
+    for n in NGRAM_SIZES:
+        for start in range(len(text) - n + 1):
+            bucket = fnv1a64(text[start : start + n].encode("utf-8")) % buckets
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    keys = sorted(counts)
+    return np.array(keys, dtype=np.int64), np.array([counts[k] for k in keys], dtype=float)
+
+
+# 1-, 2-, 3- and 4-byte UTF-8 code points, the span markers among the 3-byte ones
+KERNEL_ALPHABET = "ab c" + "éßж" + "中€" + SPAN_OPEN + SPAN_CLOSE + "😀𝄞"
+kernel_texts = st.lists(st.text(alphabet=KERNEL_ALPHABET, max_size=12), max_size=10)
+
+
+class TestNgramKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(texts=kernel_texts, buckets=st.sampled_from([2**18, 4096, 7, 1]))
+    @example(texts=[], buckets=7)
+    @example(texts=["", "a", "ab"], buckets=2**18)
+    @example(texts=["abc", "", f"{SPAN_OPEN}x{SPAN_CLOSE}", "😀😀😀😀"], buckets=4096)
+    def test_bit_equal_to_scalar_fnv(self, texts, buckets):
+        got = ngram_counts_many(texts, buckets)
+        assert len(got) == len(texts)
+        for text, (keys, counts) in zip(texts, got):
+            want_keys, want_counts = scalar_ngram_counts(text, buckets)
+            assert keys.dtype == want_keys.dtype and counts.dtype == want_counts.dtype
+            assert keys.tobytes() == want_keys.tobytes()
+            assert counts.tobytes() == want_counts.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(texts=kernel_texts, chunk=st.integers(1, 4))
+    def test_chunking_does_not_change_counts(self, texts, chunk):
+        whole = ngram_counts_many(texts, 4096)
+        saved = encoder._CHUNK_TEXTS
+        encoder._CHUNK_TEXTS = chunk
+        try:
+            chunked = ngram_counts_many(texts, 4096)
+        finally:
+            encoder._CHUNK_TEXTS = saved
+        assert [(k.tobytes(), c.tobytes()) for k, c in chunked] == [
+            (k.tobytes(), c.tobytes()) for k, c in whole
+        ]
+
+    def test_hash_texts_match_hash_text(self):
+        texts = ["flood relief", "", "zdarzenie rzeczne", "ab", "中文事件描述"]
+        for fv, text in zip(hash_texts(texts, 1024), texts):
+            want = hash_text(text, 1024)
+            assert fv.indices.tobytes() == want.indices.tobytes()
+            assert fv.values.tobytes() == want.values.tobytes()
+
+    def test_warning_counter_rises_once_per_empty_text(self):
+        reset_warning_counts()
+        hash_texts(["", "ab", "abc", "x", "abcd", ""], 64)
+        assert WARNING_COUNTS["empty_feature_vector"] == 4
+        hash_texts([], 64)
+        assert WARNING_COUNTS["empty_feature_vector"] == 4
+
+    def test_unencodable_text_raises_instead_of_hashing(self):
+        with pytest.raises(UnicodeEncodeError):
+            ngram_counts_many(["a fine text", "lone \ud800 surrogate"], 7)
 
 
 class TestHashText:
@@ -324,6 +392,17 @@ class TestCheckpoint:
         clipped = tmp_path / "clipped.bin"
         clipped.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(InvalidConfig):
+            load_checkpoint(clipped)
+
+    def test_truncated_extra_head_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, init_encoder(F=16, d=2, seed=0), {"r": np.arange(4.0)})
+        loaded, extras = load_checkpoint(path)
+        assert loaded.W_event.flags.writeable and extras["r"].flags.writeable
+        assert extras["r"].tobytes() == np.arange(4.0).tobytes()
+        clipped = tmp_path / "clipped.bin"
+        clipped.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(InvalidConfig, match="truncated"):
             load_checkpoint(clipped)
 
     def test_unknown_version_rejected(self, tmp_path):

@@ -332,6 +332,54 @@ class TestScoreCandidates:
         assert scored[0][1] > scored[1][1]
 
 
+class TestRepeatedCandidates:
+    """Lists that repeat an event id, as root-padded gold chains do."""
+
+    RESULT = RetrievalResult(
+        "M1", [("N1", 0.9), ("G1", 0.8), ("G1", 0.7), ("N2", 0.6), ("G1", 0.5), ("N1", 0.1)]
+    )
+
+    @pytest.mark.parametrize("k", [None, 3, 5])
+    def test_each_distinct_id_scored_once(self, k, monkeypatch):
+        events, mention, _ = overlap_corpus()
+        params = init_reranker(PAIR_DIM, hidden=4, seed=2)
+        featurizer = PairFeaturizer(events)
+        ids = self.RESULT.event_ids if k is None else self.RESULT.event_ids[:k]
+        # the per-listing loop scoring replaced
+        want = sorted(
+            [(e, score_pair(params, featurizer.pair_fv(mention, e))) for e in ids],
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+        calls = []
+        original = rerank.score_pair
+
+        def counting(params, fv):
+            calls.append(fv)
+            return original(params, fv)
+
+        monkeypatch.setattr(rerank, "score_pair", counting)
+        got = score_candidates(params, featurizer, mention, self.RESULT, k)
+        assert len(calls) == len(set(ids))
+        assert got == want
+        assert len(got) == len(ids)
+
+    def test_candidate_texts_hashed_in_one_call(self, monkeypatch):
+        events, mention, _ = overlap_corpus()
+        calls = []
+        kernel = rerank.ngram_counts_many
+
+        def counting(texts, buckets):
+            calls.append(list(texts))
+            return kernel(texts, buckets)
+
+        monkeypatch.setattr(rerank, "ngram_counts_many", counting)
+        featurizer = PairFeaturizer(events)
+        featurizer.mentions([mention])
+        score_candidates(init_reranker(PAIR_DIM, hidden=2), featurizer, mention, self.RESULT)
+        score_candidates(init_reranker(PAIR_DIM, hidden=2), featurizer, mention, self.RESULT)
+        assert [len(texts) for texts in calls] == [1, 3]
+
+
 class TestSelectThreshold:
     def test_separating_threshold_wins(self):
         events, mention, result = overlap_corpus()

@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
+from hierground import encoder
 from hierground.dataset import Mention
-from hierground.encoder import EncoderParams, init_encoder
+from hierground.encoder import (
+    NGRAM_SIZES,
+    EncoderParams,
+    FeatureVector,
+    encode,
+    event_text,
+    fnv1a64,
+    init_encoder,
+    span_window,
+)
 from hierground.errors import InvalidConfig, KTooLarge, ParseError, UnknownEvent
-from hierground.kb import Event, Label
+from hierground.kb import FALLBACK_LANGUAGE, Event, Label
 from hierground.retrieval import (
     CandidateIndex,
     RetrievalResult,
@@ -202,6 +212,111 @@ class TestRetrieveMentions:
             assert result.mention_id == mention.id
             assert len(result.candidates) == 3
             assert set(result.event_ids) <= {"A", "B", "C", "D"}
+
+
+def scalar_hash_text(text: str, F: int) -> FeatureVector:
+    """The per-text hashing that retrieval did before texts were batched."""
+    counts: dict[int, float] = {}
+    for n in NGRAM_SIZES:
+        for start in range(len(text) - n + 1):
+            bucket = fnv1a64(text[start : start + n].encode("utf-8")) % F
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    keys = sorted(counts)
+    values = np.array([counts[key] for key in keys], dtype=float)
+    if keys:
+        values = values / np.linalg.norm(values)
+    return FeatureVector(np.array(keys, dtype=np.int64), values, F)
+
+
+def oracle_matrix(params, events, ids, language, mode, max_cand_chars):
+    """One scalar hash and one event-tower encoding per pool event."""
+    by_id = {event.id: event for event in events}
+    resolved = language if mode == "multilingual" else FALLBACK_LANGUAGE
+    return np.stack(
+        [
+            encode(
+                params,
+                scalar_hash_text(
+                    event_text(by_id[i], resolved, max_cand_chars=max_cand_chars), params.F
+                ),
+                "event",
+            )
+            for i in ids
+        ]
+    )
+
+
+def multilingual_corpus():
+    events = [
+        Event("E1", {"en": Label("flood relief", "river basin aid"),
+                     "de": Label("hochwasserhilfe", "flussgebiet strasse"),
+                     "pl": Label("pomoc powodziowa", "dorzecze rzeki żółw")}),
+        Event("E2", {"en": Label("summit talks", "leaders meet"),
+                     "fr": Label("sommet", "les dirigeants se réunissent")}),
+        Event("E3", {"en": Label("storm season 😀", "")}),
+        Event("E4", {"en": Label("ab")}),
+        Event("E5", {"en": Label("election night", "ballots counted"),
+                     "de": Label("wahlabend", "stimmen gezählt")}),
+    ]
+    mentions = [
+        Mention("M1", "en", "relief for the flooded river basin", 4, 9, "E1"),
+        Mention("M2", "de", "die hochwasserhilfe läuft", 4, 19, "E1"),
+        Mention("M3", "fr", "le sommet des dirigeants", 3, 9, "E2"),
+        Mention("M4", "de", "am wahlabend wurden stimmen gezählt", 3, 12, "E5"),
+        Mention("M5", "en", "storm 😀 season opens", 0, 5, "E3"),
+        Mention("M6", "fr", "réunion au sommet", 0, 7, "E2"),
+    ]
+    return events, mentions
+
+
+class TestBatchedHashing:
+    """Retrieval hashes whole lists, bit-equal to the per-text path."""
+
+    @pytest.mark.parametrize("mode", ["multilingual", "crosslingual"])
+    @pytest.mark.parametrize("max_chars", [128, 6])
+    def test_matches_per_text_oracle(self, mode, max_chars):
+        events, mentions = multilingual_corpus()
+        params = init_encoder(512, 8, seed=3)
+        pool = ["E5", "E1", "E3", "E2", "E4", "E1"]
+        index = CandidateIndex(params, events, pool, mode, max_chars)
+        results = retrieve_mentions(params, index, mentions, k=3, max_context_chars=max_chars)
+
+        oracle_index = CandidateIndex(params, events, pool, mode, max_chars)
+        for language in ("en", "de", "fr", "pl"):
+            want = oracle_matrix(params, events, index.ids, language, mode, max_chars)
+            assert index.matrix(language).tobytes() == want.tobytes()
+            oracle_index._matrices[index.featurizer.language(language)] = want
+        want_results = [
+            topk(
+                oracle_index,
+                encode(params, scalar_hash_text(span_window(m, max_chars), params.F), "mention"),
+                3,
+                m.language,
+                m.id,
+            )
+            for m in mentions
+        ]
+        assert results == want_results
+
+    @pytest.mark.parametrize(
+        "mode, languages", [("multilingual", 3), ("crosslingual", 1)]
+    )
+    def test_one_kernel_call_per_language(self, mode, languages, monkeypatch):
+        events, mentions = multilingual_corpus()
+        calls = []
+        kernel = encoder.ngram_counts_many
+
+        def counting(texts, buckets):
+            calls.append(len(texts))
+            return kernel(texts, buckets)
+
+        monkeypatch.setattr(encoder, "ngram_counts_many", counting)
+        params = init_encoder(512, 8, seed=3)
+        index = CandidateIndex(params, events, [e.id for e in events], mode)
+        retrieve_mentions(params, index, mentions, k=2)
+        retrieve_mentions(params, index, mentions, k=2)
+        # the mention windows once per call, the pool once per language
+        assert sorted(calls) == sorted([len(mentions)] * 2 + [len(events)] * languages)
 
 
 class TestRetrievalFiles:

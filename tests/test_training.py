@@ -507,6 +507,34 @@ class TestBuildLinkingBatch:
         assert np.allclose(pool_fvs[0].values, want.values)
 
 
+    @pytest.mark.parametrize(
+        "mode, sizes", [("multilingual", [3, 2, 3]), ("crosslingual", [3, 5])]
+    )
+    def test_misses_featurized_in_one_call_per_language(self, mode, sizes):
+        events, edges, forest = tiny_kb()
+        calls = []
+
+        def counting(texts):
+            calls.append(list(texts))
+            return hashed(64)(texts)
+
+        featurizer = TextFeaturizer(events, counting, mode, 200, 128)
+        mentions = [
+            mention_of("M1", "E4", "sturm erreicht land", language="de"),
+            mention_of("M2", "E2", "relief crews arrive"),
+            mention_of("M3", "E5", "cleanup begins"),
+        ]
+        instances = expand_gold(forest, mentions)
+        first = build_linking_batch(instances, featurizer)
+        # the mentions, then the pool's misses: E4 and E3 in the first
+        # mention's German, E2, E1 and E5 in English
+        assert [len(texts) for texts in calls] == sizes
+        again = build_linking_batch(instances, featurizer)
+        assert len(calls) == len(sizes)
+        assert first[2] == again[2] == ["E4", "E3", "E2", "E1", "E5"]
+        assert all(a is b for a, b in zip(first[3], again[3]))
+
+
 class TestHierarchyPairs:
     def test_pairs_sorted_by_child(self):
         events, edges, forest = tiny_kb()
