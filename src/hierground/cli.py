@@ -279,16 +279,6 @@ def cmd_train(config: dict) -> list[str]:
     return ["checkpoint.bin", "training_log.jsonl"]
 
 
-def _load_encoder(path: str | Path) -> tuple[encoder.EncoderParams, training.ComplExHead | None]:
-    params, extra = encoder.load_checkpoint(path)
-    head = None
-    if all(f"complex.{name}" in extra for name in training.HEAD_ARRAY_NAMES):
-        head = training.ComplExHead(
-            **{name: extra[f"complex.{name}"] for name in training.HEAD_ARRAY_NAMES}
-        )
-    return params, head
-
-
 def _select_mentions(config: dict, data: dict, split: str | None) -> list[dataset.Mention]:
     mentions = data["mentions"]
     if split and split != "all":
@@ -301,7 +291,7 @@ def _select_mentions(config: dict, data: dict, split: str | None) -> list[datase
 def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> list[str]:
     names = ["events", "mentions"] + (["splits"] if split != "all" else [])
     data = _load_corpus(config, *names)
-    params, _ = _load_encoder(checkpoint)
+    params = encoder.load_checkpoint(checkpoint)[0]
     mentions = _select_mentions(config, data, split)
     pool = dataset.candidate_pool(data["events"], mode="inference")
     index = retrieval.build_index(
@@ -487,7 +477,7 @@ def cmd_relext(config: dict, retrievals_path: str, split: str | None) -> list[st
     }
     report = {
         "n_events_evaluated": len(evaluated),
-        "n_unlinked": len([e for e in unlinked if e in set(evaluated)]),
+        "n_unlinked": len(set(unlinked) & set(evaluated)),
     }
     for k in (1, 2, 4, 8, 16):
         report[f"relext_recall_at_{k}"] = metrics.relext_recall_at_k(

@@ -10,14 +10,16 @@ plain dot product of the two embeddings.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from .dataset import Mention
-from .errors import DimensionMismatch, InvalidConfig, UnknownEvent
+from .errors import DimensionMismatch, InvalidConfig, ParseError, UnknownEvent
 from .kb import FALLBACK_LANGUAGE, Event
 from .seeding import substream_rng
 
@@ -337,8 +339,8 @@ class EncoderParams:
     def __post_init__(self):
         if self.W_mention.shape != self.W_event.shape:
             raise DimensionMismatch("tower shapes must match")
-        if self.W_mention.ndim != 2:
-            raise DimensionMismatch("towers must be F x d matrices")
+        if self.W_mention.ndim != 2 or 0 in self.W_mention.shape:
+            raise DimensionMismatch("towers must be F x d matrices with F, d >= 1")
 
     @property
     def F(self) -> int:
@@ -409,8 +411,78 @@ def pair_score(m_vec: np.ndarray, e_vec: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one JSON header line, then row-major '<f8' arrays in header
-# order (the two towers first, then any extra heads).
+# Checkpoints: one sorted JSON header line {"format_version", "kind",
+# "arrays": [{"name", "shape"}, ...], **meta}, then every array as row-major
+# '<f8' in header order.  The encoder and the reranker share this container.
+
+CHECKPOINT_VERSION = 2
+
+
+def save_arrays(path: str | Path, kind: str, arrays: dict[str, np.ndarray], **meta) -> None:
+    header = {
+        "format_version": CHECKPOINT_VERSION,
+        "kind": kind,
+        "arrays": [{"name": name, "shape": list(np.shape(a))} for name, a in arrays.items()],
+        **meta,
+    }
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for array in arrays.values():
+            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+
+
+def load_arrays(
+    path: str | Path, kind: str, names: tuple[str, ...]
+) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+    """The arrays of a ``kind`` checkpoint that holds at least ``names``,
+    each read straight into its own writeable memory, and the header's meta.
+
+    A malformed header, or a file whose bytes after the header are not
+    exactly 8 per declared element (truncated, trailing bytes, or shapes
+    too large for the file), raises ``ParseError`` before any array is
+    allocated.
+    """
+
+    def reject(reason: str) -> ParseError:
+        return ParseError(str(path), 1, reason)
+
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise reject(f"checkpoint header is not JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise reject("checkpoint header is not a JSON object")
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise reject(f"unsupported checkpoint format {header.get('format_version')!r}")
+        if header.get("kind") != kind:
+            raise reject(f"checkpoint kind is {header.get('kind')!r}, not {kind!r}")
+        specs = header.get("arrays")
+        if not isinstance(specs, list) or not all(
+            isinstance(spec, dict) and isinstance(spec.get("name"), str) for spec in specs
+        ):
+            raise reject("arrays must be a list of {name, shape} objects")
+        shapes = {spec["name"]: spec.get("shape") for spec in specs}
+        if len(shapes) != len(specs) or not set(names) <= shapes.keys():
+            raise reject(f"arrays need distinct names, {list(names)} among them")
+        for shape in shapes.values():
+            if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+                raise reject(f"array shape {shape!r} is not a list of non-negative integers")
+        threshold = header.get("threshold")
+        if not (threshold is None or isinstance(threshold, float) and 0 < threshold < 1):
+            raise reject(f"threshold {threshold!r} is neither null nor a number in (0, 1)")
+        size = 8 * sum(math.prod(shape) for shape in shapes.values())
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body != size:
+            problem = "truncated" if body < size else "followed by trailing bytes"
+            raise reject(f"checkpoint {problem}: its arrays need {size} bytes, {body} follow")
+        arrays = {}
+        for name, shape in shapes.items():
+            array = np.empty(math.prod(shape), dtype="<f8")
+            fh.readinto(array.view(np.uint8))
+            arrays[name] = array.reshape(shape)
+    meta = {k: v for k, v in header.items() if k not in ("format_version", "kind", "arrays")}
+    return arrays, meta
 
 
 def save_checkpoint(
@@ -418,57 +490,15 @@ def save_checkpoint(
     params: EncoderParams,
     extra_heads: dict[str, np.ndarray] | None = None,
 ) -> None:
-    extra_heads = extra_heads or {}
-    header = {
-        "format_version": 1,
-        "F": params.F,
-        "d": params.d,
-        "towers": ["mention", "event"],
-        "extra_heads": [
-            {"name": name, "shape": list(extra_heads[name].shape)}
-            for name in extra_heads
-        ],
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(params.W_mention, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.W_event, dtype="<f8").tobytes())
-        for name in extra_heads:
-            fh.write(np.ascontiguousarray(extra_heads[name], dtype="<f8").tobytes())
-
-
-def read_f8(fh: BinaryIO, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The next row-major '<f8' array of ``shape`` in ``fh``, read straight
-    into its own memory; None when the file ends first."""
-    array = np.empty(int(np.prod(shape)), dtype="<f8")
-    if fh.readinto(array.view(np.uint8)) != array.nbytes:
-        return None
-    return array.reshape(shape)
+    arrays = {"mention": params.W_mention, "event": params.W_event, **(extra_heads or {})}
+    save_arrays(path, "encoder", arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("format_version") != 1:
-            raise InvalidConfig(
-                f"unsupported checkpoint format {header.get('format_version')!r}"
-            )
-        # encoder headers carry no "kind"; the reranker's says "reranker"
-        kind = header.get("kind", "encoder")
-        if kind != "encoder" or not {"F", "d", "towers"} <= header.keys():
-            raise InvalidConfig(f"{path} is a {kind} checkpoint, not an encoder one")
-        F, d = int(header["F"]), int(header["d"])
-
-        def read_array(shape: tuple[int, ...]) -> np.ndarray:
-            array = read_f8(fh, shape)
-            if array is None:
-                raise InvalidConfig("checkpoint truncated")
-            return array
-
-        towers = {name: read_array((F, d)) for name in header["towers"]}
-        extra = {
-            spec["name"]: read_array(tuple(spec["shape"]))
-            for spec in header.get("extra_heads", [])
-        }
-    return EncoderParams(W_mention=towers["mention"], W_event=towers["event"]), extra
+    """The towers and the extra heads, by name, of an encoder checkpoint."""
+    arrays, _ = load_arrays(path, "encoder", ("mention", "event"))
+    try:
+        params = EncoderParams(W_mention=arrays.pop("mention"), W_event=arrays.pop("event"))
+    except DimensionMismatch as exc:
+        raise ParseError(str(path), 1, str(exc)) from exc
+    return params, arrays

@@ -28,9 +28,6 @@ class MentionLists:
     events_of: dict[str, set[str]] = field(default_factory=dict)
     k: int = DEFAULT_LIST_K
 
-    def linked_events(self) -> list[str]:
-        return sorted(self.mentions_of)
-
 
 def build_mention_lists(
     results: list[RetrievalResult], k: int = DEFAULT_LIST_K

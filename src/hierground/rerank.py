@@ -23,8 +23,9 @@ from .encoder import (
     FeatureVector,
     TextFeaturizer,
     design_matrix,
+    load_arrays,
     ngram_counts_many,
-    read_f8,
+    save_arrays,
 )
 from .errors import (
     DimensionMismatch,
@@ -121,8 +122,7 @@ class RerankerParams:
     b: float
 
     def __post_init__(self):
-        h = self.w.shape[0]
-        if self.V.ndim != 2 or self.V.shape[1] != h or self.c.shape != (h,):
+        if self.V.ndim != 2 or not self.w.shape == self.c.shape == (self.V.shape[1],):
             raise DimensionMismatch("V must be P x h with c and w of length h")
 
     @property
@@ -403,44 +403,21 @@ def load_predictions(path: str | Path) -> dict[str, frozenset[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: same container style as encoder checkpoints (JSON header
-# line, then row-major '<f8' arrays in header order).
+# Persistence: the encoder's checkpoint container, kind "reranker".
 
 
 def save_reranker(
     path: str | Path, params: RerankerParams, threshold: float | None = None
 ) -> None:
-    header = {
-        "format_version": 1,
-        "kind": "reranker",
-        "P": params.P,
-        "h": params.h,
-        "arrays": [
-            {"name": "V", "shape": [params.P, params.h]},
-            {"name": "c", "shape": [params.h]},
-            {"name": "w", "shape": [params.h]},
-            {"name": "b", "shape": [1]},
-        ],
-        "threshold": threshold,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for arr in (params.V, params.c, params.w, np.array([params.b])):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    arrays = {"V": params.V, "c": params.c, "w": params.w, "b": np.array([params.b])}
+    save_arrays(path, "reranker", arrays, threshold=threshold)
 
 
 def load_reranker(path: str | Path) -> tuple[RerankerParams, float | None]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format_version") != 1 or header.get("kind") != "reranker":
-            raise ParseError(str(path), 1, "not a reranker checkpoint")
-        arrays = {}
-        for spec_entry in header["arrays"]:
-            array = read_f8(fh, tuple(spec_entry["shape"]))
-            if array is None:
-                raise ParseError(str(path), 1, "checkpoint truncated")
-            arrays[spec_entry["name"]] = array
-    params = RerankerParams(
-        V=arrays["V"], c=arrays["c"], w=arrays["w"], b=float(arrays["b"][0])
-    )
-    return params, header.get("threshold")
+    arrays, meta = load_arrays(path, "reranker", ("V", "c", "w", "b"))
+    try:
+        # item() raises ValueError unless b holds exactly one value
+        params = RerankerParams(V=arrays["V"], c=arrays["c"], w=arrays["w"], b=arrays["b"].item())
+    except (DimensionMismatch, ValueError) as exc:
+        raise ParseError(str(path), 1, str(exc)) from exc
+    return params, meta.get("threshold")

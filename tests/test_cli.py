@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hierground import dataset, encoder, relext, retrieval, rerank
@@ -395,7 +396,7 @@ class TestCheckpointFlags:
         )
         assert rc == 1
         record = only_error(capsys)
-        assert record["error"] == "InvalidConfig"
+        assert record["error"] == "ParseError"
         assert "reranker" in record["message"]
 
     def test_rerank_train_rejects_checkpoint_flag(self, pipeline, tmp_path, capsys):
@@ -410,6 +411,79 @@ class TestCheckpointFlags:
         assert record["error"] == "ConfigError"
         assert "--checkpoint" in record["message"]
         assert not (tmp_path / "reranker.bin").exists()
+
+
+def rewrite_header(change):
+    """A table row that edits the valid file's header and keeps its arrays."""
+
+    def make(data: bytes, other: bytes) -> bytes:
+        line, body = data.split(b"\n", 1)
+        header = json.loads(line)
+        change(header, header["arrays"][0])
+        return json.dumps(header).encode("utf-8") + b"\n" + body
+
+    return make
+
+
+# name -> (valid file bytes, valid bytes of the other kind) -> malformed file
+MALFORMED_CHECKPOINTS = {
+    "empty-file": lambda data, other: b"",
+    "non-json-header": lambda data, other: b"checkpoint\n" + data.split(b"\n", 1)[1],
+    "header-is-a-list": lambda data, other: b"[1]\n" + data.split(b"\n", 1)[1],
+    "wrong-kind": lambda data, other: other,
+    "format-version-1": rewrite_header(lambda header, first: header.update(format_version=1)),
+    "missing-array-name": rewrite_header(lambda header, first: first.pop("name")),
+    # the next two keep the valid element count, so only the shape check catches them
+    "negative-shape": rewrite_header(
+        lambda header, first: first.update(shape=[-n for n in first["shape"]])
+    ),
+    "non-integer-shape": rewrite_header(
+        lambda header, first: first.update(shape=[float(n) for n in first["shape"]])
+    ),
+    "7-PiB-shape": rewrite_header(lambda header, first: first.update(shape=[10**9, 10**6])),
+    "short-by-one-byte": lambda data, other: data[:-1],
+    "one-trailing-byte": lambda data, other: data + b"\0",
+    "threshold-x": rewrite_header(lambda header, first: header.update(threshold="x")),
+}
+
+
+class TestMalformedCheckpoints:
+    """Every malformed checkpoint is one ParseError record and exit 1."""
+
+    @pytest.mark.parametrize("row", list(MALFORMED_CHECKPOINTS))
+    @pytest.mark.parametrize(
+        "command, valid, other",
+        [("retrieve", "checkpoint.bin", "reranker.bin"),
+         ("evaluate", "reranker.bin", "checkpoint.bin")],
+        ids=["retrieve", "evaluate"],
+    )
+    def test_rejected(self, pipeline, tmp_path, capsys, monkeypatch, row, command, valid, other):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(
+            MALFORMED_CHECKPOINTS[row](
+                (pipeline / valid).read_bytes(), (pipeline / other).read_bytes()
+            )
+        )
+        out = ["--output-dir", str(tmp_path), *SEED]
+        if command == "retrieve":
+            argv = ["retrieve", *out, "--events", str(pipeline / "events.jsonl"),
+                    "--mentions", str(pipeline / "mentions.jsonl"),
+                    "--checkpoint", str(bad), "--out", "retrievals.jsonl"]
+        else:
+            argv = ["evaluate", *out, *corpus_args(pipeline),
+                    "--retrievals", str(pipeline / "retrievals_dev.jsonl"),
+                    "--reranker", str(bad)]
+        allocations = []
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *a, **k: allocations.append(a) or empty(*a, **k))
+        assert main(argv) == 1
+        record = only_error(capsys)
+        assert record["error"] == "ParseError"
+        assert record["context"]["path"] == str(bad)
+        # rejected before the loader allocates any array
+        assert allocations == []
+        assert not (tmp_path / "retrievals.jsonl").exists()
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestUnencodableText:

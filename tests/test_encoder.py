@@ -28,14 +28,22 @@ from hierground.encoder import (
     hash_texts,
     hashed,
     init_encoder,
+    load_arrays,
     load_checkpoint,
     ngram_counts_many,
     pair_score,
     reset_warning_counts,
+    save_arrays,
     save_checkpoint,
     span_window,
 )
-from hierground.errors import DimensionMismatch, InvalidConfig, MissingLabel, UnknownEvent
+from hierground.errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    MissingLabel,
+    ParseError,
+    UnknownEvent,
+)
 from hierground.kb import Event, Label
 
 
@@ -379,11 +387,17 @@ class TestCheckpoint:
         params = init_encoder(F=16, d=2, seed=0)
         path = tmp_path / "c.bin"
         save_checkpoint(path, params)
-        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert header["format_version"] == 1
-        assert header["F"] == 16 and header["d"] == 2
-        assert header["towers"] == ["mention", "event"]
-        assert header["extra_heads"] == []
+        line = path.read_bytes().split(b"\n", 1)[0]
+        header = json.loads(line)
+        assert line == json.dumps(header, sort_keys=True).encode("utf-8")
+        assert header == {
+            "arrays": [
+                {"name": "mention", "shape": [16, 2]},
+                {"name": "event", "shape": [16, 2]},
+            ],
+            "format_version": 2,
+            "kind": "encoder",
+        }
 
     def test_truncated_file_rejected(self, tmp_path):
         params = init_encoder(F=16, d=2, seed=0)
@@ -391,7 +405,7 @@ class TestCheckpoint:
         save_checkpoint(path, params)
         clipped = tmp_path / "clipped.bin"
         clipped.write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ParseError):
             load_checkpoint(clipped)
 
     def test_truncated_extra_head_rejected(self, tmp_path):
@@ -402,14 +416,69 @@ class TestCheckpoint:
         assert extras["r"].tobytes() == np.arange(4.0).tobytes()
         clipped = tmp_path / "clipped.bin"
         clipped.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(InvalidConfig, match="truncated"):
+        with pytest.raises(ParseError, match="truncated"):
             load_checkpoint(clipped)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(b'{"format_version": 2}\n')
-        with pytest.raises(InvalidConfig):
+        path.write_bytes(b'{"arrays": [], "format_version": 3, "kind": "encoder"}\n')
+        with pytest.raises(ParseError, match="format 3"):
             load_checkpoint(path)
+
+    def test_meta_round_trip(self, tmp_path):
+        path = tmp_path / "a.bin"
+        save_arrays(path, "toy", {"x": np.arange(6.0).reshape(2, 3)}, threshold=0.25)
+        arrays, meta = load_arrays(path, "toy", ("x",))
+        assert meta == {"threshold": 0.25}
+        assert arrays["x"].tobytes() == np.arange(6.0).tobytes()
+        assert arrays["x"].shape == (2, 3) and arrays["x"].flags.writeable
+
+    def test_kind_must_match(self, tmp_path):
+        path = tmp_path / "a.bin"
+        towers = {"mention": np.ones((4, 2)), "event": np.ones((4, 2))}
+        save_arrays(path, "reranker", towers)
+        with pytest.raises(ParseError, match="kind is 'reranker'"):
+            load_checkpoint(path)
+
+    def test_required_array_missing(self, tmp_path):
+        path = tmp_path / "a.bin"
+        save_arrays(path, "encoder", {"mention": np.ones((4, 2))})
+        with pytest.raises(ParseError, match="event"):
+            load_checkpoint(path)
+
+    def test_repeated_array_name(self, tmp_path):
+        path = tmp_path / "a.bin"
+        header = {
+            "arrays": [{"name": "x", "shape": [1]}, {"name": "x", "shape": [1]}],
+            "format_version": 2,
+            "kind": "toy",
+        }
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(16))
+        with pytest.raises(ParseError, match="distinct"):
+            load_arrays(path, "toy", ("x",))
+
+    @pytest.mark.parametrize(
+        "mention, event", [((4, 2), (2, 4)), ((0, 2), (0, 2)), ((4, 0), (4, 0)), ((8,), (8,))]
+    )
+    def test_tower_shapes_rejected(self, tmp_path, mention, event):
+        # zero-row towers would reach the n-gram kernel as a modulus of 0
+        path = tmp_path / "a.bin"
+        save_arrays(path, "encoder", {"mention": np.ones(mention), "event": np.ones(event)})
+        with pytest.raises(ParseError, match="tower"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_size_rule_runs_before_any_allocation(self, tmp_path, monkeypatch, cut):
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, init_encoder(F=16, d=2, seed=0))
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
+        allocations = []
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *a, **k: allocations.append(a) or empty(*a, **k))
+        with pytest.raises(ParseError, match="truncated" if cut < 0 else "trailing"):
+            load_checkpoint(path)
+        assert allocations == []
 
 
 class TestLanguageRule:

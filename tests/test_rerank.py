@@ -13,6 +13,7 @@ from hierground.encoder import (
     fnv1a64,
     hash_text,
     ngram_counts,
+    save_arrays,
     span_window,
 )
 from hierground.errors import (
@@ -548,6 +549,18 @@ class TestSaveLoad:
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b'{"format_version": 1, "kind": "encoder"}\n')
+        with pytest.raises(ParseError):
+            load_reranker(path)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("b", np.zeros(2)), ("b", np.zeros(0)), ("w", np.zeros(())), ("c", np.zeros(3))],
+    )
+    def test_inconsistent_shapes_rejected(self, tmp_path, name, value):
+        params = init_reranker(P=96, hidden=4, seed=7)
+        path = tmp_path / "reranker.bin"
+        arrays = {"V": params.V, "c": params.c, "w": params.w, "b": np.array([params.b])}
+        save_arrays(path, "reranker", {**arrays, name: value}, threshold=None)
         with pytest.raises(ParseError):
             load_reranker(path)
 
