@@ -50,7 +50,7 @@ from .metrics import (
     relext_recall_at_k,
     set_metrics,
 )
-from .relext import build_mention_lists, h_score, rank_parents
+from .relext import build_mention_lists, rank_parents
 from .rerank import (
     RerankConfig,
     RerankerParams,
@@ -107,7 +107,6 @@ __all__ = [
     "featurize_pair",
     "generate_synthetic",
     "gradient_check",
-    "h_score",
     "hierarchy_loss",
     "init_encoder",
     "linking_loss",

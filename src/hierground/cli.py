@@ -25,6 +25,8 @@ from .errors import ConfigError, HiergroundError
 OUTPUT_DIR_ENV = "HIERGROUND_OUTPUT_DIR"
 MANIFEST_NAME = "manifest.json"
 RESOLVED_CONFIG_NAME = "resolved_config.json"
+# the recall@k cut-offs relext_report.json reads from the parent rankings
+RELEXT_RECALL_KS = (1, 2, 4, 8, 16)
 
 DEFAULT_CONFIG: dict = {
     "output_dir": None,
@@ -143,6 +145,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
         config = _deep_merge(config, loaded)
+        for key, default in DEFAULT_CONFIG.items():
+            if isinstance(default, dict) and not isinstance(config[key], dict):
+                raise ConfigError(f"config file {config_path}: {key!r} must hold a JSON object")
     for dest, dotted in FLAG_PATHS.items():
         value = getattr(args, dest, None)
         if value is not None:
@@ -458,14 +463,28 @@ def cmd_evaluate(
     return artifacts
 
 
+def _positive_int(config: dict, section: str, key: str) -> int:
+    value = config[section][key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{section}.{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def cmd_relext(config: dict, retrievals_path: str, split: str | None) -> list[str]:
+    list_k = _positive_int(config, "relext", "list_k")
+    max_ranking = _positive_int(config, "relext", "max_ranking")
     names = ["events", "relations"] + (["splits"] if split and split != "all" else [])
     data = _load_corpus(config, *names)
     forest = kb.build_forest(data["events"], data["relations"], config["max_height"])
-    results = retrieval.load_retrievals(retrievals_path)
-    lists = relext.build_mention_lists(results, config["relext"]["list_k"])
     pool = dataset.candidate_pool(data["events"], mode="inference")
-    rankings, unlinked = relext.rank_all_parents(lists, pool)
+    results = retrieval.load_retrievals(retrievals_path)
+    known = set(pool)
+    for result in results:
+        retrieval.check_candidates(result, known)
+    lists = relext.build_mention_lists(results, list_k)
+    # rankings only as long as the parents file or the report reads them
+    m = max(max_ranking, max(RELEXT_RECALL_KS))
+    rankings, unlinked = relext.rank_all_parents(lists, pool, m)
 
     evaluated = sorted(forest.parent)
     if split and split != "all":
@@ -479,12 +498,12 @@ def cmd_relext(config: dict, retrievals_path: str, split: str | None) -> list[st
         "n_events_evaluated": len(evaluated),
         "n_unlinked": len(set(unlinked) & set(evaluated)),
     }
-    for k in (1, 2, 4, 8, 16):
+    for k in RELEXT_RECALL_KS:
         report[f"relext_recall_at_{k}"] = metrics.relext_recall_at_k(
             id_rankings, forest, k, evaluated
         )
     out = _outdir(config)
-    relext.write_parents(rankings, out / "parents.jsonl", config["relext"]["max_ranking"])
+    relext.write_parents(rankings, out / "parents.jsonl", max_ranking)
     metrics.write_report(report, out / "relext_report.json")
     return ["parents.jsonl", "relext_report.json"]
 

@@ -13,7 +13,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError, UndefinedScore
+import numpy as np
+
+from .errors import InvalidConfig, ParseError, UndefinedScore
 from .retrieval import RetrievalResult
 
 DEFAULT_LIST_K = 4
@@ -40,15 +42,6 @@ def build_mention_lists(
         for event_id in events:
             lists.mentions_of.setdefault(event_id, set()).add(result.mention_id)
     return lists
-
-
-def h_score(lists: MentionLists, e_i: str, e_j: str) -> float:
-    """|M_i intersect M_j| / |M_i|: how much of e_i the candidate covers."""
-    m_i = lists.mentions_of.get(e_i)
-    if not m_i:
-        raise UndefinedScore(e_i)
-    m_j = lists.mentions_of.get(e_j, set())
-    return len(m_i & m_j) / len(m_i)
 
 
 def rank_parents(
@@ -78,16 +71,66 @@ def rank_parents(
 
 
 def rank_all_parents(
-    lists: MentionLists, pool: list[str]
+    lists: MentionLists, pool: list[str], m: int = DEFAULT_MAX_RANKING
 ) -> tuple[dict[str, list[tuple[str, float]]], list[str]]:
-    """Rankings for every linked pool event; unlinked ids returned apart."""
+    """The first ``m`` entries of ``rank_parents`` for every linked pool event.
+
+    One co-occurrence pass over all events: every (event, candidate) pair
+    that shares a mention is counted with one ``np.unique``, and one
+    ``lexsort`` by (event, -count, id) orders each event's candidates.
+    ``h`` is the same ``count / len(M_e)`` float.  A ranking shorter than
+    ``m`` is padded with the smallest-id zero-score pool events while the
+    pool lasts.  ``pool`` holds distinct ids in any order; unlinked ids are
+    returned apart, in pool order.
+    """
+    if m < 1:
+        raise InvalidConfig(f"ranking length must be >= 1, got {m}")
+    ids = sorted(pool)
+    rank = {event_id: i for i, event_id in enumerate(ids)}
+    in_pool = {
+        mention_id: [rank[e] for e in events if e in rank]
+        for mention_id, events in lists.events_of.items()
+    }
+    linked = [e for e in pool if lists.mentions_of.get(e)]
+    denom = np.zeros(len(ids))
+    # one event * P + candidate key per (mention of the event, candidate)
+    pair_keys: list[int] = []
+    for event_id in linked:
+        e = rank[event_id]
+        m_e = lists.mentions_of[event_id]
+        denom[e] = len(m_e)
+        pair_keys.extend(
+            e * len(ids) + c
+            for mention_id in m_e
+            for c in in_pool.get(mention_id, ())
+            if c != e
+        )
+    keys, counts = np.unique(np.asarray(pair_keys, dtype=np.int64), return_counts=True)
+    event, candidate = np.divmod(keys, len(ids))
+    order = np.lexsort((candidate, -counts, event))
+    event, candidate, counts = event[order], candidate[order], counts[order]
+    position = np.arange(event.size) - np.searchsorted(event, event)
+    top = position < m
+    listed: dict[int, list[tuple[str, float]]] = {}
+    for e, c, h in zip(
+        event[top].tolist(),
+        candidate[top].tolist(),
+        (counts[top] / denom[event[top]]).tolist(),
+    ):
+        listed.setdefault(e, []).append((ids[c], h))
+
     rankings: dict[str, list[tuple[str, float]]] = {}
-    unlinked: list[str] = []
-    for event_id in pool:
-        try:
-            rankings[event_id] = rank_parents(lists, event_id, pool)
-        except UndefinedScore:
-            unlinked.append(event_id)
+    for event_id in linked:
+        ranking = listed.get(rank[event_id], [])
+        if len(ranking) < m:
+            taken = {c for c, _ in ranking} | {event_id}
+            for c in ids:
+                if len(ranking) == m:
+                    break
+                if c not in taken:
+                    ranking.append((c, 0.0))
+        rankings[event_id] = ranking
+    unlinked = [e for e in pool if not lists.mentions_of.get(e)]
     return rankings, unlinked
 
 

@@ -32,12 +32,11 @@ from .errors import (
     EmptyRetrievals,
     InvalidConfig,
     ParseError,
-    UnknownEvent,
     UnknownMention,
 )
 from .kb import Event
 from .metrics import NULL_EVENT, EvalRecord, set_metrics
-from .retrieval import RetrievalResult
+from .retrieval import RetrievalResult, check_candidates
 from .seeding import substream_rng
 from .training import sigmoid
 
@@ -213,9 +212,7 @@ def check_retrieval_ids(
     """Raise UnknownMention or UnknownEvent for the first id not in the corpus."""
     for result in results:
         _mention_of(mentions, result.mention_id)
-        for event_id in result.event_ids:
-            if event_id not in events:
-                raise UnknownEvent(event_id, f"candidate of mention {result.mention_id!r}")
+        check_candidates(result, events)
 
 
 def train_reranker(

@@ -9,6 +9,7 @@ are broken by ascending event id so runs are byte-reproducible.
 from __future__ import annotations
 
 import json
+from collections.abc import Container
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,7 +149,9 @@ def write_retrievals(results: list[RetrievalResult], path: str | Path) -> None:
 
 
 def load_retrievals(path: str | Path) -> list[RetrievalResult]:
+    """One result per line; a repeated ``mention_id`` is a ParseError."""
     results: list[RetrievalResult] = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -156,14 +159,27 @@ def load_retrievals(path: str | Path) -> list[RetrievalResult]:
                 continue
             try:
                 obj = json.loads(line)
-                results.append(
-                    RetrievalResult(
-                        mention_id=obj["mention_id"],
-                        candidates=[
-                            (c["event"], float(c["score"])) for c in obj["candidates"]
-                        ],
-                    )
+                result = RetrievalResult(
+                    mention_id=obj["mention_id"],
+                    candidates=[
+                        (c["event"], float(c["score"])) for c in obj["candidates"]
+                    ],
                 )
+                seen = first_line.setdefault(result.mention_id, line_no)
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ParseError(str(path), line_no, str(exc)) from exc
+            if seen != line_no:
+                raise ParseError(
+                    str(path),
+                    line_no,
+                    f"mention_id {result.mention_id!r} repeats line {seen}",
+                )
+            results.append(result)
     return results
+
+
+def check_candidates(result: RetrievalResult, events: Container[str]) -> None:
+    """Raise UnknownEvent for the first candidate not among ``events``."""
+    for event_id, _ in result.candidates:
+        if event_id not in events:
+            raise UnknownEvent(event_id, f"candidate of mention {result.mention_id!r}")

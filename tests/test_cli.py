@@ -339,6 +339,68 @@ class TestUnknownIdsInRetrievals:
         assert record["context"]["event_id"] == "QNOPE"
 
 
+def relext_argv(pipeline, tmp_path, retrievals=None) -> list[str]:
+    return ["relext", "--output-dir", str(tmp_path), *SEED,
+            "--events", str(pipeline / "events.jsonl"),
+            "--relations", str(pipeline / "relations.jsonl"),
+            "--retrievals", retrievals or str(pipeline / "retrievals_all.jsonl")]
+
+
+def repeated_mention(pipeline, tmp_path) -> str:
+    """A copy of the full retrievals file whose first record comes again last."""
+    lines = (pipeline / "retrievals_all.jsonl").read_text("utf-8").splitlines()
+    path = tmp_path / "repeated_retrievals_all.jsonl"
+    path.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+# row -> (extra flags, config file object or None, retrievals maker or None, error)
+BAD_RELEXT = {
+    "max-ranking--1": (["--max-ranking", "-1"], None, None, "ConfigError"),
+    "max-ranking-0": (["--max-ranking", "0"], None, None, "ConfigError"),
+    "list-k--2": (["--list-k", "-2"], None, None, "ConfigError"),
+    "config-max-ranking-x": ([], {"relext": {"max_ranking": "x"}}, None, "ConfigError"),
+    "config-list-k-true": ([], {"relext": {"list_k": True}}, None, "ConfigError"),
+    "config-relext-5": ([], {"relext": 5}, None, "ConfigError"),
+    "unknown-candidate": (
+        [], None,
+        lambda p, t: broken_retrievals(p, t, "retrievals_all.jsonl", "event"),
+        "UnknownEvent",
+    ),
+    "repeated-mention": ([], None, repeated_mention, "ParseError"),
+}
+
+
+class TestRelextRejects:
+    """Bad relext settings or input are one JSON error record and exit 1."""
+
+    @pytest.mark.parametrize("row", list(BAD_RELEXT))
+    def test_rejected(self, pipeline, tmp_path, capsys, row):
+        flags, config, make_retrievals, error = BAD_RELEXT[row]
+        retrievals = make_retrievals(pipeline, tmp_path) if make_retrievals else None
+        argv = relext_argv(pipeline, tmp_path, retrievals) + flags
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 1
+        record = only_error(capsys)
+        assert record["error"] == error
+        assert not (tmp_path / "parents.jsonl").exists()
+        if error == "ParseError":
+            lines = (pipeline / "retrievals_all.jsonl").read_text("utf-8").splitlines()
+            assert record["context"]["line"] == len(lines) + 1
+        elif error == "UnknownEvent":
+            assert record["context"]["event_id"] == "QNOPE"
+
+    def test_short_parents_file_keeps_the_report(self, pipeline, tmp_path):
+        assert main(relext_argv(pipeline, tmp_path) + ["--max-ranking", "1"]) == 0
+        report = (tmp_path / "relext_report.json").read_text("utf-8")
+        assert report == (pipeline / "relext_report.json").read_text("utf-8")
+        rankings = relext.load_parents(tmp_path / "parents.jsonl")
+        full = relext.load_parents(pipeline / "parents.jsonl")
+        assert rankings == {e: ranking[:1] for e, ranking in full.items()}
+
+
 class TestDevRetrievalsCheckedFirst:
     @pytest.mark.parametrize(
         "field, error", [("mention", "UnknownMention"), ("event", "UnknownEvent")]

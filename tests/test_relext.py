@@ -1,20 +1,30 @@
 """Mention list inversion, overlap scores, parent rankings, parents file."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hierground.errors import ParseError, UndefinedScore
+from hierground.errors import InvalidConfig, ParseError, UndefinedScore
 from hierground.relext import (
     DEFAULT_LIST_K,
     DEFAULT_MAX_RANKING,
     MentionLists,
     build_mention_lists,
-    h_score,
     load_parents,
     rank_all_parents,
     rank_parents,
     write_parents,
 )
 from hierground.retrieval import RetrievalResult
+
+
+def h_score(lists: MentionLists, e_i: str, e_j: str) -> float:
+    """Oracle: |M_i intersect M_j| / |M_i|, how much of e_i the candidate covers."""
+    m_i = lists.mentions_of.get(e_i)
+    if not m_i:
+        raise UndefinedScore(e_i)
+    m_j = lists.mentions_of.get(e_j, set())
+    return len(m_i & m_j) / len(m_i)
 
 
 def result_of(mid: str, ids: list[str]) -> RetrievalResult:
@@ -169,6 +179,23 @@ class TestRankParents:
         assert ranked[0] == ("Mid", 1.0)
 
 
+# pool ids, plus two events that mention lists may name outside any pool
+EVENT_IDS = [f"E{i}" for i in range(10)]
+OUTSIDE_IDS = ["X0", "X1"]
+
+
+@st.composite
+def relext_cases(draw):
+    """(mention -> events, pool in drawn order, m) over a small id space."""
+    pool = draw(st.lists(st.sampled_from(EVENT_IDS), min_size=1, max_size=8, unique=True))
+    names = st.sampled_from(sorted(pool) + OUTSIDE_IDS)
+    n_mentions = draw(st.integers(0, 9))
+    assignments = {
+        f"m{j}": draw(st.sets(names, max_size=4)) for j in range(n_mentions)
+    }
+    return assignments, pool, draw(st.integers(1, 10))
+
+
 class TestRankAllParents:
     def test_splits_linked_and_unlinked(self):
         lists = lists_from({"m1": {"A", "B"}})
@@ -176,6 +203,39 @@ class TestRankAllParents:
         assert set(rankings) == {"A", "B"}
         assert unlinked == ["C"]
         assert rankings["A"] == [("B", 1.0), ("C", 0.0)]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=relext_cases())
+    # three candidates tie at h = 1.0 across the m = 2 boundary
+    @example(case=({"m1": {"E0", "E3", "E2", "E1"}}, ["E0", "E3", "E2", "E1", "E4"], 2))
+    # a tie at h = 0.5 straddles m = 2, behind a candidate at 1.0
+    @example(case=({"m1": {"E0", "E5", "E7"}, "m2": {"E0", "E5", "E6"}},
+                   ["E7", "E6", "E5", "E0"], 2))
+    # no co-occurring candidate: the ranking is all padding
+    @example(case=({"m1": {"E2"}}, ["E2", "E1", "E0"], 1))
+    # m >= P, an unlinked event and a mention naming an event outside the pool
+    @example(case=({"m1": {"E1", "X0"}, "m2": {"E1", "E4"}}, ["E4", "E1", "E9"], 10))
+    # no mentions at all: every event is unlinked
+    @example(case=({}, ["E3", "E1"], 1))
+    def test_is_prefix_of_full_ranking(self, case):
+        assignments, pool, m = case
+        lists = lists_from(assignments)
+        rankings, unlinked = rank_all_parents(lists, pool, m)
+        expected_unlinked = []
+        for event_id in pool:
+            try:
+                full = rank_parents(lists, event_id, pool)
+            except UndefinedScore:
+                expected_unlinked.append(event_id)
+                continue
+            assert rankings[event_id] == full[:m]
+        assert unlinked == expected_unlinked
+        assert len(rankings) + len(unlinked) == len(pool)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_non_positive_length(self, m):
+        with pytest.raises(InvalidConfig):
+            rank_all_parents(lists_from({"m1": {"A", "B"}}), ["A", "B"], m)
 
 
 class TestParentsFile:
