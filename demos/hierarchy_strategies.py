@@ -34,6 +34,9 @@ for strategy in ("BASELINE", "HP", "HJL", "HP_HJL"):
     params, head, log = training.train(
         train_instances, events, forest, config, hier_events=hier_events
     )
+    # training holds only the tower rows of the train texts; the dev
+    # texts need the whole towers
+    params = params.densify()
     index = retrieval.build_index(params, events, dev_pool)
     results = retrieval.retrieve_mentions(params, index, dev_mentions, k=8)
     by_id = {r.mention_id: r for r in results}

@@ -296,22 +296,21 @@ def _select_mentions(config: dict, data: dict, split: str | None) -> list[datase
 def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> list[str]:
     names = ["events", "mentions"] + (["splits"] if split != "all" else [])
     data = _load_corpus(config, *names)
-    params = encoder.load_checkpoint(checkpoint)[0]
+    F = encoder.tower_shape(checkpoint)[0]
     mentions = _select_mentions(config, data, split)
     pool = dataset.candidate_pool(data["events"], mode="inference")
+    enc = config["encoder"]
+    # hash every text first, so only the tower rows they read are loaded
+    featurizer, fvs, rows = retrieval.hash_inputs(
+        data["events"], pool, mentions, F, config["mode"],
+        enc["max_context_chars"], enc["max_cand_chars"],
+    )
+    params = encoder.load_checkpoint(checkpoint, rows)[0]
     index = retrieval.build_index(
-        params,
-        data["events"],
-        pool,
-        config["mode"],
-        config["encoder"]["max_cand_chars"],
+        params, data["events"], pool, config["mode"], enc["max_cand_chars"], featurizer
     )
     results = retrieval.retrieve_mentions(
-        params,
-        index,
-        mentions,
-        config["retrieve"]["k"],
-        config["encoder"]["max_context_chars"],
+        params, index, mentions, config["retrieve"]["k"], enc["max_context_chars"], fvs
     )
     retrieval.write_retrievals(results, _outdir(config) / out_name)
     return [out_name]

@@ -4,7 +4,9 @@ Text is featurized into L2-normalized sparse vectors by hashing character
 3-5-grams with FNV-1a (a fixed published hash, so features are stable
 across runs and platforms).  Mention and event towers are independent
 F x d matrices; encoding is a sparse-dense product and similarity is the
-plain dot product of the two embeddings.
+plain dot product of the two embeddings.  A stage may hold only the rows
+its texts hash to (``Tower``); such a tower is written to, or read from,
+a checkpoint one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -188,6 +190,8 @@ def hashed(F: int) -> Callable[[list[str]], list[FeatureVector]]:
     installed on ``encoder.hash_text`` sees only one-text calls, none of
     the batched ones.
     """
+    if F < 1:
+        raise InvalidConfig("F must be positive")
     return lambda texts: hash_texts(texts, F)
 
 
@@ -289,38 +293,45 @@ class TextFeaturizer:
         """The label language events are featurized in for such a mention."""
         return mention_language if self.mode == "multilingual" else FALLBACK_LANGUAGE
 
-    def _fill(self, memo: dict, texts: dict) -> None:
-        """Featurize the texts (key -> text) in one call into the memo."""
+    def featurize(
+        self,
+        mentions: list[Mention],
+        events: list[tuple[str, str]] = (),
+        context: str = "",
+    ) -> tuple[list[Any], list[Any]]:
+        """Features of ``mentions`` and of ``events``, (event id, mention
+        language) pairs; every text not memoized yet goes to one
+        ``features`` call.  ``context`` says where an unknown event id came
+        from."""
+        texts: dict[Any, str] = {}
+        for m in mentions:
+            if m.id not in self._mention:
+                texts[m.id] = span_window(m, self.max_context_chars)
+        n_mentions = len(texts)
+        keys = [(event_id, self.language(language)) for event_id, language in events]
+        for key in keys:
+            if key not in self._event and key not in texts:
+                event = self.corpus.get(key[0])
+                if event is None:
+                    raise UnknownEvent(key[0], context)
+                texts[key] = event_text(event, key[1], max_cand_chars=self.max_cand_chars)
         if texts:
-            memo.update(zip(texts, self.features(list(texts.values()))))
+            features = self.features(list(texts.values()))
+            keys_in_order = list(texts)
+            self._mention.update(zip(keys_in_order[:n_mentions], features[:n_mentions]))
+            self._event.update(zip(keys_in_order[n_mentions:], features[n_mentions:]))
+        return [self._mention[m.id] for m in mentions], [self._event[key] for key in keys]
 
     def mentions(self, mentions: list[Mention]) -> list[Any]:
-        self._fill(
-            self._mention,
-            {
-                m.id: span_window(m, self.max_context_chars)
-                for m in mentions
-                if m.id not in self._mention
-            },
-        )
-        return [self._mention[m.id] for m in mentions]
+        return self.featurize(mentions)[0]
 
     def events(
         self, event_ids: list[str], mention_language: str, context: str = ""
     ) -> list[Any]:
         """Features of the events' texts for a mention in ``mention_language``;
         ``context`` says where an unknown event id came from."""
-        language = self.language(mention_language)
-        keys = [(event_id, language) for event_id in event_ids]
-        texts = {}
-        for key in keys:
-            if key not in self._event and key not in texts:
-                event = self.corpus.get(key[0])
-                if event is None:
-                    raise UnknownEvent(key[0], context)
-                texts[key] = event_text(event, language, max_cand_chars=self.max_cand_chars)
-        self._fill(self._event, texts)
-        return [self._event[key] for key in keys]
+        pairs = [(event_id, mention_language) for event_id in event_ids]
+        return self.featurize([], pairs, context)[1]
 
     def mention(self, mention: Mention) -> Any:
         return self.mentions([mention])[0]
@@ -329,12 +340,116 @@ class TextFeaturizer:
         return self.events([event_id], mention_language, context)[0]
 
 
+BLOCK_ROWS = 4096  # tower rows per block when a tower is drawn, written or read whole
+
+
+def _gather(blocks, rows: np.ndarray, d: int) -> np.ndarray:
+    """The rows ``rows`` (ascending) of a d-column matrix that arrives as
+    (first row, block of rows) pairs."""
+    out = np.empty((rows.size, d))
+    for lo, block in blocks:
+        a, b = np.searchsorted(rows, (lo, lo + len(block)))
+        block.take(rows[a:b] - lo, axis=0, out=out[a:b])
+    return out
+
+
+def _init_blocks(F: int, d: int, seed: int, tower: int):
+    """Tower ``tower`` (0 mention, 1 event) of ``init_encoder(F, d, seed)``,
+    ``BLOCK_ROWS`` rows at a time.  Each value is one 64-bit draw of the
+    "init" stream, so the event tower starts F x d draws in."""
+    rng = substream_rng(seed, "init")
+    rng.bit_generator.advance(tower * F * d)
+    for lo in range(0, F, BLOCK_ROWS):
+        yield lo, rng.uniform(-0.05, 0.05, size=(min(BLOCK_ROWS, F - lo), d))
+
+
+def feature_rows(fvs: list[FeatureVector], F: int) -> np.ndarray:
+    """The ascending rows of an F-row tower that any of ``fvs`` reads."""
+    held = np.zeros(F, dtype=bool)
+    for fv in fvs:
+        held[fv.indices] = True
+    return np.flatnonzero(held)
+
+
+class Tower:
+    """The rows ``rows`` (ascending global ids) of an F x d tower, as ``values``.
+
+    It is indexed by arrays of global row ids, as a full F x d array is, so
+    ``encode`` and the losses run on either; a row it does not hold raises
+    ``DimensionMismatch`` rather than being read.  A tower drawn by
+    ``init_rows`` keeps ``init``, (seed, tower index), which regenerates
+    the rows it does not hold, so it can still be written whole.
+    """
+
+    ndim = 2
+
+    def __init__(
+        self, F: int, rows: np.ndarray, values: np.ndarray, init: tuple[int, int] | None = None
+    ):
+        if values.ndim != 2 or values.shape[0] != rows.size:
+            raise DimensionMismatch("a tower holds one row of values per row id")
+        if rows.size and (rows[0] < 0 or rows[-1] >= F or np.any(rows[1:] <= rows[:-1])):
+            raise DimensionMismatch(f"tower rows must be distinct, ascending and in [0, {F})")
+        self.rows, self.values, self.init = rows, values, init
+        # global row id -> its row in ``values``; a row not held maps one
+        # past the end, so numpy's bounds check rejects it (never a -1)
+        self.slot = np.full(F, rows.size, dtype=np.intp)
+        self.slot[rows] = np.arange(rows.size)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.slot.size, self.values.shape[1]
+
+    def _not_held(self, rows: np.ndarray) -> DimensionMismatch:
+        rows = np.asarray(rows).reshape(-1)
+        missing = rows[~np.isin(rows, self.rows)]
+        return DimensionMismatch(
+            f"tower row {int(missing[0])} is not held; densify() the encoder "
+            "to encode texts it was not built for"
+        )
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
+        try:
+            # take gathers rows about twice as fast as fancy indexing
+            return self.values.take(self.slot.take(rows), axis=0)
+        except IndexError:
+            raise self._not_held(rows) from None
+
+    def __setitem__(self, rows: np.ndarray, value: np.ndarray) -> None:
+        try:
+            self.values[self.slot[rows]] = value
+        except IndexError:
+            raise self._not_held(rows) from None
+
+    def copy(self) -> "Tower":
+        return Tower(self.shape[0], self.rows.copy(), self.values.copy(), self.init)
+
+    def blocks(self):
+        """The whole tower, ``BLOCK_ROWS`` rows at a time: its initial
+        values with the held rows written over them."""
+        F, d = self.shape
+        if self.init is None:
+            raise DimensionMismatch(
+                f"a tower read in part ({self.rows.size} of {F} rows) cannot be written whole"
+            )
+        for lo, block in _init_blocks(F, d, *self.init):
+            a, b = np.searchsorted(self.rows, (lo, lo + len(block)))
+            block[self.rows[a:b] - lo] = self.values[a:b]
+            yield lo, block
+
+    def dense(self) -> np.ndarray:
+        """The whole tower as an F x d array."""
+        F, d = self.shape
+        return _gather(self.blocks(), np.arange(F), d)
+
+
 @dataclass
 class EncoderParams:
-    """Two independent linear towers over the hashed feature space."""
+    """Two independent linear towers over the hashed feature space, each a
+    full F x d array or a ``Tower`` holding some of its rows."""
 
-    W_mention: np.ndarray
-    W_event: np.ndarray
+    W_mention: np.ndarray | Tower
+    W_event: np.ndarray | Tower
 
     def __post_init__(self):
         if self.W_mention.shape != self.W_event.shape:
@@ -353,6 +468,12 @@ class EncoderParams:
     def copy(self) -> "EncoderParams":
         return EncoderParams(self.W_mention.copy(), self.W_event.copy())
 
+    def densify(self) -> "EncoderParams":
+        """These towers as full F x d arrays."""
+        return EncoderParams(
+            *(W.dense() if isinstance(W, Tower) else W for W in (self.W_mention, self.W_event))
+        )
+
 
 def init_encoder(F: int = DEFAULT_F, d: int = DEFAULT_D, seed: int = 0) -> EncoderParams:
     """Seeded uniform(-0.05, 0.05) towers via the "init" substream."""
@@ -362,6 +483,22 @@ def init_encoder(F: int = DEFAULT_F, d: int = DEFAULT_D, seed: int = 0) -> Encod
     return EncoderParams(
         W_mention=rng.uniform(-0.05, 0.05, size=(F, d)),
         W_event=rng.uniform(-0.05, 0.05, size=(F, d)),
+    )
+
+
+def init_rows(
+    F: int, d: int, seed: int, mention_rows: np.ndarray, event_rows: np.ndarray
+) -> EncoderParams:
+    """The rows ``mention_rows`` and ``event_rows`` of the towers of
+    ``init_encoder(F, d, seed)``, drawn ``BLOCK_ROWS`` rows at a time so
+    that neither tower is ever held whole."""
+    if F < 1 or d < 1:
+        raise InvalidConfig("F and d must be positive")
+    return EncoderParams(
+        *(
+            Tower(F, rows, _gather(_init_blocks(F, d, seed, tower), rows, d), (seed, tower))
+            for tower, rows in enumerate((mention_rows, event_rows))
+        )
     )
 
 
@@ -416,19 +553,101 @@ def pair_score(m_vec: np.ndarray, e_vec: np.ndarray) -> float:
 # '<f8' in header order.  The encoder and the reranker share this container.
 
 CHECKPOINT_VERSION = 2
+TOWERS = ("mention", "event")
 
 
-def save_arrays(path: str | Path, kind: str, arrays: dict[str, np.ndarray], **meta) -> None:
+def _blocks(array: np.ndarray | Tower):
+    return array.blocks() if isinstance(array, Tower) else [(0, array)]
+
+
+def save_arrays(
+    path: str | Path, kind: str, arrays: dict[str, np.ndarray | Tower], **meta
+) -> None:
+    """Write the container to a sibling temporary file, then move it onto
+    ``path``: a write that fails leaves any earlier file there as it was.
+    A ``Tower`` is written block by block, never held whole."""
     header = {
         "format_version": CHECKPOINT_VERSION,
         "kind": kind,
         "arrays": [{"name": name, "shape": list(np.shape(a))} for name, a in arrays.items()],
         **meta,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for array in arrays.values():
-            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for array in arrays.values():
+                for _, block in _blocks(array):
+                    # the array's own buffer: no bytes copy of the block
+                    fh.write(np.ascontiguousarray(block, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_header(fh, path: str | Path, kind: str, names: tuple[str, ...]):
+    """The array shapes and the header of a ``kind`` container open at its
+    start, checked down to the size rule; ``fh`` is left at the arrays."""
+
+    def reject(reason: str) -> ParseError:
+        return ParseError(str(path), 1, reason)
+
+    try:
+        header = json.loads(fh.readline())
+    except ValueError as exc:
+        raise reject(f"checkpoint header is not JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise reject("checkpoint header is not a JSON object")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise reject(f"unsupported checkpoint format {header.get('format_version')!r}")
+    if header.get("kind") != kind:
+        raise reject(f"checkpoint kind is {header.get('kind')!r}, not {kind!r}")
+    specs = header.get("arrays")
+    if not isinstance(specs, list) or not all(
+        isinstance(spec, dict) and isinstance(spec.get("name"), str) for spec in specs
+    ):
+        raise reject("arrays must be a list of {name, shape} objects")
+    shapes = {spec["name"]: spec.get("shape") for spec in specs}
+    if len(shapes) != len(specs) or not set(names) <= shapes.keys():
+        raise reject(f"arrays need distinct names, {list(names)} among them")
+    for shape in shapes.values():
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise reject(f"array shape {shape!r} is not a list of non-negative integers")
+    threshold = header.get("threshold")
+    if not (threshold is None or isinstance(threshold, float) and 0 < threshold < 1):
+        raise reject(f"threshold {threshold!r} is neither null nor a number in (0, 1)")
+    size = 8 * sum(math.prod(shape) for shape in shapes.values())
+    body = os.fstat(fh.fileno()).st_size - fh.tell()
+    if body != size:
+        problem = "truncated" if body < size else "followed by trailing bytes"
+        raise reject(f"checkpoint {problem}: its arrays need {size} bytes, {body} follow")
+    return shapes, header
+
+
+def _file_blocks(fh, F: int, d: int):
+    """An F x d array read from ``fh`` ``BLOCK_ROWS`` rows at a time, into
+    one reused buffer."""
+    buffer = np.empty((BLOCK_ROWS, d), dtype="<f8")
+    for lo in range(0, F, BLOCK_ROWS):
+        block = buffer[: min(BLOCK_ROWS, F - lo)]
+        fh.readinto(block)
+        yield lo, block
+
+
+def _read_arrays(fh, shapes: dict[str, list[int]], rows: dict[str, np.ndarray]):
+    """The arrays after a checked header: whole, or for an F x d array
+    named in ``rows`` only those rows."""
+    arrays = {}
+    for name, shape in shapes.items():
+        if name in rows:
+            arrays[name] = _gather(_file_blocks(fh, *shape), rows[name], shape[1])
+        else:
+            array = np.empty(math.prod(shape), dtype="<f8")
+            fh.readinto(array.view(np.uint8))
+            arrays[name] = array.reshape(shape)
+    return arrays
 
 
 def load_arrays(
@@ -442,45 +661,9 @@ def load_arrays(
     too large for the file), raises ``ParseError`` before any array is
     allocated.
     """
-
-    def reject(reason: str) -> ParseError:
-        return ParseError(str(path), 1, reason)
-
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except ValueError as exc:
-            raise reject(f"checkpoint header is not JSON: {exc}") from exc
-        if not isinstance(header, dict):
-            raise reject("checkpoint header is not a JSON object")
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise reject(f"unsupported checkpoint format {header.get('format_version')!r}")
-        if header.get("kind") != kind:
-            raise reject(f"checkpoint kind is {header.get('kind')!r}, not {kind!r}")
-        specs = header.get("arrays")
-        if not isinstance(specs, list) or not all(
-            isinstance(spec, dict) and isinstance(spec.get("name"), str) for spec in specs
-        ):
-            raise reject("arrays must be a list of {name, shape} objects")
-        shapes = {spec["name"]: spec.get("shape") for spec in specs}
-        if len(shapes) != len(specs) or not set(names) <= shapes.keys():
-            raise reject(f"arrays need distinct names, {list(names)} among them")
-        for shape in shapes.values():
-            if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-                raise reject(f"array shape {shape!r} is not a list of non-negative integers")
-        threshold = header.get("threshold")
-        if not (threshold is None or isinstance(threshold, float) and 0 < threshold < 1):
-            raise reject(f"threshold {threshold!r} is neither null nor a number in (0, 1)")
-        size = 8 * sum(math.prod(shape) for shape in shapes.values())
-        body = os.fstat(fh.fileno()).st_size - fh.tell()
-        if body != size:
-            problem = "truncated" if body < size else "followed by trailing bytes"
-            raise reject(f"checkpoint {problem}: its arrays need {size} bytes, {body} follow")
-        arrays = {}
-        for name, shape in shapes.items():
-            array = np.empty(math.prod(shape), dtype="<f8")
-            fh.readinto(array.view(np.uint8))
-            arrays[name] = array.reshape(shape)
+        shapes, header = _read_header(fh, path, kind, names)
+        arrays = _read_arrays(fh, shapes, {})
     meta = {k: v for k, v in header.items() if k not in ("format_version", "kind", "arrays")}
     return arrays, meta
 
@@ -494,11 +677,40 @@ def save_checkpoint(
     save_arrays(path, "encoder", arrays)
 
 
-def load_checkpoint(path: str | Path) -> tuple[EncoderParams, dict[str, np.ndarray]]:
-    """The towers and the extra heads, by name, of an encoder checkpoint."""
-    arrays, _ = load_arrays(path, "encoder", ("mention", "event"))
-    try:
-        params = EncoderParams(W_mention=arrays.pop("mention"), W_event=arrays.pop("event"))
-    except DimensionMismatch as exc:
-        raise ParseError(str(path), 1, str(exc)) from exc
-    return params, arrays
+def _tower_shape(path: str | Path, shapes: dict[str, list[int]]) -> tuple[int, int]:
+    mention, event = (shapes[name] for name in TOWERS)
+    if mention != event or len(mention) != 2 or 0 in mention:
+        reason = f"towers must be two F x d matrices with F, d >= 1, not {mention} and {event}"
+        raise ParseError(str(path), 1, reason)
+    return mention[0], mention[1]
+
+
+def tower_shape(path: str | Path) -> tuple[int, int]:
+    """The (F, d) of an encoder checkpoint's towers, read from its header;
+    a malformed file raises ``ParseError``, as ``load_checkpoint`` does."""
+    with open(path, "rb") as fh:
+        return _tower_shape(path, _read_header(fh, path, "encoder", TOWERS)[0])
+
+
+def load_checkpoint(
+    path: str | Path, rows: dict[str, np.ndarray] | None = None
+) -> tuple[EncoderParams, dict[str, np.ndarray]]:
+    """The towers and the extra heads, by name, of an encoder checkpoint.
+
+    ``rows`` maps a tower name ("mention", "event") to the ascending rows
+    to hold of it: that tower streams past one block-sized buffer and
+    comes back as a ``Tower`` of those rows alone.  A malformed file
+    raises ``ParseError`` before any array is read.
+    """
+    rows = rows or {}
+    if not rows.keys() <= set(TOWERS):
+        raise InvalidConfig(f"rows can only be chosen of the towers {TOWERS}")
+    with open(path, "rb") as fh:
+        shapes, _ = _read_header(fh, path, "encoder", TOWERS)
+        F, _ = _tower_shape(path, shapes)
+        arrays = _read_arrays(fh, shapes, rows)
+    towers = [
+        Tower(F, rows[name], arrays.pop(name)) if name in rows else arrays.pop(name)
+        for name in TOWERS
+    ]
+    return EncoderParams(*towers), arrays

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Container
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,12 @@ from .encoder import (
     DEFAULT_MAX_CAND_CHARS,
     DEFAULT_MAX_CONTEXT_CHARS,
     EncoderParams,
+    FeatureVector,
     TextFeaturizer,
     encode,
+    feature_rows,
     hash_texts,
+    hashed,
     span_window,
 )
 from .errors import InvalidConfig, KTooLarge, ParseError, UnknownEvent
@@ -37,19 +40,25 @@ class RetrievalResult:
 
     mention_id: str
     candidates: list[tuple[str, float]]
+    _event_ids: list[str] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def event_ids(self) -> list[str]:
-        return [event_id for event_id, _ in self.candidates]
+        """The candidates' ids, listed on first use and then kept: callers
+        read them several times per result, and many results never."""
+        if self._event_ids is None:
+            self._event_ids = [event_id for event_id, _ in self.candidates]
+        return self._event_ids
 
 
 class CandidateIndex:
     """Immutable encodings of the candidate pool, per label language.
 
-    Each (event, resolved language) is encoded once by the event tower;
-    one matrix is stacked per resolved language on first use (a single
-    English one in crosslingual mode), from one hashing call over the
-    whole pool.
+    ``featurizer`` hashes each (event, resolved language) text once (by
+    default a ``hashed(params.F)`` featurizer over ``events`` is made;
+    passing one shares texts hashed before the towers were loaded).  One
+    matrix is encoded by the event tower per resolved language on first
+    use (a single English one in crosslingual mode).
     """
 
     def __init__(
@@ -59,12 +68,11 @@ class CandidateIndex:
         pool: list[str],
         mode: str = "multilingual",
         max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
+        featurizer: TextFeaturizer | None = None,
     ):
-        self.featurizer = TextFeaturizer(
-            events,
-            lambda texts: [encode(params, fv, "event") for fv in hash_texts(texts, params.F)],
-            mode,
-            max_cand_chars=max_cand_chars,
+        self.params = params
+        self.featurizer = featurizer or TextFeaturizer(
+            events, hashed(params.F), mode, max_cand_chars=max_cand_chars
         )
         for event_id in pool:
             if event_id not in self.featurizer.corpus:
@@ -78,8 +86,34 @@ class CandidateIndex:
     def matrix(self, language: str) -> np.ndarray:
         lang = self.featurizer.language(language)
         if lang not in self._matrices:
-            self._matrices[lang] = np.stack(self.featurizer.events(self.ids, lang))
+            fvs = self.featurizer.events(self.ids, lang)
+            self._matrices[lang] = np.stack([encode(self.params, fv, "event") for fv in fvs])
         return self._matrices[lang]
+
+
+def hash_inputs(
+    events: list[Event],
+    pool: list[str],
+    mentions: list[Mention],
+    F: int,
+    mode: str = "multilingual",
+    max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
+    max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
+) -> tuple[TextFeaturizer, list[FeatureVector], dict[str, np.ndarray]]:
+    """Everything retrieving ``mentions`` against ``pool`` hashes, before
+    any tower is loaded: a featurizer holding the pool's texts in each
+    resolved language of the mentions (for ``build_index``), the hashed
+    mention windows (for ``retrieve_mentions``), and the rows of each tower
+    that encoding them reads (for ``load_checkpoint``)."""
+    featurizer = TextFeaturizer(events, hashed(F), mode, max_cand_chars=max_cand_chars)
+    ids = sorted(set(pool))
+    languages = dict.fromkeys(featurizer.language(m.language) for m in mentions)
+    pool_fvs = [
+        fv for lang in languages for fv in featurizer.events(ids, lang, "candidate pool")
+    ]
+    fvs = hash_texts([span_window(m, max_context_chars) for m in mentions], F)
+    rows = {"mention": feature_rows(fvs, F), "event": feature_rows(pool_fvs, F)}
+    return featurizer, fvs, rows
 
 
 def build_index(
@@ -88,8 +122,9 @@ def build_index(
     pool: list[str],
     mode: str = "multilingual",
     max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
+    featurizer: TextFeaturizer | None = None,
 ) -> CandidateIndex:
-    return CandidateIndex(params, events, pool, mode, max_cand_chars)
+    return CandidateIndex(params, events, pool, mode, max_cand_chars, featurizer)
 
 
 def topk(
@@ -126,9 +161,12 @@ def retrieve_mentions(
     mentions: list[Mention],
     k: int = DEFAULT_K,
     max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
+    fvs: list[FeatureVector] | None = None,
 ) -> list[RetrievalResult]:
-    """Top-k candidates of each mention; all windows are hashed in one call."""
-    fvs = hash_texts([span_window(m, max_context_chars) for m in mentions], params.F)
+    """Top-k candidates of each mention; all windows are hashed in one call,
+    unless ``fvs`` already holds them."""
+    if fvs is None:
+        fvs = hash_texts([span_window(m, max_context_chars) for m in mentions], params.F)
     return [
         topk(index, encode(params, fv, "mention"), k, mention.language, mention.id)
         for mention, fv in zip(mentions, fvs)

@@ -34,8 +34,9 @@ from .encoder import (
     design_matrix,
     # unused here, but perfbench's tracer wraps the ``training.encode`` binding
     encode,  # noqa: F401
+    feature_rows,
     hashed,
-    init_encoder,
+    init_rows,
 )
 from .errors import (
     DimensionMismatch,
@@ -436,6 +437,9 @@ def train(
     both trends.  Identical inputs and seed give bit-identical parameters.
     The first step whose linking or hierarchy loss is not finite raises
     ``TrainingDiverged``, so a diverged run returns no parameters.
+    The towers returned are ``Tower``s holding only the rows the training
+    texts hash to; ``save_checkpoint`` writes them whole, and
+    ``params.densify()`` gives full towers for encoding any other text.
     """
     if not instances:
         raise EmptyTrainSplit("no training mentions")
@@ -444,14 +448,24 @@ def train(
     pretrain = config.pretrain_epochs if strategy in ("HP", "HP_HJL") else 0
 
     featurizer = TextFeaturizer(events, hashed(F), mode, max_context_chars, max_cand_chars)
-    params = init_encoder(F, d, config.seed)
-    head = init_head(d, config.seed)
-
     pairs = hierarchy_pairs(forest, hier_events) if uses_hierarchy else []
     if uses_hierarchy and not pairs:
         raise NoHierarchyEdges("strategy needs hierarchy edges in the train events")
     pair_parent_ids = [p for p, _ in pairs]
-    pair_fvs = featurizer.events([*pair_parent_ids, *(c for _, c in pairs)], FALLBACK_LANGUAGE)
+    pair_ids = [*pair_parent_ids, *(c for _, c in pairs)]
+
+    # every text training reads, hashed in one call: the tower rows they
+    # touch are the only ones drawn and held
+    mention_fvs, event_fvs = featurizer.featurize(
+        [inst.mention for inst in instances],
+        [(event_id, inst.mention.language) for inst in instances for event_id in inst.gold]
+        + [(event_id, FALLBACK_LANGUAGE) for event_id in pair_ids],
+    )
+    params = init_rows(
+        F, d, config.seed, feature_rows(mention_fvs, F), feature_rows(event_fvs, F)
+    )
+    head = init_head(d, config.seed)
+    pair_fvs = featurizer.events(pair_ids, FALLBACK_LANGUAGE)
     pair_parent_fvs, pair_child_fvs = pair_fvs[: len(pairs)], pair_fvs[len(pairs) :]
 
     batch_rng = substream_rng(config.seed, "batch")

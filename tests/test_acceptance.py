@@ -718,6 +718,8 @@ def test_11_hierarchy_pretraining_trend_report():
             params, _head, _log = training.train(
                 train_instances, events, forest, config, hier_events=hier_events
             )
+            # training holds only the train texts' rows; dev texts need all
+            params = params.densify()
             for pool_name, pool in pools.items():
                 pair = evaluate(params, pool)
                 scores[(strategy, pool_name)] = pair

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hierground import dataset, encoder, relext, retrieval, rerank
+from hierground.errors import ParseError
 from hierground.cli import (
     DEFAULT_CONFIG,
     MANIFEST_NAME,
@@ -546,6 +547,25 @@ class TestMalformedCheckpoints:
         assert allocations == []
         assert not (tmp_path / "retrievals.jsonl").exists()
         assert not (tmp_path / "report.json").exists()
+
+
+    @pytest.mark.parametrize("row", list(MALFORMED_CHECKPOINTS))
+    def test_row_subset_load_rejects(self, pipeline, tmp_path, monkeypatch, row):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(
+            MALFORMED_CHECKPOINTS[row](
+                (pipeline / "checkpoint.bin").read_bytes(), (pipeline / "reranker.bin").read_bytes()
+            )
+        )
+        rows = {"mention": np.array([0, 5, 4095]), "event": np.array([3])}
+        allocations = []
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *a, **k: allocations.append(a) or empty(*a, **k))
+        for load in (lambda: encoder.load_checkpoint(bad, rows), lambda: encoder.tower_shape(bad)):
+            with pytest.raises(ParseError) as err:
+                load()
+            assert err.value.path == str(bad)
+        assert allocations == []
 
 
 class TestUnencodableText:

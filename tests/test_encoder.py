@@ -1,7 +1,9 @@
 """Feature hashing, span windows, linear towers, checkpoint format."""
 
+import contextlib
 import functools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hierground.encoder import (
     EncoderParams,
     FeatureVector,
     TextFeaturizer,
+    Tower,
     encode,
     event_text,
     featurize_event,
@@ -28,6 +31,7 @@ from hierground.encoder import (
     hash_texts,
     hashed,
     init_encoder,
+    init_rows,
     load_arrays,
     load_checkpoint,
     ngram_counts_many,
@@ -36,6 +40,7 @@ from hierground.encoder import (
     save_arrays,
     save_checkpoint,
     span_window,
+    tower_shape,
 )
 from hierground.errors import (
     DimensionMismatch,
@@ -564,3 +569,150 @@ class TestLanguageRule:
     def test_cache_hit_returns_the_same_object(self):
         featurizer = TextFeaturizer([self.EVENT], hashed(self.F), "crosslingual")
         assert featurizer.event("E1", "de") is featurizer.event("E1", "fr")
+
+
+@st.composite
+def tower_cases(draw):
+    """A small tower shape, a seed, a block size that splits it unevenly,
+    and a random ascending row subset for each tower."""
+    F = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    rows = [
+        np.array(sorted(draw(st.sets(st.integers(0, F - 1)))), dtype=np.int64)
+        for _ in range(2)
+    ]
+    return F, d, draw(st.integers(0, 2**32)), draw(st.integers(1, 9)), rows
+
+
+@contextlib.contextmanager
+def blocks_of(rows: int):
+    """Towers drawn, written and read ``rows`` rows at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder, "BLOCK_ROWS", rows)
+        yield
+
+
+class TestRowSubsets:
+    """Towers held in part equal the full towers at the rows they hold."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=tower_cases())
+    def test_init_rows_equal_init_encoder(self, case):
+        F, d, seed, block, (m_rows, e_rows) = case
+        with blocks_of(block):
+            params = init_rows(F, d, seed, m_rows, e_rows)
+        full = init_encoder(F, d, seed)
+        assert params.W_mention.values.tobytes() == full.W_mention[m_rows].tobytes()
+        assert params.W_event.values.tobytes() == full.W_event[e_rows].tobytes()
+        assert params.F == F and params.d == d
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(case=tower_cases())
+    def test_row_subset_load_equals_full_load(self, case, tmp_path_factory):
+        F, d, seed, block, (m_rows, e_rows) = case
+        path = tmp_path_factory.mktemp("ckpt") / "c.bin"
+        save_checkpoint(path, init_encoder(F, d, seed), {"r": np.arange(3.0)})
+        full, full_heads = load_checkpoint(path)
+        with blocks_of(block):
+            part, heads = load_checkpoint(path, {"mention": m_rows, "event": e_rows})
+        assert part.W_mention.values.tobytes() == full.W_mention[m_rows].tobytes()
+        assert part.W_event.values.tobytes() == full.W_event[e_rows].tobytes()
+        assert heads.keys() == full_heads.keys()
+        assert heads["r"].tobytes() == full_heads["r"].tobytes()
+        assert tower_shape(path) == (F, d)
+        with blocks_of(block):
+            mention_only, _ = load_checkpoint(path, {"mention": m_rows})
+        assert mention_only.W_event.tobytes() == full.W_event.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(case=tower_cases(), data=st.data())
+    def test_streamed_save_equals_full_save(self, case, data, tmp_path_factory):
+        F, d, seed, block, (m_rows, e_rows) = case
+        with blocks_of(block):
+            params = init_rows(F, d, seed, m_rows, e_rows)
+        full = init_encoder(F, d, seed)
+        # trained rows: new values in the part, the same values in the whole
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        for tower, W in ((params.W_mention, full.W_mention), (params.W_event, full.W_event)):
+            update = rng.normal(size=tower.values.shape)
+            tower[tower.rows] = update
+            W[tower.rows] = update
+        heads = {"complex.r": rng.normal(size=d)}
+        out = tmp_path_factory.mktemp("save")
+        with blocks_of(block):
+            save_checkpoint(out / "part.bin", params, heads)
+            dense = params.densify()
+        save_checkpoint(out / "full.bin", full, heads)
+        assert (out / "part.bin").read_bytes() == (out / "full.bin").read_bytes()
+        assert dense.W_mention.tobytes() == full.W_mention.tobytes()
+        assert dense.W_event.tobytes() == full.W_event.tobytes()
+
+    def test_absent_row_raises(self):
+        # row 1 is not held; a slot of -1 would silently read row 4
+        tower = Tower(6, np.array([0, 2, 4]), np.arange(6.0).reshape(3, 2))
+        assert tower[np.array([4, 0])].tolist() == [[4.0, 5.0], [0.0, 1.0]]
+        for rows, missing in (([1], 1), ([0, 1], 1), ([5], 5), ([2, 3, 4], 3)):
+            with pytest.raises(DimensionMismatch, match=f"row {missing} is not held"):
+                tower[np.array(rows)]
+            with pytest.raises(DimensionMismatch, match="not held"):
+                tower[np.array(rows)] = 0.0
+        assert tower.values.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        with pytest.raises(DimensionMismatch):
+            encode(EncoderParams(tower, tower.copy()), hash_text("unseen text", 6), "mention")
+
+    def test_bad_row_sets_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, init_encoder(8, 2, seed=0))
+        for rows in ([3, 1], [2, 2], [-1, 0], [0, 8]):
+            with pytest.raises(DimensionMismatch, match="ascending"):
+                load_checkpoint(path, {"mention": np.array(rows)})
+            with pytest.raises(DimensionMismatch, match="ascending"):
+                init_rows(8, 2, 0, np.array(rows), np.array([0]))
+        with pytest.raises(InvalidConfig, match="towers"):
+            load_checkpoint(path, {"complex.r": np.array([0])})
+
+    def test_part_read_tower_cannot_be_written_whole(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, init_encoder(8, 2, seed=0))
+        part, _ = load_checkpoint(path, {"event": np.array([1, 5])})
+        with pytest.raises(DimensionMismatch, match="whole"):
+            save_checkpoint(tmp_path / "d.bin", part)
+        with pytest.raises(DimensionMismatch, match="whole"):
+            part.densify()
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, init_encoder(8, 2, seed=0))
+        before = path.read_bytes()
+        # the mention tower is written, then the event tower, read in part
+        # and so without the rows it lacks, raises
+        part, _ = load_checkpoint(path, {"event": np.array([1])})
+        params = EncoderParams(init_encoder(8, 2, seed=1).W_mention, part.W_event)
+        with pytest.raises(DimensionMismatch):
+            save_checkpoint(path, params)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["c.bin"]
+
+    def test_interrupted_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.bin"
+        calls = []
+
+        def failing_blocks(array):
+            calls.append(array)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            yield 0, array
+
+        monkeypatch.setattr(encoder, "_blocks", failing_blocks)
+        with pytest.raises(KeyboardInterrupt):
+            save_arrays(path, "toy", {"x": np.ones(3), "y": np.ones(2)})
+        assert os.listdir(tmp_path) == []
+
+    def test_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_arrays(path, "toy", {"x": np.ones(3)})
+        save_arrays(path, "toy", {"x": np.zeros(2)})
+        assert load_arrays(path, "toy", ("x",))[0]["x"].tolist() == [0.0, 0.0]
+        assert os.listdir(tmp_path) == ["c.bin"]

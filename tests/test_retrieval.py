@@ -9,10 +9,13 @@ from hierground.encoder import (
     NGRAM_SIZES,
     EncoderParams,
     FeatureVector,
+    Tower,
     encode,
     event_text,
     fnv1a64,
     init_encoder,
+    load_checkpoint,
+    save_checkpoint,
     span_window,
 )
 from hierground.errors import InvalidConfig, KTooLarge, ParseError, UnknownEvent
@@ -24,6 +27,7 @@ from hierground.retrieval import (
     load_retrievals,
     retrieve_mentions,
     topk,
+    hash_inputs,
     write_retrievals,
 )
 
@@ -319,7 +323,65 @@ class TestBatchedHashing:
         assert sorted(calls) == sorted([len(mentions)] * 2 + [len(events)] * languages)
 
 
+class TestRowSubsetRetrieval:
+    """Towers loaded in part retrieve exactly what the whole towers do."""
+
+    @pytest.mark.parametrize("max_chars", [128, 6])
+    @pytest.mark.parametrize("mode", ["multilingual", "crosslingual"])
+    def test_matches_full_towers(self, mode, max_chars, tmp_path):
+        events, mentions = multilingual_corpus()
+        pool = ["E5", "E1", "E3", "E2", "E4"]
+        F = 4096
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, init_encoder(F, 8, seed=3))
+        full = load_checkpoint(path)[0]
+        index = build_index(full, events, pool, mode, max_chars)
+        want = retrieve_mentions(full, index, mentions, 3, max_chars)
+
+        featurizer, fvs, rows = hash_inputs(events, pool, mentions, F, mode, max_chars, max_chars)
+        params = load_checkpoint(path, rows)[0]
+        assert isinstance(params.W_mention, Tower) and params.W_mention.rows.size < F
+        index = build_index(params, events, pool, mode, max_chars, featurizer)
+        assert retrieve_mentions(params, index, mentions, 3, fvs=fvs) == want
+        assert retrieve_mentions(params, index, mentions, 3, max_chars) == want
+
+    def test_pool_texts_are_hashed_once(self, monkeypatch):
+        events, mentions = multilingual_corpus()
+        calls = []
+        kernel = encoder.ngram_counts_many
+
+        def counting(texts, buckets):
+            calls.append(len(texts))
+            return kernel(texts, buckets)
+
+        monkeypatch.setattr(encoder, "ngram_counts_many", counting)
+        pool = [e.id for e in events]
+        featurizer, fvs, rows = hash_inputs(events, pool, mentions, 512)
+        index = build_index(init_encoder(512, 8, seed=3), events, pool, featurizer=featurizer)
+        retrieve_mentions(index.params, index, mentions, k=2, fvs=fvs)
+        # the mentions' three resolved languages, then the windows, each once
+        assert calls == [len(events)] * 3 + [len(mentions)]
+
+    def test_unknown_pool_event(self):
+        events, mentions = multilingual_corpus()
+        with pytest.raises(UnknownEvent, match="candidate pool"):
+            hash_inputs(events, ["E1", "MISSING"], mentions, 64)
+
+
 class TestRetrievalFiles:
+    def test_event_ids_follow_candidates(self, tmp_path):
+        results = [
+            RetrievalResult("M1", [("B", 2.0), ("A", 2.0), ("C", -1.0)]),
+            RetrievalResult("M2", []),
+        ]
+        path = tmp_path / "retrievals.jsonl"
+        write_retrievals(results, path)
+        for result in [*results, *load_retrievals(path)]:
+            assert result.event_ids == [event_id for event_id, _ in result.candidates]
+            # listed once per result: every read returns that one list
+            assert result.event_ids is result.event_ids
+        assert load_retrievals(path) == results
+
     def test_round_trip(self, tmp_path):
         results = [
             RetrievalResult("M1", [("A", 1.5), ("B", -0.25)]),

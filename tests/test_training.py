@@ -19,9 +19,12 @@ from hierground.encoder import (
     EncoderParams,
     FeatureVector,
     TextFeaturizer,
+    Tower,
     encode,
     featurize_event,
     hashed,
+    init_encoder,
+    save_checkpoint,
 )
 from hierground.errors import (
     DimensionMismatch,
@@ -32,6 +35,7 @@ from hierground.errors import (
 )
 from hierground.kb import Event, Label, RelationEdge, RelationProperty, build_forest
 from hierground.training import (
+    STRATEGIES,
     ComplExHead,
     EpochLog,
     HierarchyLossResult,
@@ -616,8 +620,7 @@ class TestTrain:
             strategy="HP", epochs=1, pretrain_epochs=1, seed=0
         )
         params, head, log = train_small(config)
-        from hierground.encoder import init_encoder
-
+        params = params.densify()
         init = init_encoder(512, 8, seed=0)
         assert np.array_equal(params.W_mention, init.W_mention)
         assert not np.array_equal(params.W_event, init.W_event)
@@ -643,6 +646,7 @@ class TestTrain:
         config = TrainConfig(strategy="HP_HJL", epochs=2, seed=4)
         params_a, head_a, log_a = train_small(config)
         params_b, head_b, log_b = train_small(config)
+        params_a, params_b = params_a.densify(), params_b.densify()
         assert np.array_equal(params_a.W_mention, params_b.W_mention)
         assert np.array_equal(params_a.W_event, params_b.W_event)
         for name in head_a.arrays():
@@ -652,8 +656,9 @@ class TestTrain:
     def test_hp_without_pretraining_equals_baseline(self):
         hp = train_small(TrainConfig(strategy="HP", pretrain_epochs=0, epochs=3))
         base = train_small(TrainConfig(strategy="BASELINE", epochs=3))
-        assert np.array_equal(hp[0].W_mention, base[0].W_mention)
-        assert np.array_equal(hp[0].W_event, base[0].W_event)
+        hp_params, base_params = hp[0].densify(), base[0].densify()
+        assert np.array_equal(hp_params.W_mention, base_params.W_mention)
+        assert np.array_equal(hp_params.W_event, base_params.W_event)
 
     def test_hjl_zero_weight_matches_baseline_losses(self):
         hjl = train_small(
@@ -663,6 +668,14 @@ class TestTrain:
         for e_h, e_b in zip(hjl[2].epochs, base[2].epochs):
             for s_h, s_b in zip(e_h.step_linking_losses, e_b.step_linking_losses):
                 assert abs(s_h - s_b) <= 1e-12
+
+    @pytest.mark.parametrize("F, d", [(0, 8), (512, 0)])
+    def test_empty_towers_rejected(self, F, d, recwarn):
+        # F is checked before any text is hashed into F buckets
+        events, forest, instances = small_corpus()
+        with pytest.raises(InvalidConfig, match="positive"):
+            train(instances, events, forest, TrainConfig(), F=F, d=d)
+        assert not recwarn.list
 
     def test_empty_split_raises(self):
         events, forest, instances = small_corpus()
@@ -896,6 +909,7 @@ class TestOracleEquivalence:
         monkeypatch.setattr(training, "linking_loss", linking_loss_oracle)
         monkeypatch.setattr(training, "hierarchy_loss", hierarchy_loss_oracle)
         o_params, o_head, o_log = train_small(config)
+        params, o_params = params.densify(), o_params.densify()
         np.testing.assert_allclose(params.W_mention, o_params.W_mention, rtol=0, atol=1e-12)
         np.testing.assert_allclose(params.W_event, o_params.W_event, rtol=0, atol=1e-12)
         for name, array in o_head.arrays().items():
@@ -907,6 +921,33 @@ class TestOracleEquivalence:
             np.testing.assert_allclose(
                 new.step_hierarchy_losses, old.step_hierarchy_losses, rtol=0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("n_instances", [None, 3])
+    @pytest.mark.parametrize("mode", ["multilingual", "crosslingual"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_row_sparse_towers_match_full_towers(
+        self, strategy, mode, n_instances, tmp_path, monkeypatch
+    ):
+        # the full-tower oracle is the same loop on both towers drawn whole;
+        # with 3 mentions most hierarchy-pair events are no mention's gold
+        events, forest, instances = small_corpus()
+        instances = instances[:n_instances]
+        config = TrainConfig(strategy=strategy, epochs=3, pretrain_epochs=1, seed=3)
+        F = 2**14
+        for name in ("rows", "full"):
+            if name == "full":
+                monkeypatch.setattr(
+                    training, "init_rows", lambda F, d, seed, *rows: init_encoder(F, d, seed)
+                )
+            params, head, log = train(instances, events, forest, config, mode, F=F, d=8)
+            if name == "rows":
+                assert isinstance(params.W_mention, Tower)
+                assert 0 < params.W_mention.rows.size < F and 0 < params.W_event.rows.size < F
+            heads = {f"complex.{key}": array for key, array in head.arrays().items()}
+            save_checkpoint(tmp_path / f"{name}.bin", params, heads)
+            write_training_log(log, tmp_path / f"{name}.jsonl")
+        assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
+        assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
     @pytest.mark.parametrize("loss", ["linking", "hierarchy"])
     def test_feature_space_mismatch(self, loss):
