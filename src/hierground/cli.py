@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -28,6 +29,13 @@ RESOLVED_CONFIG_NAME = "resolved_config.json"
 # the recall@k cut-offs relext_report.json reads from the parent rankings
 RELEXT_RECALL_KS = (1, 2, 4, 8, 16)
 
+
+def _defaults(cls) -> dict:
+    """A settings dataclass's field defaults, less the experiment seed."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name != "seed"}
+
+
+# every setting and its default; a null default is checked where it is read
 DEFAULT_CONFIG: dict = {
     "output_dir": None,
     "mode": "multilingual",
@@ -41,97 +49,58 @@ DEFAULT_CONFIG: dict = {
         "max_context_chars": encoder.DEFAULT_MAX_CONTEXT_CHARS,
         "max_cand_chars": encoder.DEFAULT_MAX_CAND_CHARS,
     },
-    "train": {
-        "strategy": "BASELINE",
-        "learning_rate": 1.0,
-        "epochs": 10,
-        "batch_size": 64,
-        "hier_batch_size": 128,
-        "hier_loss_weight": 0.01,
-        "pretrain_epochs": 1,
-    },
+    "train": _defaults(training.TrainConfig),
     "retrieve": {"k": retrieval.DEFAULT_K},
-    "rerank": {
-        "k": 8,
-        "grid": list(rerank.DEFAULT_GRID),
-        "threshold": None,
-        "epochs": 5,
-        "learning_rate": 0.5,
-        "batch_size": 64,
-        "hidden": rerank.DEFAULT_HIDDEN,
-    },
+    "rerank": _defaults(rerank.RerankConfig),
     "evaluate": {"ks": [1, 2, 4, 8]},
     "relext": {"list_k": relext.DEFAULT_LIST_K, "max_ranking": relext.DEFAULT_MAX_RANKING},
-    "synth": {
-        "n_trees": 20,
-        "branching": 2,
-        "height": 2,
-        "mentions_per_event": 10,
-        "vocab": 600,
-        "noise": 0.1,
-    },
+    "synth": _defaults(dataset.SyntheticConfig),
 }
 
-# argparse dest -> dotted config path
-FLAG_PATHS = {
-    "output_dir": "output_dir",
-    "mode": "mode",
-    "seed": "seed",
-    "max_height": "max_height",
-    "events": "paths.events",
-    "relations": "paths.relations",
-    "mentions": "paths.mentions",
-    "splits": "paths.splits",
-    "ratios": "split.ratios",
-    "F": "encoder.F",
-    "d": "encoder.d",
-    "max_context_chars": "encoder.max_context_chars",
-    "max_cand_chars": "encoder.max_cand_chars",
-    "strategy": "train.strategy",
-    "learning_rate": "train.learning_rate",
-    "epochs": "train.epochs",
-    "batch_size": "train.batch_size",
-    "hier_batch_size": "train.hier_batch_size",
-    "hier_loss_weight": "train.hier_loss_weight",
-    "pretrain_epochs": "train.pretrain_epochs",
-    "k": "retrieve.k",
-    "rerank_k": "rerank.k",
-    "rerank_epochs": "rerank.epochs",
-    "rerank_learning_rate": "rerank.learning_rate",
-    "hidden": "rerank.hidden",
-    "threshold": "rerank.threshold",
-    "ks": "evaluate.ks",
-    "list_k": "relext.list_k",
-    "max_ranking": "relext.max_ranking",
-    "n_trees": "synth.n_trees",
-    "branching": "synth.branching",
-    "height": "synth.height",
-    "mentions_per_event": "synth.mentions_per_event",
-    "vocab": "synth.vocab",
-    "noise": "synth.noise",
+# default type -> (types of the JSON values that fit it, their name); a bool
+# is never an int
+JSON_TYPES = {
+    bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+    float: ((int, float), "a number"), str: ((str,), "a string"),
 }
 
 
-def _deep_merge(base: dict, overlay: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in overlay.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
+def _check_file(value, default, path: str = "") -> None:
+    """Raise ConfigError naming the dotted path of the first config file
+    value that is no setting or does not have its default's JSON type."""
+    if default is None:
+        return
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'a config file'} must be a JSON object, got {value!r}")
+        for key, item in value.items():
+            dotted = f"{path}.{key}" if path else key
+            if key not in default:
+                raise ConfigError(f"{dotted} is not a setting")
+            _check_file(item, default[key], dotted)
+    elif isinstance(default, (list, tuple)):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a JSON array, got {value!r}")
+        for i, item in enumerate(value):
+            _check_file(item, default[0], f"{path}[{i}]")
+    else:
+        fits, name = JSON_TYPES[type(default)]
+        if type(value) not in fits:
+            raise ConfigError(f"{path} must be {name}, got {value!r}")
 
 
-def _set_path(config: dict, dotted: str, value) -> None:
-    node = config
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
+def _is_setting(dotted: str) -> bool:
+    """Whether a dotted path names a leaf of DEFAULT_CONFIG."""
+    section, _, key = dotted.rpartition(".")
+    node = DEFAULT_CONFIG.get(section) if section else DEFAULT_CONFIG
+    return isinstance(node, dict) and key in node and not isinstance(node[key], dict)
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- flags, plus the env output dir floor."""
+    """defaults <- config file <- flags, plus the env output dir floor.
+
+    Every flag whose argparse dest is a setting's dotted path sets it.
+    """
     config = copy.deepcopy(DEFAULT_CONFIG)
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
@@ -142,21 +111,37 @@ def resolve_config(args: argparse.Namespace) -> dict:
             loaded = json.loads(Path(config_path).read_text("utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {config_path} must hold a JSON object")
-        config = _deep_merge(config, loaded)
-        for key, default in DEFAULT_CONFIG.items():
-            if isinstance(default, dict) and not isinstance(config[key], dict):
-                raise ConfigError(f"config file {config_path}: {key!r} must hold a JSON object")
-    for dest, dotted in FLAG_PATHS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            _set_path(config, dotted, value)
+        _check_file(loaded, DEFAULT_CONFIG)
+        for key, value in loaded.items():
+            if isinstance(DEFAULT_CONFIG[key], dict):
+                config[key].update(value)
+            else:
+                config[key] = value
+    for dest, value in vars(args).items():
+        if value is not None and _is_setting(dest):
+            section, _, key = dest.rpartition(".")
+            (config[section] if section else config)[key] = value
     if config["output_dir"] is None:
         config["output_dir"] = "."
+    if not isinstance(config["output_dir"], str):
+        raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
     if config["mode"] not in encoder.LANGUAGE_MODES:
         raise ConfigError(f"mode must be one of {encoder.LANGUAGE_MODES}, got {config['mode']!r}")
     return config
+
+
+def _section(config: dict, name: str, cls):
+    """A section's settings dataclass, with the experiment seed; arrays become tuples."""
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in config[name].items()}
+    return cls(seed=config["seed"], **values)
+
+
+def _threshold(config: dict) -> float | None:
+    """rerank.threshold: null, or a number in (0, 1)."""
+    value = config["rerank"]["threshold"]
+    if value is not None and (type(value) not in (int, float) or not 0 < value < 1):
+        raise ConfigError(f"rerank.threshold must be null or a number in (0, 1), got {value!r}")
+    return value
 
 
 def _outdir(config: dict) -> Path:
@@ -175,10 +160,13 @@ def _finish(config: dict, command: str, artifacts: list[str]) -> None:
     manifest = {"format_version": 1, "runs": {}}
     if manifest_path.exists():
         try:
-            manifest = json.loads(manifest_path.read_text("utf-8"))
+            loaded = json.loads(manifest_path.read_text("utf-8"))
         except json.JSONDecodeError:
-            pass
-    manifest.setdefault("runs", {})[command] = {"artifacts": sorted(artifacts)}
+            loaded = None
+        # a manifest of any other shape is replaced, like one that does not parse
+        if isinstance(loaded, dict) and isinstance(loaded.get("runs"), dict):
+            manifest = loaded
+    manifest["runs"][command] = {"artifacts": sorted(artifacts)}
     manifest["format_version"] = 1
     manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -188,7 +176,9 @@ def _finish(config: dict, command: str, artifacts: list[str]) -> None:
 def _require_paths(config: dict, *names: str) -> dict[str, Path]:
     paths = {}
     for name in names:
-        value = config["paths"].get(name)
+        value = config["paths"][name]
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"paths.{name} must be a string, got {value!r}")
         if not value:
             raise ConfigError(f"missing required path: {name}")
         path = Path(value)
@@ -198,18 +188,17 @@ def _require_paths(config: dict, *names: str) -> dict[str, Path]:
     return paths
 
 
-def _load_corpus(config: dict, *names: str):
-    paths = _require_paths(config, *names)
-    loaded = {}
-    if "events" in paths:
-        loaded["events"] = kb.load_events(paths["events"])
-    if "relations" in paths:
-        loaded["relations"] = kb.load_relations(paths["relations"])
-    if "mentions" in paths:
-        loaded["mentions"] = dataset.load_mentions(paths["mentions"])
-    if "splits" in paths:
-        loaded["splits"] = dataset.load_splits(paths["splits"])
-    return loaded
+def _load_corpus(config: dict, *names: str, split: str | None = None) -> dict:
+    """The named corpus files, plus the splits file when ``split`` selects one."""
+    if split and split != "all":
+        names += ("splits",)
+    loaders = {
+        "events": kb.load_events,
+        "relations": kb.load_relations,
+        "mentions": dataset.load_mentions,
+        "splits": dataset.load_splits,
+    }
+    return {name: loaders[name](path) for name, path in _require_paths(config, *names).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +231,14 @@ def cmd_split(config: dict) -> list[str]:
 
 
 def cmd_synth(config: dict) -> list[str]:
-    synth_config = dataset.SyntheticConfig(seed=config["seed"], **config["synth"])
-    events, edges, mentions = dataset.generate_synthetic(synth_config)
+    events, edges, mentions = dataset.generate_synthetic(
+        _section(config, "synth", dataset.SyntheticConfig)
+    )
     out = _outdir(config)
     kb.write_events(events, out / "events.jsonl")
     kb.write_relations(edges, out / "relations.jsonl")
     dataset.write_mentions(mentions, out / "mentions.jsonl")
     return ["events.jsonl", "relations.jsonl", "mentions.jsonl"]
-
-
-def _train_config(config: dict) -> training.TrainConfig:
-    return training.TrainConfig(seed=config["seed"], **config["train"])
 
 
 def cmd_train(config: dict) -> list[str]:
@@ -266,7 +252,7 @@ def cmd_train(config: dict) -> list[str]:
         instances,
         data["events"],
         forest,
-        _train_config(config),
+        _section(config, "train", training.TrainConfig),
         mode=config["mode"],
         F=enc["F"],
         d=enc["d"],
@@ -284,20 +270,16 @@ def cmd_train(config: dict) -> list[str]:
     return ["checkpoint.bin", "training_log.jsonl"]
 
 
-def _select_mentions(config: dict, data: dict, split: str | None) -> list[dataset.Mention]:
-    mentions = data["mentions"]
-    if split and split != "all":
-        if "splits" not in data:
-            raise ConfigError("--split needs a splits file")
-        mentions = dataset.select_split(mentions, data["splits"], split)
-    return mentions
+def _select_mentions(data: dict, split: str | None) -> list[dataset.Mention]:
+    if "splits" in data:
+        return dataset.select_split(data["mentions"], data["splits"], split)
+    return data["mentions"]
 
 
 def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> list[str]:
-    names = ["events", "mentions"] + (["splits"] if split != "all" else [])
-    data = _load_corpus(config, *names)
+    data = _load_corpus(config, "events", "mentions", split=split)
     F = encoder.tower_shape(checkpoint)[0]
-    mentions = _select_mentions(config, data, split)
+    mentions = _select_mentions(data, split)
     pool = dataset.candidate_pool(data["events"], mode="inference")
     enc = config["encoder"]
     # hash every text first, so only the tower rows they read are loaded
@@ -316,12 +298,6 @@ def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> li
     return [out_name]
 
 
-def _rerank_config(config: dict) -> rerank.RerankConfig:
-    section = dict(config["rerank"])
-    section["grid"] = tuple(section["grid"])
-    return rerank.RerankConfig(seed=config["seed"], **section)
-
-
 def _gold_chains(
     config: dict, data: dict, mentions: list[dataset.Mention]
 ) -> dict[str, tuple[str, ...]]:
@@ -331,19 +307,27 @@ def _gold_chains(
     }
 
 
+def _pair_featurizer(config: dict, events: list[kb.Event]) -> rerank.PairFeaturizer:
+    enc = config["encoder"]
+    return rerank.PairFeaturizer(
+        events, config["mode"], enc["max_context_chars"], enc["max_cand_chars"]
+    )
+
+
 def cmd_rerank_train(
-    config: dict, train_retrievals: str, dev_retrievals: str | None
+    config: dict, train_retrievals: str, dev_retrievals: str | None, checkpoint: str | None
 ) -> list[str]:
+    if checkpoint is not None:
+        raise ConfigError(
+            "rerank-train does not use --checkpoint: the bi-encoder "
+            "checkpoint fixed the retrievals upstream"
+        )
+    _threshold(config)  # before RerankConfig compares it
+    rerank_config = _section(config, "rerank", rerank.RerankConfig)
     data = _load_corpus(config, "events", "relations", "mentions")
     golds = _gold_chains(config, data, data["mentions"])
     mentions_by_id = {m.id: m for m in data["mentions"]}
-    rerank_config = _rerank_config(config)
-    featurizer = rerank.PairFeaturizer(
-        data["events"],
-        config["mode"],
-        config["encoder"]["max_context_chars"],
-        config["encoder"]["max_cand_chars"],
-    )
+    featurizer = _pair_featurizer(config, data["events"])
     train_results = retrieval.load_retrievals(train_retrievals)
     rerank.check_retrieval_ids(train_results, mentions_by_id, featurizer.corpus)
     threshold = rerank_config.threshold
@@ -356,13 +340,8 @@ def cmd_rerank_train(
     )
     if dev_results is not None:
         threshold = rerank.select_threshold(
-            params,
-            featurizer,
-            dev_results,
-            golds,
-            mentions_by_id,
-            rerank_config.grid,
-            rerank_config.k,
+            params, featurizer, dev_results, golds, mentions_by_id,
+            rerank_config.grid, rerank_config.k,
         )
     rerank.save_reranker(_outdir(config) / "reranker.bin", params, threshold)
     return ["reranker.bin"]
@@ -375,11 +354,8 @@ def cmd_evaluate(
     split: str | None,
     atomic_only: bool,
 ) -> list[str]:
-    names = ["events", "relations", "mentions"] + (
-        ["splits"] if split and split != "all" else []
-    )
-    data = _load_corpus(config, *names)
-    mentions = _select_mentions(config, data, split)
+    data = _load_corpus(config, "events", "relations", "mentions", split=split)
+    mentions = _select_mentions(data, split)
     golds = _gold_chains(config, data, mentions)
     mentions_by_id = {m.id: m for m in mentions}
     results = [
@@ -388,27 +364,19 @@ def cmd_evaluate(
     if not results:
         raise ConfigError("no retrievals match the selected mentions")
 
-    reranker_params = None
-    threshold = None
-    featurizer = None
+    reranker_params = threshold = featurizer = None
     if reranker_path:
         reranker_params, threshold = rerank.load_reranker(reranker_path)
         if threshold is None:
-            threshold = config["rerank"]["threshold"]
+            threshold = _threshold(config)
         if threshold is None:
             raise ConfigError("reranker checkpoint has no threshold; pass --threshold")
-        featurizer = rerank.PairFeaturizer(
-            data["events"],
-            config["mode"],
-            config["encoder"]["max_context_chars"],
-            config["encoder"]["max_cand_chars"],
-        )
+        featurizer = _pair_featurizer(config, data["events"])
         featurizer.mentions([mentions_by_id[result.mention_id] for result in results])
 
     records = []
     for result in results:
-        predicted = None
-        rerank_order = None
+        predicted = rerank_order = None
         if reranker_params is not None:
             mention = mentions_by_id[result.mention_id]
             scored = rerank.score_candidates(reranker_params, featurizer, mention, result)
@@ -462,18 +430,12 @@ def cmd_evaluate(
     return artifacts
 
 
-def _positive_int(config: dict, section: str, key: str) -> int:
-    value = config[section][key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{section}.{key} must be an integer >= 1, got {value!r}")
-    return value
-
-
 def cmd_relext(config: dict, retrievals_path: str, split: str | None) -> list[str]:
-    list_k = _positive_int(config, "relext", "list_k")
-    max_ranking = _positive_int(config, "relext", "max_ranking")
-    names = ["events", "relations"] + (["splits"] if split and split != "all" else [])
-    data = _load_corpus(config, *names)
+    for key, value in config["relext"].items():
+        if value < 1:
+            raise ConfigError(f"relext.{key} must be an integer >= 1, got {value!r}")
+    list_k, max_ranking = config["relext"]["list_k"], config["relext"]["max_ranking"]
+    data = _load_corpus(config, "events", "relations", split=split)
     forest = kb.build_forest(data["events"], data["relations"], config["max_height"])
     pool = dataset.candidate_pool(data["events"], mode="inference")
     results = retrieval.load_retrievals(retrievals_path)
@@ -486,7 +448,7 @@ def cmd_relext(config: dict, retrievals_path: str, split: str | None) -> list[st
     rankings, unlinked = relext.rank_all_parents(lists, pool, m)
 
     evaluated = sorted(forest.parent)
-    if split and split != "all":
+    if "splits" in data:
         in_split = set(data["splits"].events_in_split(split))
         evaluated = [e for e in evaluated if e in in_split]
     id_rankings = {
@@ -521,16 +483,26 @@ def cmd_grad_check(config: dict) -> list[str]:
 # Argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *corpus: str) -> None:
+    """The flags of every subcommand, then one per named corpus file."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--output-dir", dest="output_dir")
+    parser.add_argument("--output-dir")
     parser.add_argument("--mode", choices=encoder.LANGUAGE_MODES)
     parser.add_argument("--seed", type=int)
+    for name in corpus:
+        parser.add_argument(f"--{name}", dest=f"paths.{name}", help=f"{name} file")
 
 
-def _add_corpus(parser: argparse.ArgumentParser, *names: str) -> None:
+def _add_settings(
+    parser: argparse.ArgumentParser, section: str, *names: str, prefix: str = ""
+) -> None:
+    """One flag per named setting of a section, typed like its default."""
     for name in names:
-        parser.add_argument(f"--{name}", help=f"{name} file")
+        parser.add_argument(
+            f"--{prefix}{name.replace('_', '-')}",
+            dest=f"{section}.{name}",
+            type=type(DEFAULT_CONFIG[section][name]),
+        )
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -542,6 +514,7 @@ def _csv_floats(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag that sets a setting has its dotted config path as dest."""
     parser = argparse.ArgumentParser(
         prog="hierground",
         description="Ground text mentions to hierarchies of knowledge-base events.",
@@ -549,79 +522,63 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate a corpus and write stats")
-    _add_common(p)
-    _add_corpus(p, "events", "relations", "mentions")
-    p.add_argument("--max-height", dest="max_height", type=int)
+    _add_common(p, "events", "relations", "mentions")
+    p.add_argument("--max-height", type=int)
 
     p = sub.add_parser("split", help="zero-shot component splits")
-    _add_common(p)
-    _add_corpus(p, "events", "relations")
-    p.add_argument("--ratios", type=_csv_floats)
+    _add_common(p, "events", "relations")
+    p.add_argument("--ratios", dest="split.ratios", type=_csv_floats)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     _add_common(p)
-    p.add_argument("--n-trees", dest="n_trees", type=int)
-    p.add_argument("--branching", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--mentions-per-event", dest="mentions_per_event", type=int)
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--noise", type=float)
+    _add_settings(
+        p, "synth", "n_trees", "branching", "height", "mentions_per_event", "vocab", "noise"
+    )
 
     p = sub.add_parser("train", help="train the bi-encoder")
-    _add_common(p)
-    _add_corpus(p, "events", "relations", "mentions", "splits")
-    p.add_argument("--strategy", choices=training.STRATEGIES)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--hier-batch-size", dest="hier_batch_size", type=int)
-    p.add_argument("--hier-loss-weight", dest="hier_loss_weight", type=float)
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
-    p.add_argument("--max-height", dest="max_height", type=int)
-    p.add_argument("--F", dest="F", type=int)
-    p.add_argument("--d", dest="d", type=int)
+    _add_common(p, "events", "relations", "mentions", "splits")
+    p.add_argument("--strategy", dest="train.strategy", choices=training.STRATEGIES)
+    _add_settings(
+        p, "train", "learning_rate", "epochs", "batch_size", "hier_batch_size",
+        "hier_loss_weight", "pretrain_epochs",
+    )
+    p.add_argument("--max-height", type=int)
+    _add_settings(p, "encoder", "F", "d")
 
     p = sub.add_parser("retrieve", help="top-k retrieval for a mention set")
-    _add_common(p)
-    _add_corpus(p, "events", "mentions", "splits")
+    _add_common(p, "events", "mentions", "splits")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="all", choices=("all",) + dataset.SPLIT_NAMES)
-    p.add_argument("--k", type=int)
+    _add_settings(p, "retrieve", "k")
     p.add_argument("--out", default="retrievals.jsonl")
 
     p = sub.add_parser("rerank-train", help="train the pair reranker")
-    _add_common(p)
-    _add_corpus(p, "events", "relations", "mentions")
+    _add_common(p, "events", "relations", "mentions")
     p.add_argument(
         "--checkpoint", help="rejected: the retrievals already fix the bi-encoder"
     )
     p.add_argument("--train-retrievals", required=True)
     p.add_argument("--dev-retrievals")
-    p.add_argument("--rerank-k", dest="rerank_k", type=int)
-    p.add_argument("--rerank-epochs", dest="rerank_epochs", type=int)
-    p.add_argument("--rerank-learning-rate", dest="rerank_learning_rate", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--max-height", dest="max_height", type=int)
+    _add_settings(p, "rerank", "k", "epochs", "learning_rate", prefix="rerank-")
+    _add_settings(p, "rerank", "hidden")
+    p.add_argument("--max-height", type=int)
 
     p = sub.add_parser("evaluate", help="grounding metrics from retrievals")
-    _add_common(p)
-    _add_corpus(p, "events", "relations", "mentions", "splits")
+    _add_common(p, "events", "relations", "mentions", "splits")
     p.add_argument("--retrievals", required=True)
     p.add_argument("--reranker")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", dest="rerank.threshold", type=float)
     p.add_argument("--split", choices=("all",) + dataset.SPLIT_NAMES)
-    p.add_argument("--ks", type=_csv_ints)
+    p.add_argument("--ks", dest="evaluate.ks", type=_csv_ints)
     p.add_argument("--atomic-only", action="store_true")
-    p.add_argument("--max-height", dest="max_height", type=int)
+    p.add_argument("--max-height", type=int)
 
     p = sub.add_parser("relext", help="parent discovery from retrieval overlap")
-    _add_common(p)
-    _add_corpus(p, "events", "relations", "splits")
+    _add_common(p, "events", "relations", "splits")
     p.add_argument("--retrievals", required=True)
     p.add_argument("--split", choices=("all",) + dataset.SPLIT_NAMES)
-    p.add_argument("--list-k", dest="list_k", type=int)
-    p.add_argument("--max-ranking", dest="max_ranking", type=int)
-    p.add_argument("--max-height", dest="max_height", type=int)
+    _add_settings(p, "relext", "list_k", "max_ranking")
+    p.add_argument("--max-height", type=int)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
     _add_common(p)
@@ -643,15 +600,6 @@ def _error_record(exc: Exception) -> str:
     )
 
 
-def _rerank_train(config: dict, args: argparse.Namespace) -> list[str]:
-    if args.checkpoint is not None:
-        raise ConfigError(
-            "rerank-train does not use --checkpoint: the bi-encoder "
-            "checkpoint fixed the retrievals upstream"
-        )
-    return cmd_rerank_train(config, args.train_retrievals, args.dev_retrievals)
-
-
 # subcommand -> handler(resolved config, parsed arguments) -> artifact names
 COMMANDS = {
     "ingest": lambda config, args: cmd_ingest(config),
@@ -659,7 +607,9 @@ COMMANDS = {
     "synth": lambda config, args: cmd_synth(config),
     "train": lambda config, args: cmd_train(config),
     "retrieve": lambda config, args: cmd_retrieve(config, args.checkpoint, args.split, args.out),
-    "rerank-train": _rerank_train,
+    "rerank-train": lambda config, args: cmd_rerank_train(
+        config, args.train_retrievals, args.dev_retrievals, args.checkpoint
+    ),
     "evaluate": lambda config, args: cmd_evaluate(
         config, args.retrievals, args.reranker, args.split, args.atomic_only
     ),

@@ -24,6 +24,7 @@ from .kb import (
     RelationEdge,
     RelationProperty,
     ancestor_chain,
+    read_json_fields,
     require_text,
 )
 from .seeding import substream_rng
@@ -619,4 +620,8 @@ def save_splits(assignment: SplitAssignment, path: str | Path) -> None:
 
 
 def load_splits(path: str | Path) -> SplitAssignment:
-    return SplitAssignment.from_dict(json.loads(Path(path).read_text("utf-8")))
+    data = read_json_fields(path, components=dict, splits=dict, seed=int)
+    for component in data["components"].values():
+        if component not in data["splits"]:
+            raise ParseError(str(path), 1, f"component {component!r} has no split")
+    return SplitAssignment.from_dict(data)

@@ -250,8 +250,27 @@ def save_forest(forest: HierarchyForest, path: str | Path) -> None:
     )
 
 
+def read_json_fields(path: str | Path, **kinds: type) -> dict:
+    """A file's JSON object whose named fields are each of their kind: an
+    int, or a dict or list of strings.  Any other file is a ParseError."""
+    try:
+        data = json.loads(Path(path).read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, f"bad JSON: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(str(path), 1, "must hold a JSON object")
+    for name, kind in kinds.items():
+        value = data.get(name)
+        items = value.values() if isinstance(value, dict) else value if kind is list else ()
+        if type(value) is not kind or not all(isinstance(item, str) for item in items):
+            raise ParseError(str(path), 1, f"field {name!r} is missing or malformed")
+    return data
+
+
 def load_forest(path: str | Path) -> HierarchyForest:
-    return HierarchyForest.from_dict(json.loads(Path(path).read_text("utf-8")))
+    return HierarchyForest.from_dict(
+        read_json_fields(path, parent=dict, nodes=list, max_height=int)
+    )
 
 
 def load_events(path: str | Path) -> list[Event]:

@@ -163,6 +163,6 @@ def load_parents(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                 rankings[obj["event"]] = [
                     (entry["parent"], float(entry["h"])) for entry in obj["ranking"]
                 ]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(str(path), line_no, str(exc)) from exc
     return rankings

@@ -204,7 +204,7 @@ def load_retrievals(path: str | Path) -> list[RetrievalResult]:
                     ],
                 )
                 seen = first_line.setdefault(result.mention_id, line_no)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(str(path), line_no, str(exc)) from exc
             if seen != line_no:
                 raise ParseError(

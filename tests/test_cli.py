@@ -1,5 +1,6 @@
 """End-to-end pipeline runs, config precedence, machine-readable errors."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -14,7 +15,9 @@ from hierground.cli import (
     MANIFEST_NAME,
     OUTPUT_DIR_ENV,
     RESOLVED_CONFIG_NAME,
+    build_parser,
     main,
+    resolve_config,
 )
 
 SEED = ["--seed", "0"]
@@ -402,6 +405,147 @@ class TestRelextRejects:
         assert rankings == {e: ranking[:1] for e, ranking in full.items()}
 
 
+def command_flags(pipeline, tmp_path, command: str) -> dict[str, str]:
+    """The flags of one cheap subcommand run on the pipeline's files."""
+    p = {name: str(pipeline / name) for name in (
+        "events.jsonl", "relations.jsonl", "mentions.jsonl", "splits.json",
+        "checkpoint.bin", "reranker.bin", "retrievals_train.jsonl", "retrievals_dev.jsonl",
+    )}
+    events, relations = {"--events": p["events.jsonl"]}, {"--relations": p["relations.jsonl"]}
+    mentions = {"--mentions": p["mentions.jsonl"]}
+    corpus = {**events, **relations, **mentions}
+    flags = {
+        "synth": {"--n-trees": "2", "--mentions-per-event": "1"},
+        "ingest": corpus,
+        "split": {**events, **relations},
+        "train": {**corpus, "--splits": p["splits.json"], "--epochs": "1", "--F": "4096"},
+        "retrieve": {**events, **mentions, "--checkpoint": p["checkpoint.bin"]},
+        "rerank-train": {**corpus, "--train-retrievals": p["retrievals_train.jsonl"],
+                         "--rerank-epochs": "1"},
+        "evaluate": {**corpus, "--retrievals": p["retrievals_dev.jsonl"],
+                     "--reranker": p["reranker.bin"]},
+    }[command]
+    return {"--output-dir": str(tmp_path), "--seed": "0", **flags}
+
+
+def threshold_less_reranker(pipeline, tmp_path) -> dict[str, str]:
+    """The pipeline's reranker saved again without a threshold."""
+    params, _ = rerank.load_reranker(pipeline / "reranker.bin")
+    rerank.save_reranker(tmp_path / "no_threshold.bin", params, None)
+    return {"--reranker": str(tmp_path / "no_threshold.bin")}
+
+
+def written(flag: str, text: str):
+    """A table row input: ``text`` in a new file, passed as ``flag``."""
+
+    def make(pipeline, tmp_path) -> dict[str, str]:
+        path = tmp_path / f"input{flag}"
+        path.write_text(text, encoding="utf-8")
+        return {flag: str(path)}
+
+    return make
+
+
+def retrievals_with_score(score):
+    """A table row input: the dev retrievals, the first score replaced."""
+
+    def make(pipeline, tmp_path) -> dict[str, str]:
+        lines = (pipeline / "retrievals_dev.jsonl").read_text("utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["candidates"][0]["score"] = score
+        return written("--retrievals", "\n".join([json.dumps(first), *lines[1:]]) + "\n")(
+            pipeline, tmp_path
+        )
+
+    return make
+
+
+# row -> (subcommand, config file object or None, flag overrides maker or None
+#         (a None value drops the flag), error, dotted path a ConfigError names)
+BAD_CONFIG = {
+    "encoder-f-typo": ("train", {"encoder": {"f": 1024}}, None, "ConfigError", "encoder.f"),
+    "train-unknown-key": ("train", {"train": {"foo": 1}}, None, "ConfigError", "train.foo"),
+    "train-batch-size-string": (
+        "train", {"train": {"batch_size": "64"}}, None, "ConfigError", "train.batch_size"
+    ),
+    "synth-unknown-key": ("synth", {"synth": {"bogus": 1}}, None, "ConfigError", "synth.bogus"),
+    "rerank-grid-number": ("rerank-train", {"rerank": {"grid": 5}}, None, "ConfigError",
+                           "rerank.grid"),
+    "retrieve-k-string": ("retrieve", {"retrieve": {"k": "4"}}, None, "ConfigError",
+                          "retrieve.k"),
+    "evaluate-ks-strings": ("evaluate", {"evaluate": {"ks": ["1"]}}, None, "ConfigError",
+                            "evaluate.ks"),
+    "split-ratios-string": (
+        "split", {"split": {"ratios": ["a", 0.5, 0.5]}}, None, "ConfigError", "split.ratios"
+    ),
+    "paths-events-number": (
+        "ingest", {"paths": {"events": 5}}, lambda p, t: {"--events": None}, "ConfigError",
+        "paths.events",
+    ),
+    "output-dir-number": (
+        "synth", {"output_dir": 5}, lambda p, t: {"--output-dir": None}, "ConfigError",
+        "output_dir",
+    ),
+    "evaluate-threshold-string": (
+        "evaluate", {"rerank": {"threshold": "x"}}, threshold_less_reranker, "ConfigError",
+        "rerank.threshold",
+    ),
+    "evaluate-threshold-above-one": (
+        "evaluate", None, lambda p, t: {**threshold_less_reranker(p, t), "--threshold": "1.5"},
+        "ConfigError", "rerank.threshold",
+    ),
+    "rerank-train-threshold-string": (
+        "rerank-train", {"rerank": {"threshold": "x"}}, None, "ConfigError", "rerank.threshold"
+    ),
+    "splits-without-splits": (
+        "train", None, written("--splits", '{"components": {}}'), "ParseError", None
+    ),
+    "splits-not-an-object": ("train", None, written("--splits", "[]"), "ParseError", None),
+    "retrievals-score-string": (
+        "evaluate", None, retrievals_with_score("x"), "ParseError", None
+    ),
+}
+
+
+class TestConfigRejects:
+    """A bad setting or input file is one JSON error record and exit 1."""
+
+    @pytest.mark.parametrize("row", list(BAD_CONFIG))
+    def test_rejected(self, pipeline, tmp_path, capsys, monkeypatch, row):
+        command, config, make_overrides, error, dotted = BAD_CONFIG[row]
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        monkeypatch.chdir(tmp_path)
+        overrides = make_overrides(pipeline, tmp_path) if make_overrides else {}
+        flags = {**command_flags(pipeline, tmp_path, command), **overrides}
+        argv = [command, *[arg for flag, value in flags.items() if value is not None
+                           for arg in (flag, value)]]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 1
+        record = only_error(capsys)
+        assert record["error"] == error
+        if error == "ConfigError":
+            assert dotted in record["message"]
+        else:
+            assert record["context"]["path"] in overrides.values()
+            assert record["context"]["line"] == 1
+        assert not (tmp_path / MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize("text", ["[]", '{"runs": []}', '{"runs": {}', '"runs"'])
+    def test_malformed_manifest_is_replaced(self, tmp_path, text):
+        (tmp_path / MANIFEST_NAME).write_text(text, encoding="utf-8")
+        argv = ["synth", "--output-dir", str(tmp_path), *SEED, "--n-trees", "2",
+                "--mentions-per-event", "1"]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text("utf-8"))
+        assert manifest == {
+            "format_version": 1,
+            "runs": {"synth": {"artifacts": ["events.jsonl", "mentions.jsonl",
+                                             "relations.jsonl"]}},
+        }
+
+
 class TestDevRetrievalsCheckedFirst:
     @pytest.mark.parametrize(
         "field, error", [("mention", "UnknownMention"), ("event", "UnknownEvent")]
@@ -642,6 +786,65 @@ class TestConfigResolution:
         assert rc == 0
         assert (file_dir / "events.jsonl").exists()
         assert not (env_dir / "events.jsonl").exists()
+
+
+# argparse dests that are subcommand arguments rather than settings
+COMMAND_ARGUMENTS = {
+    "help", "command", "config", "checkpoint", "split", "out", "retrievals", "reranker",
+    "train_retrievals", "dev_retrievals", "atomic_only",
+}
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return dict(action.choices)
+
+
+class TestFlagsAreSettings:
+    def test_every_flag_sets_a_setting(self):
+        for command, parser in subcommand_parsers().items():
+            for action in parser._actions:
+                if action.dest in COMMAND_ARGUMENTS:
+                    continue
+                node = DEFAULT_CONFIG
+                for part in action.dest.split("."):
+                    assert isinstance(node, dict) and part in node, (command, action.dest)
+                    node = node[part]
+                assert not isinstance(node, dict), (command, action.dest)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"rerank": {"threshold": 0.5, "batch_size": 8}},
+            {"rerank": {"grid": [0.25, 1], "threshold": None}},
+            {"train": {"learning_rate": 3, "strategy": "HP"}, "synth": {"noise": 0}},
+            {"paths": {"events": "events.jsonl"}, "output_dir": None, "relext": {}},
+        ],
+    )
+    def test_valid_file_is_merged(self, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        resolved = resolve_config(build_parser().parse_args(["train", "--config", str(path)]))
+        for section, values in config.items():
+            if isinstance(values, dict):
+                for key, value in values.items():
+                    assert resolved[section][key] == value, (section, key)
+        assert resolved["encoder"] == DEFAULT_CONFIG["encoder"]
+
+    def test_flags_set_their_dotted_paths(self):
+        args = build_parser().parse_args(
+            ["rerank-train", "--train-retrievals", "r.jsonl", "--rerank-k", "3",
+             "--rerank-learning-rate", "0.25", "--hidden", "7", "--events", "e.jsonl",
+             "--max-height", "2"]
+        )
+        resolved = resolve_config(args)
+        assert resolved["rerank"]["k"] == 3
+        assert resolved["rerank"]["learning_rate"] == 0.25
+        assert resolved["rerank"]["hidden"] == 7
+        assert resolved["paths"]["events"] == "e.jsonl"
+        assert resolved["max_height"] == 2
+        assert resolved["retrieve"]["k"] == DEFAULT_CONFIG["retrieve"]["k"]
 
 
 class TestEntryPoint:

@@ -22,7 +22,7 @@ from hierground.dataset import (
     split_components,
     write_mentions,
 )
-from hierground.errors import InvalidConfig, UnknownEvent
+from hierground.errors import InvalidConfig, ParseError, UnknownEvent
 from hierground.kb import (
     Event,
     Label,
@@ -308,6 +308,25 @@ class TestSplitComponents:
         save_splits(assignment, path)
         loaded = load_splits(path)
         assert loaded.to_dict() == assignment.to_dict()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"components": {}}',
+            '{"components": {}, "splits": {}}',
+            '{"components": {"E1": ["c"]}, "splits": {}, "seed": 0}',
+            '{"components": {}, "splits": {}, "seed": true}',
+            '{"components": {"E1": "c0"}, "splits": {}, "seed": 0}',
+            '{"components": {}, "splits": {},',
+        ],
+    )
+    def test_malformed_file_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "splits.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_splits(path)
+        assert err.value.path == str(path)
 
 
 class TestSelectSplit:

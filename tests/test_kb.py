@@ -227,6 +227,24 @@ class TestSerialization:
         assert loaded.nodes == forest.nodes
         assert loaded.max_height == forest.max_height
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"nodes": [], "max_height": 3}',
+            '{"parent": {"A": 1}, "nodes": ["A"], "max_height": 3}',
+            '{"parent": {}, "nodes": "AB", "max_height": 3}',
+            '{"parent": {}, "nodes": [], "max_height": "3"}',
+            "not json",
+        ],
+    )
+    def test_malformed_forest_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "forest.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_forest(path)
+        assert err.value.path == str(path)
+
     def test_events_round_trip(self, tmp_path):
         events = [
             Event(id="E1", labels={"en": Label("one", "first"), "pl": Label("jeden")}),

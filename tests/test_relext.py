@@ -268,3 +268,14 @@ class TestParentsFile:
         with pytest.raises(ParseError) as err:
             load_parents(path)
         assert err.value.line == 2
+
+    def test_non_numeric_h_reports_position(self, tmp_path):
+        path = tmp_path / "parents.jsonl"
+        path.write_text(
+            '{"event": "A", "ranking": []}\n'
+            '{"event": "B", "ranking": [{"parent": "A", "h": "x"}]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            load_parents(path)
+        assert (err.value.path, err.value.line) == (str(path), 2)

@@ -410,6 +410,17 @@ class TestRetrievalFiles:
             load_retrievals(path)
         assert err.value.line == 2
 
+    def test_non_numeric_score_reports_position(self, tmp_path):
+        path = tmp_path / "retrievals.jsonl"
+        path.write_text(
+            '{"mention_id": "M1", "candidates": []}\n'
+            '{"mention_id": "M2", "candidates": [{"event": "E1", "score": "x"}]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            load_retrievals(path)
+        assert (err.value.path, err.value.line) == (str(path), 2)
+
     def test_missing_key_is_parse_error(self, tmp_path):
         path = tmp_path / "retrievals.jsonl"
         path.write_text('{"candidates": []}\n', encoding="utf-8")
