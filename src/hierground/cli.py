@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import dataset, encoder, kb, metrics, relext, rerank, retrieval, training
-from .errors import ConfigError, HiergroundError
+from .errors import ConfigError, HiergroundError, NonFiniteScore
 
 OUTPUT_DIR_ENV = "HIERGROUND_OUTPUT_DIR"
 MANIFEST_NAME = "manifest.json"
@@ -125,6 +125,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         config["output_dir"] = "."
     if not isinstance(config["output_dir"], str):
         raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
+    ks = config["evaluate"]["ks"]
+    if not ks or min(ks) < 1:
+        raise ConfigError(f"evaluate.ks must be a non-empty array of integers >= 1, got {ks!r}")
     if config["mode"] not in encoder.LANGUAGE_MODES:
         raise ConfigError(f"mode must be one of {encoder.LANGUAGE_MODES}, got {config['mode']!r}")
     return config
@@ -291,9 +294,12 @@ def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> li
     index = retrieval.build_index(
         params, data["events"], pool, config["mode"], enc["max_cand_chars"], featurizer
     )
-    results = retrieval.retrieve_mentions(
-        params, index, mentions, config["retrieve"]["k"], enc["max_context_chars"], fvs
-    )
+    try:
+        results = retrieval.retrieve_mentions(
+            params, index, mentions, config["retrieve"]["k"], enc["max_context_chars"], fvs
+        )
+    except NonFiniteScore as exc:
+        raise NonFiniteScore(exc.what, checkpoint) from None
     retrieval.write_retrievals(results, _outdir(config) / out_name)
     return [out_name]
 

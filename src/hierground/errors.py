@@ -145,3 +145,16 @@ class ParseError(HiergroundError):
 
 class ConfigError(HiergroundError):
     """An experiment configuration file is malformed."""
+
+
+class NonFiniteScore(HiergroundError):
+    """A retrieval encoding or score is not a finite number; ``checkpoint``
+    names the towers it came from, where known."""
+
+    def __init__(self, what: str, checkpoint: str | None = None):
+        self.what = what
+        self.checkpoint = checkpoint
+        msg = f"non-finite {what}"
+        if checkpoint is not None:
+            msg += f" (checkpoint {checkpoint!r})"
+        super().__init__(msg)

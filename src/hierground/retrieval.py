@@ -1,14 +1,19 @@
 """Exact top-k retrieval of candidate events for each mention.
 
-Candidates are encoded by the event tower into a pool x d matrix and
-scored against the mention embedding by dot product.  Retrieval is exact
-(argpartition plus a threshold re-sort, no approximate index) and ties
-are broken by ascending event id so runs are byte-reproducible.
+Candidates are encoded by the event tower into a pool x d matrix.  A
+mention's score against a candidate is ``score_rows``, numpy's row
+reduction of the elementwise product, whose bits depend only on the two
+vectors.  ``retrieve_mentions`` selects with one BLAS product per block of
+mentions and re-scores only a margin set canonically, so every result is
+bit-equal to the one-mention oracle ``topk``.  Retrieval is exact (no
+approximate index) and ties are broken by ascending event id, so runs are
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Container
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +33,7 @@ from .encoder import (
     hashed,
     span_window,
 )
-from .errors import InvalidConfig, KTooLarge, ParseError, UnknownEvent
+from .errors import InvalidConfig, KTooLarge, NonFiniteScore, ParseError, UnknownEvent
 from .kb import Event
 
 DEFAULT_K = 8
@@ -127,6 +132,23 @@ def build_index(
     return CandidateIndex(params, events, pool, mode, max_cand_chars, featurizer)
 
 
+def score_rows(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The retrieval score of ``vec`` against each row: ``(M[j] * q).sum()``.
+
+    numpy's row reduction, not a BLAS product, so each score's bits depend
+    only on the two vectors: a mention scores the same alone, among others,
+    and against a gathered subset of the pool.
+    """
+    return (matrix * vec).sum(axis=1)
+
+
+def _check_k(k: int, n: int) -> None:
+    if k < 1:
+        raise InvalidConfig("k must be >= 1")
+    if k > n:
+        raise KTooLarge(k, n)
+
+
 def topk(
     index: CandidateIndex,
     mention_vec: np.ndarray,
@@ -134,13 +156,13 @@ def topk(
     language: str = "en",
     mention_id: str = "",
 ) -> RetrievalResult:
-    """Exact top-k by dot product; score ties resolve to ascending id."""
+    """Exact top-k by ``score_rows``; score ties resolve to ascending id.
+
+    The one-mention oracle of ``retrieve_mentions``.
+    """
     n = len(index.ids)
-    if k < 1:
-        raise InvalidConfig("k must be >= 1")
-    if k > n:
-        raise KTooLarge(k, n)
-    scores = index.matrix(language) @ mention_vec
+    _check_k(k, n)
+    scores = score_rows(index.matrix(language), mention_vec)
     if k == n:
         subset = np.arange(n)
     else:
@@ -155,6 +177,52 @@ def topk(
     )
 
 
+# mentions per score block; a block's scores on a 2,100-event pool take ~1 MB
+BLOCK_MENTIONS = 64
+_UNIT_ROUNDOFF = 2.0**-53
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise NonFiniteScore(what)
+
+
+def _block_topk(
+    matrix: np.ndarray, max_abs: float, block: np.ndarray, k: int, ids: list[str]
+) -> list[list[tuple[str, float]]]:
+    """``topk``'s candidates for each row ``q`` of ``block``, from one BLAS product.
+
+    The BLAS score ``s`` and the canonical score ``c`` (``score_rows``) of a
+    pair each lie within ``eps/2`` of the exact dot product, for
+    ``eps = 4(d+2) u d max|q| max|M| + (d+2) tiny``: twice the rounding bound
+    of a d-term dot product (``d max|q| max|M|`` bounds the sum of its
+    absolute terms, ``max_abs`` being ``max|M|``), the last term covering
+    underflow.  So ``|c - s| <= eps``, and a candidate in the canonical top
+    k, ties included, has ``s >= c_k - eps >= s_k - 2 eps``, where ``c_k``
+    and ``s_k`` are the k-th largest scores.  Only that margin set is
+    re-scored canonically and sorted by (row, -score, id).
+    """
+    n, d = matrix.shape
+    scores = block @ matrix.T
+    _check_finite(scores, "mention-event scores")
+    kth = np.partition(scores, n - k, axis=1)[:, n - k]
+    # finite factors, so the product is finite or inf, never NaN
+    scale = np.abs(block).max(axis=1) * max_abs
+    eps = 4 * (d + 2) * d * _UNIT_ROUNDOFF * scale + (d + 2) * _TINY
+    rows, cols = np.nonzero(scores >= (kth - 2 * eps)[:, None])
+    exact = (matrix[cols] * block[rows]).sum(axis=1)
+    _check_finite(exact, "mention-event scores")
+    order = np.lexsort((cols, -exact, rows))
+    # every row has at least k margin entries; rows are ascending in ``order``
+    first = np.searchsorted(rows, np.arange(len(block)))
+    take = order[first[:, None] + np.arange(k)]
+    return [
+        [(ids[j], score) for j, score in zip(row_cols, row_scores)]
+        for row_cols, row_scores in zip(cols[take].tolist(), exact[take].tolist())
+    ]
+
+
 def retrieve_mentions(
     params: EncoderParams,
     index: CandidateIndex,
@@ -163,27 +231,59 @@ def retrieve_mentions(
     max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
     fvs: list[FeatureVector] | None = None,
 ) -> list[RetrievalResult]:
-    """Top-k candidates of each mention; all windows are hashed in one call,
-    unless ``fvs`` already holds them."""
+    """Top-k candidates of each mention, bit-equal to ``topk`` on its own.
+
+    All windows are hashed in one call, unless ``fvs`` already holds them.
+    The mentions of each resolved language are then encoded one by one and
+    stacked, and scored, in blocks of ``BLOCK_MENTIONS`` (``_block_topk``).  A
+    non-finite encoding or score raises ``NonFiniteScore``.
+    """
+    if not mentions:
+        return []
+    _check_k(k, len(index))
     if fvs is None:
         fvs = hash_texts([span_window(m, max_context_chars) for m in mentions], params.F)
-    return [
-        topk(index, encode(params, fv, "mention"), k, mention.language, mention.id)
-        for mention, fv in zip(mentions, fvs)
-    ]
+    by_language: dict[str, list[int]] = {}
+    for i, mention in enumerate(mentions):
+        by_language.setdefault(index.featurizer.language(mention.language), []).append(i)
+    results: list = [None] * len(mentions)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for language, positions in by_language.items():
+            matrix = index.matrix(language)
+            _check_finite(matrix, f"{language!r} pool encodings")
+            max_abs = np.abs(matrix).max()
+            for start in range(0, len(positions), BLOCK_MENTIONS):
+                chunk = positions[start : start + BLOCK_MENTIONS]
+                block = np.stack([encode(params, fvs[i], "mention") for i in chunk])
+                _check_finite(block, "mention encodings")
+                ranked = _block_topk(matrix, max_abs, block, k, index.ids)
+                for i, candidates in zip(chunk, ranked):
+                    results[i] = RetrievalResult(mentions[i].id, candidates)
+    return results
 
 
 def write_retrievals(results: list[RetrievalResult], path: str | Path) -> None:
+    """One ``json.dumps(record)`` line per result, each formatted directly:
+    ids through ``json.dumps``, scores through ``repr``.  A non-finite score
+    raises ``NonFiniteScore`` before the file is opened."""
+    for result in results:
+        for event_id, score in result.candidates:
+            if not math.isfinite(score):
+                raise NonFiniteScore(f"score of {event_id!r} for mention {result.mention_id!r}")
+    quoted: dict[str, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for result in results:
-            record = {
-                "mention_id": result.mention_id,
-                "candidates": [
-                    {"event": event_id, "score": score}
-                    for event_id, score in result.candidates
-                ],
-            }
-            fh.write(json.dumps(record) + "\n")
+            candidates = []
+            for event_id, score in result.candidates:
+                name = quoted.get(event_id)
+                if name is None:
+                    name = quoted[event_id] = json.dumps(event_id)
+                text = repr(score) if type(score) is float else json.dumps(score)
+                candidates.append(f'{{"event": {name}, "score": {text}}}')
+            fh.write(
+                f'{{"mention_id": {json.dumps(result.mention_id)}, '
+                f'"candidates": [{", ".join(candidates)}]}}\n'
+            )
 
 
 def load_retrievals(path: str | Path) -> list[RetrievalResult]:

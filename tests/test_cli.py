@@ -475,6 +475,12 @@ BAD_CONFIG = {
                           "retrieve.k"),
     "evaluate-ks-strings": ("evaluate", {"evaluate": {"ks": ["1"]}}, None, "ConfigError",
                             "evaluate.ks"),
+    "evaluate-ks-zero": ("evaluate", None, lambda p, t: {"--ks": "0"}, "ConfigError",
+                         "evaluate.ks"),
+    "evaluate-ks-empty-flag": ("evaluate", None, lambda p, t: {"--ks": ","}, "ConfigError",
+                               "evaluate.ks"),
+    "evaluate-ks-empty-file": ("evaluate", {"evaluate": {"ks": []}}, None, "ConfigError",
+                               "evaluate.ks"),
     "split-ratios-string": (
         "split", {"split": {"ratios": ["a", 0.5, 0.5]}}, None, "ConfigError", "split.ratios"
     ),
@@ -710,6 +716,42 @@ class TestMalformedCheckpoints:
                 load()
             assert err.value.path == str(bad)
         assert allocations == []
+
+
+def checkpoint_body_of(value: float):
+    """A table row input: the valid checkpoint's header, every array ``value``."""
+
+    def make(data: bytes) -> bytes:
+        line, body = data.split(b"\n", 1)
+        return line + b"\n" + np.full(len(body) // 8, value, "<f8").tobytes()
+
+    return make
+
+
+class TestNonFiniteCheckpoints:
+    """Towers that encode or score to NaN or inf are one typed error, exit 1."""
+
+    @pytest.mark.parametrize(
+        "value, what", [(np.nan, "'en' pool encodings"), (1e300, "mention-event scores")],
+        ids=["nan", "1e300"],
+    )
+    def test_retrieve_rejects(self, pipeline, tmp_path, capsys, value, what):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(checkpoint_body_of(value)((pipeline / "checkpoint.bin").read_bytes()))
+        argv = ["retrieve", "--output-dir", str(tmp_path), *SEED,
+                "--events", str(pipeline / "events.jsonl"),
+                "--mentions", str(pipeline / "mentions.jsonl"),
+                "--checkpoint", str(bad), "--out", "retrievals.jsonl"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if line.strip()]
+        assert len(lines) == 1, lines  # no RuntimeWarning either
+        record = json.loads(lines[0])
+        assert record["error"] == "NonFiniteScore"
+        assert record["context"] == {"checkpoint": str(bad), "what": what}
+        assert str(bad) in record["message"]
+        assert captured.out == ""
+        assert not (tmp_path / "retrievals.jsonl").exists()
 
 
 class TestUnencodableText:

@@ -1,9 +1,15 @@
 """Candidate index, exact top-k with id tie-break, retrieval files."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from hierground import encoder
+from hierground import encoder, retrieval
 from hierground.dataset import Mention
 from hierground.encoder import (
     NGRAM_SIZES,
@@ -18,7 +24,7 @@ from hierground.encoder import (
     save_checkpoint,
     span_window,
 )
-from hierground.errors import InvalidConfig, KTooLarge, ParseError, UnknownEvent
+from hierground.errors import InvalidConfig, KTooLarge, NonFiniteScore, ParseError, UnknownEvent
 from hierground.kb import FALLBACK_LANGUAGE, Event, Label
 from hierground.retrieval import (
     CandidateIndex,
@@ -26,6 +32,7 @@ from hierground.retrieval import (
     build_index,
     load_retrievals,
     retrieve_mentions,
+    score_rows,
     topk,
     hash_inputs,
     write_retrievals,
@@ -426,3 +433,211 @@ class TestRetrievalFiles:
         path.write_text('{"candidates": []}\n', encoding="utf-8")
         with pytest.raises(ParseError):
             load_retrievals(path)
+
+
+LANGUAGES = ("en", "de", "fr")
+
+
+def exact_case(pools: dict[str, np.ndarray], queries: np.ndarray, languages, mode):
+    """Towers, an index and mentions whose encodings are the given arrays.
+
+    Mention ``i`` is the one-hot feature ``i`` of a mention tower whose rows
+    are ``queries`` (``1.0 * x`` is exact); an all-zero query gets an empty
+    feature vector instead.  The index's matrix of each language in
+    ``pools`` replaces the encoded one.
+    """
+    n_q, d = queries.shape
+    W = np.vstack([queries, np.zeros((1, d))]).astype(float)
+    params = EncoderParams(W_mention=W, W_event=np.zeros_like(W))
+    F = n_q + 1
+    fvs = [
+        FeatureVector(np.zeros(0, np.int64), np.zeros(0), F) if not row.any()
+        else FeatureVector(np.array([i]), np.array([1.0]), F)
+        for i, row in enumerate(queries)
+    ]
+    n = len(next(iter(pools.values())))
+    ids = [f"E{i:02d}" for i in range(n)]
+    index = CandidateIndex(params, plain_events(ids), ids, mode)
+    for language, matrix in pools.items():
+        index._matrices[language] = matrix.astype(float)
+    mentions = [query_mention(f"M{i}", "text", languages[i]) for i in range(n_q)]
+    return params, index, mentions, fvs
+
+
+def bits(results: list[RetrievalResult]):
+    """Results with every score as its exact bits (``-0.0 != 0.0``)."""
+    return [(r.mention_id, [(e, float.hex(s)) for e, s in r.candidates]) for r in results]
+
+
+def assert_matches_oracle(params, index, mentions, fvs, k):
+    """The block kernel is bit-equal to ``topk`` per mention, alone or
+    among all of them, for any block size."""
+    want = [
+        topk(index, encode(params, fv, "mention"), k, m.language, m.id)
+        for m, fv in zip(mentions, fvs)
+    ]
+    got = retrieve_mentions(params, index, mentions, k, fvs=fvs)
+    assert bits(got) == bits(want)
+    for i, (mention, fv) in enumerate(zip(mentions, fvs)):
+        assert bits(retrieve_mentions(params, index, [mention], k, fvs=[fv])) == bits([want[i]])
+    with pytest.MonkeyPatch.context() as patch:
+        for rows in (1, 3, 64):
+            patch.setattr(retrieval, "BLOCK_MENTIONS", rows)
+            assert bits(retrieve_mentions(params, index, mentions, k, fvs=fvs)) == bits(want)
+
+
+@st.composite
+def pick_k(draw, n: int) -> int:
+    return draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+
+
+@st.composite
+def integer_cases(draw):
+    """Small integer embeddings: exact ties and all-zero queries are common."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["multilingual", "crosslingual"]))
+    n_q = draw(st.integers(0, 10))
+    languages = draw(st.lists(st.sampled_from(LANGUAGES), min_size=n_q, max_size=n_q))
+    resolved = LANGUAGES if mode == "multilingual" else ("en",)
+    cells = st.integers(-2, 2)
+    pools = {lang: draw(hnp.arrays(np.int64, (n, d), elements=cells)) for lang in resolved}
+    queries = draw(hnp.arrays(np.int64, (n_q, d), elements=cells))
+    return pools, queries, languages, mode, draw(pick_k(n))
+
+
+@st.composite
+def near_tie_cases(draw):
+    """Pool rows that differ only in the last coordinate, by a few ulps, so
+    canonical scores tie or sit 1 ulp apart while BLAS may order them
+    otherwise; or plain random floats, whose BLAS bits differ from the
+    canonical ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    n_q = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        base = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
+        pool = np.tile(base, (n, 1))
+        steps = rng.integers(-2, 3, size=n)
+        for j, step in enumerate(steps):
+            for _ in range(abs(step)):
+                pool[j, -1] = np.nextafter(pool[j, -1], np.inf * step)
+        queries = np.tile(rng.standard_normal(d), (n_q, 1))
+        queries[:, -1] = draw(st.sampled_from([1.0, 0.5, 3.0, rng.standard_normal()]))
+    else:
+        pool = rng.standard_normal((n, d))
+        queries = rng.standard_normal((n_q, d))
+    return {"en": pool}, queries, ["en"] * n_q, "multilingual", draw(pick_k(n))
+
+
+class TestBlockKernel:
+    """``retrieve_mentions`` against the one-mention oracle ``topk``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(integer_cases())
+    def test_integer_ties(self, case):
+        pools, queries, languages, mode, k = case
+        assert_matches_oracle(*exact_case(pools, queries, languages, mode), k)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(near_tie_cases())
+    def test_near_ties_and_float_scores(self, case):
+        pools, queries, languages, mode, k = case
+        assert_matches_oracle(*exact_case(pools, queries, languages, mode), k)
+
+    def test_one_ulp_apart(self):
+        # scores x, x + 1 ulp, x: the larger one wins, the tie goes to the lower id
+        x = 0.1
+        up = np.nextafter(x, 1.0)
+        pools = {"en": np.array([[x], [up], [x], [up]])}
+        case = exact_case(pools, np.array([[1.0], [-1.0]]), ["en", "en"], "multilingual")
+        results = retrieve_mentions(*case[:3], 3, fvs=case[3])
+        assert results[0].candidates == [("E01", up), ("E03", up), ("E00", x)]
+        assert results[1].candidates == [("E00", -x), ("E02", -x), ("E01", -up)]
+        assert_matches_oracle(*case, 3)
+
+    def test_block_of_more_than_64(self):
+        rng = np.random.default_rng(5)
+        pools = {lang: rng.integers(-3, 4, size=(30, 6)) for lang in LANGUAGES}
+        queries = rng.integers(-3, 4, size=(150, 6))
+        languages = [LANGUAGES[i % 3] for i in range(150)]
+        for mode in ("multilingual", "crosslingual"):
+            assert_matches_oracle(*exact_case(pools, queries, languages, mode), 7)
+
+    def test_empty_mention_list(self):
+        params, index, _, _ = exact_case({"en": np.ones((3, 2))}, np.ones((1, 2)), ["en"],
+                                         "multilingual")
+        assert retrieve_mentions(params, index, [], 2, fvs=[]) == []
+
+    def test_k_out_of_range(self):
+        case = exact_case({"en": np.ones((3, 2))}, np.ones((2, 2)), ["en", "en"],
+                          "multilingual")
+        with pytest.raises(KTooLarge):
+            retrieve_mentions(*case[:3], 4, fvs=case[3])
+        with pytest.raises(InvalidConfig):
+            retrieve_mentions(*case[:3], 0, fvs=case[3])
+
+    def test_scores_are_the_canonical_row_reduction(self):
+        rng = np.random.default_rng(11)
+        matrix, vec = rng.standard_normal((50, 32)), rng.standard_normal(32)
+        want = [float.hex(float((matrix[j] * vec).sum())) for j in range(50)]
+        assert [float.hex(float(s)) for s in score_rows(matrix, vec)] == want
+        assert [float.hex(float(s)) for s in score_rows(matrix[::7], vec)] == want[::7]
+
+    @pytest.mark.parametrize(
+        "pool_value, query_value, what",
+        [(1.0, np.nan, "mention encodings"), (np.inf, 1.0, "'en' pool encodings"),
+         (1e300, 1e300, "mention-event scores")],
+    )
+    def test_non_finite_raises(self, pool_value, query_value, what):
+        case = exact_case({"en": np.full((3, 2), pool_value)}, np.full((2, 2), query_value),
+                          ["en", "en"], "multilingual")
+        with pytest.raises(NonFiniteScore) as err:
+            retrieve_mentions(*case[:3], 2, fvs=case[3])
+        assert err.value.what == what
+
+
+def old_lines(results: list[RetrievalResult]) -> str:
+    """What ``write_retrievals`` wrote before it formatted lines itself."""
+    return "".join(
+        json.dumps({
+            "mention_id": r.mention_id,
+            "candidates": [{"event": e, "score": s} for e, s in r.candidates],
+        }) + "\n"
+        for r in results
+    )
+
+
+awkward_ids = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028",
+                                      "\U0001F600", "\u00e9", "a"])),
+)
+finite_scores = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308]),
+)
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(awkward_ids, st.lists(st.tuples(awkward_ids, finite_scores), max_size=5)),
+            max_size=6,
+            unique_by=lambda item: item[0],
+        )
+    )
+    @example([("M\u2028\"", [("E\\1", -0.0), ("\U0001F600", 5e-324), ("E2", 1e308)])])
+    def test_byte_equal_to_json_dumps_and_round_trips(self, tmp_path_factory, records):
+        results = [RetrievalResult(m, list(c)) for m, c in records]
+        path = tmp_path_factory.mktemp("w") / "r.jsonl"
+        write_retrievals(results, path)
+        assert path.read_bytes() == old_lines(results).encode("utf-8")
+        assert bits(load_retrievals(path)) == bits(results)
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_writes_nothing(self, tmp_path, score):
+        path = tmp_path / "r.jsonl"
+        with pytest.raises(NonFiniteScore):
+            write_retrievals([RetrievalResult("M1", [("A", 1.0), ("B", score)])], path)
+        assert not path.exists()
