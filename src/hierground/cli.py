@@ -52,7 +52,7 @@ DEFAULT_CONFIG: dict = {
     "train": _defaults(training.TrainConfig),
     "retrieve": {"k": retrieval.DEFAULT_K},
     "rerank": _defaults(rerank.RerankConfig),
-    "evaluate": {"ks": [1, 2, 4, 8]},
+    "evaluate": {"ks": [4, 8]},
     "relext": {"list_k": relext.DEFAULT_LIST_K, "max_ranking": relext.DEFAULT_MAX_RANKING},
     "synth": _defaults(dataset.SyntheticConfig),
 }

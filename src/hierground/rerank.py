@@ -22,7 +22,6 @@ from .encoder import (
     DEFAULT_MAX_CONTEXT_CHARS,
     FeatureVector,
     TextFeaturizer,
-    design_matrix,
     load_arrays,
     ngram_counts_many,
     save_arrays,
@@ -31,7 +30,9 @@ from .errors import (
     DimensionMismatch,
     EmptyRetrievals,
     InvalidConfig,
+    NonFiniteScore,
     ParseError,
+    TrainingDiverged,
     UnknownMention,
 )
 from .kb import Event
@@ -215,6 +216,8 @@ def check_retrieval_ids(
         check_candidates(result, events)
 
 
+# overflow surfaces as non-finite logits, which raise TrainingDiverged
+@np.errstate(over="ignore", invalid="ignore")
 def train_reranker(
     results: list[RetrievalResult],
     golds: dict[str, tuple[str, ...]],
@@ -226,7 +229,8 @@ def train_reranker(
 
     Every (mention, candidate) pair is one example labeled by gold
     membership; examples are shuffled each epoch from a dedicated
-    substream and consumed in minibatches by plain SGD.
+    substream and consumed in minibatches by plain SGD.  The first step
+    whose logits are not finite raises ``TrainingDiverged``.
     """
     if not results:
         raise EmptyRetrievals("reranker needs training retrievals")
@@ -243,35 +247,88 @@ def train_reranker(
             )
 
     params = init_reranker(PAIR_DIM, config.hidden, config.seed)
+    workspace = SGDWorkspace([fv for fv, _ in examples], params, config.batch_size)
     rng = substream_rng(config.seed, "rerank_batch")
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
-        for start in range(0, len(order), config.batch_size):
+        for step, start in enumerate(range(0, len(order), config.batch_size)):
             batch = [examples[i] for i in order[start : start + config.batch_size]]
-            _reranker_sgd_step(params, batch, config.learning_rate)
+            logits = _reranker_sgd_step(params, batch, config.learning_rate, workspace)
+            if not np.isfinite(logits).all():
+                value = float(logits[~np.isfinite(logits)][0])
+                raise TrainingDiverged("reranker", epoch, step, value)
     return params
 
 
-def _reranker_sgd_step(
-    params: RerankerParams, batch: list[tuple[FeatureVector, float]], lr: float
-) -> None:
-    """One SGD step on the mean BCE of the batch.
+class SGDWorkspace:
+    """The buffers every SGD step of one reranker training run reuses.
 
-    The batch's design matrix spans the union of its feature indices, so
-    the forward pass and the gradient of V are two matrix products
-    restricted to those rows of V.
+    ``mark`` and ``slot`` span the P rows of V: a step marks the rows its
+    batch touches, reads them back ascending and clears the mark, then
+    numbers them through ``slot``.  ``X`` holds the dense design matrix
+    of any batch flat, and ``V_rows`` and ``grad`` hold its rows of V and
+    their gradient, so a step allocates nothing the size of its rows.
+    Building the workspace checks every example once: its dimension is
+    P and its indices are strictly ascending, which lets a step fill X
+    by assignment.
+    """
+
+    def __init__(self, fvs: list[FeatureVector], params: RerankerParams, batch_size: int):
+        sizes = []
+        for fv in fvs:
+            if fv.F != params.P:
+                raise DimensionMismatch(f"pair feature dim {fv.F} vs reranker {params.P}")
+            if np.any(fv.indices[1:] <= fv.indices[:-1]):
+                raise DimensionMismatch("pair feature indices must be strictly ascending")
+            sizes.append(fv.indices.size)
+        # a batch touches at most the nonzeros of its batch_size largest examples
+        max_rows = min(params.P, sum(sorted(sizes)[-batch_size:]))
+        self.mark = np.zeros(params.P, dtype=bool)
+        self.slot = np.zeros(params.P, dtype=np.intp)
+        self.X = np.empty(batch_size * max_rows)
+        self.V_rows = np.empty((max_rows, params.h))
+        self.grad = np.empty((max_rows, params.h))
+
+
+def _reranker_sgd_step(
+    params: RerankerParams,
+    batch: list[tuple[FeatureVector, float]],
+    lr: float,
+    ws: SGDWorkspace,
+) -> np.ndarray:
+    """One SGD step on the mean BCE of the batch; returns its logits.
+
+    The batch's design matrix spans the ascending rows of V its features
+    touch, so the forward pass and the gradient of V are two matrix
+    products restricted to those rows, computed in ``ws``.
     """
     n = len(batch)
-    rows, X = design_matrix([fv for fv, _ in batch], params.P)
+    indices = np.concatenate([fv.indices for fv, _ in batch])
+    ws.mark[indices] = True
+    rows = np.flatnonzero(ws.mark)
+    ws.mark[rows] = False
+    r = rows.size
+    ws.slot[rows] = np.arange(r)
+    flat = ws.X[: n * r]
+    flat.fill(0.0)
+    # no example repeats an index, so assignment writes each cell once
+    starts = np.repeat(np.arange(0, n * r, r), [fv.indices.size for fv, _ in batch])
+    flat[starts + ws.slot[indices]] = np.concatenate([fv.values for fv, _ in batch])
+    X = flat.reshape(n, r)
     labels = np.array([label for _, label in batch])
-    V_rows = params.V[rows]
+    # mode="clip" lets take write into out without a buffered copy
+    V_rows = params.V.take(rows, axis=0, out=ws.V_rows[:r], mode="clip")
     A = np.tanh(X @ V_rows + params.c)
-    G = (sigmoid(A @ params.w + params.b) - labels) / n
+    logits = A @ params.w + params.b
+    G = (sigmoid(logits) - labels) / n
     DZ = G[:, None] * params.w * (1.0 - A * A)
-    params.V[rows] = V_rows - lr * (X.T @ DZ)
+    grad = np.matmul(X.T, DZ, out=ws.grad[:r])
+    grad *= lr
+    params.V[rows] = np.subtract(V_rows, grad, out=V_rows)
     params.c -= lr * DZ.sum(axis=0)
     params.w -= lr * (G @ A)
     params.b -= lr * float(G.sum())
+    return logits
 
 
 def score_candidates(
@@ -417,4 +474,6 @@ def load_reranker(path: str | Path) -> tuple[RerankerParams, float | None]:
         params = RerankerParams(V=arrays["V"], c=arrays["c"], w=arrays["w"], b=arrays["b"].item())
     except (DimensionMismatch, ValueError) as exc:
         raise ParseError(str(path), 1, str(exc)) from exc
+    if not all(np.isfinite(a).all() for a in (params.V, params.c, params.w, params.b)):
+        raise NonFiniteScore("reranker weights", str(path))
     return params, meta.get("threshold")

@@ -1,15 +1,26 @@
 """Pair features, substitution rule, thresholded set prediction, training."""
 
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hierground
 from hierground import rerank
+from hierground.cli import main
 from hierground.dataset import Mention
 from hierground.encoder import (
     NGRAM_SIZES,
     FeatureVector,
+    design_matrix,
     fnv1a64,
     hash_text,
     ngram_counts,
@@ -20,7 +31,9 @@ from hierground.errors import (
     DimensionMismatch,
     EmptyRetrievals,
     InvalidConfig,
+    NonFiniteScore,
     ParseError,
+    TrainingDiverged,
     UnknownEvent,
     UnknownMention,
 )
@@ -29,10 +42,12 @@ from hierground.metrics import NULL_EVENT, EvalRecord, set_metrics
 from hierground.rerank import (
     BLOCK_BUCKETS,
     DEFAULT_GRID,
+    DEFAULT_HIDDEN,
     PAIR_DIM,
     PairFeaturizer,
     RerankConfig,
     RerankerParams,
+    SGDWorkspace,
     _pair_fv,
     _reranker_sgd_step,
     featurize_pair,
@@ -573,6 +588,20 @@ class TestSaveLoad:
         with pytest.raises(ParseError):
             load_reranker(path)
 
+    @pytest.mark.parametrize("name", ["V", "c", "w", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, tmp_path, name, value):
+        params = init_reranker(P=96, hidden=4, seed=7)
+        arrays = {"V": params.V, "c": params.c, "w": params.w, "b": np.array([params.b])}
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[-1] = value
+        path = tmp_path / "reranker.bin"
+        save_arrays(path, "reranker", arrays, threshold=0.5)
+        with pytest.raises(NonFiniteScore) as err:
+            load_reranker(path)
+        assert err.value.what == "reranker weights"
+        assert err.value.checkpoint == str(path)
+
 
 class TestPredictionsFile:
     def test_round_trip(self, tmp_path):
@@ -627,15 +656,18 @@ def pair_fv_oracle(
     )
 
 
-def sgd_step_oracle(params: RerankerParams, batch, lr: float) -> None:
+def sgd_step_oracle(params: RerankerParams, batch, lr: float, workspace=None) -> np.ndarray:
+    """Per-example SGD step; returns the logits.  ``workspace`` is unused."""
     n = len(batch)
     dV_indices, dV_contribs = [], []
     dc = np.zeros(params.h)
     dw = np.zeros(params.h)
     db = 0.0
+    scores = []
     for fv, label in batch:
         a = np.tanh(fv.values @ params.V[fv.indices] + params.c)
         score = float(params.w @ a + params.b)
+        scores.append(score)
         g = (float(sigmoid(np.array([score]))[0]) - label) / n
         dz = g * params.w * (1.0 - a * a)
         dw += g * a
@@ -650,6 +682,25 @@ def sgd_step_oracle(params: RerankerParams, batch, lr: float) -> None:
     params.c -= lr * dc
     params.w -= lr * dw
     params.b -= lr * db
+    return np.array(scores)
+
+
+def design_matrix_step_oracle(params: RerankerParams, batch, lr: float) -> np.ndarray:
+    """The batched step before its workspace: a fresh design matrix, gather
+    and update per step; returns the logits."""
+    n = len(batch)
+    rows, X = design_matrix([fv for fv, _ in batch], params.P)
+    labels = np.array([label for _, label in batch])
+    V_rows = params.V[rows]
+    A = np.tanh(X @ V_rows + params.c)
+    logits = A @ params.w + params.b
+    G = (sigmoid(logits) - labels) / n
+    DZ = G[:, None] * params.w * (1.0 - A * A)
+    params.V[rows] = V_rows - lr * (X.T @ DZ)
+    params.c -= lr * DZ.sum(axis=0)
+    params.w -= lr * (G @ A)
+    params.b -= lr * float(G.sum())
+    return logits
 
 
 def select_threshold_oracle(params, featurizer, results, golds, mentions, grid, k=None):
@@ -743,15 +794,24 @@ def sgd_batch(seed: int, size: int):
     return batch
 
 
+def workspace_for(batch, params: RerankerParams, batch_size: int | None = None) -> SGDWorkspace:
+    return SGDWorkspace([fv for fv, _ in batch], params, batch_size or len(batch))
+
+
+def steep_params(seed: int, hidden: int) -> RerankerParams:
+    params = init_reranker(PAIR_DIM, hidden=hidden, seed=seed)
+    params.V *= 20.0  # push tanh away from its linear region
+    params.w = np.random.default_rng(seed).normal(size=hidden)
+    return params
+
+
 class TestBatchedSGD:
     @pytest.mark.parametrize("size", [1, 4, 16, 37])
     def test_one_step_matches_per_example_oracle(self, size):
         batch = sgd_batch(seed=size, size=size)
-        params = init_reranker(PAIR_DIM, hidden=8, seed=size)
-        params.V *= 20.0  # push tanh away from its linear region
-        params.w = np.random.default_rng(size).normal(size=8)
+        params = steep_params(size, hidden=8)
         want = copy_params(params)
-        _reranker_sgd_step(params, batch, lr=0.7)
+        _reranker_sgd_step(params, batch, 0.7, workspace_for(batch, params))
         sgd_step_oracle(want, batch, lr=0.7)
         assert_params_close(params, want)
 
@@ -763,6 +823,81 @@ class TestBatchedSGD:
         monkeypatch.setattr(rerank, "_reranker_sgd_step", sgd_step_oracle)
         want = train_reranker(results, golds, mentions, PairFeaturizer(events), config)
         assert_params_close(got, want)
+
+
+def params_bytes(params: RerankerParams) -> tuple[bytes, ...]:
+    return (params.V.tobytes(), params.c.tobytes(), params.w.tobytes(),
+            np.float64(params.b).tobytes())
+
+
+class TestWorkspaceStep:
+    """The workspace step against the design-matrix step it replaced."""
+
+    @pytest.mark.parametrize("hidden", [8, DEFAULT_HIDDEN])
+    def test_bit_equal_over_steps_sharing_one_workspace(self, hidden):
+        sizes = [1, 4, 16, 37, 37, 5]  # the last batch is a short final batch
+        examples = sgd_batch(seed=hidden, size=sum(sizes))
+        params = steep_params(hidden, hidden)
+        want = copy_params(params)
+        workspace = workspace_for(examples, params, batch_size=max(sizes))
+        start = 0
+        for size in sizes:
+            batch = examples[start : start + size]
+            start += size
+            got_logits = _reranker_sgd_step(params, batch, 0.7, workspace)
+            want_logits = design_matrix_step_oracle(want, batch, 0.7)
+            assert got_logits.tobytes() == want_logits.tobytes()
+            assert params_bytes(params) == params_bytes(want)
+        assert not workspace.mark.any()
+
+    def test_full_training_bit_equal_to_design_matrix_step(self, monkeypatch):
+        events, mentions, golds, results = training_fixture()
+        config = RerankConfig(k=2, epochs=3, batch_size=5, learning_rate=1.0)
+        got = train_reranker(results, golds, mentions, PairFeaturizer(events), config)
+        monkeypatch.setattr(
+            rerank, "_reranker_sgd_step",
+            lambda params, batch, lr, workspace: design_matrix_step_oracle(params, batch, lr),
+        )
+        want = train_reranker(results, golds, mentions, PairFeaturizer(events), config)
+        assert params_bytes(got) == params_bytes(want)
+
+    def test_warm_step_allocates_less_than_one_gather(self):
+        batch = sgd_batch(seed=3, size=16)
+        params = steep_params(3, DEFAULT_HIDDEN)
+        workspace = workspace_for(batch, params)
+        _reranker_sgd_step(params, batch, 0.1, workspace)  # warm
+        rows = np.unique(np.concatenate([fv.indices for fv, _ in batch]))
+        gather_bytes = params.V[rows].nbytes
+        tracemalloc.start()
+        try:
+            _reranker_sgd_step(params, batch, 0.1, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gather_bytes, (peak, gather_bytes)
+
+    @pytest.mark.parametrize(
+        "indices, F",
+        [([5, 3], PAIR_DIM), ([3, 3], PAIR_DIM), ([3, 5], PAIR_DIM - 1)],
+        ids=["descending", "repeated", "wrong-dimension"],
+    )
+    def test_example_rejected(self, indices, F):
+        good = FeatureVector(np.array([1, 2]), np.array([0.6, 0.8]), PAIR_DIM)
+        bad = FeatureVector(np.array(indices), np.array([0.6, 0.8]), F)
+        with pytest.raises(DimensionMismatch):
+            SGDWorkspace([good, bad], init_reranker(PAIR_DIM, hidden=2), batch_size=1)
+
+
+class TestRerankerDivergence:
+    def test_diverging_training_raises_without_warnings(self):
+        events, mentions, golds, results = training_fixture()
+        config = RerankConfig(k=2, epochs=2, learning_rate=1e308, batch_size=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as err:
+                train_reranker(results, golds, mentions, PairFeaturizer(events), config)
+        assert err.value.loss == "reranker"
+        assert 0 <= err.value.epoch < config.epochs
 
 
 def calibration_corpus(seed: int):
@@ -857,3 +992,93 @@ class TestUnknownIds:
                 golds,
                 mentions,
             )
+
+
+# ---------------------------------------------------------------------------
+# The command line's contract for rerank-train and evaluate.
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter, so anything numpy or warnings print is seen."""
+    src = str(Path(hierground.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, "-m", "hierground.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
+@pytest.fixture(scope="module")
+def cli_corpus(tmp_path_factory):
+    """A small synthetic pipeline up to a reranker with threshold 0.5."""
+    out = tmp_path_factory.mktemp("rerank_cli")
+    o = ["--output-dir", str(out), "--seed", "0"]
+    corpus = [f"--{name}={out / name}.jsonl" for name in ("events", "relations", "mentions")]
+    (out / "config.json").write_text(json.dumps({"rerank": {"threshold": 0.5}}), "utf-8")
+    steps = [
+        ["synth", *o, "--n-trees", "4", "--mentions-per-event", "2", "--vocab", "100"],
+        ["split", *o, corpus[0], corpus[1]],
+        ["train", *o, *corpus, f"--splits={out / 'splits.json'}", "--epochs", "1",
+         "--F", "4096"],
+        ["retrieve", *o, corpus[0], corpus[2], f"--checkpoint={out / 'checkpoint.bin'}",
+         "--split", "all", "--out", "retrievals.jsonl"],
+        ["rerank-train", *o, *corpus, f"--train-retrievals={out / 'retrievals.jsonl'}",
+         "--rerank-epochs", "1", "--config", str(out / "config.json")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv[0]
+    return out, corpus
+
+
+def only_record(proc: subprocess.CompletedProcess) -> dict:
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+class TestRerankCLIContract:
+    def test_diverging_rerank_train_writes_no_reranker(self, cli_corpus, tmp_path):
+        out, corpus = cli_corpus
+        proc = run_cli(
+            "rerank-train", "--output-dir", str(tmp_path), "--seed", "0", *corpus,
+            f"--train-retrievals={out / 'retrievals.jsonl'}",
+            "--rerank-learning-rate", "1e308", "--rerank-epochs", "2",
+            "--config", str(out / "config.json"),
+        )
+        assert proc.returncode == 1
+        record = only_record(proc)  # no RuntimeWarning either
+        assert record["error"] == "TrainingDiverged"
+        assert record["context"]["loss"] == "reranker"
+        assert set(record["context"]) == {"loss", "epoch", "step"}
+        assert not (tmp_path / "reranker.bin").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_evaluate_rejects_non_finite_reranker(self, cli_corpus, tmp_path, capsys, value):
+        out, corpus = cli_corpus
+        line, body = (out / "reranker.bin").read_bytes().split(b"\n", 1)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(line + b"\n" + np.full(len(body) // 8, value, "<f8").tobytes())
+        rc = main(["evaluate", "--output-dir", str(tmp_path), "--seed", "0", *corpus,
+                   f"--retrievals={out / 'retrievals.jsonl'}", "--reranker", str(bad)])
+        assert rc == 1
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1, lines
+        record = json.loads(lines[0])
+        assert record["error"] == "NonFiniteScore"
+        assert record["context"] == {"checkpoint": str(bad), "what": "reranker weights"}
+        assert str(bad) in record["message"]
+        assert not (tmp_path / "predictions.jsonl").exists()
+        assert not (tmp_path / "report.json").exists()
+
+    def test_default_evaluate_writes_empty_stderr(self, cli_corpus, tmp_path):
+        out, corpus = cli_corpus
+        proc = run_cli(
+            "evaluate", "--output-dir", str(tmp_path), "--seed", "0", *corpus,
+            f"--retrievals={out / 'retrievals.jsonl'}",
+            "--reranker", str(out / "reranker.bin"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        report = json.loads((tmp_path / "report.json").read_text("utf-8"))
+        assert report["config"]["ks"] == [4, 8]
