@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
+
+import numpy
 
 from . import dataset, encoder, kb, metrics, relext, rerank, retrieval, training
 from .errors import ConfigError, HiergroundError, NonFiniteScore
@@ -313,10 +316,12 @@ def _gold_chains(
     }
 
 
-def _pair_featurizer(config: dict, events: list[kb.Event]) -> rerank.PairFeaturizer:
+def _pair_featurizer(
+    config: dict, events: list[kb.Event], keep_pairs: bool = False
+) -> rerank.PairFeaturizer:
     enc = config["encoder"]
     return rerank.PairFeaturizer(
-        events, config["mode"], enc["max_context_chars"], enc["max_cand_chars"]
+        events, config["mode"], enc["max_context_chars"], enc["max_cand_chars"], keep_pairs
     )
 
 
@@ -333,7 +338,8 @@ def cmd_rerank_train(
     data = _load_corpus(config, "events", "relations", "mentions")
     golds = _gold_chains(config, data, data["mentions"])
     mentions_by_id = {m.id: m for m in data["mentions"]}
-    featurizer = _pair_featurizer(config, data["events"])
+    # calibration scores the pairs training built, when both read one file
+    featurizer = _pair_featurizer(config, data["events"], keep_pairs=True)
     train_results = retrieval.load_retrievals(train_retrievals)
     rerank.check_retrieval_ids(train_results, mentions_by_id, featurizer.corpus)
     threshold = rerank_config.threshold
@@ -624,7 +630,24 @@ COMMANDS = {
 }
 
 
+def pin_blas_threads() -> None:
+    """Run BLAS on one thread: a product's bits depend on how many threads
+    split it, so the artifacts would otherwise depend on the host.  It
+    calls the runtime thread-count setter of the OpenBLAS that numpy
+    bundles; without one it does nothing, and it writes nothing to stderr."""
+    libs = Path(numpy.__file__).parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        return
+
+
 def main(argv: list[str] | None = None) -> int:
+    pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)

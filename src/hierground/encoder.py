@@ -4,9 +4,10 @@ Text is featurized into L2-normalized sparse vectors by hashing character
 3-5-grams with FNV-1a (a fixed published hash, so features are stable
 across runs and platforms).  Mention and event towers are independent
 F x d matrices; encoding is a sparse-dense product and similarity is the
-plain dot product of the two embeddings.  A stage may hold only the rows
-its texts hash to (``Tower``); such a tower is written to, or read from,
-a checkpoint one block of rows at a time.
+plain dot product of the two embeddings.  A tower's initial values are a
+counter hash of (seed, tower, row, column), so a stage may hold only the
+rows its texts hash to (``Tower``), and a checkpoint stores only the rows
+a tower holds: every other row is regenerated from the seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .dataset import Mention
 from .errors import DimensionMismatch, InvalidConfig, ParseError, UnknownEvent
 from .kb import FALLBACK_LANGUAGE, Event
-from .seeding import substream_rng
+from .seeding import substream_seed
 
 DEFAULT_F = 2**18
 DEFAULT_D = 32
@@ -31,6 +32,11 @@ DEFAULT_MAX_CONTEXT_CHARS = 128
 DEFAULT_MAX_CAND_CHARS = 128
 NGRAM_SIZES = (3, 4, 5)
 LANGUAGE_MODES = ("multilingual", "crosslingual")
+TOWERS = ("mention", "event")
+# the largest towers a checkpoint may declare: a file no longer holds every
+# row, so its size does not bound them
+MAX_F = 2**24
+MAX_D = 2**10
 
 # private-use codepoints wrap the span so marker-adjacent n-grams are
 # distinct features; real text never contains them
@@ -190,8 +196,8 @@ def hashed(F: int) -> Callable[[list[str]], list[FeatureVector]]:
     installed on ``encoder.hash_text`` sees only one-text calls, none of
     the batched ones.
     """
-    if F < 1:
-        raise InvalidConfig("F must be positive")
+    if not 1 <= F <= MAX_F:
+        raise InvalidConfig(f"F must be positive and at most {MAX_F}")
     return lambda texts: hash_texts(texts, F)
 
 
@@ -340,27 +346,48 @@ class TextFeaturizer:
         return self.events([event_id], mention_language, context)[0]
 
 
-BLOCK_ROWS = 4096  # tower rows per block when a tower is drawn, written or read whole
+BLOCK_ROWS = 2048  # tower rows per block when initial values are filled or a file is read
+
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
 
 
-def _gather(blocks, rows: np.ndarray, d: int) -> np.ndarray:
-    """The rows ``rows`` (ascending) of a d-column matrix that arrives as
-    (first row, block of rows) pairs."""
-    out = np.empty((rows.size, d))
-    for lo, block in blocks:
-        a, b = np.searchsorted(rows, (lo, lo + len(block)))
-        block.take(rows[a:b] - lo, axis=0, out=out[a:b])
+def init_fill(seed: int, tower: str, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the initial values of rows ``rows`` of ``tower`` ("mention" or
+    "event") into ``out``, a rows.size x d float64 array, and return it.
+
+    Every value is uniform(-0.05, 0.05) and a pure function of (seed,
+    tower, row, column), so any set of rows costs O(rows): hash j of row r
+    is output r * ceil(d/2) + j of a SplitMix64 generator seeded with
+    ``substream_seed(seed, "init:<tower>")``, and its low and high 32 bits
+    give columns 2j and 2j + 1 (a counter-based generator in the style of
+    Salmon et al. 2011).  Rows are hashed ``BLOCK_ROWS`` at a time in two
+    reused buffers, so no temporary is the size of ``out``.
+    """
+    d = out.shape[1]
+    h = (d + 1) // 2
+    # state of output n = key + (n + 1) * gamma, mod 2^64
+    first = np.uint64((substream_seed(seed, f"init:{tower}") + _GAMMA) & _MASK64)
+    counters = np.arange(h, dtype=np.uint64)
+    z = np.empty((min(BLOCK_ROWS, rows.size), h), dtype=np.uint64)
+    shifted = np.empty_like(z)
+    for lo in range(0, rows.size, BLOCK_ROWS):
+        block = rows[lo : lo + BLOCK_ROWS]
+        zb, tb = z[: block.size], shifted[: block.size]
+        np.multiply(block[:, None].astype(np.uint64), np.uint64(h), out=zb)
+        zb += counters
+        zb *= np.uint64(_GAMMA)
+        zb += first
+        for shift, prime in _MIX:
+            zb ^= np.right_shift(zb, shift, out=tb)
+            zb *= prime
+        zb ^= np.right_shift(zb, 31, out=tb)
+        # '<u8' is a no-op here and a byte swap on big-endian hosts, so the
+        # '<u4' view reads each hash's low half first everywhere
+        halves = zb.astype("<u8", copy=False).view("<u4")[:, :d]
+        np.multiply(halves, 0.1 / 2**32, out=out[lo : lo + block.size])
+        out[lo : lo + block.size] -= 0.05
     return out
-
-
-def _init_blocks(F: int, d: int, seed: int, tower: int):
-    """Tower ``tower`` (0 mention, 1 event) of ``init_encoder(F, d, seed)``,
-    ``BLOCK_ROWS`` rows at a time.  Each value is one 64-bit draw of the
-    "init" stream, so the event tower starts F x d draws in."""
-    rng = substream_rng(seed, "init")
-    rng.bit_generator.advance(tower * F * d)
-    for lo in range(0, F, BLOCK_ROWS):
-        yield lo, rng.uniform(-0.05, 0.05, size=(min(BLOCK_ROWS, F - lo), d))
 
 
 def feature_rows(fvs: list[FeatureVector], F: int) -> np.ndarray:
@@ -371,25 +398,27 @@ def feature_rows(fvs: list[FeatureVector], F: int) -> np.ndarray:
     return np.flatnonzero(held)
 
 
+def _check_rows(F: int, rows: np.ndarray) -> None:
+    if rows.size and (rows[0] < 0 or rows[-1] >= F or np.any(rows[1:] <= rows[:-1])):
+        raise DimensionMismatch(f"tower rows must be distinct, ascending and in [0, {F})")
+
+
 class Tower:
-    """The rows ``rows`` (ascending global ids) of an F x d tower, as ``values``.
+    """An F x d tower that holds the rows ``rows`` (ascending global ids)
+    as ``values``; every other row keeps its initial value,
+    ``init_fill(*init, ...)`` with ``init`` = (seed, tower name).
 
     It is indexed by arrays of global row ids, as a full F x d array is, so
     ``encode`` and the losses run on either; a row it does not hold raises
-    ``DimensionMismatch`` rather than being read.  A tower drawn by
-    ``init_rows`` keeps ``init``, (seed, tower index), which regenerates
-    the rows it does not hold, so it can still be written whole.
+    ``DimensionMismatch`` rather than being read.
     """
 
     ndim = 2
 
-    def __init__(
-        self, F: int, rows: np.ndarray, values: np.ndarray, init: tuple[int, int] | None = None
-    ):
+    def __init__(self, F: int, rows: np.ndarray, values: np.ndarray, init: tuple[int, str]):
         if values.ndim != 2 or values.shape[0] != rows.size:
             raise DimensionMismatch("a tower holds one row of values per row id")
-        if rows.size and (rows[0] < 0 or rows[-1] >= F or np.any(rows[1:] <= rows[:-1])):
-            raise DimensionMismatch(f"tower rows must be distinct, ascending and in [0, {F})")
+        _check_rows(F, rows)
         self.rows, self.values, self.init = rows, values, init
         # global row id -> its row in ``values``; a row not held maps one
         # past the end, so numpy's bounds check rejects it (never a -1)
@@ -424,23 +453,12 @@ class Tower:
     def copy(self) -> "Tower":
         return Tower(self.shape[0], self.rows.copy(), self.values.copy(), self.init)
 
-    def blocks(self):
-        """The whole tower, ``BLOCK_ROWS`` rows at a time: its initial
-        values with the held rows written over them."""
-        F, d = self.shape
-        if self.init is None:
-            raise DimensionMismatch(
-                f"a tower read in part ({self.rows.size} of {F} rows) cannot be written whole"
-            )
-        for lo, block in _init_blocks(F, d, *self.init):
-            a, b = np.searchsorted(self.rows, (lo, lo + len(block)))
-            block[self.rows[a:b] - lo] = self.values[a:b]
-            yield lo, block
-
     def dense(self) -> np.ndarray:
         """The whole tower as an F x d array."""
         F, d = self.shape
-        return _gather(self.blocks(), np.arange(F), d)
+        out = init_fill(*self.init, np.arange(F), np.empty((F, d)))
+        out[self.rows] = self.values
+        return out
 
 
 @dataclass
@@ -475,29 +493,29 @@ class EncoderParams:
         )
 
 
+def _check_shape(F: int, d: int) -> None:
+    if not (1 <= F <= MAX_F and 1 <= d <= MAX_D):
+        raise InvalidConfig(f"F and d must be positive, F at most {MAX_F} and d at most {MAX_D}")
+
+
 def init_encoder(F: int = DEFAULT_F, d: int = DEFAULT_D, seed: int = 0) -> EncoderParams:
-    """Seeded uniform(-0.05, 0.05) towers via the "init" substream."""
-    if F < 1 or d < 1:
-        raise InvalidConfig("F and d must be positive")
-    rng = substream_rng(seed, "init")
-    return EncoderParams(
-        W_mention=rng.uniform(-0.05, 0.05, size=(F, d)),
-        W_event=rng.uniform(-0.05, 0.05, size=(F, d)),
-    )
+    """Seeded uniform(-0.05, 0.05) towers: ``init_fill`` of every row."""
+    _check_shape(F, d)
+    rows = np.arange(F)
+    return EncoderParams(*(init_fill(seed, tower, rows, np.empty((F, d))) for tower in TOWERS))
 
 
 def init_rows(
     F: int, d: int, seed: int, mention_rows: np.ndarray, event_rows: np.ndarray
 ) -> EncoderParams:
     """The rows ``mention_rows`` and ``event_rows`` of the towers of
-    ``init_encoder(F, d, seed)``, drawn ``BLOCK_ROWS`` rows at a time so
-    that neither tower is ever held whole."""
-    if F < 1 or d < 1:
-        raise InvalidConfig("F and d must be positive")
+    ``init_encoder(F, d, seed)``, as ``Tower``s that never hold either
+    tower whole."""
+    _check_shape(F, d)
     return EncoderParams(
         *(
-            Tower(F, rows, _gather(_init_blocks(F, d, seed, tower), rows, d), (seed, tower))
-            for tower, rows in enumerate((mention_rows, event_rows))
+            Tower(F, rows, init_fill(seed, tower, rows, np.empty((rows.size, d))), (seed, tower))
+            for tower, rows in zip(TOWERS, (mention_rows, event_rows))
         )
     )
 
@@ -549,27 +567,32 @@ def pair_score(m_vec: np.ndarray, e_vec: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Checkpoints: one sorted JSON header line {"format_version", "kind",
-# "arrays": [{"name", "shape"}, ...], **meta}, then every array as row-major
-# '<f8' in header order.  The encoder and the reranker share this container.
+# "arrays": [{"name", "shape", "dtype"}, ...], **meta}, then every array
+# row-major in its dtype ('<f8' or '<i8') in header order.  The encoder and
+# the reranker share this container.
 
-CHECKPOINT_VERSION = 2
-TOWERS = ("mention", "event")
+CHECKPOINT_VERSION = 3
+DTYPES = ("<f8", "<i8")  # both 8 bytes an element
+# each tower is stored as its ascending row ids and their values
+TOWER_ARRAYS = {
+    f"{tower}.{part}": dtype
+    for tower in TOWERS
+    for part, dtype in (("rows", "<i8"), ("values", "<f8"))
+}
 
 
-def _blocks(array: np.ndarray | Tower):
-    return array.blocks() if isinstance(array, Tower) else [(0, array)]
-
-
-def save_arrays(
-    path: str | Path, kind: str, arrays: dict[str, np.ndarray | Tower], **meta
-) -> None:
+def save_arrays(path: str | Path, kind: str, arrays: dict[str, np.ndarray], **meta) -> None:
     """Write the container to a sibling temporary file, then move it onto
     ``path``: a write that fails leaves any earlier file there as it was.
-    A ``Tower`` is written block by block, never held whole."""
+    An integer array is stored as '<i8', any other as '<f8'."""
+    dtypes = {name: "<i8" if a.dtype.kind in "iu" else "<f8" for name, a in arrays.items()}
     header = {
         "format_version": CHECKPOINT_VERSION,
         "kind": kind,
-        "arrays": [{"name": name, "shape": list(np.shape(a))} for name, a in arrays.items()],
+        "arrays": [
+            {"name": name, "shape": list(a.shape), "dtype": dtypes[name]}
+            for name, a in arrays.items()
+        ],
         **meta,
     }
     path = Path(path)
@@ -577,19 +600,19 @@ def save_arrays(
     try:
         with open(tmp, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for array in arrays.values():
-                for _, block in _blocks(array):
-                    # the array's own buffer: no bytes copy of the block
-                    fh.write(np.ascontiguousarray(block, dtype="<f8"))
+            for name, array in arrays.items():
+                # the array's own buffer when it already has the dtype
+                fh.write(np.ascontiguousarray(array, dtype=dtypes[name]))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _read_header(fh, path: str | Path, kind: str, names: tuple[str, ...]):
-    """The array shapes and the header of a ``kind`` container open at its
-    start, checked down to the size rule; ``fh`` is left at the arrays."""
+def _read_header(fh, path: str | Path, kind: str, dtypes: dict[str, str]):
+    """The array specs, name -> (shape, dtype, file offset), and the header
+    of a ``kind`` container open at its start, checked down to the size
+    rule; ``dtypes`` names the arrays it must hold and their dtypes."""
 
     def reject(reason: str) -> ParseError:
         return ParseError(str(path), 1, reason)
@@ -608,53 +631,46 @@ def _read_header(fh, path: str | Path, kind: str, names: tuple[str, ...]):
     if not isinstance(specs, list) or not all(
         isinstance(spec, dict) and isinstance(spec.get("name"), str) for spec in specs
     ):
-        raise reject("arrays must be a list of {name, shape} objects")
-    shapes = {spec["name"]: spec.get("shape") for spec in specs}
-    if len(shapes) != len(specs) or not set(names) <= shapes.keys():
-        raise reject(f"arrays need distinct names, {list(names)} among them")
-    for shape in shapes.values():
+        raise reject("arrays must be a list of {name, shape, dtype} objects")
+    names = {spec["name"]: spec for spec in specs}
+    if len(names) != len(specs) or not dtypes.keys() <= names.keys():
+        raise reject(f"arrays need distinct names, {list(dtypes)} among them")
+    for spec in specs:
+        shape, dtype = spec.get("shape"), spec.get("dtype")
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise reject(f"array shape {shape!r} is not a list of non-negative integers")
+        if dtype not in DTYPES or dtype != dtypes.get(spec["name"], dtype):
+            want = dtypes.get(spec["name"], f"one of {DTYPES}")
+            raise reject(f"array {spec['name']!r} has dtype {dtype!r}, not {want}")
     threshold = header.get("threshold")
     if not (threshold is None or isinstance(threshold, float) and 0 < threshold < 1):
         raise reject(f"threshold {threshold!r} is neither null nor a number in (0, 1)")
-    size = 8 * sum(math.prod(shape) for shape in shapes.values())
+    sizes = [8 * math.prod(spec["shape"]) for spec in specs]
     body = os.fstat(fh.fileno()).st_size - fh.tell()
-    if body != size:
-        problem = "truncated" if body < size else "followed by trailing bytes"
-        raise reject(f"checkpoint {problem}: its arrays need {size} bytes, {body} follow")
-    return shapes, header
+    if body != sum(sizes):
+        problem = "truncated" if body < sum(sizes) else "followed by trailing bytes"
+        raise reject(f"checkpoint {problem}: its arrays need {sum(sizes)} bytes, {body} follow")
+    offsets = fh.tell() + np.cumsum([0, *sizes[:-1]])
+    return {
+        spec["name"]: (spec["shape"], spec["dtype"], int(offset))
+        for spec, offset in zip(specs, offsets)
+    }, header
 
 
-def _file_blocks(fh, F: int, d: int):
-    """An F x d array read from ``fh`` ``BLOCK_ROWS`` rows at a time, into
-    one reused buffer."""
-    buffer = np.empty((BLOCK_ROWS, d), dtype="<f8")
-    for lo in range(0, F, BLOCK_ROWS):
-        block = buffer[: min(BLOCK_ROWS, F - lo)]
-        fh.readinto(block)
-        yield lo, block
-
-
-def _read_arrays(fh, shapes: dict[str, list[int]], rows: dict[str, np.ndarray]):
-    """The arrays after a checked header: whole, or for an F x d array
-    named in ``rows`` only those rows."""
-    arrays = {}
-    for name, shape in shapes.items():
-        if name in rows:
-            arrays[name] = _gather(_file_blocks(fh, *shape), rows[name], shape[1])
-        else:
-            array = np.empty(math.prod(shape), dtype="<f8")
-            fh.readinto(array.view(np.uint8))
-            arrays[name] = array.reshape(shape)
-    return arrays
+def _read_array(fh, spec: tuple[list[int], str, int]) -> np.ndarray:
+    shape, dtype, offset = spec
+    array = np.empty(shape, dtype=dtype)
+    fh.seek(offset)
+    fh.readinto(array)
+    return array
 
 
 def load_arrays(
     path: str | Path, kind: str, names: tuple[str, ...]
 ) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
     """The arrays of a ``kind`` checkpoint that holds at least ``names``,
-    each read straight into its own writeable memory, and the header's meta.
+    all of them '<f8', each read straight into its own writeable memory,
+    and the header's meta.
 
     A malformed header, or a file whose bytes after the header are not
     exactly 8 per declared element (truncated, trailing bytes, or shapes
@@ -662,8 +678,8 @@ def load_arrays(
     allocated.
     """
     with open(path, "rb") as fh:
-        shapes, header = _read_header(fh, path, kind, names)
-        arrays = _read_arrays(fh, shapes, {})
+        specs, header = _read_header(fh, path, kind, dict.fromkeys(names, "<f8"))
+        arrays = {name: _read_array(fh, spec) for name, spec in specs.items()}
     meta = {k: v for k, v in header.items() if k not in ("format_version", "kind", "arrays")}
     return arrays, meta
 
@@ -673,23 +689,77 @@ def save_checkpoint(
     params: EncoderParams,
     extra_heads: dict[str, np.ndarray] | None = None,
 ) -> None:
-    arrays = {"mention": params.W_mention, "event": params.W_event, **(extra_heads or {})}
-    save_arrays(path, "encoder", arrays)
+    """Write both towers and the extra heads as an "encoder" container.
+
+    Each tower is stored as ascending row ids and their values, and the
+    header holds F and the init seed that regenerates every row a tower
+    does not store: the seed of the first ``Tower``, else 0.  A ``Tower``
+    of that seed stores the rows it holds; any other tower stores all F
+    rows.  So loading gives back every value that was saved.
+    """
+    towers = dict(zip(TOWERS, (params.W_mention, params.W_event)))
+    seeds = [W.init[0] for W in towers.values() if isinstance(W, Tower)]
+    seed = seeds[0] if seeds else 0
+    arrays = {}
+    for name, W in towers.items():
+        if isinstance(W, Tower) and W.init == (seed, name):
+            rows, values = W.rows, W.values
+        else:
+            rows, values = np.arange(params.F), W.dense() if isinstance(W, Tower) else W
+        arrays[f"{name}.rows"], arrays[f"{name}.values"] = rows, values
+    save_arrays(path, "encoder", {**arrays, **(extra_heads or {})}, F=params.F, init_seed=seed)
 
 
-def _tower_shape(path: str | Path, shapes: dict[str, list[int]]) -> tuple[int, int]:
-    mention, event = (shapes[name] for name in TOWERS)
-    if mention != event or len(mention) != 2 or 0 in mention:
-        reason = f"towers must be two F x d matrices with F, d >= 1, not {mention} and {event}"
-        raise ParseError(str(path), 1, reason)
-    return mention[0], mention[1]
+def _read_encoder(fh, path: str | Path):
+    """F, d, the init seed, each tower's stored row ids and the array specs
+    of an encoder checkpoint open at its start, all checked before any
+    array is allocated."""
+
+    def reject(reason: str) -> ParseError:
+        return ParseError(str(path), 1, reason)
+
+    specs, header = _read_header(fh, path, "encoder", TOWER_ARRAYS)
+    F, seed = header.get("F"), header.get("init_seed")
+    if type(F) is not int or not 1 <= F <= MAX_F:
+        raise reject(f"tower row count F = {F!r} is not an integer in [1, {MAX_F}]")
+    if type(seed) is not int:
+        raise reject(f"init_seed {seed!r} is not an integer")
+    m_rows, m_values, e_rows, e_values = (specs[name][0] for name in TOWER_ARRAYS)
+    d = m_values[-1] if len(m_values) == 2 else 0
+    for rows, values in ((m_rows, m_values), (e_rows, e_values)):
+        if len(rows) != 1 or values != [rows[0], d] or not 1 <= d <= MAX_D:
+            raise reject(
+                f"towers need row ids [n] and values [n, d], one d in [1, {MAX_D}], "
+                f"not {m_rows} {m_values} and {e_rows} {e_values}"
+            )
+    stored = {}
+    for tower in TOWERS:
+        (n,), _, offset = specs[f"{tower}.rows"]
+        fh.seek(offset)
+        ids = np.frombuffer(fh.read(8 * n), dtype="<i8")
+        if n and (ids[0] < 0 or ids[-1] >= F or np.any(ids[1:] <= ids[:-1])):
+            raise reject(f"{tower} tower row ids are not ascending, distinct and in [0, {F})")
+        stored[tower] = ids
+    return F, d, seed, stored, specs
 
 
 def tower_shape(path: str | Path) -> tuple[int, int]:
-    """The (F, d) of an encoder checkpoint's towers, read from its header;
-    a malformed file raises ``ParseError``, as ``load_checkpoint`` does."""
+    """The (F, d) of an encoder checkpoint's towers; a malformed file
+    raises ``ParseError``, as ``load_checkpoint`` does."""
     with open(path, "rb") as fh:
-        return _tower_shape(path, _read_header(fh, path, "encoder", TOWERS)[0])
+        return _read_encoder(fh, path)[:2]
+
+
+def _read_rows_into(fh, spec: tuple[list[int], str, int], out: np.ndarray, at: np.ndarray):
+    """A tower's stored values, read ``BLOCK_ROWS`` rows at a time into
+    ``out[at]``."""
+    (n, d), _, offset = spec
+    buffer = np.empty((min(BLOCK_ROWS, n), d), dtype="<f8")
+    fh.seek(offset)
+    for lo in range(0, n, BLOCK_ROWS):
+        block = buffer[: min(BLOCK_ROWS, n - lo)]
+        fh.readinto(block)
+        out[at[lo : lo + len(block)]] = block
 
 
 def load_checkpoint(
@@ -698,19 +768,33 @@ def load_checkpoint(
     """The towers and the extra heads, by name, of an encoder checkpoint.
 
     ``rows`` maps a tower name ("mention", "event") to the ascending rows
-    to hold of it: that tower streams past one block-sized buffer and
-    comes back as a ``Tower`` of those rows alone.  A malformed file
-    raises ``ParseError`` before any array is read.
+    to hold of it: that tower comes back as a ``Tower`` of those rows and
+    of every row the file stores, and any other tower as a full F x d
+    array.  ``init_fill`` of the header's init seed writes each held row
+    into the tower's array, and the stored rows are then read over theirs,
+    so the rows the file lacks take no memory beyond that array.  A
+    malformed file raises ``ParseError`` before any array is allocated.
     """
     rows = rows or {}
     if not rows.keys() <= set(TOWERS):
         raise InvalidConfig(f"rows can only be chosen of the towers {TOWERS}")
     with open(path, "rb") as fh:
-        shapes, _ = _read_header(fh, path, "encoder", TOWERS)
-        F, _ = _tower_shape(path, shapes)
-        arrays = _read_arrays(fh, shapes, rows)
-    towers = [
-        Tower(F, rows[name], arrays.pop(name)) if name in rows else arrays.pop(name)
-        for name in TOWERS
-    ]
-    return EncoderParams(*towers), arrays
+        F, d, seed, stored, specs = _read_encoder(fh, path)
+        for name in rows:
+            _check_rows(F, rows[name])
+        towers = []
+        for name in TOWERS:
+            if name in rows:
+                # the union through a mask: np.union1d's sort costs more
+                mask = np.zeros(F, dtype=bool)
+                mask[rows[name]] = mask[stored[name]] = True
+                held = np.flatnonzero(mask)
+            else:
+                held = np.arange(F)
+            values = init_fill(seed, name, held, np.empty((held.size, d)))
+            _read_rows_into(fh, specs[f"{name}.values"], values, held.searchsorted(stored[name]))
+            towers.append(Tower(F, held, values, (seed, name)) if name in rows else values)
+        heads = {
+            name: _read_array(fh, spec) for name, spec in specs.items() if name not in TOWER_ARRAYS
+        }
+    return EncoderParams(*towers), heads

@@ -89,7 +89,10 @@ class PairFeaturizer(TextFeaturizer):
     """Memoized pair featurization over a fixed corpus.
 
     Each mention window and each (event, language) text is hashed once
-    into raw ``BLOCK_BUCKETS`` counts, kept as sorted arrays.
+    into raw ``BLOCK_BUCKETS`` counts, kept as sorted arrays.  With
+    ``keep_pairs`` each (mention id, event id) pair vector is also built
+    once and kept, for a run that scores again the pairs it trained on;
+    without it a one-pass scorer holds no pair vector it is done with.
     """
 
     def __init__(
@@ -98,14 +101,22 @@ class PairFeaturizer(TextFeaturizer):
         mode: str = "multilingual",
         max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
         max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
+        keep_pairs: bool = False,
     ):
         super().__init__(events, _block_counts, mode, max_context_chars, max_cand_chars)
+        self._pairs: dict[tuple[str, str], FeatureVector] | None = {} if keep_pairs else None
 
     def pair_fv(self, mention: Mention, event_id: str) -> FeatureVector:
-        return _pair_fv(
+        key = (mention.id, event_id)
+        if self._pairs is not None and key in self._pairs:
+            return self._pairs[key]
+        fv = _pair_fv(
             self.mention(mention),
             self.event(event_id, mention.language, _candidate_of(mention)),
         )
+        if self._pairs is not None:
+            self._pairs[key] = fv
+        return fv
 
 
 def _candidate_of(mention: Mention) -> str:

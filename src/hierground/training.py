@@ -438,7 +438,7 @@ def train(
     The first step whose linking or hierarchy loss is not finite raises
     ``TrainingDiverged``, so a diverged run returns no parameters.
     The towers returned are ``Tower``s holding only the rows the training
-    texts hash to; ``save_checkpoint`` writes them whole, and
+    texts hash to; ``save_checkpoint`` stores just those rows, and
     ``params.densify()`` gives full towers for encoding any other text.
     """
     if not instances:
@@ -455,7 +455,7 @@ def train(
     pair_ids = [*pair_parent_ids, *(c for _, c in pairs)]
 
     # every text training reads, hashed in one call: the tower rows they
-    # touch are the only ones drawn and held
+    # touch are the only ones initialized and held
     mention_fvs, event_fvs = featurizer.featurize(
         [inst.mention for inst in instances],
         [(event_id, inst.mention.language) for inst in instances for event_id in inst.gold]

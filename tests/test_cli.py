@@ -638,6 +638,13 @@ def rewrite_header(change):
     return make
 
 
+def without_dtypes(header, first):
+    """The header as format 2 wrote it: no per-array dtype."""
+    header.update(format_version=2)
+    for spec in header["arrays"]:
+        spec.pop("dtype")
+
+
 # name -> (valid file bytes, valid bytes of the other kind) -> malformed file
 MALFORMED_CHECKPOINTS = {
     "empty-file": lambda data, other: b"",
@@ -645,6 +652,7 @@ MALFORMED_CHECKPOINTS = {
     "header-is-a-list": lambda data, other: b"[1]\n" + data.split(b"\n", 1)[1],
     "wrong-kind": lambda data, other: other,
     "format-version-1": rewrite_header(lambda header, first: header.update(format_version=1)),
+    "format-2-file": rewrite_header(without_dtypes),
     "missing-array-name": rewrite_header(lambda header, first: first.pop("name")),
     # the next two keep the valid element count, so only the shape check catches them
     "negative-shape": rewrite_header(
@@ -654,9 +662,45 @@ MALFORMED_CHECKPOINTS = {
         lambda header, first: first.update(shape=[float(n) for n in first["shape"]])
     ),
     "7-PiB-shape": rewrite_header(lambda header, first: first.update(shape=[10**9, 10**6])),
+    "missing-dtype": rewrite_header(lambda header, first: first.pop("dtype")),
+    "unknown-dtype": rewrite_header(lambda header, first: first.update(dtype="<f4")),
+    # the other 8-byte dtype: the size rule holds, the array's required dtype does not
+    "swapped-dtype": rewrite_header(
+        lambda header, first: first.update(dtype={"<f8": "<i8", "<i8": "<f8"}[first["dtype"]])
+    ),
     "short-by-one-byte": lambda data, other: data[:-1],
     "one-trailing-byte": lambda data, other: data + b"\0",
     "threshold-x": rewrite_header(lambda header, first: header.update(threshold="x")),
+}
+
+
+def rewrite_row_ids(change):
+    """A table row that edits the mention tower's stored row ids, the
+    encoder checkpoint's first array, and keeps every other byte."""
+
+    def make(data: bytes, other: bytes) -> bytes:
+        line, body = data.split(b"\n", 1)
+        header = json.loads(line)
+        (n,) = header["arrays"][0]["shape"]
+        ids = change(header, np.frombuffer(body[: 8 * n], "<i8"))
+        header["arrays"][0]["shape"] = [ids.size]
+        return json.dumps(header).encode("utf-8") + b"\n" + ids.tobytes() + body[8 * n :]
+
+    return make
+
+
+# encoder checkpoints only: the stored rows and the init seed
+MALFORMED_ENCODER_CHECKPOINTS = {
+    "row-ids-descending": rewrite_row_ids(lambda header, ids: ids[::-1]),
+    "row-id-repeated": rewrite_row_ids(lambda header, ids: np.r_[ids[:1], ids[:-1]]),
+    "row-id-negative": rewrite_row_ids(lambda header, ids: np.r_[-1, ids[1:]]),
+    "row-id-F": rewrite_row_ids(lambda header, ids: np.r_[ids[:-1], header["F"]]),
+    # one id fewer than value rows; the size rule still holds
+    "row-ids-shorter-than-values": rewrite_row_ids(lambda header, ids: ids[:-1]),
+    "missing-init-seed": rewrite_header(lambda header, first: header.pop("init_seed")),
+    "init-seed-x": rewrite_header(lambda header, first: header.update(init_seed="x")),
+    "missing-F": rewrite_header(lambda header, first: header.pop("F")),
+    "F-too-large": rewrite_header(lambda header, first: header.update(F=2**40)),
 }
 
 
@@ -670,12 +714,13 @@ class TestMalformedCheckpoints:
          ("evaluate", "reranker.bin", "checkpoint.bin")],
         ids=["retrieve", "evaluate"],
     )
-    def test_rejected(self, pipeline, tmp_path, capsys, monkeypatch, row, command, valid, other):
+    def test_rejected(
+        self, pipeline, tmp_path, capsys, monkeypatch, row, command, valid, other,
+        table=MALFORMED_CHECKPOINTS,
+    ):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(
-            MALFORMED_CHECKPOINTS[row](
-                (pipeline / valid).read_bytes(), (pipeline / other).read_bytes()
-            )
+            table[row]((pipeline / valid).read_bytes(), (pipeline / other).read_bytes())
         )
         out = ["--output-dir", str(tmp_path), *SEED]
         if command == "retrieve":
@@ -699,11 +744,21 @@ class TestMalformedCheckpoints:
         assert not (tmp_path / "report.json").exists()
 
 
-    @pytest.mark.parametrize("row", list(MALFORMED_CHECKPOINTS))
+    @pytest.mark.parametrize("row", list(MALFORMED_ENCODER_CHECKPOINTS))
+    def test_retrieve_rejects_encoder_rows(self, pipeline, tmp_path, capsys, monkeypatch, row):
+        self.test_rejected(
+            pipeline, tmp_path, capsys, monkeypatch, row, "retrieve", "checkpoint.bin",
+            "reranker.bin", MALFORMED_ENCODER_CHECKPOINTS,
+        )
+
+    @pytest.mark.parametrize(
+        "row", list(MALFORMED_CHECKPOINTS) + list(MALFORMED_ENCODER_CHECKPOINTS)
+    )
     def test_row_subset_load_rejects(self, pipeline, tmp_path, monkeypatch, row):
         bad = tmp_path / "bad.bin"
+        malformed = MALFORMED_CHECKPOINTS.get(row) or MALFORMED_ENCODER_CHECKPOINTS[row]
         bad.write_bytes(
-            MALFORMED_CHECKPOINTS[row](
+            malformed(
                 (pipeline / "checkpoint.bin").read_bytes(), (pipeline / "reranker.bin").read_bytes()
             )
         )
@@ -719,11 +774,20 @@ class TestMalformedCheckpoints:
 
 
 def checkpoint_body_of(value: float):
-    """A table row input: the valid checkpoint's header, every array ``value``."""
+    """A table row input: the valid checkpoint's header and row ids, every
+    float array ``value``."""
 
     def make(data: bytes) -> bytes:
         line, body = data.split(b"\n", 1)
-        return line + b"\n" + np.full(len(body) // 8, value, "<f8").tobytes()
+        out, at = [line + b"\n"], 0
+        for spec in json.loads(line)["arrays"]:
+            size = 8 * int(np.prod(spec["shape"]))
+            if spec["dtype"] == "<f8":
+                out.append(np.full(size // 8, value, "<f8").tobytes())
+            else:
+                out.append(body[at : at + size])
+            at += size
+        return b"".join(out)
 
     return make
 

@@ -50,6 +50,15 @@ from hierground.errors import (
     UnknownEvent,
 )
 from hierground.kb import Event, Label
+from hierground.seeding import substream_seed
+
+
+def tower_arrays(m_rows, m_values, e_rows, e_values) -> dict:
+    """The arrays of an encoder checkpoint's two towers."""
+    return {
+        "mention.rows": m_rows, "mention.values": m_values,
+        "event.rows": e_rows, "event.values": e_values,
+    }
 
 
 def make_mention(context: str, start: int, end: int) -> Mention:
@@ -396,11 +405,15 @@ class TestCheckpoint:
         header = json.loads(line)
         assert line == json.dumps(header, sort_keys=True).encode("utf-8")
         assert header == {
+            "F": 16,
             "arrays": [
-                {"name": "mention", "shape": [16, 2]},
-                {"name": "event", "shape": [16, 2]},
+                {"name": "mention.rows", "shape": [16], "dtype": "<i8"},
+                {"name": "mention.values", "shape": [16, 2], "dtype": "<f8"},
+                {"name": "event.rows", "shape": [16], "dtype": "<i8"},
+                {"name": "event.values", "shape": [16, 2], "dtype": "<f8"},
             ],
-            "format_version": 2,
+            "format_version": 3,
+            "init_seed": 0,
             "kind": "encoder",
         }
 
@@ -426,9 +439,12 @@ class TestCheckpoint:
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(b'{"arrays": [], "format_version": 3, "kind": "encoder"}\n')
-        with pytest.raises(ParseError, match="format 3"):
-            load_checkpoint(path)
+        for version in (2, 4):
+            path.write_bytes(
+                b'{"arrays": [], "format_version": %d, "kind": "encoder"}\n' % version
+            )
+            with pytest.raises(ParseError, match=f"format {version}"):
+                load_checkpoint(path)
 
     def test_meta_round_trip(self, tmp_path):
         path = tmp_path / "a.bin"
@@ -440,22 +456,26 @@ class TestCheckpoint:
 
     def test_kind_must_match(self, tmp_path):
         path = tmp_path / "a.bin"
-        towers = {"mention": np.ones((4, 2)), "event": np.ones((4, 2))}
-        save_arrays(path, "reranker", towers)
+        towers = tower_arrays(np.arange(4), np.ones((4, 2)), np.arange(4), np.ones((4, 2)))
+        save_arrays(path, "reranker", towers, F=4, init_seed=0)
         with pytest.raises(ParseError, match="kind is 'reranker'"):
             load_checkpoint(path)
 
     def test_required_array_missing(self, tmp_path):
         path = tmp_path / "a.bin"
-        save_arrays(path, "encoder", {"mention": np.ones((4, 2))})
+        arrays = {"mention.rows": np.arange(4), "mention.values": np.ones((4, 2))}
+        save_arrays(path, "encoder", arrays, F=4, init_seed=0)
         with pytest.raises(ParseError, match="event"):
             load_checkpoint(path)
 
     def test_repeated_array_name(self, tmp_path):
         path = tmp_path / "a.bin"
         header = {
-            "arrays": [{"name": "x", "shape": [1]}, {"name": "x", "shape": [1]}],
-            "format_version": 2,
+            "arrays": [
+                {"name": "x", "shape": [1], "dtype": "<f8"},
+                {"name": "x", "shape": [1], "dtype": "<f8"},
+            ],
+            "format_version": 3,
             "kind": "toy",
         }
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(16))
@@ -466,11 +486,25 @@ class TestCheckpoint:
         "mention, event", [((4, 2), (2, 4)), ((0, 2), (0, 2)), ((4, 0), (4, 0)), ((8,), (8,))]
     )
     def test_tower_shapes_rejected(self, tmp_path, mention, event):
-        # zero-row towers would reach the n-gram kernel as a modulus of 0
+        # F is the mention tower's row count, so the zero-row case has F = 0,
+        # which would reach the n-gram kernel as a modulus of 0
         path = tmp_path / "a.bin"
-        save_arrays(path, "encoder", {"mention": np.ones(mention), "event": np.ones(event)})
-        with pytest.raises(ParseError, match="tower"):
-            load_checkpoint(path)
+        rows = [np.arange(shape[0]) for shape in (mention, event)]
+        arrays = tower_arrays(rows[0], np.ones(mention), rows[1], np.ones(event))
+        save_arrays(path, "encoder", arrays, F=mention[0], init_seed=0)
+        for load in (load_checkpoint, tower_shape):
+            with pytest.raises(ParseError, match="tower"):
+                load(path)
+
+    @pytest.mark.parametrize("F, d", [(2**24 + 1, 2), (8, 2**10 + 1)])
+    def test_tower_limits_rejected(self, tmp_path, F, d):
+        # towers that store no row: no file size bounds F or d
+        path = tmp_path / "a.bin"
+        arrays = tower_arrays(np.arange(0), np.ones((0, d)), np.arange(0), np.ones((0, d)))
+        save_arrays(path, "encoder", arrays, F=F, init_seed=0)
+        for load in (load_checkpoint, tower_shape):
+            with pytest.raises(ParseError, match="tower"):
+                load(path)
 
     @pytest.mark.parametrize("cut", [-1, 1])
     def test_size_rule_runs_before_any_allocation(self, tmp_path, monkeypatch, cut):
@@ -586,10 +620,59 @@ def tower_cases(draw):
 
 @contextlib.contextmanager
 def blocks_of(rows: int):
-    """Towers drawn, written and read ``rows`` rows at a time."""
+    """Towers filled and read ``rows`` rows at a time."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(encoder, "BLOCK_ROWS", rows)
         yield
+
+
+MASK64 = 2**64 - 1
+
+
+def splitmix64(state: int, n: int) -> list[int]:
+    """The first n outputs of SplitMix64 seeded with ``state``: the
+    published scalar algorithm, the oracle of ``init_fill``."""
+    out = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def trained(F, d, seed, m_rows, e_rows, rng) -> EncoderParams:
+    """``init_rows`` towers whose held rows all took new values."""
+    params = init_rows(F, d, seed, m_rows, e_rows)
+    for tower in (params.W_mention, params.W_event):
+        tower[tower.rows] = rng.normal(size=tower.values.shape)
+    return params
+
+
+class TestCounterInit:
+    """Each initial value is a pure function of (seed, tower, row, column)."""
+
+    def test_splitmix64_reference_vectors(self):
+        assert splitmix64(1234567, 5) == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821,
+        ]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=tower_cases(), tower=st.sampled_from(encoder.TOWERS))
+    def test_fill_equals_scalar_oracle(self, case, tower):
+        F, d, seed, block, (rows, _) = case
+        with blocks_of(block):
+            got = encoder.init_fill(seed, tower, rows, np.empty((rows.size, d)))
+        h = (d + 1) // 2
+        key = substream_seed(seed, f"init:{tower}")
+        for i, row in enumerate(rows.tolist()):
+            # hash j of row r is output r * h + j of the tower's stream
+            hashes = splitmix64(key, (row + 1) * h)[row * h :]
+            halves = [half for z in hashes for half in (z & 0xFFFFFFFF, z >> 32)]
+            want = [u * (0.1 / 2**32) - 0.05 for u in halves[:d]]
+            assert got[i].tolist() == want
 
 
 class TestRowSubsets:
@@ -605,51 +688,72 @@ class TestRowSubsets:
         assert params.W_mention.values.tobytes() == full.W_mention[m_rows].tobytes()
         assert params.W_event.values.tobytes() == full.W_event[e_rows].tobytes()
         assert params.F == F and params.d == d
+        dense = params.densify()
+        assert dense.W_mention.tobytes() == full.W_mention.tobytes()
+        assert dense.W_event.tobytes() == full.W_event.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(case=tower_cases())
-    def test_row_subset_load_equals_full_load(self, case, tmp_path_factory):
+    @given(case=tower_cases(), data=st.data())
+    def test_row_subset_load_equals_full_load(self, case, data, tmp_path_factory):
         F, d, seed, block, (m_rows, e_rows) = case
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        params = trained(F, d, seed, m_rows, e_rows, rng)
+        dense = params.densify()
         path = tmp_path_factory.mktemp("ckpt") / "c.bin"
-        save_checkpoint(path, init_encoder(F, d, seed), {"r": np.arange(3.0)})
-        full, full_heads = load_checkpoint(path)
+        save_checkpoint(path, params, {"r": np.arange(3.0)})
+        # rows to load: any subset, held by the saved towers or not
+        want = [
+            np.array(sorted(data.draw(st.sets(st.integers(0, F - 1)))), dtype=np.int64)
+            for _ in range(2)
+        ]
         with blocks_of(block):
-            part, heads = load_checkpoint(path, {"mention": m_rows, "event": e_rows})
-        assert part.W_mention.values.tobytes() == full.W_mention[m_rows].tobytes()
-        assert part.W_event.values.tobytes() == full.W_event[e_rows].tobytes()
-        assert heads.keys() == full_heads.keys()
-        assert heads["r"].tobytes() == full_heads["r"].tobytes()
+            part, heads = load_checkpoint(path, dict(zip(encoder.TOWERS, want)))
+            full, full_heads = load_checkpoint(path)
+        for tower, rows, saved, W in zip(
+            (part.W_mention, part.W_event), want, (params.W_mention, params.W_event),
+            (dense.W_mention, dense.W_event),
+        ):
+            assert tower[rows].tobytes() == W[rows].tobytes()
+            # a loaded tower holds every row the file stores
+            assert tower.rows.tolist() == sorted(set(rows.tolist()) | set(saved.rows.tolist()))
+            assert tower.values.tobytes() == W[tower.rows].tobytes()
+        assert full.W_mention.tobytes() == dense.W_mention.tobytes()
+        assert full.W_event.tobytes() == dense.W_event.tobytes()
+        assert heads.keys() == full_heads.keys() == {"r"}
+        assert heads["r"].tobytes() == np.arange(3.0).tobytes()
         assert tower_shape(path) == (F, d)
         with blocks_of(block):
-            mention_only, _ = load_checkpoint(path, {"mention": m_rows})
-        assert mention_only.W_event.tobytes() == full.W_event.tobytes()
+            mention_only, _ = load_checkpoint(path, {"mention": want[0]})
+        assert mention_only.W_event.tobytes() == dense.W_event.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(case=tower_cases(), data=st.data())
     def test_streamed_save_equals_full_save(self, case, data, tmp_path_factory):
         F, d, seed, block, (m_rows, e_rows) = case
-        with blocks_of(block):
-            params = init_rows(F, d, seed, m_rows, e_rows)
-        full = init_encoder(F, d, seed)
-        # trained rows: new values in the part, the same values in the whole
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-        for tower, W in ((params.W_mention, full.W_mention), (params.W_event, full.W_event)):
-            update = rng.normal(size=tower.values.shape)
-            tower[tower.rows] = update
-            W[tower.rows] = update
+        params = trained(F, d, seed, m_rows, e_rows, rng)
+        full = init_encoder(F, d, seed)
+        full.W_mention[m_rows] = params.W_mention.values
+        full.W_event[e_rows] = params.W_event.values
         heads = {"complex.r": rng.normal(size=d)}
         out = tmp_path_factory.mktemp("save")
-        with blocks_of(block):
-            save_checkpoint(out / "part.bin", params, heads)
-            dense = params.densify()
+        save_checkpoint(out / "part.bin", params, heads)
         save_checkpoint(out / "full.bin", full, heads)
-        assert (out / "part.bin").read_bytes() == (out / "full.bin").read_bytes()
-        assert dense.W_mention.tobytes() == full.W_mention.tobytes()
-        assert dense.W_event.tobytes() == full.W_event.tobytes()
+        # the part file stores the held rows alone, the full file every row
+        assert (out / "part.bin").stat().st_size < (out / "full.bin").stat().st_size or (
+            m_rows.size == e_rows.size == F
+        )
+        with blocks_of(block):
+            (a, a_heads), (b, b_heads) = map(load_checkpoint, (out / "part.bin", out / "full.bin"))
+            dense = params.densify()
+        for W in (a, b, dense):
+            assert W.W_mention.tobytes() == full.W_mention.tobytes()
+            assert W.W_event.tobytes() == full.W_event.tobytes()
+        assert a_heads["complex.r"].tobytes() == b_heads["complex.r"].tobytes()
 
     def test_absent_row_raises(self):
         # row 1 is not held; a slot of -1 would silently read row 4
-        tower = Tower(6, np.array([0, 2, 4]), np.arange(6.0).reshape(3, 2))
+        tower = Tower(6, np.array([0, 2, 4]), np.arange(6.0).reshape(3, 2), (0, "mention"))
         assert tower[np.array([4, 0])].tolist() == [[4.0, 5.0], [0.0, 1.0]]
         for rows, missing in (([1], 1), ([0, 1], 1), ([5], 5), ([2, 3, 4], 3)):
             with pytest.raises(DimensionMismatch, match=f"row {missing} is not held"):
@@ -671,14 +775,108 @@ class TestRowSubsets:
         with pytest.raises(InvalidConfig, match="towers"):
             load_checkpoint(path, {"complex.r": np.array([0])})
 
-    def test_part_read_tower_cannot_be_written_whole(self, tmp_path):
+    def test_part_read_tower_saves_losslessly(self, tmp_path):
         path = tmp_path / "c.bin"
-        save_checkpoint(path, init_encoder(8, 2, seed=0))
+        rng = np.random.default_rng(0)
+        params = trained(8, 2, 3, np.array([0, 6]), np.array([2, 5]), rng)
+        save_checkpoint(path, params)
         part, _ = load_checkpoint(path, {"event": np.array([1, 5])})
-        with pytest.raises(DimensionMismatch, match="whole"):
-            save_checkpoint(tmp_path / "d.bin", part)
-        with pytest.raises(DimensionMismatch, match="whole"):
-            part.densify()
+        assert part.W_event.rows.tolist() == [1, 2, 5]
+        save_checkpoint(tmp_path / "d.bin", part)
+        again, _ = load_checkpoint(tmp_path / "d.bin")
+        dense = params.densify()
+        assert again.W_mention.tobytes() == dense.W_mention.tobytes()
+        assert again.W_event.tobytes() == dense.W_event.tobytes()
+        assert part.densify().W_event.tobytes() == dense.W_event.tobytes()
+
+    def test_seed_comes_from_the_file(self, tmp_path):
+        # the file's init seed regenerates the rows it lacks, whatever
+        # seed any caller uses
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, init_rows(16, 3, 77, np.array([4]), np.array([9])))
+        part, _ = load_checkpoint(path, {"mention": np.arange(16), "event": np.array([0])})
+        assert part.W_mention.values.tobytes() == init_encoder(16, 3, 77).W_mention.tobytes()
+        assert part.W_event.init == (77, "event")
+
+
+def malformed_encoder_file(path, change) -> None:
+    """A valid two-tower checkpoint, its header and arrays passed through
+    ``change(header, arrays)`` and written as they come back."""
+    arrays = tower_arrays(np.array([1, 4, 6]), np.ones((3, 2)), np.array([0, 7]), np.ones((2, 2)))
+    header = {
+        "F": 8, "format_version": 3, "init_seed": 5, "kind": "encoder",
+        "arrays": [
+            {"name": n, "shape": list(a.shape), "dtype": "<i8" if n.endswith("rows") else "<f8"}
+            for n, a in arrays.items()
+        ],
+    }
+    change(header, arrays)
+    body = b"".join(np.ascontiguousarray(a, "<i8" if a.dtype.kind == "i" else "<f8").tobytes()
+                    for a in arrays.values())
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
+def ids(tower: str, values: list[int]):
+    def change(header, arrays):
+        arrays[f"{tower}.rows"] = np.array(values)
+        spec = next(s for s in header["arrays"] if s["name"] == f"{tower}.rows")
+        spec["shape"] = [len(values)]
+
+    return change
+
+
+def spec_of(name: str, **update):
+    def change(header, arrays):
+        spec = next(s for s in header["arrays"] if s["name"] == name)
+        for key, value in update.items():
+            if value is None:
+                spec.pop(key)
+            else:
+                spec[key] = value
+
+    return change
+
+
+MALFORMED_V3 = {
+    "ids-not-ascending": ids("mention", [4, 1, 6]),
+    "ids-repeated": ids("mention", [1, 1, 6]),
+    "id-negative": ids("event", [-1, 7]),
+    "id-at-F": ids("event", [0, 8]),
+    "fewer-ids-than-values": ids("mention", [1, 4]),
+    "more-ids-than-values": ids("event", [0, 3, 7]),
+    "unknown-dtype": spec_of("event.values", dtype="<c16"),
+    "missing-dtype": spec_of("mention.values", dtype=None),
+    "ids-as-floats": spec_of("mention.rows", dtype="<f8"),
+    "missing-init-seed": lambda header, arrays: header.pop("init_seed"),
+    "bool-init-seed": lambda header, arrays: header.update(init_seed=True),
+    "format-2": lambda header, arrays: header.update(format_version=2),
+}
+
+
+class TestMalformedV3:
+    """Each malformed v3 file is a ParseError naming it, raised before any
+    array is allocated, from both readers."""
+
+    def test_valid_base_file_loads(self, tmp_path):
+        path = tmp_path / "c.bin"
+        malformed_encoder_file(path, lambda header, arrays: None)
+        part, _ = load_checkpoint(path, {"mention": np.array([2])})
+        assert part.W_mention.rows.tolist() == [1, 2, 4, 6]
+        assert tower_shape(path) == (8, 2)
+
+    @pytest.mark.parametrize("row", list(MALFORMED_V3))
+    def test_rejected(self, tmp_path, monkeypatch, row):
+        path = tmp_path / "c.bin"
+        malformed_encoder_file(path, MALFORMED_V3[row])
+        allocations = []
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *a, **k: allocations.append(a) or empty(*a, **k))
+        for load in (lambda: load_checkpoint(path, {"mention": np.array([2])}),
+                     lambda: tower_shape(path)):
+            with pytest.raises(ParseError) as err:
+                load()
+            assert err.value.path == str(path)
+        assert allocations == []
 
 
 class TestAtomicSave:
@@ -686,26 +884,24 @@ class TestAtomicSave:
         path = tmp_path / "c.bin"
         save_checkpoint(path, init_encoder(8, 2, seed=0))
         before = path.read_bytes()
-        # the mention tower is written, then the event tower, read in part
-        # and so without the rows it lacks, raises
-        part, _ = load_checkpoint(path, {"event": np.array([1])})
-        params = EncoderParams(init_encoder(8, 2, seed=1).W_mention, part.W_event)
-        with pytest.raises(DimensionMismatch):
-            save_checkpoint(path, params)
+        # the towers are written, then a head that is not numeric raises
+        with pytest.raises(ValueError):
+            save_checkpoint(path, init_encoder(8, 2, seed=1), {"r": np.array(["x"])})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["c.bin"]
 
     def test_interrupted_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "r.bin"
         calls = []
+        contiguous = np.ascontiguousarray
 
-        def failing_blocks(array):
+        def failing(array, dtype):
             calls.append(array)
             if len(calls) == 2:
                 raise KeyboardInterrupt
-            yield 0, array
+            return contiguous(array, dtype=dtype)
 
-        monkeypatch.setattr(encoder, "_blocks", failing_blocks)
+        monkeypatch.setattr(np, "ascontiguousarray", failing)
         with pytest.raises(KeyboardInterrupt):
             save_arrays(path, "toy", {"x": np.ones(3), "y": np.ones(2)})
         assert os.listdir(tmp_path) == []

@@ -6,8 +6,10 @@
 
 import tracemalloc
 
+import numpy as np
+
 from hierground.cli import main
-from hierground.encoder import DEFAULT_D, DEFAULT_F
+from hierground.encoder import BLOCK_ROWS, DEFAULT_D, DEFAULT_F, init_fill, tower_shape
 
 TOWER_BYTES = DEFAULT_F * DEFAULT_D * 8
 
@@ -36,6 +38,24 @@ def test_train_and_retrieve_never_hold_a_whole_tower(tmp_path):
         ["retrieve", *o, corpus[0], mentions,
          f"--checkpoint={tmp_path / 'checkpoint.bin'}", "--out", "retrievals.jsonl"]
     )
-    assert (tmp_path / "checkpoint.bin").stat().st_size > 2 * TOWER_BYTES
+    # the towers are whole 2^18 x 32 ones; the file stores their trained rows
+    assert tower_shape(tmp_path / "checkpoint.bin") == (DEFAULT_F, DEFAULT_D)
+    assert (tmp_path / "checkpoint.bin").stat().st_size < TOWER_BYTES // 10
     assert train < TOWER_BYTES, train
     assert retrieve < TOWER_BYTES, retrieve
+
+
+def test_fill_allocates_no_full_size_temporary():
+    # about the rows relext-wide's retrieve --split all initializes
+    rows = np.arange(0, 2 * 180_000, 2)
+    out = np.empty((rows.size, DEFAULT_D))
+    tracemalloc.start()
+    try:
+        init_fill(8675, "mention", rows, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two uint64 block buffers and the block's row counters, nothing the
+    # size of the 46 MB output
+    assert peak <= 3 * BLOCK_ROWS * DEFAULT_D * 8, peak
+    assert out.nbytes > 20 * peak

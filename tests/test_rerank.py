@@ -970,6 +970,30 @@ class TestScoreOnceCalibration:
         assert len(calls) == sum(len(r.event_ids[:k]) for r in results)
 
 
+class TestKeptPairs:
+    """A featurizer that keeps pairs builds each pair vector once across
+    training and calibration, and changes no bit of either."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_build_per_pair_and_bit_equal_results(self, seed, monkeypatch):
+        events, mentions, golds, results = calibration_corpus(seed)
+        config = RerankConfig(k=3, epochs=2, batch_size=4, seed=seed)
+        builds = []
+        original = rerank._pair_fv
+        monkeypatch.setattr(rerank, "_pair_fv", lambda *a: builds.append(a) or original(*a))
+        runs = []
+        for keep in (False, True):
+            builds.clear()
+            featurizer = PairFeaturizer(events, keep_pairs=keep)
+            params = train_reranker(results, golds, mentions, featurizer, config)
+            tau = select_threshold(params, featurizer, results, golds, mentions, DEFAULT_GRID)
+            runs.append((params_bytes(params), tau, len(builds)))
+        (plain, plain_tau, plain_builds), (kept, kept_tau, kept_builds) = runs
+        assert kept == plain and kept_tau == plain_tau
+        pairs = sum(len(set(r.event_ids)) for r in results)
+        assert (plain_builds, kept_builds) == (2 * pairs, pairs)
+
+
 class TestUnknownIds:
     def test_unknown_event_is_typed(self):
         events, mention, _ = overlap_corpus()

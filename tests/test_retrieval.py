@@ -20,6 +20,7 @@ from hierground.encoder import (
     event_text,
     fnv1a64,
     init_encoder,
+    init_rows,
     load_checkpoint,
     save_checkpoint,
     span_window,
@@ -340,7 +341,12 @@ class TestRowSubsetRetrieval:
         pool = ["E5", "E1", "E3", "E2", "E4"]
         F = 4096
         path = tmp_path / "c.bin"
-        save_checkpoint(path, init_encoder(F, 8, seed=3))
+        # a file that stores some rows of each tower and regenerates the rest
+        saved = init_rows(F, 8, 3, np.arange(0, F, 3), np.arange(0, F, 5))
+        rng = np.random.default_rng(0)
+        for tower in (saved.W_mention, saved.W_event):
+            tower[tower.rows] = rng.normal(scale=0.05, size=tower.values.shape)
+        save_checkpoint(path, saved)
         full = load_checkpoint(path)[0]
         index = build_index(full, events, pool, mode, max_chars)
         want = retrieve_mentions(full, index, mentions, 3, max_chars)

@@ -1,13 +1,15 @@
 """Hierarchy score, both losses with hand values, SGD loop, grad checks."""
 
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierground import training
+from hierground import encoder, training
 from hierground.dataset import (
     GroundingInstance,
     Mention,
@@ -24,6 +26,7 @@ from hierground.encoder import (
     featurize_event,
     hashed,
     init_encoder,
+    load_checkpoint,
     save_checkpoint,
 )
 from hierground.errors import (
@@ -946,7 +949,16 @@ class TestOracleEquivalence:
             heads = {f"complex.{key}": array for key, array in head.arrays().items()}
             save_checkpoint(tmp_path / f"{name}.bin", params, heads)
             write_training_log(log, tmp_path / f"{name}.jsonl")
-        assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
+        # the row-sparse file stores the held rows, the full one every row;
+        # both load as the same towers and heads, bit for bit
+        (rows, rows_heads), (full, full_heads) = (
+            load_checkpoint(tmp_path / f"{name}.bin") for name in ("rows", "full")
+        )
+        assert rows.W_mention.tobytes() == full.W_mention.tobytes()
+        assert rows.W_event.tobytes() == full.W_event.tobytes()
+        assert rows_heads.keys() == full_heads.keys()
+        assert all(rows_heads[k].tobytes() == full_heads[k].tobytes() for k in rows_heads)
+        assert (tmp_path / "rows.bin").stat().st_size < (tmp_path / "full.bin").stat().st_size
         assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
     @pytest.mark.parametrize("loss", ["linking", "hierarchy"])
@@ -961,6 +973,41 @@ class TestOracleEquivalence:
             else:
                 head = init_head(2, seed=0)
                 hierarchy_loss(params, head, ["P0", "P0"], [good, good], [good, bad])
+
+
+@functools.cache
+def trained_checkpoint(directory: str):
+    """A row-sparse ``train`` run's towers, its head's r, and the file they are saved to."""
+    events, forest, instances = small_corpus()
+    config = TrainConfig(strategy="HP_HJL", epochs=2, pretrain_epochs=1, seed=11)
+    params, head, _ = train(instances, events, forest, config, F=2**12, d=6)
+    path = Path(directory) / "c.bin"
+    save_checkpoint(path, params, {"complex.r": head.r})
+    return params, head.r, path
+
+
+class TestTrainSaveLoad:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_row_subset_load_equals_the_trained_towers(self, data, tmp_path_factory):
+        params, r, path = trained_checkpoint(str(tmp_path_factory.getbasetemp()))
+        dense, F = params.densify(), params.F
+        rows = {
+            tower: np.array(sorted(data.draw(st.sets(st.integers(0, F - 1), max_size=300))),
+                            dtype=np.int64)
+            for tower in ("mention", "event")
+        }
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoder, "BLOCK_ROWS", data.draw(st.integers(1, 64)))
+            part, heads = load_checkpoint(path, rows)
+        for tower, held, whole, name in (
+            (part.W_mention, params.W_mention, dense.W_mention, "mention"),
+            (part.W_event, params.W_event, dense.W_event, "event"),
+        ):
+            # the held rows as trained, every other row as initialized
+            assert tower[rows[name]].tobytes() == whole[rows[name]].tobytes()
+            assert tower[held.rows].tobytes() == held.values.tobytes()
+        assert heads["complex.r"].tobytes() == r.tobytes()
 
 
 class TestTrainingLogCounters:
