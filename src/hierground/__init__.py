@@ -23,11 +23,8 @@ from .encoder import (
     EncoderParams,
     FeatureVector,
     encode,
-    featurize_event,
-    featurize_mention,
     init_encoder,
     load_checkpoint,
-    pair_score,
     save_checkpoint,
 )
 from .errors import HiergroundError
@@ -54,7 +51,6 @@ from .relext import build_mention_lists, rank_parents
 from .rerank import (
     RerankConfig,
     RerankerParams,
-    featurize_pair,
     predict_set,
     select_threshold,
     substitute_missing_golds,
@@ -64,7 +60,6 @@ from .retrieval import CandidateIndex, RetrievalResult, build_index, retrieve_me
 from .training import (
     ComplExHead,
     TrainConfig,
-    complex_score,
     gradient_check,
     hierarchy_loss,
     linking_loss,
@@ -98,13 +93,9 @@ __all__ = [
     "build_index",
     "build_mention_lists",
     "candidate_pool",
-    "complex_score",
     "corpus_stats",
     "encode",
     "expand_gold",
-    "featurize_event",
-    "featurize_mention",
-    "featurize_pair",
     "generate_synthetic",
     "gradient_check",
     "hierarchy_loss",
@@ -113,7 +104,6 @@ __all__ = [
     "load_checkpoint",
     "load_events",
     "load_relations",
-    "pair_score",
     "predict_set",
     "rank_parents",
     "recall_at_k",

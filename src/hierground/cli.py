@@ -367,12 +367,11 @@ def cmd_evaluate(
     atomic_only: bool,
 ) -> list[str]:
     data = _load_corpus(config, "events", "relations", "mentions", split=split)
-    mentions = _select_mentions(data, split)
-    golds = _gold_chains(config, data, mentions)
-    mentions_by_id = {m.id: m for m in mentions}
-    results = [
-        r for r in retrieval.load_retrievals(retrievals_path) if r.mention_id in golds
-    ]
+    mentions_by_id = {m.id: m for m in data["mentions"]}
+    results = retrieval.load_retrievals(retrievals_path)
+    rerank.check_retrieval_ids(results, mentions_by_id, {e.id for e in data["events"]})
+    golds = _gold_chains(config, data, _select_mentions(data, split))
+    results = [r for r in results if r.mention_id in golds]
     if not results:
         raise ConfigError("no retrievals match the selected mentions")
 

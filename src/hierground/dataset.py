@@ -25,6 +25,7 @@ from .kb import (
     RelationProperty,
     ancestor_chain,
     read_json_fields,
+    read_jsonl,
     require_text,
 )
 from .seeding import substream_rng
@@ -569,32 +570,24 @@ def load_mentions(path: str | Path) -> list[Mention]:
     """Read mentions.jsonl; spans are validated against the context."""
     mentions: list[Mention] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(path), line_no, f"bad JSON: {exc.msg}") from exc
-            try:
-                mention = Mention(
-                    id=obj["id"],
-                    language=obj["language"],
-                    context=require_text(path, line_no, "context", obj["context"]),
-                    span_start=int(obj["span_start"]),
-                    span_end=int(obj["span_end"]),
-                    anchor_event=obj["anchor_event"],
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(str(path), line_no, str(exc)) from exc
-            if mention.id in seen:
-                raise ParseError(
-                    str(path), line_no, f"duplicate mention id {mention.id!r}"
-                )
-            seen.add(mention.id)
-            mentions.append(mention)
+    for line_no, obj in read_jsonl(
+        path, id=str, language=str, context=str, span_start=int, span_end=int, anchor_event=str
+    ):
+        try:
+            mention = Mention(
+                id=obj["id"],
+                language=obj["language"],
+                context=require_text(path, line_no, "context", obj["context"]),
+                span_start=obj["span_start"],
+                span_end=obj["span_end"],
+                anchor_event=obj["anchor_event"],
+            )
+        except ValueError as exc:  # the span does not fit the context
+            raise ParseError(str(path), line_no, str(exc)) from exc
+        if mention.id in seen:
+            raise ParseError(str(path), line_no, f"duplicate mention id {mention.id!r}")
+        seen.add(mention.id)
+        mentions.append(mention)
     return mentions
 
 
@@ -620,7 +613,9 @@ def save_splits(assignment: SplitAssignment, path: str | Path) -> None:
 
 
 def load_splits(path: str | Path) -> SplitAssignment:
-    data = read_json_fields(path, components=dict, splits=dict, seed=int)
+    data = read_json_fields(
+        path, components=dict[str, str], splits=dict[str, str], seed=int
+    )
     for component in data["components"].values():
         if component not in data["splits"]:
             raise ParseError(str(path), 1, f"component {component!r} has no split")

@@ -56,18 +56,6 @@ def reset_warning_counts() -> None:
         WARNING_COUNTS[key] = 0
 
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash; fixed constants, no per-process salting.
-
-    The scalar reference for ``ngram_counts_many``, which hashes whole
-    lists of n-grams bit-equal to it; the library itself never calls it.
-    """
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
-
-
 @dataclass
 class FeatureVector:
     """Sparse L2-normalized bag of hashed n-grams over a space of size F."""
@@ -114,7 +102,8 @@ def ngram_counts_many(
     """Per text, the ascending bucket ids in [0, buckets) of its character
     3-5-grams and their float counts.
 
-    Bit-equal to bucketing ``fnv1a64`` of each n-gram's UTF-8 bytes, but
+    Bit-equal to bucketing the FNV-1a 64-bit hash of each n-gram's UTF-8
+    bytes (the scalar ``fnv1a64`` in ``tests/oracles.py``), but
     every n-gram of a run of texts is hashed in whole-array steps: the
     state of the n-gram starting at each character advances one character
     at a time, its lead byte for all starts at once and its continuation
@@ -160,11 +149,6 @@ def _ngram_counts_chunk(
     bounds = np.searchsorted(owner, np.arange(len(texts) + 1))
     bucket, counts = cells - owner * buckets, counts.astype(float)
     return [(bucket[lo:hi], counts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def ngram_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """``ngram_counts_many`` of one text."""
-    return ngram_counts_many([text], buckets)[0]
 
 
 def hash_texts(texts: list[str], F: int) -> list[FeatureVector]:
@@ -229,14 +213,6 @@ def span_window(mention: Mention, max_context_chars: int) -> str:
     return marked[lo : lo + max_context_chars]
 
 
-def featurize_mention(
-    mention: Mention,
-    max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
-    F: int = DEFAULT_F,
-) -> FeatureVector:
-    return hash_text(span_window(mention, max_context_chars), F)
-
-
 def event_text(
     event: Event,
     language: str,
@@ -246,22 +222,6 @@ def event_text(
     label = event.label_for(language, fallback)
     text = label.title if not label.description else f"{label.title} {label.description}"
     return text[:max_cand_chars]
-
-
-def featurize_event(
-    event: Event,
-    language: str,
-    fallback: str = FALLBACK_LANGUAGE,
-    max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
-    F: int = DEFAULT_F,
-) -> FeatureVector:
-    """Hash the event's title + description in the requested language.
-
-    Multilingual callers pass the mention's language; crosslingual
-    callers always pass the fallback (English).  MissingLabel propagates
-    when neither language is present.
-    """
-    return hash_text(event_text(event, language, fallback, max_cand_chars), F)
 
 
 class TextFeaturizer:
@@ -559,12 +519,6 @@ def design_matrix(fvs: list[FeatureVector], F: int) -> tuple[np.ndarray, np.ndar
     return rows, X
 
 
-def pair_score(m_vec: np.ndarray, e_vec: np.ndarray) -> float:
-    if m_vec.shape != e_vec.shape:
-        raise DimensionMismatch(f"embedding shapes {m_vec.shape} vs {e_vec.shape}")
-    return float(np.dot(m_vec, e_vec))
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints: one sorted JSON header line {"format_version", "kind",
 # "arrays": [{"name", "shape", "dtype"}, ...], **meta}, then every array
@@ -737,8 +691,10 @@ def _read_encoder(fh, path: str | Path):
         (n,), _, offset = specs[f"{tower}.rows"]
         fh.seek(offset)
         ids = np.frombuffer(fh.read(8 * n), dtype="<i8")
-        if n and (ids[0] < 0 or ids[-1] >= F or np.any(ids[1:] <= ids[:-1])):
-            raise reject(f"{tower} tower row ids are not ascending, distinct and in [0, {F})")
+        try:
+            _check_rows(F, ids)
+        except DimensionMismatch as exc:
+            raise reject(f"{tower} {exc}") from None
         stored[tower] = ids
     return F, d, seed, stored, specs
 

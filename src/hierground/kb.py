@@ -104,9 +104,6 @@ class HierarchyForest:
     nodes: frozenset[str]
     max_height: int
 
-    def in_hierarchy(self, event_id: str) -> bool:
-        return event_id in self.parent or event_id in self.children
-
     def hierarchy_ids(self) -> set[str]:
         """Ids of all events that appear in at least one forest edge."""
         return set(self.parent) | set(self.children)
@@ -250,57 +247,141 @@ def save_forest(forest: HierarchyForest, path: str | Path) -> None:
     )
 
 
-def read_json_fields(path: str | Path, **kinds: type) -> dict:
-    """A file's JSON object whose named fields are each of their kind: an
-    int, or a dict or list of strings.  Any other file is a ParseError."""
+# The JSON type of each field kind a reader names: the types json gives
+# it, the type of every element it holds (or None), and its JSON name.
+FIELD_KINDS = {
+    str: ((str,), None, "a string"),
+    int: ((int,), None, "an integer"),
+    float: ((float, int), None, "a number"),
+    dict: ((dict,), None, "an object"),
+    list: ((list,), None, "an array"),
+    list[str]: ((list,), str, "an array of strings"),
+    dict[str, str]: ((dict,), str, "an object of strings"),
+}
+
+
+def _not_a_number(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_not_a_number)
+
+
+def _decode(path: str | Path, text: str, line_no: int):
+    """The JSON value of ``text``, which starts at line ``line_no`` of
+    ``path``; text that is not JSON is a ParseError at its line."""
     try:
-        data = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, f"bad JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(str(path), 1, "must hold a JSON object")
-    for name, kind in kinds.items():
-        value = data.get(name)
-        items = value.values() if isinstance(value, dict) else value if kind is list else ()
-        if type(value) is not kind or not all(isinstance(item, str) for item in items):
-            raise ParseError(str(path), 1, f"field {name!r} is missing or malformed")
+        return _DECODER.decode(text)
+    except ValueError as exc:
+        line = line_no + getattr(exc, "lineno", 1) - 1
+        raise ParseError(str(path), line, f"bad JSON: {getattr(exc, 'msg', exc)}") from None
+
+
+def _check_fields(path: str | Path, line_no: int, record, checks: list[tuple]) -> None:
+    if type(record) is not dict:
+        raise ParseError(str(path), line_no, "must hold a JSON object")
+    for name, types, item, what in checks:
+        value = record.get(name)
+        if type(value) not in types or item and not all(
+            type(v) is item for v in (value.values() if type(value) is dict else value)
+        ):
+            problem = f"must be {what}" if name in record else "is missing"
+            raise ParseError(str(path), line_no, f"field {name!r} {problem}")
+
+
+def read_jsonl(path: str | Path, **kinds):
+    """Yield (line number, record) for each non-blank line of a JSONL file.
+
+    Each record is a JSON object whose fields named in ``kinds`` are each
+    of their kind in ``FIELD_KINDS`` (``int`` is never a bool, ``float`` is
+    any number); a line that is not JSON, not an object or has such a
+    field missing or of another type is a ParseError with its line.
+    """
+    checks = [(name, *FIELD_KINDS[kind]) for name, kind in kinds.items()]
+    raw_decode = _DECODER.raw_decode
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            # raw_decode skips decode's whitespace scans; a line it does not
+            # read whole (leading space, trailing text, bad JSON) is decoded
+            # again in full, which reports the error or reads the record
+            try:
+                record, end = raw_decode(line)
+                whole = end == len(line) or line[end:].isspace()
+            except ValueError:
+                whole = False
+            if not whole:
+                record = _decode(path, line.strip(), line_no)
+            _check_fields(path, line_no, record, checks)
+            yield line_no, record
+
+
+def scored_ids(
+    path: str | Path, line_no: int, entries: list, name: str, score: str
+) -> list[tuple[str, float]]:
+    """(id, float score) of each ``{name: string, score: number}`` object in
+    ``entries``, a JSON array of line ``line_no``; any other entry is a
+    ParseError.  The check runs inline, since a retrievals file holds
+    tens of thousands of entries."""
+    numbers = FIELD_KINDS[float][0]
+    try:
+        pairs = [
+            (ident, float(value))
+            for entry in entries
+            if type(entry) is dict
+            for ident, value in [(entry.get(name), entry.get(score))]
+            if type(ident) is str and type(value) in numbers
+        ]
+    except OverflowError:  # an integer too large for a float
+        pairs = []
+    if len(pairs) < len(entries):
+        raise ParseError(
+            str(path), line_no, f'each entry must be {{"{name}": string, "{score}": number}}'
+        )
+    return pairs
+
+
+def read_json_fields(path: str | Path, **kinds) -> dict:
+    """A file's one JSON object whose named fields are each of their kind,
+    as ``read_jsonl`` checks a line; any other file is a ParseError."""
+    data = _decode(path, Path(path).read_text("utf-8"), 1)
+    _check_fields(path, 1, data, [(name, *FIELD_KINDS[kind]) for name, kind in kinds.items()])
     return data
 
 
 def load_forest(path: str | Path) -> HierarchyForest:
     return HierarchyForest.from_dict(
-        read_json_fields(path, parent=dict, nodes=list, max_height=int)
+        read_json_fields(path, parent=dict[str, str], nodes=list[str], max_height=int)
     )
 
 
 def load_events(path: str | Path) -> list[Event]:
-    """Read events.jsonl: one ``{"id", "labels": {lang: {...}}}`` per line."""
+    """Read events.jsonl: one ``{"id", "labels": {lang: {"title",
+    "description"}}}`` per line, the description optional."""
     events: list[Event] = []
     seen: set[str] = set()
-    for line_no, obj in _iter_jsonl(path):
-        try:
-            event_id = obj["id"]
-            raw_labels = obj["labels"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(str(path), line_no, f"missing field: {exc}") from exc
-        if not isinstance(event_id, str) or not event_id:
+    for line_no, obj in read_jsonl(path, id=str, labels=dict):
+        event_id, raw_labels = obj["id"], obj["labels"]
+        if not event_id:
             raise ParseError(str(path), line_no, "id must be a non-empty string")
         if event_id in seen:
             raise ParseError(str(path), line_no, f"duplicate event id {event_id!r}")
-        if not isinstance(raw_labels, dict) or not raw_labels:
-            raise ParseError(str(path), line_no, "labels must be a non-empty object")
-        labels = {}
-        for lang, lab in raw_labels.items():
-            if not isinstance(lab, dict) or "title" not in lab:
-                raise ParseError(
-                    str(path), line_no, f"label for {lang!r} needs a title"
-                )
-            labels[lang] = Label(
-                title=require_text(path, line_no, f"{lang} title", str(lab["title"])),
-                description=require_text(
-                    path, line_no, f"{lang} description", str(lab.get("description", ""))
-                ),
+        labels = {
+            lang: Label(lab["title"], lab.get("description", ""))
+            for lang, lab in raw_labels.items()
+            if type(lab) is dict
+            and type(lab.get("title")) is str
+            and type(lab.get("description", "")) is str
+        }
+        if not labels or len(labels) < len(raw_labels):
+            raise ParseError(
+                str(path), line_no,
+                'labels must map one or more languages to {"title": string, "description": string}',
             )
+        for lang, label in labels.items():
+            require_text(path, line_no, f"{lang} title", label.title)
+            require_text(path, line_no, f"{lang} description", label.description)
         seen.add(event_id)
         events.append(Event(id=event_id, labels=labels))
     return events
@@ -310,11 +391,8 @@ def load_relations(path: str | Path) -> list[RelationEdge]:
     """Read relations.jsonl: ``{"subject", "property", "object"}`` per line."""
     edges: list[RelationEdge] = []
     codes = {p.value: p for p in RelationProperty}
-    for line_no, obj in _iter_jsonl(path):
-        try:
-            subject, prop, object_ = obj["subject"], obj["property"], obj["object"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(str(path), line_no, f"missing field: {exc}") from exc
+    for line_no, obj in read_jsonl(path, subject=str, property=str, object=str):
+        subject, prop, object_ = obj["subject"], obj["property"], obj["object"]
         if prop not in codes:
             raise ParseError(str(path), line_no, f"unknown property {prop!r}")
         if subject == object_:
@@ -347,11 +425,9 @@ def write_relations(edges: list[RelationEdge], path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def require_text(path: str | Path, line_no: int, field: str, value) -> str:
-    """``value`` if it is a string that encodes as UTF-8 (JSON can spell a
-    lone surrogate, which cannot be hashed); ParseError otherwise."""
-    if not isinstance(value, str):
-        raise ParseError(str(path), line_no, f"{field} must be a string")
+def require_text(path: str | Path, line_no: int, field: str, value: str) -> str:
+    """``value`` if it encodes as UTF-8 (JSON can spell a lone surrogate,
+    which cannot be hashed); ParseError otherwise."""
     try:
         value.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -359,15 +435,3 @@ def require_text(path: str | Path, line_no: int, field: str, value) -> str:
             str(path), line_no, f"{field} does not encode as UTF-8: {exc.reason} at {exc.start}"
         ) from None
     return value
-
-
-def _iter_jsonl(path: str | Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(path), line_no, f"bad JSON: {exc.msg}") from exc

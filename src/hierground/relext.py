@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, ParseError, UndefinedScore
+from .errors import InvalidConfig, UndefinedScore
+from .kb import read_jsonl, scored_ids
 from .retrieval import RetrievalResult
 
 DEFAULT_LIST_K = 4
@@ -153,16 +154,6 @@ def write_parents(
 
 def load_parents(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     rankings: dict[str, list[tuple[str, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                rankings[obj["event"]] = [
-                    (entry["parent"], float(entry["h"])) for entry in obj["ranking"]
-                ]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(str(path), line_no, str(exc)) from exc
+    for line_no, obj in read_jsonl(path, event=str, ranking=list):
+        rankings[obj["event"]] = scored_ids(path, line_no, obj["ranking"], "parent", "h")
     return rankings

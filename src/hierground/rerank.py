@@ -11,6 +11,7 @@ set; an empty set is replaced by the reserved NULL event.
 from __future__ import annotations
 
 import json
+from collections.abc import Container
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .errors import (
     TrainingDiverged,
     UnknownMention,
 )
-from .kb import Event
+from .kb import Event, read_jsonl
 from .metrics import NULL_EVENT, EvalRecord, set_metrics
 from .retrieval import RetrievalResult, check_candidates
 from .seeding import substream_rng
@@ -73,16 +74,6 @@ def _pair_fv(mention: Block, event: Block) -> FeatureVector:
         values=np.concatenate([counts / np.linalg.norm(counts) for _, counts in blocks]),
         F=PAIR_DIM,
     )
-
-
-def featurize_pair(
-    mention: Mention,
-    event: Event,
-    mode: str = "multilingual",
-    max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
-    max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
-) -> FeatureVector:
-    return PairFeaturizer([event], mode, max_context_chars, max_cand_chars).pair_fv(mention, event.id)
 
 
 class PairFeaturizer(TextFeaturizer):
@@ -219,7 +210,7 @@ def _mention_of(mentions: dict[str, Mention], mention_id: str) -> Mention:
 def check_retrieval_ids(
     results: list[RetrievalResult],
     mentions: dict[str, Mention],
-    events: dict[str, Event],
+    events: Container[str],
 ) -> None:
     """Raise UnknownMention or UnknownEvent for the first id not in the corpus."""
     for result in results:
@@ -453,18 +444,10 @@ def write_predictions(
 
 
 def load_predictions(path: str | Path) -> dict[str, frozenset[str]]:
-    predictions: dict[str, frozenset[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                predictions[obj["mention_id"]] = frozenset(obj["predicted"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(str(path), line_no, str(exc)) from exc
-    return predictions
+    return {
+        obj["mention_id"]: frozenset(obj["predicted"])
+        for _, obj in read_jsonl(path, mention_id=str, predicted=list[str])
+    }
 
 
 # ---------------------------------------------------------------------------

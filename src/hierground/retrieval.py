@@ -34,7 +34,7 @@ from .encoder import (
     span_window,
 )
 from .errors import InvalidConfig, KTooLarge, NonFiniteScore, ParseError, UnknownEvent
-from .kb import Event
+from .kb import Event, read_jsonl, scored_ids
 
 DEFAULT_K = 8
 
@@ -290,29 +290,13 @@ def load_retrievals(path: str | Path) -> list[RetrievalResult]:
     """One result per line; a repeated ``mention_id`` is a ParseError."""
     results: list[RetrievalResult] = []
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                result = RetrievalResult(
-                    mention_id=obj["mention_id"],
-                    candidates=[
-                        (c["event"], float(c["score"])) for c in obj["candidates"]
-                    ],
-                )
-                seen = first_line.setdefault(result.mention_id, line_no)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(str(path), line_no, str(exc)) from exc
-            if seen != line_no:
-                raise ParseError(
-                    str(path),
-                    line_no,
-                    f"mention_id {result.mention_id!r} repeats line {seen}",
-                )
-            results.append(result)
+    for line_no, obj in read_jsonl(path, mention_id=str, candidates=list):
+        candidates = scored_ids(path, line_no, obj["candidates"], "event", "score")
+        mention_id = obj["mention_id"]
+        seen = first_line.setdefault(mention_id, line_no)
+        if seen != line_no:
+            raise ParseError(str(path), line_no, f"mention_id {mention_id!r} repeats line {seen}")
+        results.append(RetrievalResult(mention_id, candidates))
     return results
 
 

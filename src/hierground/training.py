@@ -136,24 +136,6 @@ def _complex_cells(
     return (im_p * r) @ re_c.T - (re_p * r) @ im_c.T
 
 
-def complex_score_matrix(
-    head: ComplExHead, parent_vecs: np.ndarray, child_vecs: np.ndarray
-) -> np.ndarray:
-    """S[i, j] = s(parent_i, child_j) for row-stacked encodings."""
-    return _complex_cells(*_project(head, parent_vecs), *_project(head, child_vecs), head.r)
-
-
-def complex_score(head: ComplExHead, e_p_vec: np.ndarray, e_c_vec: np.ndarray) -> float:
-    """s(e_p, e_c) = Im(e_p).(Re(e_c) * r) - Re(e_p).(Im(e_c) * r).
-
-    The symmetric part of the underlying trilinear product cancels, so
-    swapping arguments flips the sign exactly.
-    """
-    if e_p_vec.shape != (head.d,) or e_c_vec.shape != (head.d,):
-        raise DimensionMismatch(f"event encodings must be {head.d}-dim")
-    return float(complex_score_matrix(head, e_p_vec[None, :], e_c_vec[None, :])[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Losses with analytic gradients
 

@@ -329,6 +329,28 @@ class TestUnknownIdsInRetrievals:
         assert bad_id in record["message"]
         assert not (tmp_path / "reranker.bin").exists()
 
+    @pytest.mark.parametrize(
+        "field, error, key, bad_id",
+        [
+            ("mention", "UnknownMention", "mention_id", "NOPE"),
+            ("event", "UnknownEvent", "event_id", "QNOPE"),
+        ],
+    )
+    def test_evaluate_without_reranker(
+        self, pipeline, tmp_path, capsys, field, error, key, bad_id
+    ):
+        bad = broken_retrievals(pipeline, tmp_path, "retrievals_dev.jsonl", field)
+        rc = main(
+            ["evaluate", "--output-dir", str(tmp_path), *SEED,
+             *corpus_args(pipeline), "--splits", str(pipeline / "splits.json"),
+             "--retrievals", bad, "--split", "dev", "--ks", "4,8"]
+        )
+        assert rc == 1
+        record = only_error(capsys)
+        assert record["error"] == error
+        assert record["context"][key] == bad_id
+        assert not (tmp_path / "report.json").exists()
+
     def test_evaluate_unknown_event(self, pipeline, tmp_path, capsys):
         bad = broken_retrievals(pipeline, tmp_path, "retrievals_dev.jsonl", "event")
         rc = main(
@@ -446,18 +468,34 @@ def written(flag: str, text: str):
     return make
 
 
-def retrievals_with_score(score):
-    """A table row input: the dev retrievals, the first score replaced."""
+def first_record(source: str, flag: str, keys: tuple, value):
+    """A table row input: the pipeline's ``source`` file, passed as ``flag``,
+    with the value at ``keys`` in its first record replaced by ``value``, or
+    by ``value(old value)`` when ``value`` is callable."""
 
     def make(pipeline, tmp_path) -> dict[str, str]:
-        lines = (pipeline / "retrievals_dev.jsonl").read_text("utf-8").splitlines()
-        first = json.loads(lines[0])
-        first["candidates"][0]["score"] = score
-        return written("--retrievals", "\n".join([json.dumps(first), *lines[1:]]) + "\n")(
+        lines = (pipeline / source).read_text("utf-8").splitlines()
+        first = owner = json.loads(lines[0])
+        for key in keys[:-1]:
+            owner = owner[key]
+        old = owner[keys[-1]]
+        owner[keys[-1]] = value(old) if callable(value) else value
+        return written(flag, "\n".join([json.dumps(first), *lines[1:]]) + "\n")(
             pipeline, tmp_path
         )
 
     return make
+
+
+def mistyped(source: str, keys: tuple, value):
+    """A table row: the pipeline's ``source`` file with ``value``, of the
+    wrong JSON type, at ``keys`` in its first record is a ParseError at line 1
+    (ingest reads the corpus files, evaluate the retrievals)."""
+    name = source.removesuffix(".jsonl")
+    command, flag = ("evaluate", "--retrievals") if name.startswith("retrievals") else (
+        "ingest", f"--{name}"
+    )
+    return command, None, first_record(source, flag, keys, value), "ParseError", None
 
 
 # row -> (subcommand, config file object or None, flag overrides maker or None
@@ -507,9 +545,35 @@ BAD_CONFIG = {
         "train", None, written("--splits", '{"components": {}}'), "ParseError", None
     ),
     "splits-not-an-object": ("train", None, written("--splits", "[]"), "ParseError", None),
-    "retrievals-score-string": (
-        "evaluate", None, retrievals_with_score("x"), "ParseError", None
-    ),
+    "retrievals-score-string": mistyped("retrievals_dev.jsonl", ("candidates", 0, "score"), "x"),
+    "events-id-array": mistyped("events.jsonl", ("id",), ["E"]),
+    "events-id-number": mistyped("events.jsonl", ("id",), 5),
+    "events-id-null": mistyped("events.jsonl", ("id",), None),
+    "events-labels-array": mistyped("events.jsonl", ("labels",), ["en"]),
+    "events-title-array": mistyped("events.jsonl", ("labels", "en", "title"), ["x"]),
+    "events-title-number": mistyped("events.jsonl", ("labels", "en", "title"), 5),
+    "events-description-null": mistyped("events.jsonl", ("labels", "en", "description"), None),
+    "relations-subject-array": mistyped("relations.jsonl", ("subject",), ["E"]),
+    "relations-property-array": mistyped("relations.jsonl", ("property",), ["P361"]),
+    "relations-object-number": mistyped("relations.jsonl", ("object",), 5),
+    "relations-subject-null": mistyped("relations.jsonl", ("subject",), None),
+    "mentions-id-array": mistyped("mentions.jsonl", ("id",), ["M"]),
+    "mentions-id-number": mistyped("mentions.jsonl", ("id",), 5),
+    "mentions-anchor-array": mistyped("mentions.jsonl", ("anchor_event",), ["E"]),
+    "mentions-language-array": mistyped("mentions.jsonl", ("language",), ["en"]),
+    "mentions-context-null": mistyped("mentions.jsonl", ("context",), None),
+    "mentions-span-start-bool": mistyped("mentions.jsonl", ("span_start",), True),
+    "mentions-span-end-float": mistyped("mentions.jsonl", ("span_end",), float),
+    "mentions-span-end-string": mistyped("mentions.jsonl", ("span_end",), str),
+    "retrievals-mention-number": mistyped("retrievals_dev.jsonl", ("mention_id",), 5),
+    "retrievals-mention-array": mistyped("retrievals_dev.jsonl", ("mention_id",), ["M"]),
+    "retrievals-candidates-object": mistyped("retrievals_dev.jsonl", ("candidates",), {}),
+    "retrievals-event-array": mistyped("retrievals_dev.jsonl", ("candidates", 0, "event"), ["E"]),
+    "retrievals-event-number": mistyped("retrievals_dev.jsonl", ("candidates", 0, "event"), 5),
+    "retrievals-event-null": mistyped("retrievals_dev.jsonl", ("candidates", 0, "event"), None),
+    "retrievals-score-bool": mistyped("retrievals_dev.jsonl", ("candidates", 0, "score"), True),
+    "retrievals-score-null": mistyped("retrievals_dev.jsonl", ("candidates", 0, "score"), None),
+    "retrievals-candidate-array": mistyped("retrievals_dev.jsonl", ("candidates", 0), ["E", 1.0]),
 }
 
 

@@ -6,9 +6,11 @@ import json
 import os
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import featurize_event, featurize_mention, fnv1a64, pair_score
 
 from hierground import encoder, rerank, retrieval, training
 from hierground.dataset import GroundingInstance, Mention
@@ -24,9 +26,6 @@ from hierground.encoder import (
     Tower,
     encode,
     event_text,
-    featurize_event,
-    featurize_mention,
-    fnv1a64,
     hash_text,
     hash_texts,
     hashed,
@@ -35,7 +34,6 @@ from hierground.encoder import (
     load_arrays,
     load_checkpoint,
     ngram_counts_many,
-    pair_score,
     reset_warning_counts,
     save_arrays,
     save_checkpoint,
@@ -579,7 +577,7 @@ class TestLanguageRule:
         in_block = (fv.indices >= rerank.BLOCK_BUCKETS) & (
             fv.indices < 2 * rerank.BLOCK_BUCKETS
         )
-        keys, counts = encoder.ngram_counts(text, rerank.BLOCK_BUCKETS)
+        keys, counts = oracles.ngram_counts(text, rerank.BLOCK_BUCKETS)
         assert np.array_equal(fv.indices[in_block] - rerank.BLOCK_BUCKETS, keys)
         assert fv.values[in_block].tobytes() == (counts / np.linalg.norm(counts)).tobytes()
 

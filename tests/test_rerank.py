@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import featurize_pair, fnv1a64, ngram_counts
 
 import hierground
 from hierground import rerank
@@ -21,9 +22,7 @@ from hierground.encoder import (
     NGRAM_SIZES,
     FeatureVector,
     design_matrix,
-    fnv1a64,
     hash_text,
-    ngram_counts,
     save_arrays,
     span_window,
 )
@@ -50,7 +49,6 @@ from hierground.rerank import (
     SGDWorkspace,
     _pair_fv,
     _reranker_sgd_step,
-    featurize_pair,
     init_reranker,
     load_predictions,
     load_reranker,

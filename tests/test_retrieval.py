@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import fnv1a64
 
 from hierground import encoder, retrieval
 from hierground.dataset import Mention
@@ -18,7 +19,6 @@ from hierground.encoder import (
     Tower,
     encode,
     event_text,
-    fnv1a64,
     init_encoder,
     init_rows,
     load_checkpoint,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import complex_score, complex_score_matrix, featurize_event
 
 from hierground import encoder, training
 from hierground.dataset import (
@@ -23,7 +24,6 @@ from hierground.encoder import (
     TextFeaturizer,
     Tower,
     encode,
-    featurize_event,
     hashed,
     init_encoder,
     load_checkpoint,
@@ -50,8 +50,6 @@ from hierground.training import (
     _project,
     _random_fv,
     build_linking_batch,
-    complex_score,
-    complex_score_matrix,
     gradient_check,
     hierarchy_loss,
     hierarchy_pairs,
