@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -566,22 +567,21 @@ def generate_synthetic(
 # Serialization
 
 
+# The JSON kind of each Mention field, in the order Mention declares them.
+_MENTION_KINDS = dict(
+    id=str, language=str, context=str, span_start=int, span_end=int, anchor_event=str
+)
+_mention_fields = itemgetter(*_MENTION_KINDS)
+
+
 def load_mentions(path: str | Path) -> list[Mention]:
     """Read mentions.jsonl; spans are validated against the context."""
     mentions: list[Mention] = []
     seen: set[str] = set()
-    for line_no, obj in read_jsonl(
-        path, id=str, language=str, context=str, span_start=int, span_end=int, anchor_event=str
-    ):
+    for line_no, obj in read_jsonl(path, **_MENTION_KINDS):
+        require_text(path, line_no, "context", obj["context"])
         try:
-            mention = Mention(
-                id=obj["id"],
-                language=obj["language"],
-                context=require_text(path, line_no, "context", obj["context"]),
-                span_start=obj["span_start"],
-                span_end=obj["span_end"],
-                anchor_event=obj["anchor_event"],
-            )
+            mention = Mention(*_mention_fields(obj))
         except ValueError as exc:  # the span does not fit the context
             raise ParseError(str(path), line_no, str(exc)) from exc
         if mention.id in seen:
@@ -594,15 +594,7 @@ def load_mentions(path: str | Path) -> list[Mention]:
 def write_mentions(mentions: list[Mention], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for m in mentions:
-            record = {
-                "id": m.id,
-                "language": m.language,
-                "context": m.context,
-                "span_start": m.span_start,
-                "span_end": m.span_end,
-                "anchor_event": m.anchor_event,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(vars(m), ensure_ascii=False) + "\n")
 
 
 def save_splits(assignment: SplitAssignment, path: str | Path) -> None:
@@ -613,9 +605,7 @@ def save_splits(assignment: SplitAssignment, path: str | Path) -> None:
 
 
 def load_splits(path: str | Path) -> SplitAssignment:
-    data = read_json_fields(
-        path, components=dict[str, str], splits=dict[str, str], seed=int
-    )
+    data = read_json_fields(path, components=dict[str, str], splits=dict[str, str], seed=int)
     for component in data["components"].values():
         if component not in data["splits"]:
             raise ParseError(str(path), 1, f"component {component!r} has no split")

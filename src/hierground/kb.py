@@ -9,6 +9,7 @@ followed-by), which only participate in zero-shot split construction.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -247,16 +248,23 @@ def save_forest(forest: HierarchyForest, path: str | Path) -> None:
     )
 
 
-# The JSON type of each field kind a reader names: the types json gives
-# it, the type of every element it holds (or None), and its JSON name.
+_MAX_FLOAT = sys.float_info.max
+
+
+def _all_str(values) -> bool:
+    return all(type(v) is str for v in values)
+
+
+# Each field kind a reader names: the types json gives it, a test its
+# value must also pass (or None), and its JSON name.
 FIELD_KINDS = {
     str: ((str,), None, "a string"),
     int: ((int,), None, "an integer"),
-    float: ((float, int), None, "a number"),
+    float: ((float, int), lambda v: -_MAX_FLOAT <= v <= _MAX_FLOAT, "a finite number"),
     dict: ((dict,), None, "an object"),
     list: ((list,), None, "an array"),
-    list[str]: ((list,), str, "an array of strings"),
-    dict[str, str]: ((dict,), str, "an object of strings"),
+    list[str]: ((list,), _all_str, "an array of strings"),
+    dict[str, str]: ((dict,), lambda v: _all_str(v.values()), "an object of strings"),
 }
 
 
@@ -267,77 +275,57 @@ def _not_a_number(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_not_a_number)
 
 
-def _decode(path: str | Path, text: str, line_no: int):
-    """The JSON value of ``text``, which starts at line ``line_no`` of
-    ``path``; text that is not JSON is a ParseError at its line."""
-    try:
-        return _DECODER.decode(text)
-    except ValueError as exc:
-        line = line_no + getattr(exc, "lineno", 1) - 1
-        raise ParseError(str(path), line, f"bad JSON: {getattr(exc, 'msg', exc)}") from None
-
-
-def _check_fields(path: str | Path, line_no: int, record, checks: list[tuple]) -> None:
-    if type(record) is not dict:
-        raise ParseError(str(path), line_no, "must hold a JSON object")
-    for name, types, item, what in checks:
-        value = record.get(name)
-        if type(value) not in types or item and not all(
-            type(v) is item for v in (value.values() if type(value) is dict else value)
-        ):
-            problem = f"must be {what}" if name in record else "is missing"
-            raise ParseError(str(path), line_no, f"field {name!r} {problem}")
+def _records(path: str | Path, lines, kinds: dict):
+    """Yield (line number, record) for each (line number, text) of ``lines``
+    whose text is not blank.  Each record is a JSON object whose fields
+    named in ``kinds`` are each of their kind in ``FIELD_KINDS`` (``int`` is
+    never a bool, ``float`` is any finite number); text that is not JSON,
+    not an object or has such a field missing or of another type is a
+    ParseError at its line."""
+    checks = [(name, *FIELD_KINDS[kind]) for name, kind in kinds.items()]
+    for line_no, text in lines:
+        if text.isspace():
+            continue
+        try:
+            record = _DECODER.decode(text)
+        except ValueError as exc:
+            line = line_no + text.rstrip().count("\n", 0, getattr(exc, "pos", 0))
+            raise ParseError(str(path), line, f"bad JSON: {getattr(exc, 'msg', exc)}") from None
+        if type(record) is not dict:
+            raise ParseError(str(path), line_no, "must hold a JSON object")
+        for name, types, test, what in checks:
+            value = record.get(name)
+            if type(value) not in types or test and not test(value):
+                problem = f"must be {what}" if name in record else "is missing"
+                raise ParseError(str(path), line_no, f"field {name!r} {problem}")
+        yield line_no, record
 
 
 def read_jsonl(path: str | Path, **kinds):
-    """Yield (line number, record) for each non-blank line of a JSONL file.
-
-    Each record is a JSON object whose fields named in ``kinds`` are each
-    of their kind in ``FIELD_KINDS`` (``int`` is never a bool, ``float`` is
-    any number); a line that is not JSON, not an object or has such a
-    field missing or of another type is a ParseError with its line.
-    """
-    checks = [(name, *FIELD_KINDS[kind]) for name, kind in kinds.items()]
-    raw_decode = _DECODER.raw_decode
+    """Yield (line number, record) for each non-blank line of a JSONL file,
+    every record checked against ``kinds`` as ``_records`` says."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            # raw_decode skips decode's whitespace scans; a line it does not
-            # read whole (leading space, trailing text, bad JSON) is decoded
-            # again in full, which reports the error or reads the record
-            try:
-                record, end = raw_decode(line)
-                whole = end == len(line) or line[end:].isspace()
-            except ValueError:
-                whole = False
-            if not whole:
-                record = _decode(path, line.strip(), line_no)
-            _check_fields(path, line_no, record, checks)
-            yield line_no, record
+        yield from _records(path, enumerate(fh, start=1), kinds)
 
 
 def scored_ids(
     path: str | Path, line_no: int, entries: list, name: str, score: str
 ) -> list[tuple[str, float]]:
     """(id, float score) of each ``{name: string, score: number}`` object in
-    ``entries``, a JSON array of line ``line_no``; any other entry is a
-    ParseError.  The check runs inline, since a retrievals file holds
-    tens of thousands of entries."""
+    ``entries``, a JSON array of line ``line_no``; any other entry, or a
+    score past the float range, is a ParseError.  The check runs inline,
+    since a retrievals file holds tens of thousands of entries."""
     numbers = FIELD_KINDS[float][0]
-    try:
-        pairs = [
-            (ident, float(value))
-            for entry in entries
-            if type(entry) is dict
-            for ident, value in [(entry.get(name), entry.get(score))]
-            if type(ident) is str and type(value) in numbers
-        ]
-    except OverflowError:  # an integer too large for a float
-        pairs = []
+    pairs = [
+        (ident, float(value))
+        for entry in entries
+        if type(entry) is dict
+        for ident, value in [(entry.get(name), entry.get(score))]
+        if type(ident) is str and type(value) in numbers and -_MAX_FLOAT <= value <= _MAX_FLOAT
+    ]
     if len(pairs) < len(entries):
         raise ParseError(
-            str(path), line_no, f'each entry must be {{"{name}": string, "{score}": number}}'
+            str(path), line_no, f'each entry must be {{"{name}": string, "{score}": finite number}}'
         )
     return pairs
 
@@ -345,9 +333,9 @@ def scored_ids(
 def read_json_fields(path: str | Path, **kinds) -> dict:
     """A file's one JSON object whose named fields are each of their kind,
     as ``read_jsonl`` checks a line; any other file is a ParseError."""
-    data = _decode(path, Path(path).read_text("utf-8"), 1)
-    _check_fields(path, 1, data, [(name, *FIELD_KINDS[kind]) for name, kind in kinds.items()])
-    return data
+    # stripped, a blank file is the text "", bad JSON rather than a skipped line
+    text = Path(path).read_text("utf-8").rstrip()
+    return next(_records(path, [(1, text)], kinds))[1]
 
 
 def load_forest(path: str | Path) -> HierarchyForest:

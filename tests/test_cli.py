@@ -573,6 +573,9 @@ BAD_CONFIG = {
     "retrievals-event-null": mistyped("retrievals_dev.jsonl", ("candidates", 0, "event"), None),
     "retrievals-score-bool": mistyped("retrievals_dev.jsonl", ("candidates", 0, "score"), True),
     "retrievals-score-null": mistyped("retrievals_dev.jsonl", ("candidates", 0, "score"), None),
+    "retrievals-score-past-float": mistyped(
+        "retrievals_dev.jsonl", ("candidates", 0, "score"), 10**400
+    ),
     "retrievals-candidate-array": mistyped("retrievals_dev.jsonl", ("candidates", 0), ["E", 1.0]),
 }
 

@@ -51,7 +51,7 @@ class TestReadJsonl:
         [
             (str, ["", "x"], [5, None, ["x"], {"x": "y"}, True]),
             (int, [0, -3, 10**20], [True, False, 1.0, "1", None, [1]]),
-            (float, [0, 1.5, -2, 1e300], [True, "1.5", None, [1.5]]),
+            (float, [0, 1.5, -2, 1e300], [True, "1.5", None, [1.5], 10**400, -(10**400)]),
             (dict, [{}, {"a": [1]}], [[], "x", None]),
             (list, [[], [1, "a"]], [{}, "ab", None]),
             (list[str], [[], ["a", "b"]], [["a", 1], [None], "ab", {"a": "b"}]),
@@ -70,6 +70,12 @@ class TestReadJsonl:
     def test_missing_field(self, tmp_path):
         err = rejected(tmp_path, '{"a": "x"}\n', a=str, b=str)
         assert (err.line, err.reason) == (1, "field 'b' is missing")
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+    def test_float_past_the_float_range(self, tmp_path, literal):
+        # json reads such a literal as an infinity, which no writer writes
+        err = rejected(tmp_path, '{"f": 1.0}\n{"f": %s}\n' % literal, f=float)
+        assert (err.line, err.reason) == (2, "field 'f' must be a finite number")
 
     @pytest.mark.parametrize("text", ["[]", '"x"', "5", "null"])
     def test_record_must_be_an_object(self, tmp_path, text):
@@ -100,12 +106,26 @@ class TestReadJsonl:
             {"event": "B", "score": True},
             {"event": "B", "score": None},
             {"event": "B", "score": 10**400},
+            {"event": "B", "score": float("inf")},  # how json reads 1e400
+            {"event": "B", "score": -float("inf")},
         ],
     )
     def test_scored_ids_rejects(self, entry):
         with pytest.raises(ParseError) as err:
             scored_ids("f.jsonl", 7, [{"event": "A", "score": 1.0}, entry], "event", "score")
         assert (err.value.path, err.value.line) == ("f.jsonl", 7)
+
+    @pytest.mark.parametrize("score", ["1e400", "-1e400", "1" + "0" * 400])
+    def test_retrieval_score_past_the_float_range(self, tmp_path, score):
+        # write_retrievals refuses a non-finite score, so load_retrievals does too
+        path = tmp_path / "retrievals.jsonl"
+        path.write_text(
+            '{"mention_id": "M", "candidates": [{"event": "E", "score": %s}]}\n' % score,
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match="finite number") as err:
+            load_retrievals(path)
+        assert err.value.line == 1
 
     def test_read_json_fields_shares_the_check(self, tmp_path):
         path = tmp_path / "fields.json"
@@ -117,6 +137,11 @@ class TestReadJsonl:
         with pytest.raises(ParseError) as err:
             read_json_fields(path)
         assert err.value.line == 3
+        for text, line in [("", 1), (" \n\n", 1), ('\n{\n  "a": 1,\n\n', 3)]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ParseError) as err:
+                read_json_fields(path)
+            assert err.value.line == line
 
 
 # ---------------------------------------------------------------------------
