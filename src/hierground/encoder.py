@@ -495,28 +495,77 @@ def encode(params: EncoderParams, fv: FeatureVector, tower: str) -> np.ndarray:
     return fv.values @ W[fv.indices]
 
 
-def design_matrix(fvs: list[FeatureVector], F: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending feature rows a batch touches and its dense local matrix.
+def held_values(W: np.ndarray | Tower) -> np.ndarray:
+    """What held-row ids index: a ``Tower``'s values, or a full F x d array,
+    which holds every row at its own id."""
+    return W.values if isinstance(W, Tower) else W
 
-    ``X[i, j]`` is feature ``rows[j]`` of ``fvs[i]``: ``X @ W[rows]``
-    encodes the batch, and ``X.T @ G`` maps the gradient ``G`` of its
-    encodings to the gradient of ``W[rows]``.
+
+class DesignWorkspace:
+    """The reused buffers of ``design``, the one design-matrix kernel.
+
+    ``mark`` and ``column`` span the held rows of the largest tower seen.
+    ``buffer`` holds, flat, every design matrix built since the last
+    ``reset``, so a loss that needs two (the linking loss) gets two views
+    of one buffer.  Each grows when a tower or a batch needs more.
     """
-    for fv in fvs:
-        if fv.F != F:
-            raise DimensionMismatch(f"feature space {fv.F} vs tower rows {F}")
-    rows, cols = np.unique(
-        np.concatenate([fv.indices for fv in fvs]), return_inverse=True
-    )
-    n = len(fvs)
-    example = np.repeat(np.arange(n), [fv.indices.size for fv in fvs])
-    # bincount sums an index repeated within one vector, as encode does
-    X = np.bincount(
-        example * rows.size + cols,
-        weights=np.concatenate([fv.values for fv in fvs]),
-        minlength=n * rows.size,
-    ).reshape(n, rows.size)
-    return rows, X
+
+    def __init__(self, held: int = 0, size: int = 0):
+        self.mark = np.zeros(held, dtype=bool)
+        self.column = np.empty(held, dtype=np.intp)
+        self.buffer = np.empty(size)
+        self.used = 0
+
+    def reset(self) -> None:
+        self.used = 0
+
+    def design(
+        self, W: np.ndarray | Tower, fvs: list[FeatureVector]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, held, X)`` of a batch over the tower ``W``: the ascending
+        global rows it touches, the same rows as ids into
+        ``held_values(W)``, and ``X[i, j]``, feature ``rows[j]`` of
+        ``fvs[i]``.  ``X @ held_values(W)[held]`` encodes the batch, and
+        ``X.T @ G`` maps the gradient ``G`` of its encodings to those rows.
+
+        Nothing is sorted: the indices go through the tower's slot table to
+        held-row ids, which are marked, read back ascending and numbered
+        through ``column``; X, a zeroed part of ``buffer``, is filled by
+        assignment, so each vector's indices must be distinct (``hash_texts``
+        and the reranker's pair features make them ascending).  A row ``W``
+        does not hold raises ``DimensionMismatch`` naming it.
+        """
+        F = W.shape[0]
+        for fv in fvs:
+            if fv.F != F:
+                raise DimensionMismatch(f"feature space {fv.F} vs tower rows {F}")
+        indices = np.concatenate([fv.indices for fv in fvs])
+        tower = isinstance(W, Tower)
+        n_held, local = (W.rows.size, W.slot.take(indices)) if tower else (F, indices)
+        if self.mark.size < n_held:
+            self.mark = np.zeros(n_held, dtype=bool)
+            self.column = np.empty(n_held, dtype=np.intp)
+        # a row not held has slot ``n_held``, one past the end of this view
+        mark = self.mark[:n_held]
+        try:
+            mark[local] = True
+        except IndexError:
+            mark.fill(False)
+            raise W._not_held(indices) from None
+        held = np.flatnonzero(mark)
+        mark[held] = False
+        n, r = len(fvs), held.size
+        self.column[held] = np.arange(r)
+        end = self.used + n * r
+        if end > self.buffer.size:
+            # the designs built since reset keep the old buffer alive
+            self.buffer = np.empty(max(end, 2 * self.buffer.size))
+        flat = self.buffer[self.used : end]
+        self.used = end
+        flat.fill(0.0)
+        starts = np.repeat(np.arange(n) * r, [fv.indices.size for fv in fvs])
+        flat[starts + self.column[local]] = np.concatenate([fv.values for fv in fvs])
+        return W.rows.take(held) if tower else held, held, flat.reshape(n, r)
 
 
 # ---------------------------------------------------------------------------

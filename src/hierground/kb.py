@@ -9,6 +9,7 @@ followed-by), which only participate in zero-shot split construction.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -268,8 +269,17 @@ FIELD_KINDS = {
 }
 
 
+class _NotANumber(ValueError):
+    """A NaN or Infinity literal, which JSON does not have."""
+
+
 def _not_a_number(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+    raise _NotANumber(f"{name} is not a JSON number")
+
+
+# the constant hook is not told where its literal is: the first NaN or
+# Infinity outside a JSON string is the one the decoder rejected
+_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)')
 
 
 _DECODER = json.JSONDecoder(parse_constant=_not_a_number)
@@ -289,7 +299,10 @@ def _records(path: str | Path, lines, kinds: dict):
         try:
             record = _DECODER.decode(text)
         except ValueError as exc:
-            line = line_no + text.rstrip().count("\n", 0, getattr(exc, "pos", 0))
+            pos = getattr(exc, "pos", 0)
+            if isinstance(exc, _NotANumber):
+                pos = next((m.start(1) for m in _CONSTANT.finditer(text) if m.group(1)), 0)
+            line = line_no + text.rstrip().count("\n", 0, pos)
             raise ParseError(str(path), line, f"bad JSON: {getattr(exc, 'msg', exc)}") from None
         if type(record) is not dict:
             raise ParseError(str(path), line_no, "must hold a JSON object")

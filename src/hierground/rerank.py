@@ -21,6 +21,7 @@ from .dataset import Mention
 from .encoder import (
     DEFAULT_MAX_CAND_CHARS,
     DEFAULT_MAX_CONTEXT_CHARS,
+    DesignWorkspace,
     FeatureVector,
     TextFeaturizer,
     load_arrays,
@@ -262,17 +263,15 @@ def train_reranker(
     return params
 
 
-class SGDWorkspace:
+class SGDWorkspace(DesignWorkspace):
     """The buffers every SGD step of one reranker training run reuses.
 
-    ``mark`` and ``slot`` span the P rows of V: a step marks the rows its
-    batch touches, reads them back ascending and clears the mark, then
-    numbers them through ``slot``.  ``X`` holds the dense design matrix
-    of any batch flat, and ``V_rows`` and ``grad`` hold its rows of V and
+    The design-matrix buffers span the P rows of V and a flat X sized for
+    any batch, and ``V_rows`` and ``grad`` hold a batch's rows of V and
     their gradient, so a step allocates nothing the size of its rows.
     Building the workspace checks every example once: its dimension is
-    P and its indices are strictly ascending, which lets a step fill X
-    by assignment.
+    P and its indices are strictly ascending, as the design kernel's fill
+    by assignment needs.
     """
 
     def __init__(self, fvs: list[FeatureVector], params: RerankerParams, batch_size: int):
@@ -285,9 +284,7 @@ class SGDWorkspace:
             sizes.append(fv.indices.size)
         # a batch touches at most the nonzeros of its batch_size largest examples
         max_rows = min(params.P, sum(sorted(sizes)[-batch_size:]))
-        self.mark = np.zeros(params.P, dtype=bool)
-        self.slot = np.zeros(params.P, dtype=np.intp)
-        self.X = np.empty(batch_size * max_rows)
+        super().__init__(params.P, batch_size * max_rows)
         self.V_rows = np.empty((max_rows, params.h))
         self.grad = np.empty((max_rows, params.h))
 
@@ -305,18 +302,9 @@ def _reranker_sgd_step(
     products restricted to those rows, computed in ``ws``.
     """
     n = len(batch)
-    indices = np.concatenate([fv.indices for fv, _ in batch])
-    ws.mark[indices] = True
-    rows = np.flatnonzero(ws.mark)
-    ws.mark[rows] = False
+    ws.reset()
+    rows, _, X = ws.design(params.V, [fv for fv, _ in batch])
     r = rows.size
-    ws.slot[rows] = np.arange(r)
-    flat = ws.X[: n * r]
-    flat.fill(0.0)
-    # no example repeats an index, so assignment writes each cell once
-    starts = np.repeat(np.arange(0, n * r, r), [fv.indices.size for fv, _ in batch])
-    flat[starts + ws.slot[indices]] = np.concatenate([fv.values for fv, _ in batch])
-    X = flat.reshape(n, r)
     labels = np.array([label for _, label in batch])
     # mode="clip" lets take write into out without a buffered copy
     V_rows = params.V.take(rows, axis=0, out=ws.V_rows[:r], mode="clip")

@@ -28,14 +28,16 @@ from .encoder import (
     DEFAULT_F,
     DEFAULT_MAX_CAND_CHARS,
     DEFAULT_MAX_CONTEXT_CHARS,
+    DesignWorkspace,
     EncoderParams,
     FeatureVector,
     TextFeaturizer,
-    design_matrix,
+    Tower,
     # unused here, but perfbench's tracer wraps the ``training.encode`` binding
     encode,  # noqa: F401
     feature_rows,
     hashed,
+    held_values,
     init_rows,
 )
 from .errors import (
@@ -142,10 +144,14 @@ def _complex_cells(
 
 @dataclass
 class SparseGrad:
-    """Gradient restricted to the tower rows an input batch touched."""
+    """Gradient restricted to the tower rows an input batch touched: the
+    ascending global ``rows``, and, when the loss knows them, the same rows
+    as ``held`` ids into the tower's ``held_values``.  ``grad`` is None
+    when the loss ran no backward pass."""
 
     rows: np.ndarray
-    grad: np.ndarray
+    grad: np.ndarray | None
+    held: np.ndarray | None = None
 
     def densify(self, F: int, d: int) -> np.ndarray:
         dense = np.zeros((F, d))
@@ -183,6 +189,8 @@ def linking_loss(
     gold_sets: list[frozenset[str]],
     pool_ids: list[str],
     pool_fvs: list[FeatureVector],
+    workspace: DesignWorkspace | None = None,
+    backward: bool = True,
 ) -> LinkingLossResult:
     """In-batch BCE over every mention x pooled-event cell.
 
@@ -190,26 +198,35 @@ def linking_loss(
     in that mention's gold set; every other pooled event (including other
     mentions' golds) is a negative.  Loss is the mean BCE over all cells.
     A batch whose labels are all identical is flagged degenerate but the
-    loss and gradients are still returned.
+    loss and gradients are still returned.  Both design matrices are built
+    in ``workspace`` (a fresh one when None).  With ``backward`` False
+    only the loss is computed: each gradient keeps its rows, its ``grad``
+    is None.
     """
     if not mention_fvs or not pool_fvs:
         raise EmptyTrainSplit("linking batch must contain mentions and events")
     if len(mention_fvs) != len(gold_sets) or len(pool_ids) != len(pool_fvs):
         raise DimensionMismatch("batch lists must align")
-    m_rows, X_m = design_matrix(mention_fvs, params.F)
-    e_rows, X_e = design_matrix(pool_fvs, params.F)
-    M = X_m @ params.W_mention[m_rows]
-    E = X_e @ params.W_event[e_rows]
+    ws = workspace or DesignWorkspace()
+    ws.reset()
+    m_rows, m_held, X_m = ws.design(params.W_mention, mention_fvs)
+    e_rows, e_held, X_e = ws.design(params.W_event, pool_fvs)
+    M = X_m @ held_values(params.W_mention).take(m_held, axis=0)
+    E = X_e @ held_values(params.W_event).take(e_held, axis=0)
     S = M @ E.T
     Y = np.array(
         [[1.0 if eid in gold else 0.0 for eid in pool_ids] for gold in gold_sets]
     )
     n_cells = S.size
     loss = float(_bce(S, Y).sum() / n_cells)
-    G = (sigmoid(S) - Y) / n_cells
-    grad_mention = SparseGrad(m_rows, X_m.T @ (G @ E))
-    grad_event = SparseGrad(e_rows, X_e.T @ (G.T @ M))
     degenerate = bool(Y.min() == Y.max())
+    if not backward:
+        return LinkingLossResult(
+            loss, SparseGrad(m_rows, None, m_held), SparseGrad(e_rows, None, e_held), degenerate
+        )
+    G = (sigmoid(S) - Y) / n_cells
+    grad_mention = SparseGrad(m_rows, X_m.T @ (G @ E), m_held)
+    grad_event = SparseGrad(e_rows, X_e.T @ (G.T @ M), e_held)
     return LinkingLossResult(loss, grad_mention, grad_event, degenerate)
 
 
@@ -228,6 +245,7 @@ def hierarchy_loss(
     parent_ids: list[str],
     parent_fvs: list[FeatureVector],
     child_fvs: list[FeatureVector],
+    workspace: DesignWorkspace | None = None,
 ) -> HierarchyLossResult:
     """BCE over parent x child score cells, averaged over batch pairs.
 
@@ -237,6 +255,7 @@ def hierarchy_loss(
     form of this objective rewards negatives with +log(sigma); the
     standard BCE sign (-log(1 - sigma)) is used instead so the loss is
     bounded below.  Only the event tower and the head receive gradients.
+    The design matrix is built in ``workspace`` (a fresh one when None).
     """
     n = len(parent_fvs)
     if n == 0:
@@ -249,8 +268,10 @@ def hierarchy_loss(
     distinct = {id(fv): fv for fv in slot_fvs}
     position = {key: i for i, key in enumerate(distinct)}
     slots = np.array([position[id(fv)] for fv in slot_fvs])
-    rows, X = design_matrix(list(distinct.values()), params.F)
-    E = (X @ params.W_event[rows])[slots]
+    ws = workspace or DesignWorkspace()
+    ws.reset()
+    rows, held, X = ws.design(params.W_event, list(distinct.values()))
+    E = (X @ held_values(params.W_event).take(held, axis=0))[slots]
     E_p, E_c = E[:n], E[n:]
     re_p, im_p = _project(head, E_p)
     re_c, im_c = _project(head, E_c)
@@ -279,7 +300,7 @@ def hierarchy_loss(
     # sum the slot gradients of each distinct vector before projecting
     slot_of = np.zeros((len(distinct), 2 * n))
     slot_of[slots, np.arange(2 * n)] = 1.0
-    grad_event = SparseGrad(rows, X.T @ (slot_of @ np.concatenate([dE_p, dE_c])))
+    grad_event = SparseGrad(rows, X.T @ (slot_of @ np.concatenate([dE_p, dE_c])), held)
     degenerate = bool(Y.min() == Y.max())
     return HierarchyLossResult(loss, grad_event, grad_head, degenerate)
 
@@ -322,9 +343,16 @@ def write_training_log(log: TrainLog, path: str | Path) -> None:
             fh.write(json.dumps(record, allow_nan=False) + "\n")
 
 
-def _apply_sparse(W: np.ndarray, grad: SparseGrad, lr: float) -> None:
-    if grad.rows.size:
+def _apply_sparse(W: np.ndarray | Tower, grad: SparseGrad, lr: float) -> None:
+    """An SGD step on the rows ``grad`` names, through its held ids if any."""
+    if not grad.rows.size:
+        return
+    if grad.held is None:
         W[grad.rows] -= lr * grad.grad
+    else:
+        values = held_values(W)
+        # take gathers rows about twice as fast as fancy indexing
+        values[grad.held] = values.take(grad.held, axis=0) - lr * grad.grad
 
 
 def _pack_batches(order: np.ndarray, sizes: list[int], batch_pairs: int) -> list[list[int]]:
@@ -415,8 +443,9 @@ def train(
     pretraining included, so the weight acts as a hierarchy-specific
     learning-rate multiplier and a single shared learning rate stays
     stable for both objectives.  The linking loss is still evaluated
-    (without updates) during pretrain epochs so every log record carries
-    both trends.  Identical inputs and seed give bit-identical parameters.
+    (without its backward pass or updates) during pretrain epochs so every
+    log record carries both trends.  One ``DesignWorkspace`` serves every
+    loss call of the run.  Identical inputs and seed give bit-identical parameters.
     The first step whose linking or hierarchy loss is not finite raises
     ``TrainingDiverged``, so a diverged run returns no parameters.
     The towers returned are ``Tower``s holding only the rows the training
@@ -455,6 +484,7 @@ def train(
     sizes = [len(inst.gold) for inst in instances]
     lr = config.learning_rate
 
+    workspace = DesignWorkspace()
     log = TrainLog()
     for epoch in range(config.epochs):
         in_pretrain = epoch < pretrain
@@ -468,7 +498,13 @@ def train(
         link_degenerate = hier_degenerate = 0
         for step, batch_indices in enumerate(batches):
             batch = [instances[i] for i in batch_indices]
-            link = linking_loss(params, *build_linking_batch(batch, featurizer))
+            # pretraining epochs log the linking loss but apply no update
+            link = linking_loss(
+                params,
+                *build_linking_batch(batch, featurizer),
+                workspace=workspace,
+                backward=not in_pretrain,
+            )
             if not np.isfinite(link.loss):
                 raise TrainingDiverged("linking", epoch, step, link.loss)
             link_losses.append(link.loss)
@@ -483,6 +519,7 @@ def train(
                     [pair_parent_ids[i] for i in picks],
                     [pair_parent_fvs[i] for i in picks],
                     [pair_child_fvs[i] for i in picks],
+                    workspace=workspace,
                 )
                 if not np.isfinite(hier.loss):
                     raise TrainingDiverged("hierarchy", epoch, step, hier.loss)
@@ -499,11 +536,8 @@ def train(
                 _apply_sparse(params.W_mention, link.grad_mention, lr)
                 _apply_sparse(params.W_event, link.grad_event, lr)
             if hier is not None and weight > 0.0:
-                _apply_sparse(
-                    params.W_event,
-                    SparseGrad(hier.grad_event.rows, weight * hier.grad_event.grad),
-                    lr,
-                )
+                g = hier.grad_event
+                _apply_sparse(params.W_event, SparseGrad(g.rows, weight * g.grad, g.held), lr)
                 for name, grad in hier.grad_head.items():
                     arr = getattr(head, name)
                     arr -= lr * weight * grad

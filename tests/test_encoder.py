@@ -10,7 +10,7 @@ import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import featurize_event, featurize_mention, fnv1a64, pair_score
+from oracles import design_matrix, featurize_event, featurize_mention, fnv1a64, pair_score
 
 from hierground import encoder, rerank, retrieval, training
 from hierground.dataset import GroundingInstance, Mention
@@ -20,6 +20,7 @@ from hierground.encoder import (
     SPAN_CLOSE,
     SPAN_OPEN,
     WARNING_COUNTS,
+    DesignWorkspace,
     EncoderParams,
     FeatureVector,
     TextFeaturizer,
@@ -29,6 +30,7 @@ from hierground.encoder import (
     hash_text,
     hash_texts,
     hashed,
+    held_values,
     init_encoder,
     init_rows,
     load_arrays,
@@ -849,6 +851,77 @@ MALFORMED_V3 = {
     "bool-init-seed": lambda header, arrays: header.update(init_seed=True),
     "format-2": lambda header, arrays: header.update(format_version=2),
 }
+
+
+@st.composite
+def design_cases(draw):
+    """A full F x d array or a Tower holding the rows some batches touch
+    (and a few more), and those batches: each slot is one of a few base
+    vectors, the same object again or an equal copy; a base may be empty,
+    and sometimes every base is."""
+    F = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 4))
+    all_empty = draw(st.booleans()) and draw(st.booleans())
+    bases = []
+    for _ in range(draw(st.integers(1, 6))):
+        # distinct indices in any order, as the kernel requires
+        indices = draw(st.lists(st.integers(0, F - 1), unique=True, max_size=0 if all_empty else 9))
+        values = draw(st.lists(
+            st.floats(-1.0, 1.0).filter(bool), min_size=len(indices), max_size=len(indices)
+        ))
+        bases.append(FeatureVector(np.array(indices, dtype=np.int64), np.array(values), F))
+    batches = []
+    for _ in range(draw(st.integers(1, 5))):
+        batch = []
+        for _ in range(draw(st.integers(1, 7))):
+            base = bases[draw(st.integers(0, len(bases) - 1))]
+            if draw(st.booleans()):
+                base = FeatureVector(base.indices.copy(), base.values.copy(), F)
+            batch.append(base)
+        batches.append(batch)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        W = rng.uniform(-1.0, 1.0, size=(F, d))
+    else:
+        used = {int(i) for fv in bases for i in fv.indices}
+        held = np.array(sorted(used | draw(st.sets(st.integers(0, F - 1)))), dtype=np.int64)
+        W = Tower(F, held, rng.uniform(-1.0, 1.0, size=(held.size, d)), (0, "event"))
+    resets = [draw(st.booleans()) for _ in batches]
+    return W, batches, resets
+
+
+class TestDesignKernel:
+    """``DesignWorkspace.design`` against the sorting ``design_matrix``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=design_cases())
+    def test_bit_equal_to_design_matrix(self, case):
+        W, batches, resets = case
+        ws = DesignWorkspace()
+        live = []  # designs built since the last reset, and what they must hold
+        for batch, reset in zip(batches, resets):
+            if reset:
+                ws.reset()
+                live = []
+            rows, held, X = ws.design(W, batch)
+            want_rows, want_X = design_matrix(batch, W.shape[0])
+            assert rows.tolist() == want_rows.tolist()
+            assert X.shape == want_X.shape
+            assert held_values(W).take(held, axis=0).tobytes() == W[want_rows].tobytes()
+            live.append((X, want_X))
+            # a later design, growing the buffer or not, leaves earlier ones be
+            assert all(got.tobytes() == want.tobytes() for got, want in live)
+            assert not ws.mark.any()
+
+    def test_row_not_held_is_named(self):
+        tower = Tower(8, np.array([1, 3, 6]), np.zeros((3, 2)), (0, "event"))
+        ws = DesignWorkspace()
+        fv = FeatureVector(np.array([3, 5, 1]), np.array([0.6, 0.0, 0.8]), 8)
+        with pytest.raises(DimensionMismatch, match="row 5 is not held"):
+            ws.design(tower, [fv])
+        assert not ws.mark.any()
+        rows, held, X = ws.design(tower, [FeatureVector(np.array([6, 1]), np.array([0.6, 0.8]), 8)])
+        assert (rows.tolist(), held.tolist(), X.tolist()) == ([1, 6], [0, 2], [[0.8, 0.6]])
 
 
 class TestMalformedV3:

@@ -143,6 +143,23 @@ class TestReadJsonl:
                 read_json_fields(path)
             assert err.value.line == line
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("line", [2, 4])
+    def test_constant_reported_at_its_line(self, tmp_path, literal, line):
+        # on line 4, a string before it holds its text, an escaped quote too
+        lines = ['{', '  "a": "NaN, Infinity \\" -Infinity",', '  "b": [1, 2],', '  "c": 0,', '  "d": 1', '}']
+        lines[line - 1] = f'  "s": {literal},'
+        path = tmp_path / "splits.json"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_json_fields(path)
+        assert (err.value.line, err.value.reason) == (line, f"bad JSON: {literal} is not a JSON number")
+
+    def test_constant_text_inside_a_string_is_no_literal(self, tmp_path):
+        path = tmp_path / "splits.json"
+        path.write_text('{\n  "a": "NaN",\n  "b": "x\\" -Infinity"\n}\n', encoding="utf-8")
+        assert read_json_fields(path) == {"a": "NaN", "b": 'x" -Infinity'}
+
 
 # ---------------------------------------------------------------------------
 # Round trips: each writer's file read back by its loader.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import featurize_pair, fnv1a64, ngram_counts
+from oracles import design_matrix, featurize_pair, fnv1a64, ngram_counts
 
 import hierground
 from hierground import rerank
@@ -21,7 +21,6 @@ from hierground.dataset import Mention
 from hierground.encoder import (
     NGRAM_SIZES,
     FeatureVector,
-    design_matrix,
     hash_text,
     save_arrays,
     span_window,

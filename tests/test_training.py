@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import complex_score, complex_score_matrix, featurize_event
+from oracles import complex_score, complex_score_matrix, design_matrix, featurize_event
 
 from hierground import encoder, training
 from hierground.dataset import (
@@ -752,7 +752,9 @@ def scatter_rows_oracle(fvs, row_grads, d):
     return SparseGrad(rows=rows, grad=grad)
 
 
-def linking_loss_oracle(params, mention_fvs, gold_sets, pool_ids, pool_fvs):
+def linking_loss_oracle(
+    params, mention_fvs, gold_sets, pool_ids, pool_fvs, workspace=None, backward=True
+):
     M = np.stack([encode(params, fv, "mention") for fv in mention_fvs])
     E = np.stack([encode(params, fv, "event") for fv in pool_fvs])
     S = M @ E.T
@@ -770,7 +772,7 @@ def linking_loss_oracle(params, mention_fvs, gold_sets, pool_ids, pool_fvs):
     )
 
 
-def hierarchy_loss_oracle(params, head, parent_ids, parent_fvs, child_fvs):
+def hierarchy_loss_oracle(params, head, parent_ids, parent_fvs, child_fvs, workspace=None):
     n = len(parent_fvs)
     E_p = np.stack([encode(params, fv, "event") for fv in parent_fvs])
     E_c = np.stack([encode(params, fv, "event") for fv in child_fvs])
@@ -958,6 +960,36 @@ class TestOracleEquivalence:
         assert all(rows_heads[k].tobytes() == full_heads[k].tobytes() for k in rows_heads)
         assert (tmp_path / "rows.bin").stat().st_size < (tmp_path / "full.bin").stat().st_size
         assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_full_training_bit_equal_to_design_matrix_step(self, strategy, tmp_path, monkeypatch):
+        # the step this kernel replaced: a sorted design matrix, the linking
+        # backward pass in pretraining epochs too, updates through the slots
+        def sorted_design(self, W, fvs):
+            rows, X = design_matrix(fvs, W.shape[0])
+            return rows, W.slot[rows] if isinstance(W, Tower) else rows, X
+
+        def slot_update(W, grad, lr):
+            if grad.rows.size:
+                W[grad.rows] -= lr * grad.grad
+
+        def full_backward(*args, backward=True, **kwargs):
+            return linking_loss(*args, **kwargs)
+
+        config = TrainConfig(strategy=strategy, epochs=4, pretrain_epochs=2, seed=5)
+        for name in ("kernel", "oracle"):
+            if name == "oracle":
+                monkeypatch.setattr(encoder.DesignWorkspace, "design", sorted_design)
+                monkeypatch.setattr(training, "_apply_sparse", slot_update)
+                monkeypatch.setattr(training, "linking_loss", full_backward)
+            params, head, log = train_small(config)
+            heads = {f"complex.{key}": array for key, array in head.arrays().items()}
+            save_checkpoint(tmp_path / f"{name}.bin", params, heads)
+            write_training_log(log, tmp_path / f"{name}.jsonl")
+        for suffix in ("bin", "jsonl"):
+            assert (tmp_path / f"kernel.{suffix}").read_bytes() == (
+                tmp_path / f"oracle.{suffix}"
+            ).read_bytes()
 
     @pytest.mark.parametrize("loss", ["linking", "hierarchy"])
     def test_feature_space_mismatch(self, loss):
