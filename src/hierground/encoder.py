@@ -532,16 +532,13 @@ class DesignWorkspace:
         held-row ids, which are marked, read back ascending and numbered
         through ``column``; X, a zeroed part of ``buffer``, is filled by
         assignment, so each vector's indices must be distinct (``hash_texts``
-        and the reranker's pair features make them ascending).  A row ``W``
-        does not hold raises ``DimensionMismatch`` naming it.
+        and the reranker's pair features make them ascending), and each
+        vector's dimension must be ``W``'s F; the callers check both.  A row
+        ``W`` does not hold raises ``DimensionMismatch`` naming it.
         """
-        F = W.shape[0]
-        for fv in fvs:
-            if fv.F != F:
-                raise DimensionMismatch(f"feature space {fv.F} vs tower rows {F}")
         indices = np.concatenate([fv.indices for fv in fvs])
         tower = isinstance(W, Tower)
-        n_held, local = (W.rows.size, W.slot.take(indices)) if tower else (F, indices)
+        n_held, local = (W.rows.size, W.slot.take(indices)) if tower else (len(W), indices)
         if self.mark.size < n_held:
             self.mark = np.zeros(n_held, dtype=bool)
             self.column = np.empty(n_held, dtype=np.intp)

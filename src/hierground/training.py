@@ -17,6 +17,7 @@ so disabling one objective never perturbs the batches of another.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from .encoder import (
     EncoderParams,
     FeatureVector,
     TextFeaturizer,
-    Tower,
     # unused here, but perfbench's tracer wraps the ``training.encode`` binding
     encode,  # noqa: F401
     feature_rows,
@@ -144,14 +144,11 @@ def _complex_cells(
 
 @dataclass
 class SparseGrad:
-    """Gradient restricted to the tower rows an input batch touched: the
-    ascending global ``rows``, and, when the loss knows them, the same rows
-    as ``held`` ids into the tower's ``held_values``.  ``grad`` is None
-    when the loss ran no backward pass."""
+    """Gradient restricted to the ascending global ``rows`` an input batch
+    touched.  ``grad`` is None when the loss ran no backward pass."""
 
     rows: np.ndarray
     grad: np.ndarray | None
-    held: np.ndarray | None = None
 
     def densify(self, F: int, d: int) -> np.ndarray:
         dense = np.zeros((F, d))
@@ -183,6 +180,12 @@ def _bce(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, scores) - labels * scores
 
 
+def _check_space(fvs: Iterable[FeatureVector], F: int) -> None:
+    for fv in fvs:
+        if fv.F != F:
+            raise DimensionMismatch(f"feature space {fv.F} vs tower rows {F}")
+
+
 def linking_loss(
     params: EncoderParams,
     mention_fvs: list[FeatureVector],
@@ -207,6 +210,7 @@ def linking_loss(
         raise EmptyTrainSplit("linking batch must contain mentions and events")
     if len(mention_fvs) != len(gold_sets) or len(pool_ids) != len(pool_fvs):
         raise DimensionMismatch("batch lists must align")
+    _check_space([*mention_fvs, *pool_fvs], params.F)
     ws = workspace or DesignWorkspace()
     ws.reset()
     m_rows, m_held, X_m = ws.design(params.W_mention, mention_fvs)
@@ -222,11 +226,11 @@ def linking_loss(
     degenerate = bool(Y.min() == Y.max())
     if not backward:
         return LinkingLossResult(
-            loss, SparseGrad(m_rows, None, m_held), SparseGrad(e_rows, None, e_held), degenerate
+            loss, SparseGrad(m_rows, None), SparseGrad(e_rows, None), degenerate
         )
     G = (sigmoid(S) - Y) / n_cells
-    grad_mention = SparseGrad(m_rows, X_m.T @ (G @ E), m_held)
-    grad_event = SparseGrad(e_rows, X_e.T @ (G.T @ M), e_held)
+    grad_mention = SparseGrad(m_rows, X_m.T @ (G @ E))
+    grad_event = SparseGrad(e_rows, X_e.T @ (G.T @ M))
     return LinkingLossResult(loss, grad_mention, grad_event, degenerate)
 
 
@@ -268,9 +272,11 @@ def hierarchy_loss(
     distinct = {id(fv): fv for fv in slot_fvs}
     position = {key: i for i, key in enumerate(distinct)}
     slots = np.array([position[id(fv)] for fv in slot_fvs])
+    distinct_fvs = list(distinct.values())
+    _check_space(distinct_fvs, params.F)
     ws = workspace or DesignWorkspace()
     ws.reset()
-    rows, held, X = ws.design(params.W_event, list(distinct.values()))
+    rows, held, X = ws.design(params.W_event, distinct_fvs)
     E = (X @ held_values(params.W_event).take(held, axis=0))[slots]
     E_p, E_c = E[:n], E[n:]
     re_p, im_p = _project(head, E_p)
@@ -300,7 +306,7 @@ def hierarchy_loss(
     # sum the slot gradients of each distinct vector before projecting
     slot_of = np.zeros((len(distinct), 2 * n))
     slot_of[slots, np.arange(2 * n)] = 1.0
-    grad_event = SparseGrad(rows, X.T @ (slot_of @ np.concatenate([dE_p, dE_c])), held)
+    grad_event = SparseGrad(rows, X.T @ (slot_of @ np.concatenate([dE_p, dE_c])))
     degenerate = bool(Y.min() == Y.max())
     return HierarchyLossResult(loss, grad_event, grad_head, degenerate)
 
@@ -343,16 +349,9 @@ def write_training_log(log: TrainLog, path: str | Path) -> None:
             fh.write(json.dumps(record, allow_nan=False) + "\n")
 
 
-def _apply_sparse(W: np.ndarray | Tower, grad: SparseGrad, lr: float) -> None:
-    """An SGD step on the rows ``grad`` names, through its held ids if any."""
-    if not grad.rows.size:
-        return
-    if grad.held is None:
+def _apply_sparse(W: np.ndarray, grad: SparseGrad, lr: float) -> None:
+    if grad.rows.size:
         W[grad.rows] -= lr * grad.grad
-    else:
-        values = held_values(W)
-        # take gathers rows about twice as fast as fancy indexing
-        values[grad.held] = values.take(grad.held, axis=0) - lr * grad.grad
 
 
 def _pack_batches(order: np.ndarray, sizes: list[int], batch_pairs: int) -> list[list[int]]:
@@ -537,7 +536,7 @@ def train(
                 _apply_sparse(params.W_event, link.grad_event, lr)
             if hier is not None and weight > 0.0:
                 g = hier.grad_event
-                _apply_sparse(params.W_event, SparseGrad(g.rows, weight * g.grad, g.held), lr)
+                _apply_sparse(params.W_event, SparseGrad(g.rows, weight * g.grad), lr)
                 for name, grad in hier.grad_head.items():
                     arr = getattr(head, name)
                     arr -= lr * weight * grad

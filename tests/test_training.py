@@ -963,15 +963,11 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_full_training_bit_equal_to_design_matrix_step(self, strategy, tmp_path, monkeypatch):
-        # the step this kernel replaced: a sorted design matrix, the linking
-        # backward pass in pretraining epochs too, updates through the slots
+        # the step this kernel replaced: a sorted design matrix and the
+        # linking backward pass in pretraining epochs too
         def sorted_design(self, W, fvs):
             rows, X = design_matrix(fvs, W.shape[0])
             return rows, W.slot[rows] if isinstance(W, Tower) else rows, X
-
-        def slot_update(W, grad, lr):
-            if grad.rows.size:
-                W[grad.rows] -= lr * grad.grad
 
         def full_backward(*args, backward=True, **kwargs):
             return linking_loss(*args, **kwargs)
@@ -980,7 +976,6 @@ class TestOracleEquivalence:
         for name in ("kernel", "oracle"):
             if name == "oracle":
                 monkeypatch.setattr(encoder.DesignWorkspace, "design", sorted_design)
-                monkeypatch.setattr(training, "_apply_sparse", slot_update)
                 monkeypatch.setattr(training, "linking_loss", full_backward)
             params, head, log = train_small(config)
             heads = {f"complex.{key}": array for key, array in head.arrays().items()}
