@@ -93,43 +93,6 @@ def expand_gold(
     ]
 
 
-class UnionFind:
-    """Disjoint sets over string keys with path compression."""
-
-    def __init__(self):
-        self._parent: dict[str, str] = {}
-        self._size: dict[str, int] = {}
-
-    def add(self, key: str) -> None:
-        if key not in self._parent:
-            self._parent[key] = key
-            self._size[key] = 1
-
-    def find(self, key: str) -> str:
-        root = key
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[key] != root:
-            self._parent[key], key = root, self._parent[key]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-
-    def groups(self) -> list[list[str]]:
-        """Members per component, each sorted; components sorted by min id."""
-        by_root: dict[str, list[str]] = {}
-        for key in self._parent:
-            by_root.setdefault(self.find(key), []).append(key)
-        return sorted((sorted(g) for g in by_root.values()), key=lambda g: g[0])
-
-
 @dataclass
 class SplitAssignment:
     """Component ids per event and a split per component."""
@@ -172,7 +135,7 @@ def integer_quotas(total: int, ratios: tuple[float, float, float]) -> tuple[int,
     """
     if len(ratios) != len(SPLIT_NAMES):
         raise InvalidConfig(f"need {len(SPLIT_NAMES)} ratios, got {len(ratios)}")
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if not all(r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:  # NaN fails
         raise InvalidConfig(f"ratios must be nonnegative and sum to 1, got {ratios}")
     exact = [total * r for r in ratios]
     floors = [int(np.floor(x)) for x in exact]
@@ -193,36 +156,43 @@ def split_components(
 ) -> SplitAssignment:
     """Zero-shot splits: connected components assigned wholesale to splits.
 
-    Components are built by union-find over all four edge properties
-    (hierarchical and temporal alike), shuffled by a seeded permutation,
-    and assigned greedily: fill train until its event-count quota is met,
-    then dev, with the remainder going to test.  Quotas are integer
-    largest-remainder apportionments of the ratios.
+    Components are connected over all four edge properties (hierarchical
+    and temporal alike) and named by their smallest event id; they are
+    shuffled by a seeded permutation of that order and assigned greedily:
+    fill train until its event-count quota is met, then dev, with the
+    remainder going to test.  Quotas are integer largest-remainder
+    apportionments of the ratios.
     """
     if not events:
         raise EmptyKB("cannot split an empty knowledge base")
-    uf = UnionFind()
-    for event in events:
-        uf.add(event.id)
-    known = {event.id for event in events}
+    neighbours: dict[str, list[str]] = {event.id: [] for event in events}
     for edge in edges:
-        if edge.subject not in known:
+        if edge.subject not in neighbours:
             raise UnknownEvent(edge.subject, "edge subject")
-        if edge.object not in known:
+        if edge.object not in neighbours:
             raise UnknownEvent(edge.object, "edge object")
-        uf.union(edge.subject, edge.object)
+        neighbours[edge.subject].append(edge.object)
+        neighbours[edge.object].append(edge.subject)
 
-    groups = uf.groups()
+    # a traversal from each id not yet reached, in ascending order, finds
+    # the components in order of their smallest id, which names them
     component_of: dict[str, str] = {}
-    component_ids: list[str] = []
-    for group in groups:
-        comp_id = group[0]
-        component_ids.append(comp_id)
-        for member in group:
-            component_of[member] = comp_id
+    sizes: dict[str, int] = {}
+    for start in sorted(neighbours):
+        if start in component_of:
+            continue
+        component_of[start] = start
+        members = [start]
+        for member in members:
+            for other in neighbours[member]:
+                if other not in component_of:
+                    component_of[other] = start
+                    members.append(other)
+        sizes[start] = len(members)
+    component_ids = list(sizes)
 
     rng = substream_rng(seed, "split")
-    order = rng.permutation(len(groups))
+    order = rng.permutation(len(component_ids))
 
     quotas = integer_quotas(len(events), ratios)
     counts = [0, 0, 0]
@@ -232,7 +202,7 @@ def split_components(
         while target < len(SPLIT_NAMES) - 1 and counts[target] >= quotas[target]:
             target += 1
         split_of[component_ids[idx]] = SPLIT_NAMES[target]
-        counts[target] += len(groups[idx])
+        counts[target] += sizes[component_ids[idx]]
     return SplitAssignment(component_of=component_of, split_of=split_of, seed=seed)
 
 
@@ -308,10 +278,14 @@ def corpus_stats(
     }
     if forest is not None:
         gold_sizes: dict[int, int] = {}
+        # per tree, the deepest anchor depth any mention attests; a tree
+        # mentioned only at its root contributes 0
+        attested: dict[str, int] = {}
         for mention in mentions:
             if mention.anchor_event in forest.nodes:
-                size = len(ancestor_chain(forest, mention.anchor_event))
-                gold_sizes[size] = gold_sizes.get(size, 0) + 1
+                chain = ancestor_chain(forest, mention.anchor_event)
+                gold_sizes[len(chain)] = gold_sizes.get(len(chain), 0) + 1
+                attested[chain[-1]] = max(attested.get(chain[-1], 0), len(chain) - 1)
         stats["n_in_hierarchy_events"] = len(forest.hierarchy_ids())
         stats["n_trees"] = len(forest.tree_roots())
         stats["gold_set_sizes"] = {str(k): gold_sizes[k] for k in sorted(gold_sizes)}
@@ -320,15 +294,6 @@ def corpus_stats(
             if forest.children
             else 0.0
         )
-        # per tree, the deepest anchor depth any mention attests; a tree
-        # mentioned only at its root contributes 0
-        attested: dict[str, int] = {}
-        for mention in mentions:
-            if mention.anchor_event not in forest.nodes:
-                continue
-            chain = ancestor_chain(forest, mention.anchor_event)
-            root = chain[-1]
-            attested[root] = max(attested.get(root, 0), len(chain) - 1)
         roots = forest.tree_roots()
         stats["avg_effective_depth"] = (
             float(np.mean([attested.get(r, 0) for r in roots])) if roots else 0.0
@@ -385,181 +350,97 @@ def generate_synthetic(
     id-ordered rankings then resolve toward the true parent.
     """
     rng = substream_rng(config.seed, "synth")
-    sig_per_event = 3
-
-    n_per_tree = sum(config.branching**level for level in range(config.height + 1))
-    n_events = config.n_trees * n_per_tree
-
-    # nodes[tree][level] = list of per-level positions, each a node index path
-    levels: list[list[list[int]]] = []
-    for _ in range(config.n_trees):
-        tree_levels = [[0]]
-        for level in range(1, config.height + 1):
-            tree_levels.append(list(range(config.branching ** level)))
-        levels.append(tree_levels)
-
-    width = max(2, len(str(n_events - 1)))
-    ids: dict[tuple[int, int, int], str] = {}
-    counter = 0
-    for level in range(config.height, -1, -1):
-        for tree in range(config.n_trees):
-            for pos in levels[tree][level]:
-                ids[(tree, level, pos)] = f"E{counter:0{width}d}"
-                counter += 1
-
-    # distinct random letter strings keep token n-gram profiles nearly
-    # orthogonal, so a linear encoder can actually separate the events
-    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
-    words: list[str] = []
-    seen_words: set[str] = set()
-    while len(words) < config.vocab:
-        word = "".join(letters[rng.integers(0, 26, size=5)])
-        if word not in seen_words:
-            seen_words.add(word)
-            words.append(word)
-
-    def token(i: int) -> str:
-        return words[i]
-
+    b, sig_per_event = config.branching, 3
+    keys = [
+        (tree, level, pos)
+        for tree in range(config.n_trees)
+        for level in range(config.height + 1)
+        for pos in range(b**level)
+    ]
+    n_events = len(keys)
     # vocabulary layout: unique names | shared signature pool | fillers
     if config.vocab < n_events + 8:
         raise InvalidConfig(
             f"vocab {config.vocab} too small for {n_events} events; "
             f"need at least {n_events + 8}"
         )
-    pool_size = max(sig_per_event, (config.vocab - n_events) // 4)
-    sig_offset = n_events
-    filler_pool = np.arange(n_events + pool_size, config.vocab, dtype=np.int64)
+    # ids deepest level first: (tree, level - 1, pos // b) is a key's
+    # parent and (tree, level + 1, pos * b + i) its children
+    width = max(2, len(str(n_events - 1)))
+    by_id = sorted(keys, key=lambda key: (-key[1], key[0], key[2]))
+    ids = {key: f"E{i:0{width}d}" for i, key in enumerate(by_id)}
 
-    keys = [
-        (tree, level, pos)
-        for tree in range(config.n_trees)
-        for level in range(config.height + 1)
-        for pos in levels[tree][level]
-    ]
-    name_token = {key: token(i) for i, key in enumerate(keys)}
+    # distinct random letter strings keep token n-gram profiles nearly
+    # orthogonal, so a linear encoder can actually separate the events
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    drawn: dict[str, None] = {}
+    while len(drawn) < config.vocab:
+        drawn["".join(letters[rng.integers(0, 26, size=5)])] = None
+    words = list(drawn)
+
+    pool_size = max(sig_per_event, (config.vocab - n_events) // 4)
+    filler_pool = np.arange(n_events + pool_size, config.vocab, dtype=np.int64)
+    name = dict(zip(keys, words))
     signature = {
         key: [
-            token(sig_offset + int(j))
+            words[n_events + int(j)]
             for j in rng.choice(pool_size, size=sig_per_event, replace=False)
         ]
         for key in keys
     }
 
-    def parent_key(key: tuple[int, int, int]) -> tuple[int, int, int] | None:
-        tree, level, pos = key
-        if level == 0:
-            return None
-        return (tree, level - 1, pos // config.branching)
-
-    def child_keys(key: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-        tree, level, pos = key
-        if level == config.height:
-            return []
-        return [
-            (tree, level + 1, pos * config.branching + i)
-            for i in range(config.branching)
-        ]
-
     events: list[Event] = []
-    for key in keys:
-        sig = signature[key]
-        pk = parent_key(key)
-        # children quote their parent's signature and parents their
-        # children's, like part-whole pages describing their parts
-        desc_tokens = sig[1:]
-        if pk is not None:
-            desc_tokens = desc_tokens + signature[pk]
-        for ck in child_keys(key):
-            desc_tokens = desc_tokens + signature[ck]
-        events.append(
-            Event(
-                id=ids[key],
-                labels={
-                    "en": Label(
-                        title=f"{name_token[key]} {sig[0]}",
-                        description=" ".join(desc_tokens),
-                    )
-                },
-            )
-        )
-    events.sort(key=lambda e: e.id)
-
     edges: list[RelationEdge] = []
-    for key in keys:
-        pk = parent_key(key)
-        if pk is None:
-            continue
-        # alternate encodings by level parity to exercise normalization
-        if key[1] % 2 == 1:
-            edges.append(
-                RelationEdge(
-                    subject=ids[pk],
-                    property=RelationProperty.HAS_PART,
-                    object=ids[key],
-                )
-            )
-        else:
-            edges.append(
-                RelationEdge(
-                    subject=ids[key],
-                    property=RelationProperty.PART_OF,
-                    object=ids[pk],
-                )
-            )
-    for pair in range(config.n_trees // 2):
-        a = ids[(2 * pair, 0, 0)]
-        b = ids[(2 * pair + 1, 0, 0)]
-        prop = (
-            RelationProperty.FOLLOWS if pair % 2 == 0 else RelationProperty.FOLLOWED_BY
-        )
-        edges.append(RelationEdge(subject=b, property=prop, object=a))
-
-    def siblings(key: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-        pk = parent_key(key)
-        if pk is None:
-            return [(t, 0, 0) for t in range(config.n_trees) if (t, 0, 0) != key]
-        return [ck for ck in child_keys(pk) if ck != key]
-
     mentions: list[Mention] = []
     mention_width = max(4, len(str(n_events * config.mentions_per_event)))
-    ordinal = 0
     for key in keys:
-        anchor = ids[key]
-        ancestors: list[tuple[int, int, int]] = []
-        walk = parent_key(key)
-        while walk is not None:
-            ancestors.append(walk)
-            walk = parent_key(walk)
-        rivals = siblings(key)
+        tree, level, pos = key
+        sig = signature[key]
+        ancestors = [(tree, up, pos // b ** (level - up)) for up in range(level - 1, -1, -1)]
+        below = range(b) if level < config.height else ()
+        children = [(tree, level + 1, pos * b + i) for i in below]
+        # rivals are the parent's other children, or the other roots
+        if level:
+            rivals = [(tree, level, pos - pos % b + i) for i in range(b)]
+        else:
+            rivals = [(other, 0, 0) for other in range(config.n_trees)]
+        rivals.remove(key)
+
+        # children quote their parent's signature and parents their
+        # children's, like part-whole pages describing their parts
+        quoted = sig[1:] + [t for k in ancestors[:1] + children for t in signature[k]]
+        events.append(
+            Event(ids[key], {"en": Label(f"{name[key]} {sig[0]}", " ".join(quoted))})
+        )
+        # alternate encodings by level parity to exercise normalization
+        if level % 2:
+            edges.append(RelationEdge(ids[ancestors[0]], RelationProperty.HAS_PART, ids[key]))
+        elif level:
+            edges.append(RelationEdge(ids[key], RelationProperty.PART_OF, ids[ancestors[0]]))
+
+        context = [name[key], *sig, *(t for k in ancestors for t in signature[k])]
         for _ in range(config.mentions_per_event):
-            context_tokens = [name_token[key]] + list(signature[key])
-            for a in ancestors:
-                context_tokens.extend(signature[a])
             fillers = rng.choice(filler_pool, size=2, replace=False)
-            context_tokens.extend(token(int(i)) for i in fillers)
+            tokens = context + [words[int(i)] for i in fillers]
             if rivals and rng.random() < config.noise:
                 rival = rivals[int(rng.integers(0, len(rivals)))]
-                context_tokens.append(
-                    signature[rival][int(rng.integers(0, sig_per_event))]
-                )
-            order = rng.permutation(len(context_tokens))
-            shuffled = [context_tokens[i] for i in order]
-            span_token = name_token[key]
-            span_index = shuffled.index(span_token)
-            start = sum(len(t) + 1 for t in shuffled[:span_index])
+                tokens.append(signature[rival][int(rng.integers(0, sig_per_event))])
+            shuffled = [tokens[i] for i in rng.permutation(len(tokens))]
+            start = sum(len(t) + 1 for t in shuffled[: shuffled.index(name[key])])
             mentions.append(
                 Mention(
-                    id=f"M{ordinal:0{mention_width}d}",
+                    id=f"M{len(mentions):0{mention_width}d}",
                     language="en",
                     context=" ".join(shuffled),
                     span_start=start,
-                    span_end=start + len(span_token),
-                    anchor_event=anchor,
+                    span_end=start + len(name[key]),
+                    anchor_event=ids[key],
                 )
             )
-            ordinal += 1
-    mentions.sort(key=lambda m: m.id)
+    events.sort(key=lambda e: e.id)
+    for pair in range(config.n_trees // 2):
+        prop = RelationProperty.FOLLOWS if pair % 2 == 0 else RelationProperty.FOLLOWED_BY
+        edges.append(RelationEdge(ids[(2 * pair + 1, 0, 0)], prop, ids[(2 * pair, 0, 0)]))
     return events, edges, mentions
 
 

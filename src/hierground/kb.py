@@ -94,17 +94,24 @@ class RelationEdge:
 class HierarchyForest:
     """Validated child-to-parent structure over the knowledge base.
 
-    ``parent`` maps each non-root node to its unique parent, ``children``
-    maps each internal node to its children sorted by id, ``roots`` holds
-    every parentless node (singleton events are roots of height-0 trees).
+    ``parent`` maps each non-root node to its unique parent.
     ``nodes`` is the full set of known event ids, hierarchical or not.
+    Derived from those two: ``children`` maps each internal node to its
+    children sorted by id, and ``roots`` holds every parentless node
+    (singleton events are roots of height-0 trees).
     """
 
     parent: dict[str, str]
-    children: dict[str, list[str]]
-    roots: frozenset[str]
     nodes: frozenset[str]
     max_height: int
+    children: dict[str, list[str]] = field(init=False)
+    roots: frozenset[str] = field(init=False)
+
+    def __post_init__(self):
+        self.children = {}
+        for child in sorted(self.parent):
+            self.children.setdefault(self.parent[child], []).append(child)
+        self.roots = self.nodes.difference(self.parent)
 
     def hierarchy_ids(self) -> set[str]:
         """Ids of all events that appear in at least one forest edge."""
@@ -128,19 +135,9 @@ class HierarchyForest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HierarchyForest":
-        parent = dict(data["parent"])
-        nodes = frozenset(data["nodes"])
-        children: dict[str, list[str]] = {}
-        for child, par in parent.items():
-            children.setdefault(par, []).append(child)
-        for par in children:
-            children[par].sort()
-        roots = frozenset(n for n in nodes if n not in parent)
         return cls(
-            parent=parent,
-            children=children,
-            roots=roots,
-            nodes=nodes,
+            parent=dict(data["parent"]),
+            nodes=frozenset(data["nodes"]),
             max_height=int(data["max_height"]),
         )
 
@@ -186,20 +183,7 @@ def build_forest(
         parent[child] = par
 
     _check_acyclic(parent)
-
-    children: dict[str, list[str]] = {}
-    for child, par in parent.items():
-        children.setdefault(par, []).append(child)
-    for par in children:
-        children[par].sort()
-
-    forest = HierarchyForest(
-        parent=parent,
-        children=children,
-        roots=frozenset(n for n in known if n not in parent),
-        nodes=frozenset(known),
-        max_height=max_height,
-    )
+    forest = HierarchyForest(parent=parent, nodes=frozenset(known), max_height=max_height)
 
     for node in sorted(parent):
         chain = ancestor_chain(forest, node)
@@ -277,9 +261,17 @@ def _not_a_number(name: str):
     raise _NotANumber(f"{name} is not a JSON number")
 
 
-# the constant hook is not told where its literal is: the first NaN or
-# Infinity outside a JSON string is the one the decoder rejected
-_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)')
+# neither the constant hook nor int() says where its text is: the first
+# NaN or Infinity, or the first integer with more digits than int()
+# converts, outside a JSON string is the one the decoder rejected
+_STRING = r'"(?:[^"\\]|\\.)*"|'
+_CONSTANT = re.compile(_STRING + "(NaN|-?Infinity)")
+
+
+def _long_integer() -> re.Pattern:
+    """An integer part past the digit limit (fraction and exponent digits are not)."""
+    digits = sys.get_int_max_str_digits() + 1
+    return re.compile(_STRING + r"(?<![\d.eE+])(?<![eE]-)(\d{%d,})(?![\d.eE])" % digits)
 
 
 _DECODER = json.JSONDecoder(parse_constant=_not_a_number)
@@ -299,9 +291,10 @@ def _records(path: str | Path, lines, kinds: dict):
         try:
             record = _DECODER.decode(text)
         except ValueError as exc:
-            pos = getattr(exc, "pos", 0)
-            if isinstance(exc, _NotANumber):
-                pos = next((m.start(1) for m in _CONSTANT.finditer(text) if m.group(1)), 0)
+            pos = getattr(exc, "pos", None)
+            if pos is None:
+                literal = _CONSTANT if isinstance(exc, _NotANumber) else _long_integer()
+                pos = next((m.start(1) for m in literal.finditer(text) if m.group(1)), 0)
             line = line_no + text.rstrip().count("\n", 0, pos)
             raise ParseError(str(path), line, f"bad JSON: {getattr(exc, 'msg', exc)}") from None
         if type(record) is not dict:

@@ -151,7 +151,7 @@ class RerankConfig:
     def __post_init__(self):
         if self.k < 1 or self.epochs < 1 or self.batch_size < 1 or self.hidden < 1:
             raise InvalidConfig("k, epochs, batch_size and hidden must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails
             raise InvalidConfig("learning_rate must be positive")
         if not self.grid or any(not 0.0 < g < 1.0 for g in self.grid):
             raise InvalidConfig("grid values must lie in (0, 1)")

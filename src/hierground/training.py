@@ -114,9 +114,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise InvalidConfig(f"strategy must be one of {STRATEGIES}")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
+        if not self.learning_rate > 0 or self.epochs < 1 or self.batch_size < 1:  # NaN fails
             raise InvalidConfig("learning_rate, epochs and batch_size must be positive")
-        if self.hier_batch_size < 1 or self.hier_loss_weight < 0:
+        if self.hier_batch_size < 1 or not self.hier_loss_weight >= 0:  # NaN fails
             raise InvalidConfig("hier_batch_size >= 1 and hier_loss_weight >= 0")
         if self.pretrain_epochs < 0 or self.pretrain_epochs > self.epochs:
             raise InvalidConfig("pretrain_epochs must be in [0, epochs]")

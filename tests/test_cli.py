@@ -1,6 +1,7 @@
 """End-to-end pipeline runs, config precedence, machine-readable errors."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -169,7 +170,55 @@ class TestPipeline:
         assert resolved["mode"] == "multilingual"
 
 
+# sha256 of the synth and split files at seed 0: every workload and test
+# corpus comes from them, so a refactor of the corpus layer keeps each byte
+CORPUS_DIGESTS = {
+    "": {
+        "events.jsonl": "f3848d574b70c8aec8ebdf249d00abdd5b15afa8737f411a457713293d6c4154",
+        "relations.jsonl": "8414506f73348213aeaebc43ad473f10b15e216c1b77e54f0f4f2231b1dc695e",
+        "mentions.jsonl": "c15278e2a14cc02be77e2a32f42ac196d936792558f50b8d01c9f6f0867fecb0",
+        "splits.json": "907b4c9672cd09d753edee1a55b2fd4181250d51e202c9419794ec29059f14bb",
+    },
+    "--n-trees 3 --branching 3 --height 3": {
+        "events.jsonl": "e7aa4a78e57eea9861b25dd7c9fca6e6e7ea3da3c43d42a1d259532f0c8ff10e",
+        "relations.jsonl": "8ef5cc7f38841911668fdcd3bc94a290dcab851f86c61fbfa931b25951b8866d",
+        "mentions.jsonl": "83e9b3cb4ee1f2bf37bfd54aa8c4601746e395eca81080cb113ae175e1a779cf",
+        "splits.json": "b852cf90484bc944adf535fd1c7acc50cacf1bc4e28ef3d9089d4ca66690e558",
+    },
+    "--height 0": {
+        "events.jsonl": "4209e631d3e1e68df9fcb65dde2d882d8422dfc6454fbfde535f905d6a877f7a",
+        "relations.jsonl": "285d2e15c88748fe0e1a3f237e75324cc799c6cc04dea06a5b23a9ff7089e3a2",
+        "mentions.jsonl": "c5ea3190f3fd342aed30a7abf4ce17cab28f9ad0a1dedc49f3b5d658d19d44da",
+        "splits.json": "7615cd5dad7a97b233a71416827aa2a4d901dcc4bde161f7620b3013545aa573",
+    },
+    "--noise 1.0": {
+        "events.jsonl": "f3848d574b70c8aec8ebdf249d00abdd5b15afa8737f411a457713293d6c4154",
+        "relations.jsonl": "8414506f73348213aeaebc43ad473f10b15e216c1b77e54f0f4f2231b1dc695e",
+        "mentions.jsonl": "70fb1c3e5c3d7ef3b964b5dba1573439b2fa2d67cb7f8633d85a161ba00069de",
+        "splits.json": "907b4c9672cd09d753edee1a55b2fd4181250d51e202c9419794ec29059f14bb",
+    },
+    "--n-trees 300 --mentions-per-event 3 --vocab 8000": {
+        "events.jsonl": "469e4f432af5b2d85f27afd7eb71d666eb5d560cdf81be97d5d5555bb81e8c64",
+        "relations.jsonl": "ed94ee8a6238b8f62a404d5108452d27ac7e13ba38a3c70b6ad35f577cd6fef9",
+        "mentions.jsonl": "8ac009b0fb8e3e4b7eb2de8e4ad6e8c0a576ce08e8770489c902d411b63bd9c4",
+        "splits.json": "811f62f82287b8dc2c113ee295f262aa66da235e8c5958bc71cba8440e3a9b5c",
+    },
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("flags", list(CORPUS_DIGESTS))
+    def test_corpus_bytes_are_pinned(self, tmp_path, flags):
+        o = ["--output-dir", str(tmp_path), *SEED]
+        assert main(["synth", *o, *flags.split()]) == 0
+        assert main(["split", *o, "--events", str(tmp_path / "events.jsonl"),
+                     "--relations", str(tmp_path / "relations.jsonl")]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in CORPUS_DIGESTS[flags]
+        }
+        assert digests == CORPUS_DIGESTS[flags]
+
     def test_pipeline_artifacts_are_byte_identical(self, pipeline, tmp_path):
         rerun = tmp_path / "rerun"
         rerun.mkdir()
@@ -617,6 +666,37 @@ class TestConfigRejects:
             "runs": {"synth": {"artifacts": ["events.jsonl", "mentions.jsonl",
                                              "relations.jsonl"]}},
         }
+
+
+NAN = float("nan")
+
+
+class TestNaNSettings:
+    """A NaN setting fails its range check, from a flag or a config file,
+    rather than silently changing the run."""
+
+    @pytest.mark.parametrize("command, flags, config, setting", [
+        ("train", {"--strategy": "HP", "--hier-loss-weight": "nan"}, None, "hier_loss_weight"),
+        ("train", {"--strategy": "HP"}, {"train": {"hier_loss_weight": NAN}}, "hier_loss_weight"),
+        ("train", {"--learning-rate": "nan"}, None, "learning_rate"),
+        ("rerank-train", {"--rerank-learning-rate": "nan"}, None, "learning_rate"),
+        ("rerank-train", {}, {"rerank": {"learning_rate": NAN}}, "learning_rate"),
+        ("split", {"--ratios": "nan,0.5,0.5"}, None, "ratios"),
+        ("split", {}, {"split": {"ratios": [NAN, 0.5, 0.5]}}, "ratios"),
+    ])
+    def test_rejected(self, pipeline, tmp_path, capsys, command, flags, config, setting):
+        flags = {**command_flags(pipeline, tmp_path, command), **flags}
+        argv = [command, *[arg for item in flags.items() for arg in item]]
+        if config is not None:
+            text = json.dumps(config)
+            assert "NaN" in text
+            (tmp_path / "config.json").write_text(text, encoding="utf-8")
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 1
+        record = only_error(capsys)
+        assert record["error"] == "InvalidConfig"
+        assert setting in record["message"]
+        assert not (tmp_path / MANIFEST_NAME).exists()
 
 
 class TestDevRetrievalsCheckedFirst:

@@ -202,6 +202,13 @@ class TestIntegerQuotas:
         with pytest.raises(InvalidConfig):
             integer_quotas(10, (1.1, -0.05, -0.05))
 
+    @pytest.mark.parametrize("ratios", [
+        (float("nan"), 0.5, 0.5), (0.8, float("nan"), 0.1), (float("inf"), 0.0, 0.0),
+    ])
+    def test_non_finite_ratios_rejected(self, ratios):
+        with pytest.raises(InvalidConfig, match="ratios"):
+            integer_quotas(10, ratios)
+
 
 class TestSplitComponents:
     def test_ten_singletons_split_8_1_1(self):

@@ -1,9 +1,9 @@
 """Smoke test: the fast demos run to completion.
 
 Each demo runs as a script in a fresh interpreter with ``cwd=tmp_path``,
-since the demos write relative paths.  ``cli_pipeline.py`` (about 16 s)
-and ``hierarchy_strategies.py`` (about 60 s) are left out to keep the
-suite's run time down; run them by hand after changing what they use.
+since the demos write relative paths.  ``hierarchy_strategies.py``
+(about 50 s on a 2-core machine) is left out to keep the suite's run
+time down; CI runs it once.
 """
 
 import os
@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["quickstart_linking.py", "discover_parents.py", "rerank_and_threshold.py"]
+    "demo",
+    ["quickstart_linking.py", "discover_parents.py", "rerank_and_threshold.py", "cli_pipeline.py"],
 )
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)

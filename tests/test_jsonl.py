@@ -155,6 +155,20 @@ class TestReadJsonl:
             read_json_fields(path)
         assert (err.value.line, err.value.reason) == (line, f"bad JSON: {literal} is not a JSON number")
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_past_the_digit_limit_reported_at_its_line(self, tmp_path, sign):
+        # int() converts at most 4300 digits; a fraction, an exponent or a
+        # string of as many digits before it is no such integer
+        digits = "9" * 5000
+        lines = ['{', f'  "a": "{digits}", "b": 1.{digits}, "c": 1e-{digits},',
+                 f'  "seed": {sign}{digits},', '  "components": {}', '}']
+        path = tmp_path / "splits.json"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_json_fields(path)
+        assert err.value.line == 3
+        assert "4300 digits" in err.value.reason
+
     def test_constant_text_inside_a_string_is_no_literal(self, tmp_path):
         path = tmp_path / "splits.json"
         path.write_text('{\n  "a": "NaN",\n  "b": "x\\" -Infinity"\n}\n', encoding="utf-8")

@@ -461,6 +461,8 @@ class TestRerankConfig:
     def test_positive_rate(self):
         with pytest.raises(InvalidConfig):
             RerankConfig(learning_rate=-1.0)
+        with pytest.raises(InvalidConfig):
+            RerankConfig(learning_rate=float("nan"))
 
 
 def training_fixture(n: int = 12):

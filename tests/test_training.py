@@ -600,6 +600,11 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfig):
             TrainConfig(hier_loss_weight=-0.1)
 
+    @pytest.mark.parametrize("setting", ["learning_rate", "hier_loss_weight"])
+    def test_nan_rejected(self, setting):
+        with pytest.raises(InvalidConfig, match=setting):
+            TrainConfig(strategy="HP", **{setting: float("nan")})
+
     def test_pretrain_beyond_epochs(self):
         with pytest.raises(InvalidConfig):
             TrainConfig(epochs=2, pretrain_epochs=3)
