@@ -3,8 +3,8 @@
 Text is featurized into L2-normalized sparse vectors by hashing character
 3-5-grams with FNV-1a (a fixed published hash, so features are stable
 across runs and platforms).  Mention and event towers are independent
-F x d matrices; encoding is a sparse-dense product and similarity is the
-plain dot product of the two embeddings.  A tower's initial values are a
+float32 F x d matrices; encoding is a sparse-dense product and similarity
+is the plain dot product of the two float64 embeddings.  A tower's initial values are a
 counter hash of (seed, tower, row, column), so a stage may hold only the
 rows its texts hash to (``Tower``), and a checkpoint stores only the rows
 a tower holds: every other row is regenerated from the seed.
@@ -37,6 +37,10 @@ TOWERS = ("mention", "event")
 # row, so its size does not bound them
 MAX_F = 2**24
 MAX_D = 2**10
+# the dtype towers are trained, held and stored in: a training step is
+# memory-bound, so float32 rows halve its bytes; encodings, scores and the
+# loss stay float64
+TOWER_DTYPE = np.dtype(np.float32)
 
 # private-use codepoints wrap the span so marker-adjacent n-grams are
 # distinct features; real text never contains them
@@ -314,7 +318,8 @@ _MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB))
 
 def init_fill(seed: int, tower: str, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the initial values of rows ``rows`` of ``tower`` ("mention" or
-    "event") into ``out``, a rows.size x d float64 array, and return it.
+    "event") into ``out``, a rows.size x d float array (the towers'
+    ``TOWER_DTYPE``, or float64), and return it.
 
     Every value is uniform(-0.05, 0.05) and a pure function of (seed,
     tower, row, column), so any set of rows costs O(rows): hash j of row r
@@ -389,6 +394,10 @@ class Tower:
     def shape(self) -> tuple[int, int]:
         return self.slot.size, self.values.shape[1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
     def _not_held(self, rows: np.ndarray) -> DimensionMismatch:
         rows = np.asarray(rows).reshape(-1)
         missing = rows[~np.isin(rows, self.rows)]
@@ -416,7 +425,7 @@ class Tower:
     def dense(self) -> np.ndarray:
         """The whole tower as an F x d array."""
         F, d = self.shape
-        out = init_fill(*self.init, np.arange(F), np.empty((F, d)))
+        out = init_fill(*self.init, np.arange(F), np.empty((F, d), self.dtype))
         out[self.rows] = self.values
         return out
 
@@ -459,10 +468,13 @@ def _check_shape(F: int, d: int) -> None:
 
 
 def init_encoder(F: int = DEFAULT_F, d: int = DEFAULT_D, seed: int = 0) -> EncoderParams:
-    """Seeded uniform(-0.05, 0.05) towers: ``init_fill`` of every row."""
+    """Seeded uniform(-0.05, 0.05) towers: ``init_fill`` of every row, in
+    ``TOWER_DTYPE``."""
     _check_shape(F, d)
     rows = np.arange(F)
-    return EncoderParams(*(init_fill(seed, tower, rows, np.empty((F, d))) for tower in TOWERS))
+    return EncoderParams(
+        *(init_fill(seed, tower, rows, np.empty((F, d), TOWER_DTYPE)) for tower in TOWERS)
+    )
 
 
 def init_rows(
@@ -474,14 +486,19 @@ def init_rows(
     _check_shape(F, d)
     return EncoderParams(
         *(
-            Tower(F, rows, init_fill(seed, tower, rows, np.empty((rows.size, d))), (seed, tower))
+            Tower(
+                F, rows, init_fill(seed, tower, rows, np.empty((rows.size, d), TOWER_DTYPE)),
+                (seed, tower),
+            )
             for tower, rows in zip(TOWERS, (mention_rows, event_rows))
         )
     )
 
 
 def encode(params: EncoderParams, fv: FeatureVector, tower: str) -> np.ndarray:
-    """fv' W_tower: the d-dim embedding of a featurized text."""
+    """fv' W_tower: the float64 d-dim embedding of a featurized text,
+    computed in the tower's dtype (a mixed-dtype product costs more than
+    casting the few feature values down)."""
     if tower == "mention":
         W = params.W_mention
     elif tower == "event":
@@ -492,7 +509,7 @@ def encode(params: EncoderParams, fv: FeatureVector, tower: str) -> np.ndarray:
         raise DimensionMismatch(f"feature space {fv.F} vs tower rows {params.F}")
     if fv.is_zero:
         return np.zeros(params.d)
-    return fv.values @ W[fv.indices]
+    return (fv.values.astype(W.dtype) @ W[fv.indices]).astype(np.float64, copy=False)
 
 
 def held_values(W: np.ndarray | Tower) -> np.ndarray:
@@ -507,7 +524,8 @@ class DesignWorkspace:
     ``mark`` and ``column`` span the held rows of the largest tower seen.
     ``buffer`` holds, flat, every design matrix built since the last
     ``reset``, so a loss that needs two (the linking loss) gets two views
-    of one buffer.  Each grows when a tower or a batch needs more.
+    of one buffer, in the dtype of the values the designs multiply.  Each
+    grows when a tower or a batch needs more.
     """
 
     def __init__(self, held: int = 0, size: int = 0):
@@ -554,9 +572,10 @@ class DesignWorkspace:
         n, r = len(fvs), held.size
         self.column[held] = np.arange(r)
         end = self.used + n * r
-        if end > self.buffer.size:
+        dtype = held_values(W).dtype
+        if end > self.buffer.size or dtype != self.buffer.dtype:
             # the designs built since reset keep the old buffer alive
-            self.buffer = np.empty(max(end, 2 * self.buffer.size))
+            self.buffer = np.empty(max(end, 2 * self.buffer.size), dtype)
         flat = self.buffer[self.used : end]
         self.used = end
         flat.fill(0.0)
@@ -568,24 +587,32 @@ class DesignWorkspace:
 # ---------------------------------------------------------------------------
 # Checkpoints: one sorted JSON header line {"format_version", "kind",
 # "arrays": [{"name", "shape", "dtype"}, ...], **meta}, then every array
-# row-major in its dtype ('<f8' or '<i8') in header order.  The encoder and
-# the reranker share this container.
+# row-major in its dtype ('<f8', '<f4' or '<i8') in header order.  The
+# encoder and the reranker share this container.
 
-CHECKPOINT_VERSION = 3
-DTYPES = ("<f8", "<i8")  # both 8 bytes an element
+CHECKPOINT_VERSION = 4
+DTYPES = ("<f8", "<f4", "<i8")  # the size rule reads each one's itemsize
 # each tower is stored as its ascending row ids and their values
 TOWER_ARRAYS = {
     f"{tower}.{part}": dtype
     for tower in TOWERS
-    for part, dtype in (("rows", "<i8"), ("values", "<f8"))
+    for part, dtype in (("rows", "<i8"), ("values", TOWER_DTYPE.newbyteorder("<").str))
 }
+
+
+def _stored_dtype(array: np.ndarray) -> str:
+    """The little-endian file dtype of an array of this dtype."""
+    if array.dtype.kind in "iu":
+        return "<i8"
+    return "<f4" if array.dtype == np.float32 else "<f8"
 
 
 def save_arrays(path: str | Path, kind: str, arrays: dict[str, np.ndarray], **meta) -> None:
     """Write the container to a sibling temporary file, then move it onto
     ``path``: a write that fails leaves any earlier file there as it was.
-    An integer array is stored as '<i8', any other as '<f8'."""
-    dtypes = {name: "<i8" if a.dtype.kind in "iu" else "<f8" for name, a in arrays.items()}
+    Each array is stored in its own dtype: an integer one as '<i8', a
+    float32 one as '<f4' and any other as '<f8'."""
+    dtypes = {name: _stored_dtype(a) for name, a in arrays.items()}
     header = {
         "format_version": CHECKPOINT_VERSION,
         "kind": kind,
@@ -645,7 +672,7 @@ def _read_header(fh, path: str | Path, kind: str, dtypes: dict[str, str]):
     threshold = header.get("threshold")
     if not (threshold is None or isinstance(threshold, float) and 0 < threshold < 1):
         raise reject(f"threshold {threshold!r} is neither null nor a number in (0, 1)")
-    sizes = [8 * math.prod(spec["shape"]) for spec in specs]
+    sizes = [np.dtype(spec["dtype"]).itemsize * math.prod(spec["shape"]) for spec in specs]
     body = os.fstat(fh.fileno()).st_size - fh.tell()
     if body != sum(sizes):
         problem = "truncated" if body < sum(sizes) else "followed by trailing bytes"
@@ -673,9 +700,9 @@ def load_arrays(
     and the header's meta.
 
     A malformed header, or a file whose bytes after the header are not
-    exactly 8 per declared element (truncated, trailing bytes, or shapes
-    too large for the file), raises ``ParseError`` before any array is
-    allocated.
+    exactly its arrays' elements times their itemsizes (truncated,
+    trailing bytes, or shapes too large for the file), raises
+    ``ParseError`` before any array is allocated.
     """
     with open(path, "rb") as fh:
         specs, header = _read_header(fh, path, kind, dict.fromkeys(names, "<f8"))
@@ -695,7 +722,9 @@ def save_checkpoint(
     header holds F and the init seed that regenerates every row a tower
     does not store: the seed of the first ``Tower``, else 0.  A ``Tower``
     of that seed stores the rows it holds; any other tower stores all F
-    rows.  So loading gives back every value that was saved.
+    rows.  Tower values are stored as '<f4' and the heads as they are,
+    so loading gives back every value of ``TOWER_DTYPE`` towers that was
+    saved.
     """
     towers = dict(zip(TOWERS, (params.W_mention, params.W_event)))
     seeds = [W.init[0] for W in towers.values() if isinstance(W, Tower)]
@@ -706,7 +735,8 @@ def save_checkpoint(
             rows, values = W.rows, W.values
         else:
             rows, values = np.arange(params.F), W.dense() if isinstance(W, Tower) else W
-        arrays[f"{name}.rows"], arrays[f"{name}.values"] = rows, values
+        arrays[f"{name}.rows"] = rows
+        arrays[f"{name}.values"] = values.astype(TOWER_ARRAYS[f"{name}.values"], copy=False)
     save_arrays(path, "encoder", {**arrays, **(extra_heads or {})}, F=params.F, init_seed=seed)
 
 
@@ -753,10 +783,10 @@ def tower_shape(path: str | Path) -> tuple[int, int]:
 
 
 def _read_rows_into(fh, spec: tuple[list[int], str, int], out: np.ndarray, at: np.ndarray):
-    """A tower's stored values, read ``BLOCK_ROWS`` rows at a time into
-    ``out[at]``."""
-    (n, d), _, offset = spec
-    buffer = np.empty((min(BLOCK_ROWS, n), d), dtype="<f8")
+    """A tower's stored values, read ``BLOCK_ROWS`` rows at a time in
+    their file dtype into ``out[at]``."""
+    (n, d), dtype, offset = spec
+    buffer = np.empty((min(BLOCK_ROWS, n), d), dtype=dtype)
     fh.seek(offset)
     for lo in range(0, n, BLOCK_ROWS):
         block = buffer[: min(BLOCK_ROWS, n - lo)]
@@ -772,10 +802,11 @@ def load_checkpoint(
     ``rows`` maps a tower name ("mention", "event") to the ascending rows
     to hold of it: that tower comes back as a ``Tower`` of those rows and
     of every row the file stores, and any other tower as a full F x d
-    array.  ``init_fill`` of the header's init seed writes each held row
-    into the tower's array, and the stored rows are then read over theirs,
-    so the rows the file lacks take no memory beyond that array.  A
-    malformed file raises ``ParseError`` before any array is allocated.
+    array, both in ``TOWER_DTYPE``.  ``init_fill`` of the header's init
+    seed writes each held row into the tower's array, and the stored rows
+    are then read over theirs, so the rows the file lacks take no memory
+    beyond that array.  A malformed file raises ``ParseError`` before any
+    array is allocated.
     """
     rows = rows or {}
     if not rows.keys() <= set(TOWERS):
@@ -793,7 +824,7 @@ def load_checkpoint(
                 held = np.flatnonzero(mask)
             else:
                 held = np.arange(F)
-            values = init_fill(seed, name, held, np.empty((held.size, d)))
+            values = init_fill(seed, name, held, np.empty((held.size, d), TOWER_DTYPE))
             _read_rows_into(fh, specs[f"{name}.values"], values, held.searchsorted(stored[name]))
             towers.append(Tower(F, held, values, (seed, name)) if name in rows else values)
         heads = {

@@ -204,7 +204,8 @@ def linking_loss(
     loss and gradients are still returned.  Both design matrices are built
     in ``workspace`` (a fresh one when None).  With ``backward`` False
     only the loss is computed: each gradient keeps its rows, its ``grad``
-    is None.
+    is None.  Encodings and tower gradients are in the towers' dtype,
+    scores and the loss in float64; pool ids must be distinct.
     """
     if not mention_fvs or not pool_fvs:
         raise EmptyTrainSplit("linking batch must contain mentions and events")
@@ -217,10 +218,8 @@ def linking_loss(
     e_rows, e_held, X_e = ws.design(params.W_event, pool_fvs)
     M = X_m @ held_values(params.W_mention).take(m_held, axis=0)
     E = X_e @ held_values(params.W_event).take(e_held, axis=0)
-    S = M @ E.T
-    Y = np.array(
-        [[1.0 if eid in gold else 0.0 for eid in pool_ids] for gold in gold_sets]
-    )
+    S = M.astype(np.float64, copy=False) @ E.T.astype(np.float64, copy=False)
+    Y = _labels(gold_sets, pool_ids)
     n_cells = S.size
     loss = float(_bce(S, Y).sum() / n_cells)
     degenerate = bool(Y.min() == Y.max())
@@ -228,10 +227,23 @@ def linking_loss(
         return LinkingLossResult(
             loss, SparseGrad(m_rows, None), SparseGrad(e_rows, None), degenerate
         )
-    G = (sigmoid(S) - Y) / n_cells
+    G = ((sigmoid(S) - Y) / n_cells).astype(E.dtype, copy=False)
     grad_mention = SparseGrad(m_rows, X_m.T @ (G @ E))
     grad_event = SparseGrad(e_rows, X_e.T @ (G.T @ M))
     return LinkingLossResult(loss, grad_mention, grad_event, degenerate)
+
+
+def _labels(gold_sets: list[frozenset[str]], pool_ids: list[str]) -> np.ndarray:
+    """Y[i, j] = 1.0 when pool event j is in mention i's gold set, else 0.0."""
+    column = {event_id: j for j, event_id in enumerate(pool_ids)}
+    if len(column) != len(pool_ids):
+        raise DimensionMismatch("pool ids must be distinct")
+    n = len(pool_ids)
+    Y = np.zeros((len(gold_sets), n))
+    Y.reshape(-1)[
+        [i * n + column[e] for i, gold in enumerate(gold_sets) for e in gold if e in column]
+    ] = 1.0
+    return Y
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -260,6 +272,8 @@ def hierarchy_loss(
     standard BCE sign (-log(1 - sigma)) is used instead so the loss is
     bounded below.  Only the event tower and the head receive gradients.
     The design matrix is built in ``workspace`` (a fresh one when None).
+    Encodings and the event-tower gradient are in the tower's dtype; the
+    head, the scores and their gradients stay float64.
     """
     n = len(parent_fvs)
     if n == 0:
@@ -277,7 +291,8 @@ def hierarchy_loss(
     ws = workspace or DesignWorkspace()
     ws.reset()
     rows, held, X = ws.design(params.W_event, distinct_fvs)
-    E = (X @ held_values(params.W_event).take(held, axis=0))[slots]
+    E = X @ held_values(params.W_event).take(held, axis=0)
+    E = E.astype(np.float64, copy=False)[slots]
     E_p, E_c = E[:n], E[n:]
     re_p, im_p = _project(head, E_p)
     re_c, im_c = _project(head, E_c)
@@ -306,7 +321,8 @@ def hierarchy_loss(
     # sum the slot gradients of each distinct vector before projecting
     slot_of = np.zeros((len(distinct), 2 * n))
     slot_of[slots, np.arange(2 * n)] = 1.0
-    grad_event = SparseGrad(rows, X.T @ (slot_of @ np.concatenate([dE_p, dE_c])))
+    dE = (slot_of @ np.concatenate([dE_p, dE_c])).astype(X.dtype, copy=False)
+    grad_event = SparseGrad(rows, X.T @ dE)
     degenerate = bool(Y.min() == Y.max())
     return HierarchyLossResult(loss, grad_event, grad_head, degenerate)
 

@@ -69,12 +69,15 @@ def featurize_event(
     return hash_text(event_text(event, language, fallback, max_cand_chars), F)
 
 
-def design_matrix(fvs: list[FeatureVector], F: int) -> tuple[np.ndarray, np.ndarray]:
+def design_matrix(
+    fvs: list[FeatureVector], F: int, dtype=np.float64
+) -> tuple[np.ndarray, np.ndarray]:
     """The ascending feature rows a batch touches and its dense local matrix.
 
-    ``X[i, j]`` is feature ``rows[j]`` of ``fvs[i]``: ``X @ W[rows]``
-    encodes the batch, and ``X.T @ G`` maps the gradient ``G`` of its
-    encodings to the gradient of ``W[rows]``.  The sorting reference for
+    ``X[i, j]`` is feature ``rows[j]`` of ``fvs[i]``, in ``dtype``, the
+    dtype of the ``W`` it multiplies: ``X @ W[rows]`` encodes the batch,
+    and ``X.T @ G`` maps the gradient ``G`` of its encodings to the
+    gradient of ``W[rows]``.  The sorting reference for
     ``encoder.DesignWorkspace.design``.
     """
     for fv in fvs:
@@ -91,7 +94,7 @@ def design_matrix(fvs: list[FeatureVector], F: int) -> tuple[np.ndarray, np.ndar
         weights=np.concatenate([fv.values for fv in fvs]),
         minlength=n * rows.size,
     ).reshape(n, rows.size)
-    return rows, X
+    return rows, X.astype(dtype, copy=False)
 
 
 def pair_score(m_vec: np.ndarray, e_vec: np.ndarray) -> float:

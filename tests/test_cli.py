@@ -810,7 +810,7 @@ MALFORMED_CHECKPOINTS = {
     ),
     "7-PiB-shape": rewrite_header(lambda header, first: first.update(shape=[10**9, 10**6])),
     "missing-dtype": rewrite_header(lambda header, first: first.pop("dtype")),
-    "unknown-dtype": rewrite_header(lambda header, first: first.update(dtype="<f4")),
+    "unknown-dtype": rewrite_header(lambda header, first: first.update(dtype="<f2")),
     # the other 8-byte dtype: the size rule holds, the array's required dtype does not
     "swapped-dtype": rewrite_header(
         lambda header, first: first.update(dtype={"<f8": "<i8", "<i8": "<f8"}[first["dtype"]])
@@ -836,7 +836,28 @@ def rewrite_row_ids(change):
     return make
 
 
-# encoder checkpoints only: the stored rows and the init seed
+def tower_values_as_f8(version: int):
+    """A table row that stores the encoder checkpoint's '<f4' tower values as
+    '<f8', as format 3 did, under format ``version``; the size rule holds."""
+
+    def make(data: bytes, other: bytes) -> bytes:
+        line, body = data.split(b"\n", 1)
+        header = json.loads(line)
+        header["format_version"] = version
+        out, at = [], 0
+        for spec in header["arrays"]:
+            size = np.dtype(spec["dtype"]).itemsize * int(np.prod(spec["shape"]))
+            array = np.frombuffer(body[at : at + size], spec["dtype"])
+            if spec["dtype"] == "<f4":
+                spec["dtype"], array = "<f8", array.astype("<f8")
+            out.append(array.tobytes())
+            at += size
+        return json.dumps(header).encode("utf-8") + b"\n" + b"".join(out)
+
+    return make
+
+
+# encoder checkpoints only: the stored rows, the init seed and the tower dtype
 MALFORMED_ENCODER_CHECKPOINTS = {
     "row-ids-descending": rewrite_row_ids(lambda header, ids: ids[::-1]),
     "row-id-repeated": rewrite_row_ids(lambda header, ids: np.r_[ids[:1], ids[:-1]]),
@@ -848,6 +869,8 @@ MALFORMED_ENCODER_CHECKPOINTS = {
     "init-seed-x": rewrite_header(lambda header, first: header.update(init_seed="x")),
     "missing-F": rewrite_header(lambda header, first: header.pop("F")),
     "F-too-large": rewrite_header(lambda header, first: header.update(F=2**40)),
+    "format-3-file": tower_values_as_f8(3),
+    "f8-tower-values": tower_values_as_f8(4),
 }
 
 
@@ -928,9 +951,10 @@ def checkpoint_body_of(value: float):
         line, body = data.split(b"\n", 1)
         out, at = [line + b"\n"], 0
         for spec in json.loads(line)["arrays"]:
-            size = 8 * int(np.prod(spec["shape"]))
-            if spec["dtype"] == "<f8":
-                out.append(np.full(size // 8, value, "<f8").tobytes())
+            n = int(np.prod(spec["shape"]))
+            size = np.dtype(spec["dtype"]).itemsize * n
+            if spec["dtype"] in ("<f8", "<f4"):
+                out.append(np.full(n, value, spec["dtype"]).tobytes())
             else:
                 out.append(body[at : at + size])
             at += size
@@ -942,9 +966,13 @@ def checkpoint_body_of(value: float):
 class TestNonFiniteCheckpoints:
     """Towers that encode or score to NaN or inf are one typed error, exit 1."""
 
+    # every value a '<f4' tower can hold that must still be refused; 3e38
+    # is finite in the file and overflows the float32 encode
     @pytest.mark.parametrize(
-        "value, what", [(np.nan, "'en' pool encodings"), (1e300, "mention-event scores")],
-        ids=["nan", "1e300"],
+        "value, what",
+        [(np.nan, "'en' pool encodings"), (np.inf, "'en' pool encodings"),
+         (3e38, "'en' pool encodings")],
+        ids=["nan", "inf", "3e38"],
     )
     def test_retrieve_rejects(self, pipeline, tmp_path, capsys, value, what):
         bad = tmp_path / "bad.bin"

@@ -54,10 +54,10 @@ from hierground.seeding import substream_seed
 
 
 def tower_arrays(m_rows, m_values, e_rows, e_values) -> dict:
-    """The arrays of an encoder checkpoint's two towers."""
+    """The arrays of an encoder checkpoint's two towers, values as float32."""
     return {
-        "mention.rows": m_rows, "mention.values": m_values,
-        "event.rows": e_rows, "event.values": e_values,
+        "mention.rows": m_rows, "mention.values": m_values.astype(np.float32),
+        "event.rows": e_rows, "event.values": e_values.astype(np.float32),
     }
 
 
@@ -408,11 +408,11 @@ class TestCheckpoint:
             "F": 16,
             "arrays": [
                 {"name": "mention.rows", "shape": [16], "dtype": "<i8"},
-                {"name": "mention.values", "shape": [16, 2], "dtype": "<f8"},
+                {"name": "mention.values", "shape": [16, 2], "dtype": "<f4"},
                 {"name": "event.rows", "shape": [16], "dtype": "<i8"},
-                {"name": "event.values", "shape": [16, 2], "dtype": "<f8"},
+                {"name": "event.values", "shape": [16, 2], "dtype": "<f4"},
             ],
-            "format_version": 3,
+            "format_version": 4,
             "init_seed": 0,
             "kind": "encoder",
         }
@@ -439,7 +439,7 @@ class TestCheckpoint:
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
-        for version in (2, 4):
+        for version in (3, 5):
             path.write_bytes(
                 b'{"arrays": [], "format_version": %d, "kind": "encoder"}\n' % version
             )
@@ -475,7 +475,7 @@ class TestCheckpoint:
                 {"name": "x", "shape": [1], "dtype": "<f8"},
                 {"name": "x", "shape": [1], "dtype": "<f8"},
             ],
-            "format_version": 3,
+            "format_version": 4,
             "kind": "toy",
         }
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(16))
@@ -493,7 +493,8 @@ class TestCheckpoint:
         arrays = tower_arrays(rows[0], np.ones(mention), rows[1], np.ones(event))
         save_arrays(path, "encoder", arrays, F=mention[0], init_seed=0)
         for load in (load_checkpoint, tower_shape):
-            with pytest.raises(ParseError, match="tower"):
+            # the path holds the test's name, so match the reason itself
+            with pytest.raises(ParseError, match="towers need|tower row count"):
                 load(path)
 
     @pytest.mark.parametrize("F, d", [(2**24 + 1, 2), (8, 2**10 + 1)])
@@ -503,7 +504,8 @@ class TestCheckpoint:
         arrays = tower_arrays(np.arange(0), np.ones((0, d)), np.arange(0), np.ones((0, d)))
         save_arrays(path, "encoder", arrays, F=F, init_seed=0)
         for load in (load_checkpoint, tower_shape):
-            with pytest.raises(ParseError, match="tower"):
+            # the path holds the test's name, so match the reason itself
+            with pytest.raises(ParseError, match="towers need|tower row count"):
                 load(path)
 
     @pytest.mark.parametrize("cut", [-1, 1])
@@ -804,16 +806,30 @@ def malformed_encoder_file(path, change) -> None:
     ``change(header, arrays)`` and written as they come back."""
     arrays = tower_arrays(np.array([1, 4, 6]), np.ones((3, 2)), np.array([0, 7]), np.ones((2, 2)))
     header = {
-        "F": 8, "format_version": 3, "init_seed": 5, "kind": "encoder",
+        "F": 8, "format_version": 4, "init_seed": 5, "kind": "encoder",
         "arrays": [
-            {"name": n, "shape": list(a.shape), "dtype": "<i8" if n.endswith("rows") else "<f8"}
+            {"name": n, "shape": list(a.shape), "dtype": "<i8" if n.endswith("rows") else "<f4"}
             for n, a in arrays.items()
         ],
     }
     change(header, arrays)
-    body = b"".join(np.ascontiguousarray(a, "<i8" if a.dtype.kind == "i" else "<f8").tobytes()
+    body = b"".join(np.ascontiguousarray(a, a.dtype.newbyteorder("<")).tobytes()
                     for a in arrays.values())
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
+def values_as_f8(version: int):
+    """The tower values stored as '<f8' under format ``version``, as format 3
+    stored them; the size rule holds."""
+
+    def change(header, arrays):
+        header["format_version"] = version
+        for spec in header["arrays"]:
+            if spec["name"].endswith("values"):
+                spec["dtype"] = "<f8"
+                arrays[spec["name"]] = arrays[spec["name"]].astype(np.float64)
+
+    return change
 
 
 def ids(tower: str, values: list[int]):
@@ -850,6 +866,8 @@ MALFORMED_V3 = {
     "missing-init-seed": lambda header, arrays: header.pop("init_seed"),
     "bool-init-seed": lambda header, arrays: header.update(init_seed=True),
     "format-2": lambda header, arrays: header.update(format_version=2),
+    "format-3": values_as_f8(3),
+    "values-as-f8": values_as_f8(4),
 }
 
 
@@ -880,12 +898,15 @@ def design_cases(draw):
             batch.append(base)
         batches.append(batch)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a tower's dtype, or the reranker's float64
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
     if draw(st.booleans()):
-        W = rng.uniform(-1.0, 1.0, size=(F, d))
+        W = rng.uniform(-1.0, 1.0, size=(F, d)).astype(dtype)
     else:
         used = {int(i) for fv in bases for i in fv.indices}
         held = np.array(sorted(used | draw(st.sets(st.integers(0, F - 1)))), dtype=np.int64)
-        W = Tower(F, held, rng.uniform(-1.0, 1.0, size=(held.size, d)), (0, "event"))
+        values = rng.uniform(-1.0, 1.0, size=(held.size, d)).astype(dtype)
+        W = Tower(F, held, values, (0, "event"))
     resets = [draw(st.booleans()) for _ in batches]
     return W, batches, resets
 
@@ -904,9 +925,9 @@ class TestDesignKernel:
                 ws.reset()
                 live = []
             rows, held, X = ws.design(W, batch)
-            want_rows, want_X = design_matrix(batch, W.shape[0])
+            want_rows, want_X = design_matrix(batch, W.shape[0], W.dtype)
             assert rows.tolist() == want_rows.tolist()
-            assert X.shape == want_X.shape
+            assert X.shape == want_X.shape and X.dtype == W.dtype
             assert held_values(W).take(held, axis=0).tobytes() == W[want_rows].tobytes()
             live.append((X, want_X))
             # a later design, growing the buffer or not, leaves earlier ones be
@@ -925,8 +946,9 @@ class TestDesignKernel:
 
 
 class TestMalformedV3:
-    """Each malformed v3 file is a ParseError naming it, raised before any
-    array is allocated, from both readers."""
+    """Each malformed row-subset file (format 3 added row ids, format 4
+    '<f4' tower values) is a ParseError naming it, raised before any array
+    is allocated, from both readers."""
 
     def test_valid_base_file_loads(self, tmp_path):
         path = tmp_path / "c.bin"

@@ -1,7 +1,7 @@
 """Peak traced memory of the stages that use the bi-encoder.
 
 ``tracemalloc`` sees numpy's array buffers, so a stage that held a whole
-2^18 x 32 tower (67 MB of float64) would show it here.
+2^18 x 32 tower (33.5 MB of float32) would show it here.
 """
 
 import tracemalloc
@@ -9,9 +9,16 @@ import tracemalloc
 import numpy as np
 
 from hierground.cli import main
-from hierground.encoder import BLOCK_ROWS, DEFAULT_D, DEFAULT_F, init_fill, tower_shape
+from hierground.encoder import (
+    BLOCK_ROWS,
+    DEFAULT_D,
+    DEFAULT_F,
+    TOWER_DTYPE,
+    init_fill,
+    tower_shape,
+)
 
-TOWER_BYTES = DEFAULT_F * DEFAULT_D * 8
+TOWER_BYTES = DEFAULT_F * DEFAULT_D * TOWER_DTYPE.itemsize
 
 
 def traced_peak(argv: list[str]) -> int:
@@ -48,7 +55,7 @@ def test_train_and_retrieve_never_hold_a_whole_tower(tmp_path):
 def test_fill_allocates_no_full_size_temporary():
     # about the rows relext-wide's retrieve --split all initializes
     rows = np.arange(0, 2 * 180_000, 2)
-    out = np.empty((rows.size, DEFAULT_D))
+    out = np.empty((rows.size, DEFAULT_D), TOWER_DTYPE)
     tracemalloc.start()
     try:
         init_fill(8675, "mention", rows, out)
@@ -56,6 +63,6 @@ def test_fill_allocates_no_full_size_temporary():
     finally:
         tracemalloc.stop()
     # two uint64 block buffers and the block's row counters, nothing the
-    # size of the 46 MB output
+    # size of the 23 MB output
     assert peak <= 3 * BLOCK_ROWS * DEFAULT_D * 8, peak
     assert out.nbytes > 20 * peak

@@ -540,6 +540,9 @@ class TestSaveLoad:
         save_reranker(path, params, threshold=0.4)
         loaded, threshold = load_reranker(path)
         assert threshold == 0.4
+        # the reranker stays float64 while the encoder's towers are '<f4'
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert {spec["dtype"] for spec in header["arrays"]} == {"<f8"}
         assert np.array_equal(loaded.V, params.V)
         assert np.array_equal(loaded.c, params.c)
         assert np.array_equal(loaded.w, params.w)

@@ -24,6 +24,7 @@ from hierground.encoder import (
     TextFeaturizer,
     Tower,
     encode,
+    feature_rows,
     hashed,
     init_encoder,
     load_checkpoint,
@@ -47,6 +48,7 @@ from hierground.training import (
     TrainConfig,
     TrainLog,
     _bce,
+    _labels,
     _project,
     _random_fv,
     build_linking_batch,
@@ -143,6 +145,30 @@ class TestComplexScore:
 
 
 class TestLinkingLoss:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        gold_sets=st.lists(
+            st.frozensets(st.sampled_from([f"E{i}" for i in range(6)]), max_size=4),
+            min_size=1, max_size=6,
+        ),
+        pool_ids=st.lists(
+            st.sampled_from([f"E{i}" for i in range(1, 8)]), unique=True, min_size=1, max_size=7
+        ),
+    )
+    def test_labels_equal_the_cell_comprehension(self, gold_sets, pool_ids):
+        want = np.array(
+            [[1.0 if eid in gold else 0.0 for eid in pool_ids] for gold in gold_sets]
+        )
+        assert _labels(gold_sets, pool_ids).tobytes() == want.tobytes()
+
+    def test_repeated_pool_id_rejected(self):
+        params = EncoderParams(W_mention=np.zeros((4, 2)), W_event=np.zeros((4, 2)))
+        with pytest.raises(DimensionMismatch, match="distinct"):
+            linking_loss(
+                params, [basis_fv(0, 4)], [frozenset({"E1"})], ["E1", "E1"],
+                [basis_fv(1, 4), basis_fv(2, 4)],
+            )
+
     def test_single_pair_score_zero_is_ln2(self):
         params = EncoderParams(W_mention=np.zeros((4, 2)), W_event=np.zeros((4, 2)))
         result = linking_loss(
@@ -464,6 +490,24 @@ def tiny_kb():
     return events, edges, forest
 
 
+def disjoint_trees():
+    """Two one-edge trees whose texts share no character, so no n-gram: two
+    mentions of the A tree's leaf, and the X tree for hierarchy pairs."""
+    events = [
+        Event(event_id, {"en": Label(title)})
+        for event_id, title in [
+            ("A0", "abc bca"), ("A1", "cab acb"), ("X0", "xyz yzx"), ("X1", "zxy xzy"),
+        ]
+    ]
+    edges = [
+        RelationEdge("A1", RelationProperty.PART_OF, "A0"),
+        RelationEdge("X1", RelationProperty.PART_OF, "X0"),
+    ]
+    forest = build_forest(events, edges)
+    mentions = [mention_of(f"M{i}", "A1", "cab acb abc") for i in range(2)]
+    return events, forest, expand_gold(forest, mentions)
+
+
 def mention_of(mid: str, anchor: str, text: str, language: str = "en") -> Mention:
     return Mention(
         id=mid,
@@ -568,6 +612,28 @@ def small_corpus(seed: int = 0):
     forest = build_forest(events, edges)
     instances = expand_gold(forest, mentions)
     return events, forest, instances
+
+
+def use_design_matrix_step(monkeypatch) -> None:
+    """Train with the step the design kernel replaced: a sorted design
+    matrix in the tower's dtype, and the linking backward pass in
+    pretraining epochs too."""
+
+    def sorted_design(self, W, fvs):
+        rows, X = design_matrix(fvs, W.shape[0], W.dtype)
+        return rows, W.slot[rows] if isinstance(W, Tower) else rows, X
+
+    def full_backward(*args, backward=True, **kwargs):
+        return linking_loss(*args, **kwargs)
+
+    monkeypatch.setattr(encoder.DesignWorkspace, "design", sorted_design)
+    monkeypatch.setattr(training, "linking_loss", full_backward)
+
+
+@pytest.fixture
+def float64_towers(monkeypatch):
+    """Towers held in float64, the dtype of the scalar oracles."""
+    monkeypatch.setattr(encoder, "TOWER_DTYPE", np.dtype(np.float64))
 
 
 def train_small(config: TrainConfig, instances=None):
@@ -910,8 +976,11 @@ class TestOracleEquivalence:
         assert new.loss == pytest.approx(old.loss, rel=0, abs=1e-12)
         assert_grads_match(new.grad_event, old.grad_event)
 
+    # the scalar oracles sum in another order, which float32 rows would
+    # show; the float32 loop is checked bit for bit against the sorting
+    # design matrix below
     @pytest.mark.parametrize("strategy", ["BASELINE", "HP", "HJL", "HP_HJL"])
-    def test_train_matches_oracle_module(self, strategy, monkeypatch):
+    def test_train_matches_oracle_module(self, strategy, monkeypatch, float64_towers):
         config = TrainConfig(strategy=strategy, epochs=3, pretrain_epochs=1, seed=2)
         params, head, log = train_small(config)
         monkeypatch.setattr(training, "linking_loss", linking_loss_oracle)
@@ -968,20 +1037,10 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_full_training_bit_equal_to_design_matrix_step(self, strategy, tmp_path, monkeypatch):
-        # the step this kernel replaced: a sorted design matrix and the
-        # linking backward pass in pretraining epochs too
-        def sorted_design(self, W, fvs):
-            rows, X = design_matrix(fvs, W.shape[0])
-            return rows, W.slot[rows] if isinstance(W, Tower) else rows, X
-
-        def full_backward(*args, backward=True, **kwargs):
-            return linking_loss(*args, **kwargs)
-
         config = TrainConfig(strategy=strategy, epochs=4, pretrain_epochs=2, seed=5)
         for name in ("kernel", "oracle"):
             if name == "oracle":
-                monkeypatch.setattr(encoder.DesignWorkspace, "design", sorted_design)
-                monkeypatch.setattr(training, "linking_loss", full_backward)
+                use_design_matrix_step(monkeypatch)
             params, head, log = train_small(config)
             heads = {f"complex.{key}": array for key, array in head.arrays().items()}
             save_checkpoint(tmp_path / f"{name}.bin", params, heads)
@@ -990,6 +1049,32 @@ class TestOracleEquivalence:
             assert (tmp_path / f"kernel.{suffix}").read_bytes() == (
                 tmp_path / f"oracle.{suffix}"
             ).read_bytes()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_float64_towers_bit_equal_to_design_matrix_step(
+        self, strategy, monkeypatch, float64_towers
+    ):
+        # both losses hard-code no tower dtype: float64 towers run every
+        # product in float64, as the losses did before the towers were
+        # float32; the checkpoint would round them, so the arrays are compared
+        config = TrainConfig(strategy=strategy, epochs=4, pretrain_epochs=2, seed=5)
+        runs = []
+        for oracle in (False, True):
+            if oracle:
+                use_design_matrix_step(monkeypatch)
+            params, head, log = train_small(config)
+            dense = params.densify()
+            assert dense.W_mention.dtype == dense.W_event.dtype == np.float64
+            runs.append(
+                [a.tobytes() for a in (dense.W_mention, dense.W_event, *head.arrays().values())]
+                + [log.to_records()]
+            )
+        assert runs[0] == runs[1]
+
+    def test_trained_towers_are_float32(self):
+        params, head, _ = train_small(TrainConfig(strategy="HP_HJL", epochs=2))
+        assert params.W_mention.dtype == params.W_event.dtype == np.float32
+        assert all(array.dtype == np.float64 for array in head.arrays().values())
 
     @pytest.mark.parametrize("loss", ["linking", "hierarchy"])
     def test_feature_space_mismatch(self, loss):
@@ -1063,17 +1148,27 @@ class TestTrainingLogCounters:
 
     @pytest.mark.parametrize(
         "strategy, weight, loss",
-        # at unit weight the hierarchy steps blow up the head and the event
-        # tower together, and the hierarchy score, a product of both,
-        # overflows before the linking score does
+        # the first step's update turns every float32 row it touches to
+        # inf or NaN; the hierarchy pretraining step touches only the X
+        # tree's event rows, which no linking batch reads, so the next
+        # hierarchy loss is the first one that is not finite
         [("BASELINE", 0.01, "linking"), ("HP", 1.0, "hierarchy")],
     )
     def test_diverging_run_raises(self, strategy, weight, loss):
+        events, forest, instances = disjoint_trees()
+        F = 2**18
+        featurizer = TextFeaturizer(events, hashed(F))
+        linked, paired = (
+            feature_rows(featurizer.events(ids, "en"), F) for ids in (["A0", "A1"], ["X0", "X1"])
+        )
+        assert np.intersect1d(linked, paired).size == 0
+        # each mention's gold chain is two pairs: one mention a batch, two steps
         config = TrainConfig(
-            strategy=strategy, learning_rate=1e200, hier_loss_weight=weight, epochs=2
+            strategy=strategy, learning_rate=1e200, hier_loss_weight=weight, epochs=2,
+            batch_size=2,
         )
         with pytest.raises(TrainingDiverged) as info:
-            train_small(config)
+            train(instances, events, forest, config, F=F, d=8, hier_events={"X0", "X1"})
         assert (info.value.loss, info.value.epoch, info.value.step) == (loss, 0, 1)
 
     def test_log_rejects_non_finite_values(self, tmp_path):
