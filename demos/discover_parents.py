@@ -31,7 +31,7 @@ for inst in instances:
         )
     )
 
-lists = relext.build_mention_lists(oracle_results, k=relext.DEFAULT_LIST_K)
+lists = relext.build_mention_lists(oracle_results, pool, k=relext.DEFAULT_LIST_K)
 rankings, unlinked = relext.rank_all_parents(lists, pool)
 id_rankings = {e: [p for p, _ in ranked] for e, ranked in rankings.items()}
 print(f"oracle linking : parent recall@1 = {metrics.relext_recall_at_k(id_rankings, forest, 1):.4f}")
@@ -50,7 +50,7 @@ params, _head, _log = training.train(instances, events, forest, config, F=65536,
 index = retrieval.build_index(params, events, pool)
 results = retrieval.retrieve_mentions(params, index, mentions, k=relext.DEFAULT_LIST_K)
 
-lists = relext.build_mention_lists(results, k=relext.DEFAULT_LIST_K)
+lists = relext.build_mention_lists(results, pool, k=relext.DEFAULT_LIST_K)
 rankings, unlinked = relext.rank_all_parents(lists, pool)
 id_rankings = {e: [p for p, _ in ranked] for e, ranked in rankings.items()}
 for k in (1, 2, 4):

@@ -453,7 +453,7 @@ def cmd_relext(config: dict, retrievals_path: str, split: str | None) -> list[st
     known = set(pool)
     for result in results:
         retrieval.check_candidates(result, known)
-    lists = relext.build_mention_lists(results, list_k)
+    lists = relext.build_mention_lists(results, pool, list_k)
     # rankings only as long as the parents file or the report reads them
     m = max(max_ranking, max(RELEXT_RECALL_KS))
     rankings, unlinked = relext.rank_all_parents(lists, pool, m)

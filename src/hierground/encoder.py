@@ -232,9 +232,9 @@ class TextFeaturizer:
     """Memoized features of mention windows and event texts over a corpus.
 
     ``features`` maps a list of texts to what the caller stores per text:
-    training's ``hashed(F)`` vectors, the retrieval index's event-tower
-    encodings, or the reranker's raw bucket counts.  Each lookup hands all
-    of its misses to one ``features`` call.
+    ``hashed(F)`` vectors for training and for the retrieval index, which
+    encodes them in ``CandidateIndex.matrix``, or the reranker's raw bucket
+    counts.  Each lookup hands all of its misses to one ``features`` call.
     An event is featurized in the mention's language in multilingual mode
     and always in the fallback language (English) in crosslingual mode;
     each mention id and each (event id, resolved language) is featurized

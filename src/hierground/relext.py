@@ -10,7 +10,7 @@ retrieval lists alone; no trained relation model is involved.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -23,116 +23,81 @@ DEFAULT_LIST_K = 4
 DEFAULT_MAX_RANKING = 16
 
 
-@dataclass
-class MentionLists:
-    """M_e: the mentions whose top-k retrieval contains each event."""
-
-    mentions_of: dict[str, set[str]] = field(default_factory=dict)
-    events_of: dict[str, set[str]] = field(default_factory=dict)
-    k: int = DEFAULT_LIST_K
-
-
 def build_mention_lists(
-    results: list[RetrievalResult], k: int = DEFAULT_LIST_K
-) -> MentionLists:
-    """Invert the truncated-to-k retrieval lists into per-event sets."""
-    lists = MentionLists(k=k)
-    for result in results:
-        events = set(result.event_ids[:k])
-        lists.events_of[result.mention_id] = events
-        for event_id in events:
-            lists.mentions_of.setdefault(event_id, set()).add(result.mention_id)
+    results: list[RetrievalResult], pool: list[str], k: int = DEFAULT_LIST_K
+) -> np.ndarray:
+    """The mention lists as an n x ``k`` int64 matrix of pool positions.
+
+    Row i holds the positions in ``sorted(pool)`` of the distinct pool
+    events among the first ``k`` candidates of ``results[i]``, in list
+    order, padded with -1; root-padded lists repeat ids, and a mention
+    counts once per event.  M_e is the set of rows that hold e.
+    """
+    if k < 1:
+        raise InvalidConfig(f"mention list length must be >= 1, got {k}")
+    position = {event_id: i for i, event_id in enumerate(sorted(pool))}
+    lists = np.full((len(results), k), -1, dtype=np.int64)
+    for row, result in zip(lists, results):
+        events = [position[e] for e in dict.fromkeys(result.event_ids[:k]) if e in position]
+        row[: len(events)] = events
     return lists
 
 
 def rank_parents(
-    lists: MentionLists, event_id: str, pool: list[str]
+    lists: np.ndarray, event_id: str, pool: list[str]
 ) -> list[tuple[str, float]]:
     """Every other pool event scored, descending, ties by ascending id.
 
-    Computed by co-occurrence counting over the event's mentions, which
-    touches only candidates that share a mention; the rest score zero.
-    Raises UndefinedScore when the event has no linked mentions.
+    The definition h(e, c) = |M_e & M_c| / |M_e|, one row mask per
+    candidate, that ``rank_all_parents`` must agree with.  Raises
+    UndefinedScore when the event is outside the pool or unlinked.
     """
-    m_e = lists.mentions_of.get(event_id)
-    if not m_e:
+    ids = sorted(pool)
+    if event_id not in ids:
         raise UndefinedScore(event_id)
-    shared: dict[str, int] = {}
-    for mention_id in m_e:
-        for other in lists.events_of.get(mention_id, ()):
-            shared[other] = shared.get(other, 0) + 1
-    denom = len(m_e)
+    m_e = (lists == ids.index(event_id)).any(axis=1)
+    if not m_e.any():
+        raise UndefinedScore(event_id)
     scored = [
-        (candidate, shared.get(candidate, 0) / denom)
-        for candidate in pool
+        (candidate, float((m_e & (lists == c).any(axis=1)).sum() / m_e.sum()))
+        for c, candidate in enumerate(ids)
         if candidate != event_id
     ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 
 
 def rank_all_parents(
-    lists: MentionLists, pool: list[str], m: int = DEFAULT_MAX_RANKING
+    lists: np.ndarray, pool: list[str], m: int = DEFAULT_MAX_RANKING
 ) -> tuple[dict[str, list[tuple[str, float]]], list[str]]:
     """The first ``m`` entries of ``rank_parents`` for every linked pool event.
 
-    One co-occurrence pass over all events: every (event, candidate) pair
-    that shares a mention is counted with one ``np.unique``, and one
-    ``lexsort`` by (event, -count, id) orders each event's candidates.
-    ``h`` is the same ``count / len(M_e)`` float.  A ranking shorter than
+    ``lists`` is ``build_mention_lists`` over the same pool.  Each row's
+    outer product gives one event * P + candidate key per pair sharing the
+    mention; one ``np.unique`` counts them and one ``lexsort`` by (event,
+    -count, id) orders each event's candidates.  A ranking shorter than
     ``m`` is padded with the smallest-id zero-score pool events while the
-    pool lasts.  ``pool`` holds distinct ids in any order; unlinked ids are
-    returned apart, in pool order.
+    pool lasts.  ``pool`` holds distinct ids in any order; unlinked ids
+    are returned apart, in pool order.
     """
     if m < 1:
         raise InvalidConfig(f"ranking length must be >= 1, got {m}")
     ids = sorted(pool)
-    rank = {event_id: i for i, event_id in enumerate(ids)}
-    in_pool = {
-        mention_id: [rank[e] for e in events if e in rank]
-        for mention_id, events in lists.events_of.items()
-    }
-    linked = [e for e in pool if lists.mentions_of.get(e)]
-    denom = np.zeros(len(ids))
-    # one event * P + candidate key per (mention of the event, candidate)
-    pair_keys: list[int] = []
-    for event_id in linked:
-        e = rank[event_id]
-        m_e = lists.mentions_of[event_id]
-        denom[e] = len(m_e)
-        pair_keys.extend(
-            e * len(ids) + c
-            for mention_id in m_e
-            for c in in_pool.get(mention_id, ())
-            if c != e
-        )
-    keys, counts = np.unique(np.asarray(pair_keys, dtype=np.int64), return_counts=True)
+    a, b = lists[:, :, None], lists[:, None, :]
+    pairs = (a * len(ids) + b)[(a >= 0) & (b >= 0) & (a != b)]
+    keys, counts = np.unique(pairs, return_counts=True)
+    denom = np.bincount(lists[lists >= 0], minlength=len(ids))
     event, candidate = np.divmod(keys, len(ids))
     order = np.lexsort((candidate, -counts, event))
-    event, candidate, counts = event[order], candidate[order], counts[order]
-    position = np.arange(event.size) - np.searchsorted(event, event)
-    top = position < m
-    listed: dict[int, list[tuple[str, float]]] = {}
-    for e, c, h in zip(
-        event[top].tolist(),
-        candidate[top].tolist(),
-        (counts[top] / denom[event[top]]).tolist(),
-    ):
-        listed.setdefault(e, []).append((ids[c], h))
-
-    rankings: dict[str, list[tuple[str, float]]] = {}
-    for event_id in linked:
-        ranking = listed.get(rank[event_id], [])
-        if len(ranking) < m:
-            taken = {c for c, _ in ranking} | {event_id}
-            for c in ids:
-                if len(ranking) == m:
-                    break
-                if c not in taken:
-                    ranking.append((c, 0.0))
-        rankings[event_id] = ranking
-    unlinked = [e for e in pool if not lists.mentions_of.get(e)]
-    return rankings, unlinked
+    event, candidate, h = event[order], candidate[order], (counts / denom[event])[order]
+    top = np.arange(event.size) - np.searchsorted(event, event) < m
+    linked = {ids[e] for e in np.flatnonzero(denom).tolist()}
+    rankings: dict[str, list[tuple[str, float]]] = {e: [] for e in pool if e in linked}
+    for e, c, score in zip(event[top].tolist(), candidate[top].tolist(), h[top].tolist()):
+        rankings[ids[e]].append((ids[c], score))
+    for event_id, ranking in rankings.items():
+        taken = {c for c, _ in ranking} | {event_id}
+        ranking += islice(((c, 0.0) for c in ids if c not in taken), m - len(ranking))
+    return rankings, [e for e in pool if e not in linked]
 
 
 def write_parents(

@@ -442,8 +442,9 @@ def test_07_relext_with_perfect_retriever():
                     candidates=[(e, float(len(chain) - i)) for i, e in enumerate(chain)],
                 )
             )
-        lists = relext.build_mention_lists(results, k=relext.DEFAULT_LIST_K)
-        rankings, unlinked = relext.rank_all_parents(lists, sorted(e.id for e in events))
+        pool = sorted(e.id for e in events)
+        lists = relext.build_mention_lists(results, pool, k=relext.DEFAULT_LIST_K)
+        rankings, unlinked = relext.rank_all_parents(lists, pool)
         assert unlinked == []
         id_rankings = {e: [p for p, _ in ranked] for e, ranked in rankings.items()}
         values.append(metrics.relext_recall_at_k(id_rankings, forest, 1))

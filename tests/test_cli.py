@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from hierground import dataset, encoder, relext, retrieval, rerank
+from hierground import dataset, encoder, kb, relext, retrieval, rerank
 from hierground.errors import ParseError
 from hierground.cli import (
     DEFAULT_CONFIG,
@@ -206,6 +206,34 @@ CORPUS_DIGESTS = {
 }
 
 
+# relext over noisy root-padded gold chains of a small seeded corpus: the
+# lists repeat ids and run past list_k, and 12 of the 180 events end unlinked
+RELEXT_DIGESTS = {
+    "parents.jsonl": "7809a9c87e779bf432c2ac9c2d029311647d3ff0f875c759eb44449f0f234d63",
+    "relext_report.json": "46b25d919e053349003e1bcd35c1935df8dac25db1e9664a7c78b54ec8e22431",
+}
+
+
+def write_noisy_chains(out, noise: float = 0.3, slots: int = 6) -> str:
+    """Gold chains padded with their root to ``slots`` ids, each slot
+    swapped for a random pool event with probability ``noise``: lists that
+    repeat ids and run past the default ``list_k``."""
+    events = kb.load_events(out / "events.jsonl")
+    forest = kb.build_forest(events, kb.load_relations(out / "relations.jsonl"))
+    pool = sorted(event.id for event in events)
+    rng = np.random.default_rng(0)
+    results = []
+    for instance in dataset.expand_gold(forest, dataset.load_mentions(out / "mentions.jsonl")):
+        chain = list(instance.gold) + [instance.gold[-1]] * (slots - len(instance.gold))
+        swap, picks = rng.random(slots) < noise, rng.integers(0, len(pool), size=slots)
+        ids = [pool[p] if s else e for e, s, p in zip(chain, swap, picks)]
+        candidates = [(e, float(slots - i)) for i, e in enumerate(ids)]
+        results.append(retrieval.RetrievalResult(instance.mention.id, candidates))
+    path = out / "retrievals_chains.jsonl"
+    retrieval.write_retrievals(results, path)
+    return str(path)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("flags", list(CORPUS_DIGESTS))
     def test_corpus_bytes_are_pinned(self, tmp_path, flags):
@@ -218,6 +246,20 @@ class TestDeterminism:
             for name in CORPUS_DIGESTS[flags]
         }
         assert digests == CORPUS_DIGESTS[flags]
+
+    def test_relext_bytes_are_pinned(self, tmp_path):
+        o = ["--output-dir", str(tmp_path), *SEED]
+        assert main(["synth", *o, "--n-trees", "12", "--height", "3",
+                     "--mentions-per-event", "1", "--vocab", "200"]) == 0
+        retrievals = write_noisy_chains(tmp_path)
+        assert main(["relext", *o, "--events", str(tmp_path / "events.jsonl"),
+                     "--relations", str(tmp_path / "relations.jsonl"),
+                     "--retrievals", retrievals]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in RELEXT_DIGESTS
+        }
+        assert digests == RELEXT_DIGESTS
 
     def test_pipeline_artifacts_are_byte_identical(self, pipeline, tmp_path):
         rerun = tmp_path / "rerun"

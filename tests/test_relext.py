@@ -1,5 +1,6 @@
 """Mention list inversion, overlap scores, parent rankings, parents file."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from hierground.errors import InvalidConfig, ParseError, UndefinedScore
 from hierground.relext import (
     DEFAULT_LIST_K,
     DEFAULT_MAX_RANKING,
-    MentionLists,
     build_mention_lists,
     load_parents,
     rank_all_parents,
@@ -18,135 +18,161 @@ from hierground.relext import (
 from hierground.retrieval import RetrievalResult
 
 
-def h_score(lists: MentionLists, e_i: str, e_j: str) -> float:
+def mentions_of(assignments: dict[str, set[str]], event_id: str) -> set[str]:
+    return {mention_id for mention_id, events in assignments.items() if event_id in events}
+
+
+def h_score(assignments: dict[str, set[str]], e_i: str, e_j: str) -> float:
     """Oracle: |M_i intersect M_j| / |M_i|, how much of e_i the candidate covers."""
-    m_i = lists.mentions_of.get(e_i)
+    m_i = mentions_of(assignments, e_i)
     if not m_i:
         raise UndefinedScore(e_i)
-    m_j = lists.mentions_of.get(e_j, set())
-    return len(m_i & m_j) / len(m_i)
+    return len(m_i & mentions_of(assignments, e_j)) / len(m_i)
 
 
 def result_of(mid: str, ids: list[str]) -> RetrievalResult:
     return RetrievalResult(mid, [(event_id, 0.0) for event_id in ids])
 
 
-def lists_from(assignments: dict[str, set[str]]) -> MentionLists:
-    """Build MentionLists directly from mention -> events sets."""
-    lists = MentionLists()
-    for mention_id, events in assignments.items():
-        lists.events_of[mention_id] = set(events)
-        for event_id in events:
-            lists.mentions_of.setdefault(event_id, set()).add(mention_id)
-    return lists
+def lists_from(assignments: dict[str, set[str]], pool: list[str]) -> np.ndarray:
+    """The mention-list matrix of mention -> events sets over ``pool``."""
+    results = [result_of(mid, sorted(events)) for mid, events in assignments.items()]
+    k = max([1] + [len(events) for events in assignments.values()])
+    return build_mention_lists(results, pool, k)
 
 
 class TestBuildMentionLists:
     def test_single_mention_links_all_top_k(self):
-        lists = build_mention_lists([result_of("m", ["A", "B", "C", "D"])], k=4)
-        for event_id in ["A", "B", "C", "D"]:
-            assert lists.mentions_of[event_id] == {"m"}
+        lists = build_mention_lists(
+            [result_of("m", ["A", "B", "C", "D"])], ["D", "C", "B", "A"], k=4
+        )
+        assert lists.dtype == np.int64
+        assert lists.tolist() == [[0, 1, 2, 3]]
 
     def test_truncates_to_k(self):
-        lists = build_mention_lists([result_of("m", ["A", "B", "C", "D"])], k=2)
-        assert set(lists.mentions_of) == {"A", "B"}
-        assert lists.events_of["m"] == {"A", "B"}
+        lists = build_mention_lists(
+            [result_of("m", ["A", "B", "C", "D"])], ["A", "B", "C", "D"], k=2
+        )
+        assert lists.tolist() == [[0, 1]]
 
     def test_never_retrieved_event_is_absent(self):
-        lists = build_mention_lists([result_of("m", ["A"])], k=4)
-        assert "Z" not in lists.mentions_of
-        assert sorted(lists.mentions_of) == ["A"]
+        lists = build_mention_lists([result_of("m", ["A"])], ["A", "Z"], k=4)
+        assert lists.tolist() == [[0, -1, -1, -1]]
 
     def test_shared_candidate_collects_both_mentions(self):
+        pool = ["A", "B", "C"]
         lists = build_mention_lists(
-            [result_of("m1", ["A", "B"]), result_of("m2", ["A", "C"])], k=2
+            [result_of("m1", ["A", "B"]), result_of("m2", ["A", "C"])], pool, k=2
         )
-        assert lists.mentions_of["A"] == {"m1", "m2"}
-        assert lists.mentions_of["B"] == {"m1"}
+        assert lists.tolist() == [[0, 1], [0, 2]]
+        # M_A holds both mentions (rows), M_B only the first
+        assert (lists == 0).any(axis=1).tolist() == [True, True]
+        assert (lists == 1).any(axis=1).tolist() == [True, False]
 
     def test_default_k_is_four(self):
         assert DEFAULT_LIST_K == 4
-        lists = build_mention_lists([result_of("m", ["A", "B", "C", "D", "E"])])
-        assert "E" not in lists.mentions_of
+        pool = ["A", "B", "C", "D", "E"]
+        lists = build_mention_lists([result_of("m", pool)], pool)
+        assert lists.tolist() == [[0, 1, 2, 3]]
+
+    def test_repeats_count_once_in_list_order(self):
+        # a root-padded oracle list: the root fills the tail
+        lists = build_mention_lists(
+            [result_of("m", ["C", "A", "R", "R", "R"])], ["A", "C", "R"], k=5
+        )
+        assert lists.tolist() == [[1, 0, 2, -1, -1]]
+
+    def test_ids_outside_the_pool_are_dropped(self):
+        lists = build_mention_lists(
+            [result_of("m", ["X", "B", "Y", "A"])], ["A", "B"], k=3
+        )
+        assert lists.tolist() == [[1, -1, -1]]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_non_positive_length(self, k):
+        with pytest.raises(InvalidConfig):
+            build_mention_lists([result_of("m", ["A", "B"])], ["A", "B"], k)
 
 
 class TestHScore:
     def test_subset_scores_one(self):
-        lists = lists_from({"m1": {"A", "B"}, "m2": {"A", "B"}, "m3": {"B"}})
-        assert h_score(lists, "A", "B") == 1.0
+        assert h_score({"m1": {"A", "B"}, "m2": {"A", "B"}, "m3": {"B"}}, "A", "B") == 1.0
 
     def test_disjoint_scores_zero(self):
-        lists = lists_from({"m1": {"A"}, "m2": {"B"}})
-        assert h_score(lists, "A", "B") == 0.0
+        assert h_score({"m1": {"A"}, "m2": {"B"}}, "A", "B") == 0.0
 
     def test_half_overlap(self):
-        lists = lists_from(
-            {
-                "m1": {"A", "B"},
-                "m2": {"A", "B"},
-                "m3": {"A"},
-                "m4": {"A"},
-            }
-        )
-        assert h_score(lists, "A", "B") == 0.5
+        assignments = {
+            "m1": {"A", "B"},
+            "m2": {"A", "B"},
+            "m3": {"A"},
+            "m4": {"A"},
+        }
+        assert h_score(assignments, "A", "B") == 0.5
 
     def test_self_score_is_one(self):
-        lists = lists_from({"m1": {"A"}})
-        assert h_score(lists, "A", "A") == 1.0
+        assert h_score({"m1": {"A"}}, "A", "A") == 1.0
 
     def test_asymmetric(self):
-        lists = lists_from({"m1": {"A", "B"}, "m2": {"B"}})
-        assert h_score(lists, "A", "B") == 1.0
-        assert h_score(lists, "B", "A") == 0.5
+        assignments = {"m1": {"A", "B"}, "m2": {"B"}}
+        assert h_score(assignments, "A", "B") == 1.0
+        assert h_score(assignments, "B", "A") == 0.5
 
     def test_unlinked_event_is_undefined(self):
-        lists = lists_from({"m1": {"A"}})
         with pytest.raises(UndefinedScore) as err:
-            h_score(lists, "Z", "A")
+            h_score({"m1": {"A"}}, "Z", "A")
         assert err.value.event_id == "Z"
 
 
 class TestRankParents:
     def test_descending_by_score(self):
+        pool = ["E", "P", "Q", "R"]
         lists = lists_from(
             {
                 "m1": {"E", "P"},
                 "m2": {"E", "P"},
                 "m3": {"E", "Q"},
                 "m4": {"E"},
-            }
+            },
+            pool,
         )
-        ranked = rank_parents(lists, "E", ["E", "P", "Q", "R"])
+        ranked = rank_parents(lists, "E", pool)
         assert ranked == [("P", 0.5), ("Q", 0.25), ("R", 0.0)]
 
     def test_scores_match_h_score(self):
-        lists = lists_from(
-            {
-                "m1": {"A", "B", "C"},
-                "m2": {"A", "C"},
-                "m3": {"B", "C", "D"},
-                "m4": {"A", "D"},
-            }
-        )
+        assignments = {
+            "m1": {"A", "B", "C"},
+            "m2": {"A", "C"},
+            "m3": {"B", "C", "D"},
+            "m4": {"A", "D"},
+        }
         pool = ["A", "B", "C", "D", "Z"]
+        lists = lists_from(assignments, pool)
         for event_id in ["A", "B", "C", "D"]:
             for candidate, score in rank_parents(lists, event_id, pool):
-                assert score == h_score(lists, event_id, candidate)
+                assert score == h_score(assignments, event_id, candidate)
 
     def test_excludes_self(self):
-        lists = lists_from({"m1": {"A", "B"}})
+        lists = lists_from({"m1": {"A", "B"}}, ["A", "B"])
         ranked = rank_parents(lists, "A", ["A", "B"])
         assert [c for c, _ in ranked] == ["B"]
 
     def test_ties_resolve_to_ascending_id(self):
-        lists = lists_from({"m1": {"E", "Z", "B"}, "m2": {"E", "Z", "B"}})
-        ranked = rank_parents(lists, "E", ["E", "Z", "B", "A"])
+        pool = ["E", "Z", "B", "A"]
+        lists = lists_from({"m1": {"E", "Z", "B"}, "m2": {"E", "Z", "B"}}, pool)
+        ranked = rank_parents(lists, "E", pool)
         assert ranked == [("B", 1.0), ("Z", 1.0), ("A", 0.0)]
 
     def test_unlinked_event_raises(self):
-        lists = lists_from({"m1": {"A"}})
+        lists = lists_from({"m1": {"A"}}, ["A", "Q"])
         with pytest.raises(UndefinedScore):
             rank_parents(lists, "Q", ["A", "Q"])
+
+    def test_event_outside_pool_raises(self):
+        lists = lists_from({"m1": {"A", "B"}}, ["A", "B"])
+        with pytest.raises(UndefinedScore) as err:
+            rank_parents(lists, "Q", ["A", "B"])
+        assert err.value.event_id == "Q"
 
     def test_relabeling_mentions_preserves_ranking(self):
         base = {
@@ -156,8 +182,8 @@ class TestRankParents:
         }
         relabeled = {f"other-{k}": v for k, v in base.items()}
         pool = ["E", "P", "Q"]
-        assert rank_parents(lists_from(base), "E", pool) == rank_parents(
-            lists_from(relabeled), "E", pool
+        assert rank_parents(lists_from(base, pool), "E", pool) == rank_parents(
+            lists_from(relabeled, pool), "E", pool
         )
 
     def test_perfect_linker_scores_parent_one(self):
@@ -172,10 +198,10 @@ class TestRankParents:
         for i, (anchor, chain) in enumerate(chains.items()):
             for j in range(2):
                 assignments[f"m{i}{j}"] = set(chain)
-        lists = lists_from(assignments)
-        assert h_score(lists, "L1", "Mid") == 1.0
-        assert h_score(lists, "Mid", "Root") == 1.0
-        ranked = rank_parents(lists, "L1", ["L1", "Mid", "Root", "X"])
+        assert h_score(assignments, "L1", "Mid") == 1.0
+        assert h_score(assignments, "Mid", "Root") == 1.0
+        pool = ["L1", "Mid", "Root", "X"]
+        ranked = rank_parents(lists_from(assignments, pool), "L1", pool)
         assert ranked[0] == ("Mid", 1.0)
 
 
@@ -186,19 +212,20 @@ OUTSIDE_IDS = ["X0", "X1"]
 
 @st.composite
 def relext_cases(draw):
-    """(mention -> events, pool in drawn order, m) over a small id space."""
+    """(candidate lists, pool in drawn order, k, m) over a small id space.
+
+    Lists are ordered, repeat ids, name ids outside the pool and may run
+    past ``k``, as retrieval files may.
+    """
     pool = draw(st.lists(st.sampled_from(EVENT_IDS), min_size=1, max_size=8, unique=True))
     names = st.sampled_from(sorted(pool) + OUTSIDE_IDS)
-    n_mentions = draw(st.integers(0, 9))
-    assignments = {
-        f"m{j}": draw(st.sets(names, max_size=4)) for j in range(n_mentions)
-    }
-    return assignments, pool, draw(st.integers(1, 10))
+    candidates = draw(st.lists(st.lists(names, max_size=7), max_size=9))
+    return candidates, pool, draw(st.integers(1, 6)), draw(st.integers(1, 12))
 
 
 class TestRankAllParents:
     def test_splits_linked_and_unlinked(self):
-        lists = lists_from({"m1": {"A", "B"}})
+        lists = lists_from({"m1": {"A", "B"}}, ["A", "B", "C"])
         rankings, unlinked = rank_all_parents(lists, ["A", "B", "C"])
         assert set(rankings) == {"A", "B"}
         assert unlinked == ["C"]
@@ -207,19 +234,23 @@ class TestRankAllParents:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(case=relext_cases())
     # three candidates tie at h = 1.0 across the m = 2 boundary
-    @example(case=({"m1": {"E0", "E3", "E2", "E1"}}, ["E0", "E3", "E2", "E1", "E4"], 2))
+    @example(case=([["E0", "E3", "E2", "E1"]], ["E0", "E3", "E2", "E1", "E4"], 4, 2))
     # a tie at h = 0.5 straddles m = 2, behind a candidate at 1.0
-    @example(case=({"m1": {"E0", "E5", "E7"}, "m2": {"E0", "E5", "E6"}},
-                   ["E7", "E6", "E5", "E0"], 2))
+    @example(case=([["E0", "E5", "E7"], ["E0", "E5", "E6"]], ["E7", "E6", "E5", "E0"], 3, 2))
     # no co-occurring candidate: the ranking is all padding
-    @example(case=({"m1": {"E2"}}, ["E2", "E1", "E0"], 1))
+    @example(case=([["E2"]], ["E2", "E1", "E0"], 1, 1))
     # m >= P, an unlinked event and a mention naming an event outside the pool
-    @example(case=({"m1": {"E1", "X0"}, "m2": {"E1", "E4"}}, ["E4", "E1", "E9"], 10))
+    @example(case=([["E1", "X0"], ["E1", "E4"]], ["E4", "E1", "E9"], 2, 10))
     # no mentions at all: every event is unlinked
-    @example(case=({}, ["E3", "E1"], 1))
+    @example(case=([], ["E3", "E1"], 4, 1))
+    # a root-padded list whose repeats fill the k cut: E2 is left unlinked
+    @example(case=([["E1", "E1", "E1", "E2"]], ["E2", "E1"], 3, 1))
     def test_is_prefix_of_full_ranking(self, case):
-        assignments, pool, m = case
-        lists = lists_from(assignments)
+        candidates, pool, k, m = case
+        lists = build_mention_lists(
+            [result_of(f"m{j}", ids) for j, ids in enumerate(candidates)], pool, k
+        )
+        assignments = {f"m{j}": set(ids[:k]) for j, ids in enumerate(candidates)}
         rankings, unlinked = rank_all_parents(lists, pool, m)
         expected_unlinked = []
         for event_id in pool:
@@ -229,13 +260,15 @@ class TestRankAllParents:
                 expected_unlinked.append(event_id)
                 continue
             assert rankings[event_id] == full[:m]
+            assert [h for _, h in full] == [h_score(assignments, event_id, c) for c, _ in full]
         assert unlinked == expected_unlinked
+        assert unlinked == [e for e in pool if not mentions_of(assignments, e)]
         assert len(rankings) + len(unlinked) == len(pool)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_rejects_non_positive_length(self, m):
         with pytest.raises(InvalidConfig):
-            rank_all_parents(lists_from({"m1": {"A", "B"}}), ["A", "B"], m)
+            rank_all_parents(lists_from({"m1": {"A", "B"}}, ["A", "B"]), ["A", "B"], m)
 
 
 class TestParentsFile:
