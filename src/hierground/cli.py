@@ -390,7 +390,10 @@ def cmd_evaluate(
         predicted = rerank_order = None
         if reranker_params is not None:
             mention = mentions_by_id[result.mention_id]
-            scored = rerank.score_candidates(reranker_params, featurizer, mention, result)
+            try:
+                scored = rerank.score_candidates(reranker_params, featurizer, mention, result)
+            except NonFiniteScore as exc:
+                raise NonFiniteScore(exc.what, reranker_path) from None
             rerank_order = [event_id for event_id, _ in scored]
             predicted = rerank.kept_set(scored, rerank.candidate_probs(scored), threshold)
         records.append(

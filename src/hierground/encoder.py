@@ -524,14 +524,15 @@ class DesignWorkspace:
     ``mark`` and ``column`` span the held rows of the largest tower seen.
     ``buffer`` holds, flat, every design matrix built since the last
     ``reset``, so a loss that needs two (the linking loss) gets two views
-    of one buffer, in the dtype of the values the designs multiply.  Each
-    grows when a tower or a batch needs more.
+    of one buffer, in the dtype of the values the designs multiply (``dtype``
+    until a design multiplies others).  Each grows when a tower or a batch
+    needs more.
     """
 
-    def __init__(self, held: int = 0, size: int = 0):
+    def __init__(self, held: int = 0, size: int = 0, dtype: np.dtype = np.float64):
         self.mark = np.zeros(held, dtype=bool)
         self.column = np.empty(held, dtype=np.intp)
-        self.buffer = np.empty(size)
+        self.buffer = np.empty(size, dtype)
         self.used = 0
 
     def reset(self) -> None:
@@ -693,11 +694,11 @@ def _read_array(fh, spec: tuple[list[int], str, int]) -> np.ndarray:
 
 
 def load_arrays(
-    path: str | Path, kind: str, names: tuple[str, ...]
+    path: str | Path, kind: str, dtypes: dict[str, str]
 ) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    """The arrays of a ``kind`` checkpoint that holds at least ``names``,
-    all of them '<f8', each read straight into its own writeable memory,
-    and the header's meta.
+    """The arrays of a ``kind`` checkpoint that holds at least the names of
+    ``dtypes``, each in its file dtype there ('<f8', '<f4' or '<i8'), each
+    read straight into its own writeable memory, and the header's meta.
 
     A malformed header, or a file whose bytes after the header are not
     exactly its arrays' elements times their itemsizes (truncated,
@@ -705,7 +706,7 @@ def load_arrays(
     ``ParseError`` before any array is allocated.
     """
     with open(path, "rb") as fh:
-        specs, header = _read_header(fh, path, kind, dict.fromkeys(names, "<f8"))
+        specs, header = _read_header(fh, path, kind, dtypes)
         arrays = {name: _read_array(fh, spec) for name, spec in specs.items()}
     meta = {k: v for k, v in header.items() if k not in ("format_version", "kind", "arrays")}
     return arrays, meta

@@ -336,6 +336,22 @@ def scored_ids(
     return pairs
 
 
+def scored_json(
+    pairs: list[tuple[str, float]], name: str, score: str, quoted: dict[str, str]
+) -> str:
+    """``json.dumps`` of ``[{name: id, score: score}, ...]``, formatted
+    directly, the writer's side of ``scored_ids``: ids through ``json.dumps``,
+    memoized in ``quoted`` across calls, and float scores through ``repr``."""
+    entries = []
+    for ident, value in pairs:
+        text = quoted.get(ident)
+        if text is None:
+            text = quoted[ident] = json.dumps(ident)
+        number = repr(value) if type(value) is float else json.dumps(value)
+        entries.append(f'{{"{name}": {text}, "{score}": {number}}}')
+    return f"[{', '.join(entries)}]"
+
+
 def read_json_fields(path: str | Path, **kinds) -> dict:
     """A file's one JSON object whose named fields are each of their kind,
     as ``read_jsonl`` checks a line; any other file is a ParseError."""

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, UndefinedScore
-from .kb import read_jsonl, scored_ids
+from .kb import read_jsonl, scored_ids, scored_json
 from .retrieval import RetrievalResult
 
 DEFAULT_LIST_K = 4
@@ -105,16 +105,13 @@ def write_parents(
     path: str | Path,
     max_ranking: int = DEFAULT_MAX_RANKING,
 ) -> None:
+    """One ``json.dumps(record)`` line per event in id order, formatted
+    directly as ``write_retrievals`` does."""
+    quoted: dict[str, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for event_id in sorted(rankings):
-            record = {
-                "event": event_id,
-                "ranking": [
-                    {"parent": parent, "h": h}
-                    for parent, h in rankings[event_id][:max_ranking]
-                ],
-            }
-            fh.write(json.dumps(record) + "\n")
+            ranking = scored_json(rankings[event_id][:max_ranking], "parent", "h", quoted)
+            fh.write(f'{{"event": {json.dumps(event_id)}, "ranking": {ranking}}}\n')
 
 
 def load_parents(path: str | Path) -> dict[str, list[tuple[str, float]]]:

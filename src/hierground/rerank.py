@@ -11,14 +11,17 @@ set; an empty set is replaced by the reserved NULL event.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Container
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Mention
 from .encoder import (
+    BLOCK_ROWS,
     DEFAULT_MAX_CAND_CHARS,
     DEFAULT_MAX_CONTEXT_CHARS,
     DesignWorkspace,
@@ -50,29 +53,52 @@ DEFAULT_HIDDEN = 32
 DEFAULT_GRID = (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-Block = tuple[np.ndarray, np.ndarray]
+# the dtype V is trained, held and stored in: a reranker step is
+# memory-bound, so float32 rows halve its bytes; c, w, b, the logits and
+# the probabilities stay float64
+V_DTYPE = np.dtype(np.float32)
 
 
-def _block_counts(texts: list[str]) -> list[Block]:
-    return ngram_counts_many(texts, BLOCK_BUCKETS)
+class Block(NamedTuple):
+    """One text's n-gram buckets: the ascending ``keys``, their raw
+    ``counts``, the L2-normalized ``values`` and ``shifted``, the keys'
+    indices in the event block."""
+
+    keys: np.ndarray
+    counts: np.ndarray
+    values: np.ndarray
+    shifted: np.ndarray
+
+    @classmethod
+    def of(cls, keys: np.ndarray, counts: np.ndarray) -> "Block":
+        return cls(keys, counts, counts / np.linalg.norm(counts), keys + BLOCK_BUCKETS)
+
+
+def _blocks(texts: list[str]) -> list[Block]:
+    return [Block.of(*counts) for counts in ngram_counts_many(texts, BLOCK_BUCKETS)]
 
 
 def _pair_fv(mention: Block, event: Block) -> FeatureVector:
     """Concatenate the three L2-normalized blocks into one sparse vector.
 
     The interaction block holds, for every bucket both texts hit, the
-    smaller of the two counts.
+    smaller of the two counts; each mention key is looked up in the event
+    keys with one ``searchsorted``.
     """
-    (m_keys, m_counts), (e_keys, e_counts) = mention, event
-    shared, m_at, e_at = np.intersect1d(
-        m_keys, e_keys, assume_unique=True, return_indices=True
-    )
-    blocks = (mention, event, (shared, np.minimum(m_counts[m_at], e_counts[e_at])))
+    if event.keys.size:
+        e_at = np.searchsorted(event.keys, mention.keys)
+        m_at = np.flatnonzero(event.keys.take(e_at, mode="clip") == mention.keys)
+        e_at = e_at[m_at]
+    else:
+        m_at = e_at = np.empty(0, dtype=np.intp)
+    shared = np.minimum(mention.counts[m_at], event.counts[e_at])
     return FeatureVector(
         indices=np.concatenate(
-            [block * BLOCK_BUCKETS + keys for block, (keys, _) in enumerate(blocks)]
+            [mention.keys, event.shifted, 2 * BLOCK_BUCKETS + mention.keys[m_at]]
         ),
-        values=np.concatenate([counts / np.linalg.norm(counts) for _, counts in blocks]),
+        values=np.concatenate(
+            [mention.values, event.values, shared / np.linalg.norm(shared)]
+        ),
         F=PAIR_DIM,
     )
 
@@ -81,7 +107,7 @@ class PairFeaturizer(TextFeaturizer):
     """Memoized pair featurization over a fixed corpus.
 
     Each mention window and each (event, language) text is hashed once
-    into raw ``BLOCK_BUCKETS`` counts, kept as sorted arrays.  With
+    into a ``Block`` of ``BLOCK_BUCKETS`` buckets, normalized once.  With
     ``keep_pairs`` each (mention id, event id) pair vector is also built
     once and kept, for a run that scores again the pairs it trained on;
     without it a one-pass scorer holds no pair vector it is done with.
@@ -95,7 +121,7 @@ class PairFeaturizer(TextFeaturizer):
         max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
         keep_pairs: bool = False,
     ):
-        super().__init__(events, _block_counts, mode, max_context_chars, max_cand_chars)
+        super().__init__(events, _blocks, mode, max_context_chars, max_cand_chars)
         self._pairs: dict[tuple[str, str], FeatureVector] | None = {} if keep_pairs else None
 
     def pair_fv(self, mention: Mention, event_id: str) -> FeatureVector:
@@ -163,19 +189,28 @@ def init_reranker(
     P: int = PAIR_DIM, hidden: int = DEFAULT_HIDDEN, seed: int = 0
 ) -> RerankerParams:
     rng = substream_rng(seed, "rerank_init")
+    V = np.empty((P, hidden), V_DTYPE)
+    # the float64 draws, cast BLOCK_ROWS rows at a time: the stream of one
+    # draw of all of V, without a float64 copy of V
+    for start in range(0, P, BLOCK_ROWS):
+        block = V[start : start + BLOCK_ROWS]
+        block[...] = rng.uniform(-0.05, 0.05, size=block.shape)
     return RerankerParams(
-        V=rng.uniform(-0.05, 0.05, size=(P, hidden)),
-        c=np.zeros(hidden),
-        w=rng.uniform(-0.05, 0.05, size=hidden),
-        b=0.0,
+        V=V, c=np.zeros(hidden), w=rng.uniform(-0.05, 0.05, size=hidden), b=0.0
     )
 
 
 def score_pair(params: RerankerParams, fv: FeatureVector) -> float:
+    """w . tanh(V'x + c) + b, with V'x in V's dtype, as ``encode`` computes;
+    a non-finite pre-activation or score raises ``NonFiniteScore``
+    (``score_candidates`` turns overflow warnings off)."""
     if fv.F != params.P:
         raise DimensionMismatch(f"pair feature dim {fv.F} vs reranker {params.P}")
-    z = fv.values @ params.V[fv.indices] + params.c
-    return float(params.w @ np.tanh(z) + params.b)
+    z = fv.values.astype(params.V.dtype) @ params.V.take(fv.indices, axis=0) + params.c
+    score = float(params.w @ np.tanh(z) + params.b)
+    if not (math.isfinite(score) and np.isfinite(z).all()):
+        raise NonFiniteScore("reranker scores")
+    return score
 
 
 def substitute_missing_golds(candidates: list[str], gold: frozenset[str]) -> list[str]:
@@ -269,6 +304,7 @@ class SGDWorkspace(DesignWorkspace):
     The design-matrix buffers span the P rows of V and a flat X sized for
     any batch, and ``V_rows`` and ``grad`` hold a batch's rows of V and
     their gradient, so a step allocates nothing the size of its rows.
+    Every buffer is in V's dtype.
     Building the workspace checks every example once: its dimension is
     P and its indices are strictly ascending, as the design kernel's fill
     by assignment needs.
@@ -284,9 +320,9 @@ class SGDWorkspace(DesignWorkspace):
             sizes.append(fv.indices.size)
         # a batch touches at most the nonzeros of its batch_size largest examples
         max_rows = min(params.P, sum(sorted(sizes)[-batch_size:]))
-        super().__init__(params.P, batch_size * max_rows)
-        self.V_rows = np.empty((max_rows, params.h))
-        self.grad = np.empty((max_rows, params.h))
+        super().__init__(params.P, batch_size * max_rows, params.V.dtype)
+        self.V_rows = np.empty((max_rows, params.h), params.V.dtype)
+        self.grad = np.empty((max_rows, params.h), params.V.dtype)
 
 
 def _reranker_sgd_step(
@@ -299,7 +335,9 @@ def _reranker_sgd_step(
 
     The batch's design matrix spans the ascending rows of V its features
     touch, so the forward pass and the gradient of V are two matrix
-    products restricted to those rows, computed in ``ws``.
+    products restricted to those rows, computed in ``ws`` in V's dtype;
+    the float64 gradient of the pre-activations is cast down once for the
+    second.  The rest of the step is float64.
     """
     n = len(batch)
     ws.reset()
@@ -312,7 +350,7 @@ def _reranker_sgd_step(
     logits = A @ params.w + params.b
     G = (sigmoid(logits) - labels) / n
     DZ = G[:, None] * params.w * (1.0 - A * A)
-    grad = np.matmul(X.T, DZ, out=ws.grad[:r])
+    grad = np.matmul(X.T, DZ.astype(V_rows.dtype, copy=False), out=ws.grad[:r])
     grad *= lr
     params.V[rows] = np.subtract(V_rows, grad, out=V_rows)
     params.c -= lr * DZ.sum(axis=0)
@@ -331,17 +369,19 @@ def score_candidates(
     """Candidates rescored and sorted descending, ties by ascending id.
 
     A candidate listed more than once is scored once and kept as often as
-    it is listed.
+    it is listed.  Scores are computed with overflow warnings off: an
+    overflow surfaces as ``score_pair``'s ``NonFiniteScore``.
     """
     if not result.candidates:
         raise EmptyRetrievals(f"mention {mention.id!r} has no candidates")
     ids = result.event_ids if k is None else result.event_ids[:k]
     distinct = list(dict.fromkeys(ids))
     featurizer.events(distinct, mention.language, _candidate_of(mention))
-    scores = {
-        event_id: score_pair(params, featurizer.pair_fv(mention, event_id))
-        for event_id in distinct
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = {
+            event_id: score_pair(params, featurizer.pair_fv(mention, event_id))
+            for event_id in distinct
+        }
     return sorted(
         ((event_id, scores[event_id]) for event_id in ids),
         key=lambda pair: (-pair[1], pair[0]),
@@ -439,7 +479,10 @@ def load_predictions(path: str | Path) -> dict[str, frozenset[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: the encoder's checkpoint container, kind "reranker".
+# Persistence: the encoder's checkpoint container, kind "reranker".  V is
+# stored in its dtype, c, w and b as '<f8'.
+
+RERANKER_ARRAYS = {"V": V_DTYPE.newbyteorder("<").str, "c": "<f8", "w": "<f8", "b": "<f8"}
 
 
 def save_reranker(
@@ -450,7 +493,7 @@ def save_reranker(
 
 
 def load_reranker(path: str | Path) -> tuple[RerankerParams, float | None]:
-    arrays, meta = load_arrays(path, "reranker", ("V", "c", "w", "b"))
+    arrays, meta = load_arrays(path, "reranker", RERANKER_ARRAYS)
     try:
         # item() raises ValueError unless b holds exactly one value
         params = RerankerParams(V=arrays["V"], c=arrays["c"], w=arrays["w"], b=arrays["b"].item())

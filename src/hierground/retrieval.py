@@ -34,7 +34,7 @@ from .encoder import (
     span_window,
 )
 from .errors import InvalidConfig, KTooLarge, NonFiniteScore, ParseError, UnknownEvent
-from .kb import Event, read_jsonl, scored_ids
+from .kb import Event, read_jsonl, scored_ids, scored_json
 
 DEFAULT_K = 8
 
@@ -210,7 +210,8 @@ def _block_topk(
     # finite factors, so the product is finite or inf, never NaN
     scale = np.abs(block).max(axis=1) * max_abs
     eps = 4 * (d + 2) * d * _UNIT_ROUNDOFF * scale + (d + 2) * _TINY
-    rows, cols = np.nonzero(scores >= (kth - 2 * eps)[:, None])
+    # flat positions of a C-ordered mask are row-major, as np.nonzero's pairs
+    rows, cols = np.divmod(np.flatnonzero(scores >= (kth - 2 * eps)[:, None]), n)
     exact = (matrix[cols] * block[rows]).sum(axis=1)
     _check_finite(exact, "mention-event scores")
     order = np.lexsort((cols, -exact, rows))
@@ -273,16 +274,9 @@ def write_retrievals(results: list[RetrievalResult], path: str | Path) -> None:
     quoted: dict[str, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for result in results:
-            candidates = []
-            for event_id, score in result.candidates:
-                name = quoted.get(event_id)
-                if name is None:
-                    name = quoted[event_id] = json.dumps(event_id)
-                text = repr(score) if type(score) is float else json.dumps(score)
-                candidates.append(f'{{"event": {name}, "score": {text}}}')
+            candidates = scored_json(result.candidates, "event", "score", quoted)
             fh.write(
-                f'{{"mention_id": {json.dumps(result.mention_id)}, '
-                f'"candidates": [{", ".join(candidates)}]}}\n'
+                f'{{"mention_id": {json.dumps(result.mention_id)}, "candidates": {candidates}}}\n'
             )
 
 

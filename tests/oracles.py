@@ -20,7 +20,7 @@ from hierground.encoder import (
 )
 from hierground.errors import DimensionMismatch
 from hierground.kb import FALLBACK_LANGUAGE, Event
-from hierground.rerank import PairFeaturizer
+from hierground.rerank import BLOCK_BUCKETS, PAIR_DIM, PairFeaturizer
 from hierground.training import ComplExHead, _complex_cells, _project
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -111,6 +111,26 @@ def featurize_pair(
     max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
 ) -> FeatureVector:
     return PairFeaturizer([event], mode, max_context_chars, max_cand_chars).pair_fv(mention, event.id)
+
+
+def pair_fv(
+    mention: tuple[np.ndarray, np.ndarray], event: tuple[np.ndarray, np.ndarray]
+) -> FeatureVector:
+    """The three L2-normalized blocks of a pair from each text's ascending
+    (keys, counts), normalized per pair and intersected by ``intersect1d``:
+    the reference for ``rerank._pair_fv``."""
+    (m_keys, m_counts), (e_keys, e_counts) = mention, event
+    shared, m_at, e_at = np.intersect1d(
+        m_keys, e_keys, assume_unique=True, return_indices=True
+    )
+    blocks = (mention, event, (shared, np.minimum(m_counts[m_at], e_counts[e_at])))
+    return FeatureVector(
+        indices=np.concatenate(
+            [block * BLOCK_BUCKETS + keys for block, (keys, _) in enumerate(blocks)]
+        ),
+        values=np.concatenate([counts / np.linalg.norm(counts) for _, counts in blocks]),
+        F=PAIR_DIM,
+    )
 
 
 def complex_score_matrix(

@@ -3,8 +3,10 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -771,12 +773,16 @@ class TestTrainingDivergence:
         c = corpus_args(tmp_path)
         assert main(["synth", *o, *SEED, "--n-trees", "10", "--mentions-per-event", "2"]) == 0
         assert main(["split", *o, *SEED, "--events", c[1], "--relations", c[3]]) == 0
+        # the package's own source first, as pytest's pythonpath puts it in-process
+        src = str(Path(encoder.__file__).resolve().parents[1])
+        paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
         proc = subprocess.run(
             [sys.executable, "-m", "hierground.cli", "train", *o, *SEED, *c,
              "--splits", str(tmp_path / "splits.json"),
              "--learning-rate", "1e9", "--epochs", "6", "--F", "4096"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
         )
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
@@ -834,6 +840,13 @@ def without_dtypes(header, first):
         spec.pop("dtype")
 
 
+def swap_8_byte_dtype(header, first):
+    """The first '<f8' or '<i8' array (the encoder's mention row ids, the
+    reranker's c, V being '<f4') stored under the other 8-byte dtype."""
+    spec = next(spec for spec in header["arrays"] if spec["dtype"] in ("<f8", "<i8"))
+    spec["dtype"] = {"<f8": "<i8", "<i8": "<f8"}[spec["dtype"]]
+
+
 # name -> (valid file bytes, valid bytes of the other kind) -> malformed file
 MALFORMED_CHECKPOINTS = {
     "empty-file": lambda data, other: b"",
@@ -854,9 +867,7 @@ MALFORMED_CHECKPOINTS = {
     "missing-dtype": rewrite_header(lambda header, first: first.pop("dtype")),
     "unknown-dtype": rewrite_header(lambda header, first: first.update(dtype="<f2")),
     # the other 8-byte dtype: the size rule holds, the array's required dtype does not
-    "swapped-dtype": rewrite_header(
-        lambda header, first: first.update(dtype={"<f8": "<i8", "<i8": "<f8"}[first["dtype"]])
-    ),
+    "swapped-dtype": rewrite_header(swap_8_byte_dtype),
     "short-by-one-byte": lambda data, other: data[:-1],
     "one-trailing-byte": lambda data, other: data + b"\0",
     "threshold-x": rewrite_header(lambda header, first: header.update(threshold="x")),

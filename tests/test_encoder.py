@@ -449,7 +449,7 @@ class TestCheckpoint:
     def test_meta_round_trip(self, tmp_path):
         path = tmp_path / "a.bin"
         save_arrays(path, "toy", {"x": np.arange(6.0).reshape(2, 3)}, threshold=0.25)
-        arrays, meta = load_arrays(path, "toy", ("x",))
+        arrays, meta = load_arrays(path, "toy", {"x": "<f8"})
         assert meta == {"threshold": 0.25}
         assert arrays["x"].tobytes() == np.arange(6.0).tobytes()
         assert arrays["x"].shape == (2, 3) and arrays["x"].flags.writeable
@@ -480,7 +480,7 @@ class TestCheckpoint:
         }
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(16))
         with pytest.raises(ParseError, match="distinct"):
-            load_arrays(path, "toy", ("x",))
+            load_arrays(path, "toy", {"x": "<f8"})
 
     @pytest.mark.parametrize(
         "mention, event", [((4, 2), (2, 4)), ((0, 2), (0, 2)), ((4, 0), (4, 0)), ((8,), (8,))]
@@ -1003,5 +1003,5 @@ class TestAtomicSave:
         path = tmp_path / "c.bin"
         save_arrays(path, "toy", {"x": np.ones(3)})
         save_arrays(path, "toy", {"x": np.zeros(2)})
-        assert load_arrays(path, "toy", ("x",))[0]["x"].tolist() == [0.0, 0.0]
+        assert load_arrays(path, "toy", {"x": "<f8"})[0]["x"].tolist() == [0.0, 0.0]
         assert os.listdir(tmp_path) == ["c.bin"]

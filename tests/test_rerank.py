@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import design_matrix, featurize_pair, fnv1a64, ngram_counts
 
 import hierground
@@ -19,6 +20,7 @@ from hierground import rerank
 from hierground.cli import main
 from hierground.dataset import Mention
 from hierground.encoder import (
+    BLOCK_ROWS,
     NGRAM_SIZES,
     FeatureVector,
     hash_text,
@@ -42,6 +44,7 @@ from hierground.rerank import (
     DEFAULT_GRID,
     DEFAULT_HIDDEN,
     PAIR_DIM,
+    Block,
     PairFeaturizer,
     RerankConfig,
     RerankerParams,
@@ -61,6 +64,7 @@ from hierground.rerank import (
     train_reranker,
 )
 from hierground.retrieval import RetrievalResult
+from hierground.seeding import substream_rng
 from hierground.training import sigmoid
 
 
@@ -488,6 +492,21 @@ def training_fixture(n: int = 12):
     return events, mentions, golds, results
 
 
+class TestInitReranker:
+    @pytest.mark.parametrize(
+        "P, hidden", [(PAIR_DIM, DEFAULT_HIDDEN), (96, 4), (2 * BLOCK_ROWS + 3, 3), (0, 2)]
+    )
+    def test_one_draw_cast_to_float32(self, P, hidden):
+        # V is filled a block at a time from the stream one float64 draw reads
+        params = init_reranker(P, hidden, seed=7)
+        rng = substream_rng(7, "rerank_init")
+        V = rng.uniform(-0.05, 0.05, size=(P, hidden))
+        assert params.V.dtype == np.float32
+        assert params.V.tobytes() == V.astype(np.float32).tobytes()
+        assert params.w.tobytes() == rng.uniform(-0.05, 0.05, size=hidden).tobytes()
+        assert params.c.dtype == params.w.dtype == np.float64
+
+
 class TestTrainReranker:
     def test_requires_retrievals(self):
         events, mentions, golds, results = training_fixture()
@@ -540,10 +559,13 @@ class TestSaveLoad:
         save_reranker(path, params, threshold=0.4)
         loaded, threshold = load_reranker(path)
         assert threshold == 0.4
-        # the reranker stays float64 while the encoder's towers are '<f4'
+        # V is stored as '<f4', as the encoder's towers are; c, w and b stay '<f8'
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert {spec["dtype"] for spec in header["arrays"]} == {"<f8"}
-        assert np.array_equal(loaded.V, params.V)
+        dtypes = {spec["name"]: spec["dtype"] for spec in header["arrays"]}
+        assert dtypes == {"V": "<f4", "c": "<f8", "w": "<f8", "b": "<f8"}
+        assert params.V.dtype == loaded.V.dtype == np.float32
+        assert loaded.c.dtype == loaded.w.dtype == np.float64
+        assert loaded.V.tobytes() == params.V.tobytes()
         assert np.array_equal(loaded.c, params.c)
         assert np.array_equal(loaded.w, params.w)
         assert loaded.b == params.b
@@ -579,6 +601,16 @@ class TestSaveLoad:
         arrays = {"V": params.V, "c": params.c, "w": params.w, "b": np.array([params.b])}
         save_arrays(path, "reranker", {**arrays, name: value}, threshold=None)
         with pytest.raises(ParseError):
+            load_reranker(path)
+
+    @pytest.mark.parametrize("name, dtype", [("V", np.float64), ("c", np.float32)])
+    def test_stored_dtype_must_match(self, tmp_path, name, dtype):
+        params = init_reranker(P=96, hidden=4, seed=7)
+        arrays = {"V": params.V, "c": params.c, "w": params.w, "b": np.array([params.b])}
+        arrays[name] = arrays[name].astype(dtype)
+        path = tmp_path / "reranker.bin"
+        save_arrays(path, "reranker", arrays, threshold=0.5)
+        with pytest.raises(ParseError, match=f"array '{name}' has dtype"):
             load_reranker(path)
 
     def test_truncated_rejected(self, tmp_path):
@@ -689,16 +721,17 @@ def sgd_step_oracle(params: RerankerParams, batch, lr: float, workspace=None) ->
 
 def design_matrix_step_oracle(params: RerankerParams, batch, lr: float) -> np.ndarray:
     """The batched step before its workspace: a fresh design matrix, gather
-    and update per step; returns the logits."""
+    and update per step, with X and the gradient of V in V's dtype; returns
+    the logits."""
     n = len(batch)
-    rows, X = design_matrix([fv for fv, _ in batch], params.P)
+    rows, X = design_matrix([fv for fv, _ in batch], params.P, params.V.dtype)
     labels = np.array([label for _, label in batch])
     V_rows = params.V[rows]
     A = np.tanh(X @ V_rows + params.c)
     logits = A @ params.w + params.b
     G = (sigmoid(logits) - labels) / n
     DZ = G[:, None] * params.w * (1.0 - A * A)
-    params.V[rows] = V_rows - lr * (X.T @ DZ)
+    params.V[rows] = V_rows - lr * (X.T @ DZ.astype(V_rows.dtype, copy=False))
     params.c -= lr * DZ.sum(axis=0)
     params.w -= lr * (G @ A)
     params.b -= lr * float(G.sum())
@@ -746,6 +779,20 @@ pair_texts = st.one_of(
 )
 
 
+# bucket -> count maps; the small range makes shared buckets common
+bucket_counts = st.dictionaries(
+    st.one_of(st.integers(0, 15), st.integers(0, BLOCK_BUCKETS - 1)),
+    st.integers(1, 40),
+    max_size=30,
+)
+
+
+def block_arrays(counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending int64 keys and their float counts, as ``ngram_counts`` gives."""
+    keys = np.array(sorted(counts), dtype=np.int64)
+    return keys, np.array([float(counts[k]) for k in keys.tolist()])
+
+
 class TestArrayPairFeatures:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(mention_text=pair_texts, event_text=pair_texts)
@@ -760,12 +807,30 @@ class TestArrayPairFeatures:
         assert counts.tolist() == [oracle_counts[k] for k in sorted(oracle_counts)]
 
         got = _pair_fv(
-            ngram_counts(mention_text, BLOCK_BUCKETS), ngram_counts(event_text, BLOCK_BUCKETS)
+            Block.of(*ngram_counts(mention_text, BLOCK_BUCKETS)),
+            Block.of(*ngram_counts(event_text, BLOCK_BUCKETS)),
         )
         want = pair_fv_oracle(bucket_oracle(mention_text), bucket_oracle(event_text))
         assert got.indices.dtype == want.indices.dtype == np.int64
         assert got.values.dtype == want.values.dtype
         assert np.array_equal(got.indices, want.indices)
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(mention=bucket_counts, event=bucket_counts)
+    @example(mention={}, event={})
+    @example(mention={}, event={3: 1})
+    @example(mention={3: 1}, event={})
+    @example(mention={1: 2, 5: 1}, event={2: 1, 4: 3})  # no shared bucket
+    @example(mention={BLOCK_BUCKETS - 1: 1}, event={0: 2})  # past the last event key
+    @example(mention={0: 1, 7: 2, 9: 4}, event={0: 3, 7: 1, 9: 4})
+    def test_bit_equal_to_intersect1d_oracle(self, mention, event):
+        m, e = block_arrays(mention), block_arrays(event)
+        got = _pair_fv(Block.of(*m), Block.of(*e))
+        want = oracles.pair_fv(m, e)
+        assert got.indices.dtype == want.indices.dtype == np.int64
+        assert got.values.dtype == want.values.dtype
+        assert got.indices.tobytes() == want.indices.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -807,6 +872,13 @@ def steep_params(seed: int, hidden: int) -> RerankerParams:
     return params
 
 
+@pytest.fixture
+def float64_V(monkeypatch):
+    """V held in float64, the dtype of the per-example oracle."""
+    monkeypatch.setattr(rerank, "V_DTYPE", np.dtype(np.float64))
+
+
+@pytest.mark.usefixtures("float64_V")
 class TestBatchedSGD:
     @pytest.mark.parametrize("size", [1, 4, 16, 37])
     def test_one_step_matches_per_example_oracle(self, size):
@@ -833,15 +905,28 @@ def params_bytes(params: RerankerParams) -> tuple[bytes, ...]:
 
 
 class TestWorkspaceStep:
-    """The workspace step against the design-matrix step it replaced."""
+    """The workspace step against the design-matrix step it replaced; a
+    float64 V runs every product in float64, as the step did before V was
+    float32."""
 
     @pytest.mark.parametrize("hidden", [8, DEFAULT_HIDDEN])
     def test_bit_equal_over_steps_sharing_one_workspace(self, hidden):
+        self.check_steps(hidden, np.float32)
+
+    @pytest.mark.parametrize("hidden", [8, DEFAULT_HIDDEN])
+    def test_float64_V_bit_equal_over_steps(self, hidden, float64_V):
+        self.check_steps(hidden, np.float64)
+
+    @staticmethod
+    def check_steps(hidden: int, dtype) -> None:
         sizes = [1, 4, 16, 37, 37, 5]  # the last batch is a short final batch
         examples = sgd_batch(seed=hidden, size=sum(sizes))
         params = steep_params(hidden, hidden)
+        assert params.V.dtype == dtype
         want = copy_params(params)
         workspace = workspace_for(examples, params, batch_size=max(sizes))
+        buffers = (workspace.buffer, workspace.V_rows, workspace.grad)
+        assert {buffer.dtype for buffer in buffers} == {np.dtype(dtype)}
         start = 0
         for size in sizes:
             batch = examples[start : start + size]
@@ -851,11 +936,23 @@ class TestWorkspaceStep:
             assert got_logits.tobytes() == want_logits.tobytes()
             assert params_bytes(params) == params_bytes(want)
         assert not workspace.mark.any()
+        # sized in V's dtype from the start, the buffers never reallocate
+        after = (workspace.buffer, workspace.V_rows, workspace.grad)
+        assert all(a is b for a, b in zip(buffers, after))
 
     def test_full_training_bit_equal_to_design_matrix_step(self, monkeypatch):
+        self.check_training(monkeypatch, np.float32)
+
+    def test_float64_V_full_training_bit_equal(self, monkeypatch, float64_V):
+        self.check_training(monkeypatch, np.float64)
+
+    @staticmethod
+    def check_training(monkeypatch, dtype) -> None:
         events, mentions, golds, results = training_fixture()
         config = RerankConfig(k=2, epochs=3, batch_size=5, learning_rate=1.0)
         got = train_reranker(results, golds, mentions, PairFeaturizer(events), config)
+        assert got.V.dtype == dtype
+        assert got.c.dtype == got.w.dtype == np.float64
         monkeypatch.setattr(
             rerank, "_reranker_sgd_step",
             lambda params, batch, lr, workspace: design_matrix_step_oracle(params, batch, lr),
@@ -1057,6 +1154,22 @@ def cli_corpus(tmp_path_factory):
     return out, corpus
 
 
+def refill_reranker(src: Path, dst: Path, values: dict[str, float]) -> None:
+    """Copy the reranker file ``src`` to ``dst`` with every element of each
+    array named in ``values`` set to its value, in the array's file dtype."""
+    line, body = src.read_bytes().split(b"\n", 1)
+    chunks = []
+    for spec in json.loads(line)["arrays"]:
+        dtype = np.dtype(spec["dtype"])
+        size = dtype.itemsize * int(np.prod(spec["shape"]))
+        chunk, body = body[:size], body[size:]
+        if spec["name"] in values:
+            chunk = np.full(spec["shape"], values[spec["name"]], dtype).tobytes()
+        chunks.append(chunk)
+    assert body == b""
+    dst.write_bytes(line + b"\n" + b"".join(chunks))
+
+
 def only_record(proc: subprocess.CompletedProcess) -> dict:
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, lines
@@ -1082,9 +1195,8 @@ class TestRerankCLIContract:
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_evaluate_rejects_non_finite_reranker(self, cli_corpus, tmp_path, capsys, value):
         out, corpus = cli_corpus
-        line, body = (out / "reranker.bin").read_bytes().split(b"\n", 1)
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(line + b"\n" + np.full(len(body) // 8, value, "<f8").tobytes())
+        refill_reranker(out / "reranker.bin", bad, dict.fromkeys("Vcwb", value))
         rc = main(["evaluate", "--output-dir", str(tmp_path), "--seed", "0", *corpus,
                    f"--retrievals={out / 'retrievals.jsonl'}", "--reranker", str(bad)])
         assert rc == 1
@@ -1094,6 +1206,29 @@ class TestRerankCLIContract:
         assert record["error"] == "NonFiniteScore"
         assert record["context"] == {"checkpoint": str(bad), "what": "reranker weights"}
         assert str(bad) in record["message"]
+        assert not (tmp_path / "predictions.jsonl").exists()
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"c": 1.0, "w": 1e308, "b": 1e308}, {"V": 3e38}, {"V": -3e38}],
+        ids=["huge-w-b", "huge-V", "huge-negative-V"],
+    )
+    def test_evaluate_rejects_overflowing_scores(self, cli_corpus, tmp_path, values):
+        # finite weights whose products overflow: the float64 score (c = 1
+        # holds every tanh near 0.76, so w . tanh exceeds the float range on
+        # this barely trained V), or the float32 pre-activation V'x
+        out, corpus = cli_corpus
+        bad = tmp_path / "huge.bin"
+        refill_reranker(out / "reranker.bin", bad, values)
+        proc = run_cli(
+            "evaluate", "--output-dir", str(tmp_path), "--seed", "0", *corpus,
+            f"--retrievals={out / 'retrievals.jsonl'}", "--reranker", str(bad),
+        )
+        assert proc.returncode == 1
+        record = only_record(proc)  # no RuntimeWarning either
+        assert record["error"] == "NonFiniteScore"
+        assert record["context"] == {"checkpoint": str(bad), "what": "reranker scores"}
         assert not (tmp_path / "predictions.jsonl").exists()
         assert not (tmp_path / "report.json").exists()
 
