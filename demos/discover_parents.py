@@ -47,7 +47,7 @@ for event_id, score in top:
 # --- learned linking: rankings come from the trained bi-encoder --------
 config = training.TrainConfig(strategy="BASELINE", learning_rate=10.0, epochs=20, seed=0)
 params, _head, _log = training.train(instances, events, forest, config, F=65536, d=32)
-index = retrieval.build_index(params, events, pool)
+index = retrieval.CandidateIndex(params, events, pool)
 results = retrieval.retrieve_mentions(params, index, mentions, k=relext.DEFAULT_LIST_K)
 
 lists = relext.build_mention_lists(results, pool, k=relext.DEFAULT_LIST_K)

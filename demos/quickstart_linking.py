@@ -27,7 +27,7 @@ params, head, log = training.train(instances, events, forest, train_config, F=65
 print(f"linking loss: {log.epochs[0].linking_loss:.4f} -> {log.epochs[-1].linking_loss:.4f}")
 
 # exact top-k over the whole knowledge base (inner product, ties by id)
-index = retrieval.build_index(params, events, dataset.candidate_pool(events))
+index = retrieval.CandidateIndex(params, events, dataset.candidate_pool(events))
 results = retrieval.retrieve_mentions(params, index, mentions, k=8)
 by_id = {r.mention_id: r for r in results}
 

@@ -21,7 +21,7 @@ by_mention = {m.id: m for m in mentions}
 # a well-trained retriever supplies 4 candidates per mention
 config = training.TrainConfig(strategy="BASELINE", learning_rate=10.0, epochs=20, seed=0)
 params, _head, _log = training.train(instances, events, forest, config, F=65536, d=32)
-index = retrieval.build_index(params, events, dataset.candidate_pool(events))
+index = retrieval.CandidateIndex(params, events, dataset.candidate_pool(events))
 results = retrieval.retrieve_mentions(params, index, mentions, k=4)
 
 # train on the first 80% of mentions, calibrate the threshold on the rest

@@ -56,7 +56,7 @@ from .rerank import (
     substitute_missing_golds,
     train_reranker,
 )
-from .retrieval import CandidateIndex, RetrievalResult, build_index, retrieve_mentions, topk
+from .retrieval import CandidateIndex, RetrievalResult, retrieve_mentions, topk
 from .training import (
     ComplExHead,
     TrainConfig,
@@ -90,7 +90,6 @@ __all__ = [
     "TrainConfig",
     "ancestor_chain",
     "build_forest",
-    "build_index",
     "build_mention_lists",
     "candidate_pool",
     "corpus_stats",

@@ -294,7 +294,7 @@ def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> li
         enc["max_context_chars"], enc["max_cand_chars"],
     )
     params = encoder.load_checkpoint(checkpoint, rows)[0]
-    index = retrieval.build_index(
+    index = retrieval.CandidateIndex(
         params, data["events"], pool, config["mode"], enc["max_cand_chars"], featurizer
     )
     try:
@@ -375,11 +375,12 @@ def cmd_evaluate(
     if not results:
         raise ConfigError("no retrievals match the selected mentions")
 
-    reranker_params = threshold = featurizer = None
+    # a set threshold takes precedence over the one the reranker stores
+    threshold = _threshold(config)
+    reranker_params = featurizer = None
     if reranker_path:
-        reranker_params, threshold = rerank.load_reranker(reranker_path)
-        if threshold is None:
-            threshold = _threshold(config)
+        reranker_params, stored = rerank.load_reranker(reranker_path)
+        threshold = stored if threshold is None else threshold
         if threshold is None:
             raise ConfigError("reranker checkpoint has no threshold; pass --threshold")
         featurizer = _pair_featurizer(config, data["events"])

@@ -371,14 +371,12 @@ def _check_rows(F: int, rows: np.ndarray) -> None:
 class Tower:
     """An F x d tower that holds the rows ``rows`` (ascending global ids)
     as ``values``; every other row keeps its initial value,
-    ``init_fill(*init, ...)`` with ``init`` = (seed, tower name).
+    ``init_fill(*init, ...)`` with ``init`` = (seed, tower name).  A whole
+    tower holds ``arange(F)``.
 
-    It is indexed by arrays of global row ids, as a full F x d array is, so
-    ``encode`` and the losses run on either; a row it does not hold raises
-    ``DimensionMismatch`` rather than being read.
+    It is indexed by arrays of global row ids; a row it does not hold
+    raises ``DimensionMismatch`` rather than being read.
     """
-
-    ndim = 2
 
     def __init__(self, F: int, rows: np.ndarray, values: np.ndarray, init: tuple[int, str]):
         if values.ndim != 2 or values.shape[0] != rows.size:
@@ -422,26 +420,30 @@ class Tower:
     def copy(self) -> "Tower":
         return Tower(self.shape[0], self.rows.copy(), self.values.copy(), self.init)
 
-    def dense(self) -> np.ndarray:
-        """The whole tower as an F x d array."""
+    def dense(self) -> "Tower":
+        """This tower holding every row."""
         F, d = self.shape
-        out = init_fill(*self.init, np.arange(F), np.empty((F, d), self.dtype))
-        out[self.rows] = self.values
-        return out
+        rows = np.arange(F)
+        values = init_fill(*self.init, rows, np.empty((F, d), self.dtype))
+        values[self.rows] = self.values
+        return Tower(F, rows, values, self.init)
 
 
 @dataclass
 class EncoderParams:
     """Two independent linear towers over the hashed feature space, each a
-    full F x d array or a ``Tower`` holding some of its rows."""
+    ``Tower`` holding some or all of its rows."""
 
-    W_mention: np.ndarray | Tower
-    W_event: np.ndarray | Tower
+    W_mention: Tower
+    W_event: Tower
 
     def __post_init__(self):
+        for W in (self.W_mention, self.W_event):
+            if not isinstance(W, Tower):
+                raise TypeError(f"a tower must be a Tower, not {type(W).__name__}")
         if self.W_mention.shape != self.W_event.shape:
             raise DimensionMismatch("tower shapes must match")
-        if self.W_mention.ndim != 2 or 0 in self.W_mention.shape:
+        if 0 in self.W_mention.shape:
             raise DimensionMismatch("towers must be F x d matrices with F, d >= 1")
 
     @property
@@ -456,10 +458,8 @@ class EncoderParams:
         return EncoderParams(self.W_mention.copy(), self.W_event.copy())
 
     def densify(self) -> "EncoderParams":
-        """These towers as full F x d arrays."""
-        return EncoderParams(
-            *(W.dense() if isinstance(W, Tower) else W for W in (self.W_mention, self.W_event))
-        )
+        """These towers holding every row."""
+        return EncoderParams(self.W_mention.dense(), self.W_event.dense())
 
 
 def _check_shape(F: int, d: int) -> None:
@@ -467,32 +467,33 @@ def _check_shape(F: int, d: int) -> None:
         raise InvalidConfig(f"F and d must be positive, F at most {MAX_F} and d at most {MAX_D}")
 
 
-def init_encoder(F: int = DEFAULT_F, d: int = DEFAULT_D, seed: int = 0) -> EncoderParams:
-    """Seeded uniform(-0.05, 0.05) towers: ``init_fill`` of every row, in
-    ``TOWER_DTYPE``."""
-    _check_shape(F, d)
-    rows = np.arange(F)
-    return EncoderParams(
-        *(init_fill(seed, tower, rows, np.empty((F, d), TOWER_DTYPE)) for tower in TOWERS)
-    )
+def _tower_rows(F: int, rows: dict[str, np.ndarray] | None) -> dict[str, np.ndarray]:
+    """Per tower name, the checked rows ``rows`` chooses of it, or every
+    row of a tower it does not name."""
+    rows = rows or {}
+    if not rows.keys() <= set(TOWERS):
+        raise InvalidConfig(f"rows can only be chosen of the towers {TOWERS}")
+    for chosen in rows.values():
+        _check_rows(F, chosen)
+    return {name: rows[name] if name in rows else np.arange(F) for name in TOWERS}
 
 
-def init_rows(
-    F: int, d: int, seed: int, mention_rows: np.ndarray, event_rows: np.ndarray
+def init_encoder(
+    F: int = DEFAULT_F,
+    d: int = DEFAULT_D,
+    seed: int = 0,
+    rows: dict[str, np.ndarray] | None = None,
 ) -> EncoderParams:
-    """The rows ``mention_rows`` and ``event_rows`` of the towers of
-    ``init_encoder(F, d, seed)``, as ``Tower``s that never hold either
-    tower whole."""
+    """Seeded uniform(-0.05, 0.05) towers in ``TOWER_DTYPE``: ``rows``
+    maps a tower name ("mention", "event") to the ascending rows to hold
+    of it, as in ``load_checkpoint``, and ``init_fill`` writes each held
+    row; a tower ``rows`` does not name is held whole."""
     _check_shape(F, d)
-    return EncoderParams(
-        *(
-            Tower(
-                F, rows, init_fill(seed, tower, rows, np.empty((rows.size, d), TOWER_DTYPE)),
-                (seed, tower),
-            )
-            for tower, rows in zip(TOWERS, (mention_rows, event_rows))
-        )
-    )
+    towers = []
+    for name, held in _tower_rows(F, rows).items():
+        values = init_fill(seed, name, held, np.empty((held.size, d), TOWER_DTYPE))
+        towers.append(Tower(F, held, values, (seed, name)))
+    return EncoderParams(*towers)
 
 
 def encode(params: EncoderParams, fv: FeatureVector, tower: str) -> np.ndarray:
@@ -510,12 +511,6 @@ def encode(params: EncoderParams, fv: FeatureVector, tower: str) -> np.ndarray:
     if fv.is_zero:
         return np.zeros(params.d)
     return (fv.values.astype(W.dtype) @ W[fv.indices]).astype(np.float64, copy=False)
-
-
-def held_values(W: np.ndarray | Tower) -> np.ndarray:
-    """What held-row ids index: a ``Tower``'s values, or a full F x d array,
-    which holds every row at its own id."""
-    return W.values if isinstance(W, Tower) else W
 
 
 class DesignWorkspace:
@@ -539,12 +534,13 @@ class DesignWorkspace:
         self.used = 0
 
     def design(
-        self, W: np.ndarray | Tower, fvs: list[FeatureVector]
+        self, W: Tower | np.ndarray, fvs: list[FeatureVector]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, held, X)`` of a batch over the tower ``W``: the ascending
-        global rows it touches, the same rows as ids into
-        ``held_values(W)``, and ``X[i, j]``, feature ``rows[j]`` of
-        ``fvs[i]``.  ``X @ held_values(W)[held]`` encodes the batch, and
+        """``(rows, held, X)`` of a batch over ``W``, a ``Tower`` or the
+        reranker's P x h array V, which holds every row at its own id: the
+        ascending global rows the batch touches, the same rows as ids into
+        ``W.values`` (V itself), and ``X[i, j]``, feature ``rows[j]`` of
+        ``fvs[i]``.  ``X @ W.values[held]`` encodes the batch, and
         ``X.T @ G`` maps the gradient ``G`` of its encodings to those rows.
 
         Nothing is sorted: the indices go through the tower's slot table to
@@ -573,7 +569,7 @@ class DesignWorkspace:
         n, r = len(fvs), held.size
         self.column[held] = np.arange(r)
         end = self.used + n * r
-        dtype = held_values(W).dtype
+        dtype = W.dtype
         if end > self.buffer.size or dtype != self.buffer.dtype:
             # the designs built since reset keep the old buffer alive
             self.buffer = np.empty(max(end, 2 * self.buffer.size), dtype)
@@ -721,23 +717,18 @@ def save_checkpoint(
 
     Each tower is stored as ascending row ids and their values, and the
     header holds F and the init seed that regenerates every row a tower
-    does not store: the seed of the first ``Tower``, else 0.  A ``Tower``
-    of that seed stores the rows it holds; any other tower stores all F
-    rows.  Tower values are stored as '<f4' and the heads as they are,
-    so loading gives back every value of ``TOWER_DTYPE`` towers that was
-    saved.
+    does not store: the mention tower's.  A tower of that seed stores the
+    rows it holds, any other all F rows.  Tower values are stored as '<f4'
+    and the heads as they are, so loading gives back every value of
+    ``TOWER_DTYPE`` towers that was saved.
     """
-    towers = dict(zip(TOWERS, (params.W_mention, params.W_event)))
-    seeds = [W.init[0] for W in towers.values() if isinstance(W, Tower)]
-    seed = seeds[0] if seeds else 0
+    seed = params.W_mention.init[0]
     arrays = {}
-    for name, W in towers.items():
-        if isinstance(W, Tower) and W.init == (seed, name):
-            rows, values = W.rows, W.values
-        else:
-            rows, values = np.arange(params.F), W.dense() if isinstance(W, Tower) else W
-        arrays[f"{name}.rows"] = rows
-        arrays[f"{name}.values"] = values.astype(TOWER_ARRAYS[f"{name}.values"], copy=False)
+    for name, W in zip(TOWERS, (params.W_mention, params.W_event)):
+        if W.init != (seed, name):
+            W = W.dense()
+        arrays[f"{name}.rows"] = W.rows
+        arrays[f"{name}.values"] = W.values.astype(TOWER_ARRAYS[f"{name}.values"], copy=False)
     save_arrays(path, "encoder", {**arrays, **(extra_heads or {})}, F=params.F, init_seed=seed)
 
 
@@ -802,32 +793,23 @@ def load_checkpoint(
 
     ``rows`` maps a tower name ("mention", "event") to the ascending rows
     to hold of it: that tower comes back as a ``Tower`` of those rows and
-    of every row the file stores, and any other tower as a full F x d
-    array, both in ``TOWER_DTYPE``.  ``init_fill`` of the header's init
-    seed writes each held row into the tower's array, and the stored rows
-    are then read over theirs, so the rows the file lacks take no memory
-    beyond that array.  A malformed file raises ``ParseError`` before any
-    array is allocated.
+    of every row the file stores, and any other tower whole, both in
+    ``TOWER_DTYPE``.  ``init_fill`` of the header's init seed writes each
+    held row into the tower's array, and the stored rows are then read over
+    theirs, so the rows the file lacks take no memory beyond that array.
+    A malformed file raises ``ParseError`` before any array is allocated.
     """
-    rows = rows or {}
-    if not rows.keys() <= set(TOWERS):
-        raise InvalidConfig(f"rows can only be chosen of the towers {TOWERS}")
     with open(path, "rb") as fh:
         F, d, seed, stored, specs = _read_encoder(fh, path)
-        for name in rows:
-            _check_rows(F, rows[name])
         towers = []
-        for name in TOWERS:
-            if name in rows:
-                # the union through a mask: np.union1d's sort costs more
-                mask = np.zeros(F, dtype=bool)
-                mask[rows[name]] = mask[stored[name]] = True
-                held = np.flatnonzero(mask)
-            else:
-                held = np.arange(F)
+        for name, chosen in _tower_rows(F, rows).items():
+            # the union through a mask: np.union1d's sort costs more
+            mask = np.zeros(F, dtype=bool)
+            mask[chosen] = mask[stored[name]] = True
+            held = np.flatnonzero(mask)
             values = init_fill(seed, name, held, np.empty((held.size, d), TOWER_DTYPE))
             _read_rows_into(fh, specs[f"{name}.values"], values, held.searchsorted(stored[name]))
-            towers.append(Tower(F, held, values, (seed, name)) if name in rows else values)
+            towers.append(Tower(F, held, values, (seed, name)))
         heads = {
             name: _read_array(fh, spec) for name, spec in specs.items() if name not in TOWER_ARRAYS
         }

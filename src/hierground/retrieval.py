@@ -107,7 +107,7 @@ def hash_inputs(
 ) -> tuple[TextFeaturizer, list[FeatureVector], dict[str, np.ndarray]]:
     """Everything retrieving ``mentions`` against ``pool`` hashes, before
     any tower is loaded: a featurizer holding the pool's texts in each
-    resolved language of the mentions (for ``build_index``), the hashed
+    resolved language of the mentions (for ``CandidateIndex``), the hashed
     mention windows (for ``retrieve_mentions``), and the rows of each tower
     that encoding them reads (for ``load_checkpoint``)."""
     featurizer = TextFeaturizer(events, hashed(F), mode, max_cand_chars=max_cand_chars)
@@ -119,17 +119,6 @@ def hash_inputs(
     fvs = hash_texts([span_window(m, max_context_chars) for m in mentions], F)
     rows = {"mention": feature_rows(fvs, F), "event": feature_rows(pool_fvs, F)}
     return featurizer, fvs, rows
-
-
-def build_index(
-    params: EncoderParams,
-    events: list[Event],
-    pool: list[str],
-    mode: str = "multilingual",
-    max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
-    featurizer: TextFeaturizer | None = None,
-) -> CandidateIndex:
-    return CandidateIndex(params, events, pool, mode, max_cand_chars, featurizer)
 
 
 def score_rows(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:

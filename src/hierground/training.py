@@ -29,16 +29,17 @@ from .encoder import (
     DEFAULT_F,
     DEFAULT_MAX_CAND_CHARS,
     DEFAULT_MAX_CONTEXT_CHARS,
+    TOWERS,
     DesignWorkspace,
     EncoderParams,
     FeatureVector,
     TextFeaturizer,
+    Tower,
     # unused here, but perfbench's tracer wraps the ``training.encode`` binding
     encode,  # noqa: F401
     feature_rows,
     hashed,
-    held_values,
-    init_rows,
+    init_encoder,
 )
 from .errors import (
     DimensionMismatch,
@@ -216,8 +217,8 @@ def linking_loss(
     ws.reset()
     m_rows, m_held, X_m = ws.design(params.W_mention, mention_fvs)
     e_rows, e_held, X_e = ws.design(params.W_event, pool_fvs)
-    M = X_m @ held_values(params.W_mention).take(m_held, axis=0)
-    E = X_e @ held_values(params.W_event).take(e_held, axis=0)
+    M = X_m @ params.W_mention.values.take(m_held, axis=0)
+    E = X_e @ params.W_event.values.take(e_held, axis=0)
     S = M.astype(np.float64, copy=False) @ E.T.astype(np.float64, copy=False)
     Y = _labels(gold_sets, pool_ids)
     n_cells = S.size
@@ -291,7 +292,7 @@ def hierarchy_loss(
     ws = workspace or DesignWorkspace()
     ws.reset()
     rows, held, X = ws.design(params.W_event, distinct_fvs)
-    E = X @ held_values(params.W_event).take(held, axis=0)
+    E = X @ params.W_event.values.take(held, axis=0)
     E = E.astype(np.float64, copy=False)[slots]
     E_p, E_c = E[:n], E[n:]
     re_p, im_p = _project(head, E_p)
@@ -365,7 +366,7 @@ def write_training_log(log: TrainLog, path: str | Path) -> None:
             fh.write(json.dumps(record, allow_nan=False) + "\n")
 
 
-def _apply_sparse(W: np.ndarray, grad: SparseGrad, lr: float) -> None:
+def _apply_sparse(W: Tower, grad: SparseGrad, lr: float) -> None:
     if grad.rows.size:
         W[grad.rows] -= lr * grad.grad
 
@@ -465,7 +466,7 @@ def train(
     ``TrainingDiverged``, so a diverged run returns no parameters.
     The towers returned are ``Tower``s holding only the rows the training
     texts hash to; ``save_checkpoint`` stores just those rows, and
-    ``params.densify()`` gives full towers for encoding any other text.
+    ``params.densify()`` gives whole towers for encoding any other text.
     """
     if not instances:
         raise EmptyTrainSplit("no training mentions")
@@ -487,9 +488,8 @@ def train(
         [(event_id, inst.mention.language) for inst in instances for event_id in inst.gold]
         + [(event_id, FALLBACK_LANGUAGE) for event_id in pair_ids],
     )
-    params = init_rows(
-        F, d, config.seed, feature_rows(mention_fvs, F), feature_rows(event_fvs, F)
-    )
+    rows = {"mention": feature_rows(mention_fvs, F), "event": feature_rows(event_fvs, F)}
+    params = init_encoder(F, d, config.seed, rows)
     head = init_head(d, config.seed)
     pair_fvs = featurizer.events(pair_ids, FALLBACK_LANGUAGE)
     pair_parent_fvs, pair_child_fvs = pair_fvs[: len(pairs)], pair_fvs[len(pairs) :]
@@ -593,16 +593,16 @@ def gradient_check(
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    Probes every parameter coordinate (both towers, and the head for the
-    hierarchy loss) on a small random instance; the relative error uses
+    Probes every parameter coordinate (both towers, whole and float64, and
+    the head for the hierarchy loss) on a small random instance; the relative error uses
     max(|analytic|, |numeric|, 1e-8) as denominator.
     """
     if loss not in ("linking", "hierarchy"):
         raise InvalidConfig(f"unknown loss {loss!r}")
     rng = substream_rng(seed, "gradcheck")
+    whole = np.arange(F)
     params = EncoderParams(
-        W_mention=rng.uniform(-0.5, 0.5, size=(F, d)),
-        W_event=rng.uniform(-0.5, 0.5, size=(F, d)),
+        *(Tower(F, whole, rng.uniform(-0.5, 0.5, size=(F, d)), (seed, name)) for name in TOWERS)
     )
     head = ComplExHead(
         W_re=rng.uniform(-0.5, 0.5, size=(d, d)),
@@ -629,7 +629,7 @@ def gradient_check(
             "W_mention": result.grad_mention.densify(F, d),
             "W_event": result.grad_event.densify(F, d),
         }
-        targets = {"W_mention": params.W_mention, "W_event": params.W_event}
+        targets = {"W_mention": params.W_mention.values, "W_event": params.W_event.values}
     else:
         parent_ids = [f"P{i % 2}" for i in range(n_pairs)]
         parent_fvs = [_random_fv(rng, F, 5) for _ in range(n_pairs)]
@@ -646,7 +646,7 @@ def gradient_check(
             "W_mention": np.zeros((F, d)),
         }
         analytic.update(result.grad_head)
-        targets = {"W_event": params.W_event, "W_mention": params.W_mention}
+        targets = {"W_event": params.W_event.values, "W_mention": params.W_mention.values}
         targets.update(head.arrays())
 
     worst = 0.0

@@ -2,7 +2,8 @@
 
 Nothing in ``hierground`` calls these: each is the one-text, one-pair or
 one-score form that a batched kernel replaced, kept so the tests can
-compare the kernel against it.
+compare the kernel against it.  ``whole_towers`` wraps hand-made arrays
+as the towers ``EncoderParams`` holds.
 """
 
 import numpy as np
@@ -12,7 +13,10 @@ from hierground.encoder import (
     DEFAULT_F,
     DEFAULT_MAX_CAND_CHARS,
     DEFAULT_MAX_CONTEXT_CHARS,
+    TOWERS,
+    EncoderParams,
     FeatureVector,
+    Tower,
     event_text,
     hash_text,
     ngram_counts_many,
@@ -26,6 +30,13 @@ from hierground.training import ComplExHead, _complex_cells, _project
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def whole_towers(W_mention: np.ndarray, W_event: np.ndarray) -> EncoderParams:
+    """Towers that hold every row of these F x d arrays, the arrays
+    themselves as their values."""
+    towers = zip(TOWERS, (W_mention, W_event))
+    return EncoderParams(*(Tower(len(W), np.arange(len(W)), W, (0, name)) for name, W in towers))
 
 
 def fnv1a64(data: bytes) -> int:

@@ -387,7 +387,7 @@ def test_06_synthetic_overfit():
     instances = expand_gold(forest, mentions)
     config = TrainConfig(strategy="BASELINE", learning_rate=10.0, epochs=30, seed=0)
     params, _head, _log = training.train(instances, events, forest, config)
-    index = retrieval.build_index(params, events, dataset.candidate_pool(events))
+    index = retrieval.CandidateIndex(params, events, dataset.candidate_pool(events))
     results = retrieval.retrieve_mentions(params, index, mentions, k=4)
     by_id = {r.mention_id: r for r in results}
     records = [
@@ -696,7 +696,7 @@ def test_11_hierarchy_pretraining_trend_report():
 
     def evaluate(params, pool: list[str]) -> tuple[float, float]:
         k = min(8, len(pool))
-        index = retrieval.build_index(params, events, pool)
+        index = retrieval.CandidateIndex(params, events, pool)
         results = retrieval.retrieve_mentions(params, index, dev_mentions, k=k)
         by_id = {r.mention_id: r for r in results}
         records = [

@@ -631,6 +631,14 @@ BAD_CONFIG = {
         "evaluate", None, lambda p, t: {**threshold_less_reranker(p, t), "--threshold": "1.5"},
         "ConfigError", "rerank.threshold",
     ),
+    # the pipeline's reranker stores a threshold; a set one is checked all the same
+    "evaluate-threshold-string-stored": (
+        "evaluate", {"rerank": {"threshold": "x"}}, None, "ConfigError", "rerank.threshold",
+    ),
+    "evaluate-threshold-above-one-stored": (
+        "evaluate", None, lambda p, t: {"--threshold": "1.5"}, "ConfigError",
+        "rerank.threshold",
+    ),
     "rerank-train-threshold-string": (
         "rerank-train", {"rerank": {"threshold": "x"}}, None, "ConfigError", "rerank.threshold"
     ),
@@ -710,6 +718,31 @@ class TestConfigRejects:
             "runs": {"synth": {"artifacts": ["events.jsonl", "mentions.jsonl",
                                              "relations.jsonl"]}},
         }
+
+
+class TestEvaluateThreshold:
+    """A set rerank.threshold, a flag over a config file, replaces the one
+    the reranker stores; with none set the stored one is used."""
+
+    @pytest.mark.parametrize(
+        "flag, config, want",
+        [("0.3", None, 0.3), (None, 0.25, 0.25), ("0.3", 0.25, 0.3), (None, None, None)],
+    )
+    def test_precedence(self, pipeline, tmp_path, flag, config, want):
+        stored = rerank.load_reranker(pipeline / "reranker.bin")[1]
+        assert stored not in (0.3, 0.25)
+        flags = command_flags(pipeline, tmp_path, "evaluate")
+        argv = ["evaluate", *[arg for item in flags.items() for arg in item]]
+        if flag is not None:
+            argv += ["--threshold", flag]
+        if config is not None:
+            (tmp_path / "config.json").write_text(
+                json.dumps({"rerank": {"threshold": config}}), encoding="utf-8"
+            )
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_text("utf-8"))
+        assert report["threshold"] == (stored if want is None else want)
 
 
 NAN = float("nan")

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import json
 import os
 
@@ -10,7 +11,14 @@ import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import design_matrix, featurize_event, featurize_mention, fnv1a64, pair_score
+from oracles import (
+    design_matrix,
+    featurize_event,
+    featurize_mention,
+    fnv1a64,
+    pair_score,
+    whole_towers,
+)
 
 from hierground import encoder, rerank, retrieval, training
 from hierground.dataset import GroundingInstance, Mention
@@ -30,9 +38,7 @@ from hierground.encoder import (
     hash_text,
     hash_texts,
     hashed,
-    held_values,
     init_encoder,
-    init_rows,
     load_arrays,
     load_checkpoint,
     ngram_counts_many,
@@ -320,7 +326,7 @@ class TestEncode:
 
     def test_identity_towers_densify(self):
         eye = np.eye(6)
-        params = EncoderParams(W_mention=eye.copy(), W_event=eye.copy())
+        params = whole_towers(W_mention=eye.copy(), W_event=eye.copy())
         fv = FeatureVector(np.array([1, 4]), np.array([0.6, 0.8]), F=6)
         assert np.allclose(encode(params, fv, "event"), fv.densify())
 
@@ -367,19 +373,19 @@ class TestInit:
     def test_deterministic_per_seed(self):
         a = init_encoder(F=128, d=8, seed=5)
         b = init_encoder(F=128, d=8, seed=5)
-        assert np.array_equal(a.W_mention, b.W_mention)
-        assert np.array_equal(a.W_event, b.W_event)
+        assert np.array_equal(a.W_mention.values, b.W_mention.values)
+        assert np.array_equal(a.W_event.values, b.W_event.values)
 
     def test_seeds_and_towers_differ(self):
         a = init_encoder(F=128, d=8, seed=5)
         c = init_encoder(F=128, d=8, seed=6)
-        assert not np.array_equal(a.W_mention, c.W_mention)
-        assert not np.array_equal(a.W_mention, a.W_event)
+        assert not np.array_equal(a.W_mention.values, c.W_mention.values)
+        assert not np.array_equal(a.W_mention.values, a.W_event.values)
 
     def test_range(self):
         a = init_encoder(F=256, d=16, seed=0)
-        assert np.abs(a.W_mention).max() < 0.05
-        assert np.abs(a.W_event).max() < 0.05
+        assert np.abs(a.W_mention.values).max() < 0.05
+        assert np.abs(a.W_event.values).max() < 0.05
 
 
 class TestCheckpoint:
@@ -394,7 +400,7 @@ class TestCheckpoint:
         loaded, loaded_extras = load_checkpoint(p1)
         save_checkpoint(p2, loaded, loaded_extras)
         assert p1.read_bytes() == p2.read_bytes()
-        assert np.array_equal(loaded.W_mention, params.W_mention)
+        assert np.array_equal(loaded.W_mention.values, params.W_mention.values)
         assert np.array_equal(loaded_extras["complex.r"], extras["complex.r"])
 
     def test_header_is_json_line(self, tmp_path):
@@ -430,7 +436,7 @@ class TestCheckpoint:
         path = tmp_path / "c.bin"
         save_checkpoint(path, init_encoder(F=16, d=2, seed=0), {"r": np.arange(4.0)})
         loaded, extras = load_checkpoint(path)
-        assert loaded.W_event.flags.writeable and extras["r"].flags.writeable
+        assert loaded.W_event.values.flags.writeable and extras["r"].flags.writeable
         assert extras["r"].tobytes() == np.arange(4.0).tobytes()
         clipped = tmp_path / "clipped.bin"
         clipped.write_bytes(path.read_bytes()[:-8])
@@ -645,8 +651,8 @@ def splitmix64(state: int, n: int) -> list[int]:
 
 
 def trained(F, d, seed, m_rows, e_rows, rng) -> EncoderParams:
-    """``init_rows`` towers whose held rows all took new values."""
-    params = init_rows(F, d, seed, m_rows, e_rows)
+    """Row-subset ``init_encoder`` towers whose held rows all took new values."""
+    params = init_encoder(F, d, seed, {"mention": m_rows, "event": e_rows})
     for tower in (params.W_mention, params.W_event):
         tower[tower.rows] = rng.normal(size=tower.values.shape)
     return params
@@ -682,17 +688,17 @@ class TestRowSubsets:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(case=tower_cases())
-    def test_init_rows_equal_init_encoder(self, case):
+    def test_row_subset_init_equals_whole_init(self, case):
         F, d, seed, block, (m_rows, e_rows) = case
         with blocks_of(block):
-            params = init_rows(F, d, seed, m_rows, e_rows)
+            params = init_encoder(F, d, seed, {"mention": m_rows, "event": e_rows})
         full = init_encoder(F, d, seed)
         assert params.W_mention.values.tobytes() == full.W_mention[m_rows].tobytes()
         assert params.W_event.values.tobytes() == full.W_event[e_rows].tobytes()
         assert params.F == F and params.d == d
         dense = params.densify()
-        assert dense.W_mention.tobytes() == full.W_mention.tobytes()
-        assert dense.W_event.tobytes() == full.W_event.tobytes()
+        assert dense.W_mention.values.tobytes() == full.W_mention.values.tobytes()
+        assert dense.W_event.values.tobytes() == full.W_event.values.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(case=tower_cases(), data=st.data())
@@ -719,14 +725,14 @@ class TestRowSubsets:
             # a loaded tower holds every row the file stores
             assert tower.rows.tolist() == sorted(set(rows.tolist()) | set(saved.rows.tolist()))
             assert tower.values.tobytes() == W[tower.rows].tobytes()
-        assert full.W_mention.tobytes() == dense.W_mention.tobytes()
-        assert full.W_event.tobytes() == dense.W_event.tobytes()
+        assert full.W_mention.values.tobytes() == dense.W_mention.values.tobytes()
+        assert full.W_event.values.tobytes() == dense.W_event.values.tobytes()
         assert heads.keys() == full_heads.keys() == {"r"}
         assert heads["r"].tobytes() == np.arange(3.0).tobytes()
         assert tower_shape(path) == (F, d)
         with blocks_of(block):
             mention_only, _ = load_checkpoint(path, {"mention": want[0]})
-        assert mention_only.W_event.tobytes() == dense.W_event.tobytes()
+        assert mention_only.W_event.values.tobytes() == dense.W_event.values.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(case=tower_cases(), data=st.data())
@@ -749,8 +755,8 @@ class TestRowSubsets:
             (a, a_heads), (b, b_heads) = map(load_checkpoint, (out / "part.bin", out / "full.bin"))
             dense = params.densify()
         for W in (a, b, dense):
-            assert W.W_mention.tobytes() == full.W_mention.tobytes()
-            assert W.W_event.tobytes() == full.W_event.tobytes()
+            assert W.W_mention.values.tobytes() == full.W_mention.values.tobytes()
+            assert W.W_event.values.tobytes() == full.W_event.values.tobytes()
         assert a_heads["complex.r"].tobytes() == b_heads["complex.r"].tobytes()
 
     def test_absent_row_raises(self):
@@ -766,6 +772,12 @@ class TestRowSubsets:
         with pytest.raises(DimensionMismatch):
             encode(EncoderParams(tower, tower.copy()), hash_text("unseen text", 6), "mention")
 
+    def test_params_refuse_plain_arrays(self):
+        tower = init_encoder(8, 2, seed=0).W_mention
+        for towers in ((tower.values, tower), (tower, tower.values)):
+            with pytest.raises(TypeError, match="must be a Tower, not ndarray"):
+                EncoderParams(*towers)
+
     def test_bad_row_sets_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
         save_checkpoint(path, init_encoder(8, 2, seed=0))
@@ -773,7 +785,7 @@ class TestRowSubsets:
             with pytest.raises(DimensionMismatch, match="ascending"):
                 load_checkpoint(path, {"mention": np.array(rows)})
             with pytest.raises(DimensionMismatch, match="ascending"):
-                init_rows(8, 2, 0, np.array(rows), np.array([0]))
+                init_encoder(8, 2, 0, {"mention": np.array(rows), "event": np.array([0])})
         with pytest.raises(InvalidConfig, match="towers"):
             load_checkpoint(path, {"complex.r": np.array([0])})
 
@@ -787,18 +799,39 @@ class TestRowSubsets:
         save_checkpoint(tmp_path / "d.bin", part)
         again, _ = load_checkpoint(tmp_path / "d.bin")
         dense = params.densify()
-        assert again.W_mention.tobytes() == dense.W_mention.tobytes()
-        assert again.W_event.tobytes() == dense.W_event.tobytes()
-        assert part.densify().W_event.tobytes() == dense.W_event.tobytes()
+        assert again.W_mention.values.tobytes() == dense.W_mention.values.tobytes()
+        assert again.W_event.values.tobytes() == dense.W_event.values.tobytes()
+        assert part.densify().W_event.values.tobytes() == dense.W_event.values.tobytes()
 
     def test_seed_comes_from_the_file(self, tmp_path):
         # the file's init seed regenerates the rows it lacks, whatever
         # seed any caller uses
         path = tmp_path / "c.bin"
-        save_checkpoint(path, init_rows(16, 3, 77, np.array([4]), np.array([9])))
+        params = init_encoder(16, 3, 77, {"mention": np.array([4]), "event": np.array([9])})
+        save_checkpoint(path, params)
         part, _ = load_checkpoint(path, {"mention": np.arange(16), "event": np.array([0])})
-        assert part.W_mention.values.tobytes() == init_encoder(16, 3, 77).W_mention.tobytes()
+        assert part.W_mention.values.tobytes() == init_encoder(16, 3, 77).W_mention.values.tobytes()
         assert part.W_event.init == (77, "event")
+
+    def test_row_subset_file_bytes_are_pinned(self, tmp_path):
+        # initial values come from integer hashing stored as float32, with
+        # no BLAS, so these digests hold on every host
+        rows = {"mention": np.array([1, 4, 9]), "event": np.array([0, 63])}
+        params = init_encoder(64, 4, 77, rows)
+        params.W_mention[np.array([4])] = np.array([[0.5, -0.25, 0.125, 1.0]])
+        save_checkpoint(tmp_path / "a.bin", params, {"complex.r": np.array([1.0, -2.0, 0.5, 0.0])})
+        part, heads = load_checkpoint(
+            tmp_path / "a.bin", {"mention": np.array([2, 4]), "event": np.array([5])}
+        )
+        save_checkpoint(tmp_path / "b.bin", part, heads)
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("a.bin", "b.bin")
+        ]
+        assert digests == [
+            "6d6876806899475754275fd7ee361798b8402c6157139923baef1617276f7b1a",
+            "ca030279c8a9c230a62236bab2114190a5f1fd7ad7970a2434566b0d4de060a5",
+        ]
 
 
 def malformed_encoder_file(path, change) -> None:
@@ -873,7 +906,7 @@ MALFORMED_V3 = {
 
 @st.composite
 def design_cases(draw):
-    """A full F x d array or a Tower holding the rows some batches touch
+    """The reranker's full array V or a Tower holding the rows some batches touch
     (and a few more), and those batches: each slot is one of a few base
     vectors, the same object again or an equal copy; a base may be empty,
     and sometimes every base is."""
@@ -928,7 +961,8 @@ class TestDesignKernel:
             want_rows, want_X = design_matrix(batch, W.shape[0], W.dtype)
             assert rows.tolist() == want_rows.tolist()
             assert X.shape == want_X.shape and X.dtype == W.dtype
-            assert held_values(W).take(held, axis=0).tobytes() == W[want_rows].tobytes()
+            values = W.values if isinstance(W, Tower) else W
+            assert values.take(held, axis=0).tobytes() == W[want_rows].tobytes()
             live.append((X, want_X))
             # a later design, growing the buffer or not, leaves earlier ones be
             assert all(got.tobytes() == want.tobytes() for got, want in live)

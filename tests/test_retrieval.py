@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import fnv1a64
+from oracles import fnv1a64, whole_towers
 
 from hierground import encoder, retrieval
 from hierground.dataset import Mention
@@ -20,7 +20,6 @@ from hierground.encoder import (
     encode,
     event_text,
     init_encoder,
-    init_rows,
     load_checkpoint,
     save_checkpoint,
     span_window,
@@ -30,7 +29,6 @@ from hierground.kb import FALLBACK_LANGUAGE, Event, Label
 from hierground.retrieval import (
     CandidateIndex,
     RetrievalResult,
-    build_index,
     load_retrievals,
     retrieve_mentions,
     score_rows,
@@ -57,7 +55,7 @@ def injected_index(embeddings: np.ndarray, ids: list[str] | None = None) -> Cand
     """
     n, d = embeddings.shape
     ids = ids if ids is not None else [f"E{i:02d}" for i in range(n)]
-    params = EncoderParams(W_mention=np.zeros((8, d)), W_event=np.zeros((8, d)))
+    params = whole_towers(W_mention=np.zeros((8, d)), W_event=np.zeros((8, d)))
     index = CandidateIndex(params, plain_events(ids), ids)
     index._matrices["en"] = embeddings.astype(float)
     return index
@@ -66,23 +64,23 @@ def injected_index(embeddings: np.ndarray, ids: list[str] | None = None) -> Cand
 class TestCandidateIndex:
     def test_pool_sorted_and_deduplicated(self):
         params = init_encoder(64, 4, seed=0)
-        index = build_index(params, plain_events(["A", "B", "C"]), ["B", "A", "B"])
+        index = CandidateIndex(params, plain_events(["A", "B", "C"]), ["B", "A", "B"])
         assert index.ids == ["A", "B"]
         assert len(index) == 2
 
     def test_unknown_pool_event(self):
         params = init_encoder(64, 4, seed=0)
         with pytest.raises(UnknownEvent):
-            build_index(params, plain_events(["A"]), ["A", "MISSING"])
+            CandidateIndex(params, plain_events(["A"]), ["A", "MISSING"])
 
     def test_unknown_mode(self):
         params = init_encoder(64, 4, seed=0)
         with pytest.raises(InvalidConfig):
-            build_index(params, plain_events(["A"]), ["A"], mode="monolingual")
+            CandidateIndex(params, plain_events(["A"]), ["A"], mode="monolingual")
 
     def test_multilingual_matrices_are_lazy(self):
         params = init_encoder(64, 4, seed=0)
-        index = build_index(params, plain_events(["A"]), ["A"])
+        index = CandidateIndex(params, plain_events(["A"]), ["A"])
         assert index._matrices == {}
         index.matrix("en")
         assert set(index._matrices) == {"en"}
@@ -95,7 +93,7 @@ class TestCandidateIndex:
                 {"en": Label("summit", "talks"), "de": Label("gipfel", "gespraeche")},
             )
         ]
-        index = build_index(params, events, ["A"], mode="crosslingual")
+        index = CandidateIndex(params, events, ["A"], mode="crosslingual")
         assert index.matrix("de") is index.matrix("en")
 
     def test_multilingual_languages_differ(self):
@@ -106,12 +104,12 @@ class TestCandidateIndex:
                 {"en": Label("summit", "talks"), "de": Label("gipfel", "gespraeche")},
             )
         ]
-        index = build_index(params, events, ["A"])
+        index = CandidateIndex(params, events, ["A"])
         assert not np.array_equal(index.matrix("de"), index.matrix("en"))
 
     def test_missing_language_falls_back_to_english(self):
         params = init_encoder(64, 4, seed=0)
-        index = build_index(params, plain_events(["A"]), ["A"])
+        index = CandidateIndex(params, plain_events(["A"]), ["A"])
         assert np.array_equal(index.matrix("fr"), index.matrix("en"))
 
 
@@ -198,7 +196,7 @@ class TestRetrieveMentions:
             Event("E1", {"en": Label("zzzzz xxxxx")}),
             Event("E2", {"en": Label("kkkkk jjjjj")}),
         ]
-        index = build_index(params, events, ["E0", "E1", "E2"])
+        index = CandidateIndex(params, events, ["E0", "E1", "E2"])
         results = retrieve_mentions(
             params, index, [query_mention("M1", "zzzzz xxxxx")], k=1
         )
@@ -207,7 +205,7 @@ class TestRetrieveMentions:
     def test_deterministic(self):
         params = init_encoder(1024, 16, seed=1)
         events = plain_events(["A", "B", "C", "D"])
-        index = build_index(params, events, ["A", "B", "C", "D"])
+        index = CandidateIndex(params, events, ["A", "B", "C", "D"])
         mentions = [query_mention("M1", "title A happened"), query_mention("M2", "other")]
         first = retrieve_mentions(params, index, mentions, k=3)
         second = retrieve_mentions(params, index, mentions, k=3)
@@ -216,7 +214,7 @@ class TestRetrieveMentions:
     def test_every_mention_gets_k_candidates(self):
         params = init_encoder(1024, 16, seed=1)
         events = plain_events(["A", "B", "C", "D"])
-        index = build_index(params, events, ["A", "B", "C", "D"])
+        index = CandidateIndex(params, events, ["A", "B", "C", "D"])
         mentions = [query_mention(f"M{i}", f"context {i}") for i in range(5)]
         results = retrieve_mentions(params, index, mentions, k=3)
         assert len(results) == 5
@@ -342,19 +340,19 @@ class TestRowSubsetRetrieval:
         F = 4096
         path = tmp_path / "c.bin"
         # a file that stores some rows of each tower and regenerates the rest
-        saved = init_rows(F, 8, 3, np.arange(0, F, 3), np.arange(0, F, 5))
+        saved = init_encoder(F, 8, 3, {"mention": np.arange(0, F, 3), "event": np.arange(0, F, 5)})
         rng = np.random.default_rng(0)
         for tower in (saved.W_mention, saved.W_event):
             tower[tower.rows] = rng.normal(scale=0.05, size=tower.values.shape)
         save_checkpoint(path, saved)
         full = load_checkpoint(path)[0]
-        index = build_index(full, events, pool, mode, max_chars)
+        index = CandidateIndex(full, events, pool, mode, max_chars)
         want = retrieve_mentions(full, index, mentions, 3, max_chars)
 
         featurizer, fvs, rows = hash_inputs(events, pool, mentions, F, mode, max_chars, max_chars)
         params = load_checkpoint(path, rows)[0]
         assert isinstance(params.W_mention, Tower) and params.W_mention.rows.size < F
-        index = build_index(params, events, pool, mode, max_chars, featurizer)
+        index = CandidateIndex(params, events, pool, mode, max_chars, featurizer)
         assert retrieve_mentions(params, index, mentions, 3, fvs=fvs) == want
         assert retrieve_mentions(params, index, mentions, 3, max_chars) == want
 
@@ -370,7 +368,7 @@ class TestRowSubsetRetrieval:
         monkeypatch.setattr(encoder, "ngram_counts_many", counting)
         pool = [e.id for e in events]
         featurizer, fvs, rows = hash_inputs(events, pool, mentions, 512)
-        index = build_index(init_encoder(512, 8, seed=3), events, pool, featurizer=featurizer)
+        index = CandidateIndex(init_encoder(512, 8, seed=3), events, pool, featurizer=featurizer)
         retrieve_mentions(index.params, index, mentions, k=2, fvs=fvs)
         # the mentions' three resolved languages, then the windows, each once
         assert calls == [len(events)] * 3 + [len(mentions)]
@@ -454,7 +452,7 @@ def exact_case(pools: dict[str, np.ndarray], queries: np.ndarray, languages, mod
     """
     n_q, d = queries.shape
     W = np.vstack([queries, np.zeros((1, d))]).astype(float)
-    params = EncoderParams(W_mention=W, W_event=np.zeros_like(W))
+    params = whole_towers(W_mention=W, W_event=np.zeros_like(W))
     F = n_q + 1
     fvs = [
         FeatureVector(np.zeros(0, np.int64), np.zeros(0), F) if not row.any()
