@@ -27,6 +27,7 @@ from .encoder import (
     DesignWorkspace,
     FeatureVector,
     TextFeaturizer,
+    checked_counts,
     load_arrays,
     ngram_counts_many,
     save_arrays,
@@ -60,22 +61,20 @@ V_DTYPE = np.dtype(np.float32)
 
 
 class Block(NamedTuple):
-    """One text's n-gram buckets: the ascending ``keys``, their raw
-    ``counts``, the L2-normalized ``values`` and ``shifted``, the keys'
-    indices in the event block."""
+    """One text's n-gram buckets: the ascending ``keys`` in [0,
+    ``BLOCK_BUCKETS``), their raw ``counts``, the L2-normalized ``values``
+    and ``shifted``, the keys' indices in the event block."""
 
     keys: np.ndarray
     counts: np.ndarray
     values: np.ndarray
     shifted: np.ndarray
 
-    @classmethod
-    def of(cls, keys: np.ndarray, counts: np.ndarray) -> "Block":
-        return cls(keys, counts, counts / np.linalg.norm(counts), keys + BLOCK_BUCKETS)
-
 
 def _blocks(texts: list[str]) -> list[Block]:
-    return [Block.of(*counts) for counts in ngram_counts_many(texts, BLOCK_BUCKETS)]
+    """Each text's ``Block``, as the kernel counted and normalized it."""
+    counted = checked_counts(ngram_counts_many(texts, BLOCK_BUCKETS), BLOCK_BUCKETS)
+    return [Block(keys, counts, values, keys + BLOCK_BUCKETS) for keys, counts, values in counted]
 
 
 def _pair_fv(mention: Block, event: Block) -> FeatureVector:
@@ -83,7 +82,9 @@ def _pair_fv(mention: Block, event: Block) -> FeatureVector:
 
     The interaction block holds, for every bucket both texts hit, the
     smaller of the two counts; each mention key is looked up in the event
-    keys with one ``searchsorted``.
+    keys with one ``searchsorted``.  Block keys lie in [0,
+    ``BLOCK_BUCKETS``), so every index is in [0, ``PAIR_DIM``) and the
+    vector skips the per-vector range check.
     """
     if event.keys.size:
         e_at = np.searchsorted(event.keys, mention.keys)
@@ -92,14 +93,10 @@ def _pair_fv(mention: Block, event: Block) -> FeatureVector:
     else:
         m_at = e_at = np.empty(0, dtype=np.intp)
     shared = np.minimum(mention.counts[m_at], event.counts[e_at])
-    return FeatureVector(
-        indices=np.concatenate(
-            [mention.keys, event.shifted, 2 * BLOCK_BUCKETS + mention.keys[m_at]]
-        ),
-        values=np.concatenate(
-            [mention.values, event.values, shared / np.linalg.norm(shared)]
-        ),
-        F=PAIR_DIM,
+    return FeatureVector.prechecked(
+        np.concatenate([mention.keys, event.shifted, 2 * BLOCK_BUCKETS + mention.keys[m_at]]),
+        np.concatenate([mention.values, event.values, shared / np.linalg.norm(shared)]),
+        PAIR_DIM,
     )
 
 

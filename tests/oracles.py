@@ -24,7 +24,7 @@ from hierground.encoder import (
 )
 from hierground.errors import DimensionMismatch
 from hierground.kb import FALLBACK_LANGUAGE, Event
-from hierground.rerank import BLOCK_BUCKETS, PAIR_DIM, PairFeaturizer
+from hierground.rerank import BLOCK_BUCKETS, PAIR_DIM, Block, PairFeaturizer
 from hierground.training import ComplExHead, _complex_cells, _project
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -51,9 +51,34 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def ngram_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """``ngram_counts_many`` of one text."""
+def ngram_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ngram_counts_many`` of one text: its keys, counts and values."""
     return ngram_counts_many([text], buckets)[0]
+
+
+def normalized(counts: np.ndarray) -> np.ndarray:
+    """One text's counts over their own ``np.linalg.norm``: the per-text
+    normalization the kernel's per-run one replaced (the zero vector stays
+    empty)."""
+    return counts / np.linalg.norm(counts)
+
+
+def block(keys: np.ndarray, counts: np.ndarray) -> Block:
+    """One text's ``rerank.Block`` from its ascending (keys, counts)."""
+    return Block(keys, counts, normalized(counts), keys + BLOCK_BUCKETS)
+
+
+def hash_texts(texts: list[str], F: int) -> list[FeatureVector]:
+    """Each text counted alone and normalized on its own: the per-text
+    reference for ``encoder.hash_texts``."""
+    counted = [ngram_counts(text, F)[:2] for text in texts]
+    return [FeatureVector(keys, normalized(counts), F) for keys, counts in counted]
+
+
+def blocks(texts: list[str]) -> list[Block]:
+    """Each text's block, counted alone and normalized on its own: the
+    per-text reference for ``rerank._blocks``."""
+    return [block(*ngram_counts(text, BLOCK_BUCKETS)[:2]) for text in texts]
 
 
 def featurize_mention(

@@ -128,7 +128,7 @@ class TestNgramKernel:
     def test_bit_equal_to_scalar_fnv(self, texts, buckets):
         got = ngram_counts_many(texts, buckets)
         assert len(got) == len(texts)
-        for text, (keys, counts) in zip(texts, got):
+        for text, (keys, counts, _) in zip(texts, got):
             want_keys, want_counts = scalar_ngram_counts(text, buckets)
             assert keys.dtype == want_keys.dtype and counts.dtype == want_counts.dtype
             assert keys.tobytes() == want_keys.tobytes()
@@ -144,8 +144,8 @@ class TestNgramKernel:
             chunked = ngram_counts_many(texts, 4096)
         finally:
             encoder._CHUNK_TEXTS = saved
-        assert [(k.tobytes(), c.tobytes()) for k, c in chunked] == [
-            (k.tobytes(), c.tobytes()) for k, c in whole
+        assert [(k.tobytes(), c.tobytes()) for k, c, _ in chunked] == [
+            (k.tobytes(), c.tobytes()) for k, c, _ in whole
         ]
 
     def test_hash_texts_match_hash_text(self):
@@ -165,6 +165,124 @@ class TestNgramKernel:
     def test_unencodable_text_raises_instead_of_hashing(self):
         with pytest.raises(UnicodeEncodeError):
             ngram_counts_many(["a fine text", "lone \ud800 surrogate"], 7)
+
+
+@contextlib.contextmanager
+def chunk_texts(n: int):
+    """Run the kernel over runs of ``n`` texts."""
+    saved = encoder._CHUNK_TEXTS
+    encoder._CHUNK_TEXTS = n
+    try:
+        yield
+    finally:
+        encoder._CHUNK_TEXTS = saved
+
+
+kernel_F = st.sampled_from([1, 7, 4096, 2**18])
+
+
+class TestKernelNormalization:
+    """The kernel normalizes a whole run of texts at once; each text must
+    come out bit-equal to normalizing it alone."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(texts=kernel_texts, F=kernel_F, chunk=st.integers(1, 4))
+    @example(texts=[], F=7, chunk=1)
+    @example(texts=["", "a", "ab", "abc", ""], F=1, chunk=2)
+    @example(texts=["中€😀𝄞", "ab c", "éßж" * 4, SPAN_OPEN + "x" + SPAN_CLOSE], F=2**18, chunk=4)
+    @example(texts=["ab" * 3000, "abcde" * 700, "x"], F=7, chunk=3)
+    def test_values_bit_equal_to_per_text_norm(self, texts, F, chunk):
+        with chunk_texts(chunk):
+            got = ngram_counts_many(texts, F)
+        assert len(got) == len(texts)
+        for keys, counts, values in got:
+            want = oracles.normalized(counts)
+            assert values.dtype == want.dtype == np.float64
+            assert keys.shape == counts.shape == values.shape
+            assert values.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(texts=kernel_texts, F=kernel_F, chunk=st.integers(1, 4))
+    @example(texts=["", "ab", "flood relief", "中文事件描述"], F=4096, chunk=1)
+    def test_hash_texts_and_blocks_equal_per_text_builders(self, texts, F, chunk):
+        with chunk_texts(chunk):
+            vectors = hash_texts(texts, F)
+            blocks = rerank._blocks(texts)
+        for got, want in zip(vectors, oracles.hash_texts(texts, F), strict=True):
+            assert got.F == want.F
+            assert got.indices.dtype == want.indices.dtype
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.values.dtype == want.values.dtype
+            assert got.values.tobytes() == want.values.tobytes()
+        for got, want in zip(blocks, oracles.blocks(texts), strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(texts=kernel_texts, chunk=st.integers(1, 4))
+    @example(texts=["", "ab", "abc", "x", "abcd", ""], chunk=1)
+    def test_warning_count_unchanged_by_chunking(self, texts, chunk):
+        reset_warning_counts()
+        hash_texts(texts, 64)
+        whole = WARNING_COUNTS["empty_feature_vector"]
+        reset_warning_counts()
+        with chunk_texts(chunk):
+            hash_texts(texts, 64)
+        assert WARNING_COUNTS["empty_feature_vector"] == whole
+        assert whole == sum(len(text) < min(NGRAM_SIZES) for text in texts)
+
+    def test_hashed_arrays_are_read_only(self):
+        texts = ["flood relief", "river plain", "ab"]
+        vectors = hash_texts(texts, 64)
+        before = [fv.values.copy() for fv in vectors]
+        for fv in vectors:
+            for array in (fv.indices, fv.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 0
+                with pytest.raises(ValueError, match="read-only"):
+                    array *= 2
+        assert all(np.array_equal(fv.values, b) for fv, b in zip(vectors, before))
+        for block in rerank._blocks(texts):
+            for array in (block.keys, block.counts, block.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 0
+
+    def test_out_of_range_keys_are_refused_in_any_run(self, monkeypatch):
+        def last_shifted(kernel):
+            def counting(texts, buckets):
+                *head, (keys, counts, values) = kernel(texts, buckets)
+                return [*head, (keys + buckets, counts, values)]
+
+            return counting
+
+        texts = ["flood relief", "river plain", "abc"]
+        monkeypatch.setattr(encoder, "ngram_counts_many", last_shifted(encoder.ngram_counts_many))
+        monkeypatch.setattr(rerank, "ngram_counts_many", last_shifted(rerank.ngram_counts_many))
+        with chunk_texts(1):
+            with pytest.raises(DimensionMismatch, match="outside"):
+                hash_texts(texts, 64)
+            with pytest.raises(DimensionMismatch, match="outside"):
+                rerank._blocks(texts)
+
+    def test_public_constructor_still_checks(self):
+        for indices in ([0, 64], [-1, 3]):
+            with pytest.raises(DimensionMismatch, match="outside"):
+                FeatureVector(np.array(indices), np.array([0.6, 0.8]), F=64)
+        with pytest.raises(DimensionMismatch, match="align"):
+            FeatureVector(np.array([1, 2]), np.array([1.0]), F=64)
+
+
+class TestFeatureRows:
+    def test_equal_to_marking_each_vector(self):
+        texts = ["flood relief", "", "river plain", "ab", "flood plain"]
+        vectors = hash_texts(texts, 256)
+        for fvs in (vectors, vectors[1:2], []):
+            held = np.zeros(256, dtype=bool)
+            for fv in fvs:
+                held[fv.indices] = True
+            got = encoder.feature_rows(fvs, 256)
+            assert got.dtype == np.intp
+            assert got.tobytes() == np.flatnonzero(held).tobytes()
 
 
 class TestHashText:
@@ -587,7 +705,7 @@ class TestLanguageRule:
         in_block = (fv.indices >= rerank.BLOCK_BUCKETS) & (
             fv.indices < 2 * rerank.BLOCK_BUCKETS
         )
-        keys, counts = oracles.ngram_counts(text, rerank.BLOCK_BUCKETS)
+        keys, counts, _ = oracles.ngram_counts(text, rerank.BLOCK_BUCKETS)
         assert np.array_equal(fv.indices[in_block] - rerank.BLOCK_BUCKETS, keys)
         assert fv.values[in_block].tobytes() == (counts / np.linalg.norm(counts)).tobytes()
 

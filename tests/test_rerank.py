@@ -44,7 +44,6 @@ from hierground.rerank import (
     DEFAULT_GRID,
     DEFAULT_HIDDEN,
     PAIR_DIM,
-    Block,
     PairFeaturizer,
     RerankConfig,
     RerankerParams,
@@ -801,14 +800,14 @@ class TestArrayPairFeatures:
     @example(mention_text="abcab", event_text="ab")
     @example(mention_text="aaaaaa", event_text="aaab")
     def test_bit_equal_to_dict_version(self, mention_text, event_text):
-        keys, counts = ngram_counts(mention_text, BLOCK_BUCKETS)
+        keys, counts, _ = ngram_counts(mention_text, BLOCK_BUCKETS)
         oracle_counts = bucket_oracle(mention_text)
         assert keys.tolist() == sorted(oracle_counts)
         assert counts.tolist() == [oracle_counts[k] for k in sorted(oracle_counts)]
 
         got = _pair_fv(
-            Block.of(*ngram_counts(mention_text, BLOCK_BUCKETS)),
-            Block.of(*ngram_counts(event_text, BLOCK_BUCKETS)),
+            oracles.block(*ngram_counts(mention_text, BLOCK_BUCKETS)[:2]),
+            oracles.block(*ngram_counts(event_text, BLOCK_BUCKETS)[:2]),
         )
         want = pair_fv_oracle(bucket_oracle(mention_text), bucket_oracle(event_text))
         assert got.indices.dtype == want.indices.dtype == np.int64
@@ -826,7 +825,7 @@ class TestArrayPairFeatures:
     @example(mention={0: 1, 7: 2, 9: 4}, event={0: 3, 7: 1, 9: 4})
     def test_bit_equal_to_intersect1d_oracle(self, mention, event):
         m, e = block_arrays(mention), block_arrays(event)
-        got = _pair_fv(Block.of(*m), Block.of(*e))
+        got = _pair_fv(oracles.block(*m), oracles.block(*e))
         want = oracles.pair_fv(m, e)
         assert got.indices.dtype == want.indices.dtype == np.int64
         assert got.values.dtype == want.values.dtype
@@ -839,7 +838,7 @@ class TestArrayPairFeatures:
     @example(text="ab", F=2**18)
     @example(text="abc", F=BLOCK_BUCKETS)
     def test_hash_text_is_normalized_ngram_counts(self, text, F):
-        keys, counts = ngram_counts(text, F)
+        keys, counts, _ = ngram_counts(text, F)
         fv = hash_text(text, F)
         assert fv.indices.dtype == keys.dtype == np.int64
         assert np.array_equal(fv.indices, keys)
