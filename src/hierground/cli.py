@@ -287,19 +287,28 @@ def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> li
     F = encoder.tower_shape(checkpoint)[0]
     mentions = _select_mentions(data, split)
     pool = dataset.candidate_pool(data["events"], mode="inference")
+    k = config["retrieve"]["k"]
+    retrieval.check_k(k, len(set(pool)))
     enc = config["encoder"]
-    # hash every text first, so only the tower rows they read are loaded
-    featurizer, fvs, rows = retrieval.hash_inputs(
+    # the texts first, so each tower is loaded with only the rows they read
+    featurizer, rows = retrieval.hash_inputs(
         data["events"], pool, mentions, F, config["mode"],
         enc["max_context_chars"], enc["max_cand_chars"],
     )
-    params = encoder.load_checkpoint(checkpoint, rows)[0]
+    # one tower at a time; an empty row set holds the rows the file stores
+    stored = numpy.zeros(0, dtype=numpy.int64)
     index = retrieval.CandidateIndex(
-        params, data["events"], pool, config["mode"], enc["max_cand_chars"], featurizer
+        encoder.load_checkpoint(checkpoint, {"event": rows["event"], "mention": stored})[0],
+        data["events"], pool, config["mode"], enc["max_cand_chars"], featurizer,
     )
+    for language in dict.fromkeys(m.language for m in mentions):
+        index.matrix(language)
+    # the pool is encoded: the event tower goes before the mention tower loads
+    index.params = None
+    params = encoder.load_checkpoint(checkpoint, {"mention": rows["mention"], "event": stored})[0]
     try:
         results = retrieval.retrieve_mentions(
-            params, index, mentions, config["retrieve"]["k"], enc["max_context_chars"], fvs
+            params, index, mentions, k, enc["max_context_chars"]
         )
     except NonFiniteScore as exc:
         raise NonFiniteScore(exc.what, checkpoint) from None

@@ -12,6 +12,7 @@ a tower holds: every other row is regenerated from the seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -152,12 +153,13 @@ def ngram_counts_many(
     return out
 
 
-def _ngram_counts_chunk(
+def _ngram_hashes(
     texts: list[str], buckets: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ascending (text, bucket) cells of a run of texts as the bucket
-    ids and float counts of each, each text's bounds in them, and each
-    text's L2 norm of its counts."""
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The text of each character of a run of texts and, per n-gram size,
+    which characters start an n-gram of that size in their text and the
+    bucket id in [0, buckets) of each such n-gram, by FNV-1a over its UTF-8
+    bytes."""
     cp = np.frombuffer("".join(texts).encode("utf-32-le"), dtype="<u4").astype(np.int64)
     size = cp.size
     lengths = np.array([len(text) for text in texts])
@@ -166,10 +168,16 @@ def _ngram_counts_chunk(
     left = np.cumsum(lengths)[text_of] - np.arange(size)
     lead, continuation = _utf8_bytes(cp)
     lead = np.concatenate([lead, np.zeros(max(NGRAM_SIZES), np.uint64)])
-    prime, width = np.uint64(_FNV_PRIME), np.uint64(buckets)
+    prime = np.uint64(_FNV_PRIME)
+    # h mod buckets: a power of two keeps the low bits, which costs less
+    # than a 64-bit division
+    if buckets & (buckets - 1):
+        reduce, modulus = np.remainder, np.uint64(buckets)
+    else:
+        reduce, modulus = np.bitwise_and, np.uint64(buckets - 1)
 
     h = np.full(size, _FNV_OFFSET, dtype=np.uint64)
-    keys = []
+    grams = []
     for j in range(max(NGRAM_SIZES)):
         h ^= lead[j : j + size]
         h *= prime
@@ -180,8 +188,31 @@ def _ngram_counts_chunk(
             h[start] = (h[start] ^ byte[keep]) * prime
         n = j + 1
         if n in NGRAM_SIZES:
-            valid = left >= n
-            keys.append(text_of[valid] * buckets + (h[valid] % width).astype(np.int64))
+            starts = left >= n
+            grams.append((starts, reduce(h[starts], modulus).astype(np.int64)))
+    return text_of, grams
+
+
+def ngram_rows(texts: list[str], buckets: int) -> np.ndarray:
+    """The ascending bucket ids that any n-gram of ``texts`` hashes to:
+    ``feature_rows`` of their ``hash_texts``, marked a run of
+    ``_CHUNK_TEXTS`` texts at a time, with nothing counted or normalized."""
+    held = np.zeros(buckets, dtype=bool)
+    for lo in range(0, len(texts), _CHUNK_TEXTS):
+        for _, ids in _ngram_hashes(texts[lo : lo + _CHUNK_TEXTS], buckets)[1]:
+            held[ids] = True
+    return np.flatnonzero(held)
+
+
+def _ngram_counts_chunk(
+    texts: list[str], buckets: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending (text, bucket) cells of a run of texts as the bucket
+    ids and float counts of each, each text's bounds in them, and each
+    text's L2 norm of its counts."""
+    text_of, grams = _ngram_hashes(texts, buckets)
+    keys = [text_of[starts] * buckets + ids for starts, ids in grams]
+    del grams
     cells, counts = np.unique(np.concatenate(keys), return_counts=True)
     owner = cells // buckets
     bounds = np.searchsorted(owner, np.arange(len(texts) + 1))
@@ -440,15 +471,21 @@ class Tower:
         if values.ndim != 2 or values.shape[0] != rows.size:
             raise DimensionMismatch("a tower holds one row of values per row id")
         _check_rows(F, rows)
-        self.rows, self.values, self.init = rows, values, init
-        # global row id -> its row in ``values``; a row not held maps one
-        # past the end, so numpy's bounds check rejects it (never a -1)
-        self.slot = np.full(F, rows.size, dtype=np.intp)
-        self.slot[rows] = np.arange(rows.size)
+        self.F, self.rows, self.values, self.init = F, rows, values, init
+
+    @functools.cached_property
+    def slot(self) -> np.ndarray:
+        """Global row id -> its row in ``values``, built on first use (a
+        tower only saved or dropped never needs the F-entry table).  A row
+        not held maps one past the end, so numpy's bounds check rejects it
+        (never a -1)."""
+        slot = np.full(self.F, self.rows.size, dtype=np.intp)
+        slot[self.rows] = np.arange(self.rows.size)
+        return slot
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.slot.size, self.values.shape[1]
+        return self.F, self.values.shape[1]
 
     @property
     def dtype(self) -> np.dtype:
@@ -841,6 +878,15 @@ def _read_rows_into(fh, spec: tuple[list[int], str, int], out: np.ndarray, at: n
         out[at[lo : lo + len(block)]] = block
 
 
+def _fill_rows_into(seed: int, tower: str, rows: np.ndarray, out: np.ndarray, at: np.ndarray):
+    """The initial values of ``rows[at]``, filled ``BLOCK_ROWS`` rows at a
+    time into ``out[at]``."""
+    buffer = np.empty((min(BLOCK_ROWS, at.size), out.shape[1]), dtype=out.dtype)
+    for lo in range(0, at.size, BLOCK_ROWS):
+        block = at[lo : lo + BLOCK_ROWS]
+        out[block] = init_fill(seed, tower, rows[block], buffer[: block.size])
+
+
 def load_checkpoint(
     path: str | Path, rows: dict[str, np.ndarray] | None = None
 ) -> tuple[EncoderParams, dict[str, np.ndarray]]:
@@ -850,8 +896,8 @@ def load_checkpoint(
     to hold of it: that tower comes back as a ``Tower`` of those rows and
     of every row the file stores, and any other tower whole, both in
     ``TOWER_DTYPE``.  ``init_fill`` of the header's init seed writes each
-    held row into the tower's array, and the stored rows are then read over
-    theirs, so the rows the file lacks take no memory beyond that array.
+    held row the file lacks into the tower's array, and the stored rows are
+    read into theirs, so those rows take no memory beyond that array.
     A malformed file raises ``ParseError`` before any array is allocated.
     """
     with open(path, "rb") as fh:
@@ -862,8 +908,12 @@ def load_checkpoint(
             mask = np.zeros(F, dtype=bool)
             mask[chosen] = mask[stored[name]] = True
             held = np.flatnonzero(mask)
-            values = init_fill(seed, name, held, np.empty((held.size, d), TOWER_DTYPE))
-            _read_rows_into(fh, specs[f"{name}.values"], values, held.searchsorted(stored[name]))
+            at = held.searchsorted(stored[name])
+            fresh = np.ones(held.size, dtype=bool)
+            fresh[at] = False
+            values = np.empty((held.size, d), TOWER_DTYPE)
+            _fill_rows_into(seed, name, held, values, np.flatnonzero(fresh))
+            _read_rows_into(fh, specs[f"{name}.values"], values, at)
             towers.append(Tower(F, held, values, (seed, name)))
         heads = {
             name: _read_array(fh, spec) for name, spec in specs.items() if name not in TOWER_ARRAYS

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import encoder
 from .dataset import Mention
 from .encoder import (
     DEFAULT_MAX_CAND_CHARS,
@@ -31,6 +32,7 @@ from .encoder import (
     feature_rows,
     hash_texts,
     hashed,
+    ngram_rows,
     span_window,
 )
 from .errors import InvalidConfig, KTooLarge, NonFiniteScore, ParseError, UnknownEvent
@@ -92,7 +94,9 @@ class CandidateIndex:
         lang = self.featurizer.language(language)
         if lang not in self._matrices:
             fvs = self.featurizer.events(self.ids, lang)
-            self._matrices[lang] = np.stack([encode(self.params, fv, "event") for fv in fvs])
+            # an overflowing tower is retrieve_mentions' NonFiniteScore, not a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._matrices[lang] = np.stack([encode(self.params, fv, "event") for fv in fvs])
         return self._matrices[lang]
 
 
@@ -104,21 +108,21 @@ def hash_inputs(
     mode: str = "multilingual",
     max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
     max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
-) -> tuple[TextFeaturizer, list[FeatureVector], dict[str, np.ndarray]]:
-    """Everything retrieving ``mentions`` against ``pool`` hashes, before
-    any tower is loaded: a featurizer holding the pool's texts in each
-    resolved language of the mentions (for ``CandidateIndex``), the hashed
-    mention windows (for ``retrieve_mentions``), and the rows of each tower
-    that encoding them reads (for ``load_checkpoint``)."""
+) -> tuple[TextFeaturizer, dict[str, np.ndarray]]:
+    """What retrieving ``mentions`` against ``pool`` needs before any tower
+    is loaded: a featurizer holding the pool's texts hashed in each
+    resolved language of the mentions (for ``CandidateIndex``), and the
+    rows of each tower that encoding the pool and the mention windows reads
+    (for ``load_checkpoint``).  The windows are only marked
+    (``ngram_rows``): ``retrieve_mentions`` hashes them a run at a time."""
     featurizer = TextFeaturizer(events, hashed(F), mode, max_cand_chars=max_cand_chars)
     ids = sorted(set(pool))
     languages = dict.fromkeys(featurizer.language(m.language) for m in mentions)
     pool_fvs = [
         fv for lang in languages for fv in featurizer.events(ids, lang, "candidate pool")
     ]
-    fvs = hash_texts([span_window(m, max_context_chars) for m in mentions], F)
-    rows = {"mention": feature_rows(fvs, F), "event": feature_rows(pool_fvs, F)}
-    return featurizer, fvs, rows
+    windows = [span_window(m, max_context_chars) for m in mentions]
+    return featurizer, {"mention": ngram_rows(windows, F), "event": feature_rows(pool_fvs, F)}
 
 
 def score_rows(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -131,7 +135,8 @@ def score_rows(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (matrix * vec).sum(axis=1)
 
 
-def _check_k(k: int, n: int) -> None:
+def check_k(k: int, n: int) -> None:
+    """Raise unless 1 <= k <= n, the pool size."""
     if k < 1:
         raise InvalidConfig("k must be >= 1")
     if k > n:
@@ -150,7 +155,7 @@ def topk(
     The one-mention oracle of ``retrieve_mentions``.
     """
     n = len(index.ids)
-    _check_k(k, n)
+    check_k(k, n)
     scores = score_rows(index.matrix(language), mention_vec)
     if k == n:
         subset = np.arange(n)
@@ -177,6 +182,22 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise NonFiniteScore(what)
 
 
+def _kth_lower_bound(scores: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``scores``, a value at most its k-th largest score.
+
+    Each row's G = 64 contiguous column groups give one maximum each; the
+    top k of those are k distinct scores of the row, so the k-th largest
+    maximum is at most its k-th largest score.  That takes one max
+    reduction and a partition of G columns, not of the n a row holds.  A
+    pool under 2G columns, or k over G, partitions every score instead:
+    the exact k-th score."""
+    n, groups = scores.shape[1], 64
+    if n < 2 * groups or k > groups:
+        return np.partition(scores, n - k, axis=1)[:, n - k]
+    maxima = np.maximum.reduceat(scores, np.arange(groups) * n // groups, axis=1)
+    return np.partition(maxima, groups - k, axis=1)[:, groups - k]
+
+
 def _block_topk(
     matrix: np.ndarray, max_abs: float, block: np.ndarray, k: int, ids: list[str]
 ) -> list[list[tuple[str, float]]]:
@@ -188,14 +209,15 @@ def _block_topk(
     of a d-term dot product (``d max|q| max|M|`` bounds the sum of its
     absolute terms, ``max_abs`` being ``max|M|``), the last term covering
     underflow.  So ``|c - s| <= eps``, and a candidate in the canonical top
-    k, ties included, has ``s >= c_k - eps >= s_k - 2 eps``, where ``c_k``
-    and ``s_k`` are the k-th largest scores.  Only that margin set is
-    re-scored canonically and sorted by (row, -score, id).
+    k, ties included, has ``s >= c_k - eps >= s_k - 2 eps >= b - 2 eps``,
+    where ``c_k`` and ``s_k`` are the k-th largest scores and ``b`` is
+    ``_kth_lower_bound``'s.  Only that margin set is re-scored canonically
+    and sorted by (row, -score, id).
     """
     n, d = matrix.shape
     scores = block @ matrix.T
     _check_finite(scores, "mention-event scores")
-    kth = np.partition(scores, n - k, axis=1)[:, n - k]
+    kth = _kth_lower_bound(scores, k)
     # finite factors, so the product is finite or inf, never NaN
     scale = np.abs(block).max(axis=1) * max_abs
     eps = 4 * (d + 2) * d * _UNIT_ROUNDOFF * scale + (d + 2) * _TINY
@@ -223,32 +245,56 @@ def retrieve_mentions(
 ) -> list[RetrievalResult]:
     """Top-k candidates of each mention, bit-equal to ``topk`` on its own.
 
-    All windows are hashed in one call, unless ``fvs`` already holds them.
-    The mentions of each resolved language are then encoded one by one and
-    stacked, and scored, in blocks of ``BLOCK_MENTIONS`` (``_block_topk``).  A
-    non-finite encoding or score raises ``NonFiniteScore``.
+    The mentions go in runs of the n-gram kernel's ``_CHUNK_TEXTS``: each
+    run's windows are hashed (unless ``fvs`` already holds every mention's),
+    encoded and scored before the next run is hashed, so no more than one
+    run of hashed windows is held.  In a run, the mentions of each resolved
+    language are encoded one by one and stacked, and scored, in blocks of
+    ``BLOCK_MENTIONS`` (``_block_topk``).  A non-finite encoding or score
+    raises ``NonFiniteScore``.
     """
-    if not mentions:
-        return []
-    _check_k(k, len(index))
-    if fvs is None:
-        fvs = hash_texts([span_window(m, max_context_chars) for m in mentions], params.F)
+    check_k(k, len(index))
+    pools: dict[str, tuple[np.ndarray, float]] = {}
+    results: list[RetrievalResult] = []
+    run = encoder._CHUNK_TEXTS
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(mentions), run):
+            batch = mentions[lo : lo + run]
+            if fvs is None:
+                batch_fvs = hash_texts([span_window(m, max_context_chars) for m in batch], params.F)
+            else:
+                batch_fvs = fvs[lo : lo + run]
+            results += _retrieve_run(params, index, batch, batch_fvs, k, pools)
+    return results
+
+
+def _retrieve_run(
+    params: EncoderParams,
+    index: CandidateIndex,
+    mentions: list[Mention],
+    fvs: list[FeatureVector],
+    k: int,
+    pools: dict[str, tuple[np.ndarray, float]],
+) -> list[RetrievalResult]:
+    """``retrieve_mentions`` of one run; ``pools`` keeps each resolved
+    language's checked matrix and its ``max|M|`` from run to run."""
     by_language: dict[str, list[int]] = {}
     for i, mention in enumerate(mentions):
         by_language.setdefault(index.featurizer.language(mention.language), []).append(i)
     results: list = [None] * len(mentions)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for language, positions in by_language.items():
+    for language, positions in by_language.items():
+        if language not in pools:
             matrix = index.matrix(language)
             _check_finite(matrix, f"{language!r} pool encodings")
-            max_abs = np.abs(matrix).max()
-            for start in range(0, len(positions), BLOCK_MENTIONS):
-                chunk = positions[start : start + BLOCK_MENTIONS]
-                block = np.stack([encode(params, fvs[i], "mention") for i in chunk])
-                _check_finite(block, "mention encodings")
-                ranked = _block_topk(matrix, max_abs, block, k, index.ids)
-                for i, candidates in zip(chunk, ranked):
-                    results[i] = RetrievalResult(mentions[i].id, candidates)
+            pools[language] = matrix, np.abs(matrix).max()
+        matrix, max_abs = pools[language]
+        for start in range(0, len(positions), BLOCK_MENTIONS):
+            chunk = positions[start : start + BLOCK_MENTIONS]
+            block = np.stack([encode(params, fvs[i], "mention") for i in chunk])
+            _check_finite(block, "mention encodings")
+            ranked = _block_topk(matrix, max_abs, block, k, index.ids)
+            for i, candidates in zip(chunk, ranked):
+                results[i] = RetrievalResult(mentions[i].id, candidates)
     return results
 
 

@@ -355,6 +355,27 @@ class TestErrors:
         assert record["context"]["k"] == 1000
         assert record["context"]["pool_size"] == 70
 
+    @pytest.mark.parametrize(
+        "k, mentions, error", [("0", "none.jsonl", "InvalidConfig"), ("1000", None, "KTooLarge")]
+    )
+    def test_k_is_checked_before_any_text_or_tower(
+        self, pipeline, tmp_path, capsys, monkeypatch, k, mentions, error
+    ):
+        calls = []
+        for module, name in ((retrieval, "hash_inputs"), (encoder, "load_checkpoint")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        (tmp_path / "none.jsonl").write_text("", encoding="utf-8")
+        rc = main(
+            ["retrieve", "--output-dir", str(tmp_path),
+             "--events", str(pipeline / "events.jsonl"),
+             "--mentions", str(tmp_path / mentions if mentions else pipeline / "mentions.jsonl"),
+             "--checkpoint", str(pipeline / "checkpoint.bin"), "--k", k, "--out", "r.jsonl"]
+        )
+        assert rc == 1
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+        assert calls == [] and not (tmp_path / "r.jsonl").exists()
+
     def test_evaluate_needs_a_threshold(self, pipeline, tmp_path, capsys):
         o = ["--output-dir", str(tmp_path)]
         rc = main(

@@ -284,6 +284,19 @@ class TestFeatureRows:
             assert got.dtype == np.intp
             assert got.tobytes() == np.flatnonzero(held).tobytes()
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(texts=kernel_texts, F=kernel_F, chunk=st.integers(1, 4))
+    @example(texts=[], F=7, chunk=1)
+    @example(texts=["", "ab", "flood relief", "中文事件描述", "ab"], F=4096, chunk=2)
+    def test_ngram_rows_mark_what_hashing_reads(self, texts, F, chunk):
+        want = encoder.feature_rows(hash_texts(texts, F), F)
+        reset_warning_counts()
+        with chunk_texts(chunk):
+            got = encoder.ngram_rows(texts, F)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # nothing is counted, so no empty text is warned about
+        assert WARNING_COUNTS["empty_feature_vector"] == 0
+
 
 class TestHashText:
     def test_three_char_text_is_single_feature(self):

@@ -4,17 +4,22 @@
 2^18 x 32 tower (33.5 MB of float32) would show it here.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 
 from hierground.cli import main
+from hierground.dataset import load_mentions, write_mentions
 from hierground.encoder import (
     BLOCK_ROWS,
     DEFAULT_D,
     DEFAULT_F,
+    DEFAULT_MAX_CONTEXT_CHARS,
     TOWER_DTYPE,
+    hash_texts,
     init_fill,
+    span_window,
     tower_shape,
 )
 
@@ -50,6 +55,38 @@ def test_train_and_retrieve_never_hold_a_whole_tower(tmp_path):
     assert (tmp_path / "checkpoint.bin").stat().st_size < TOWER_BYTES // 10
     assert train < TOWER_BYTES, train
     assert retrieve < TOWER_BYTES, retrieve
+
+
+def test_retrieve_holds_one_run_of_hashed_windows(tmp_path):
+    """Four times the mentions raise retrieve's traced peak by less than
+    the hashed features of the added windows: they are hashed, encoded and
+    scored a run at a time, never all held together."""
+    o = ["--output-dir", str(tmp_path), "--seed", "0"]
+    corpus = [f"--{name}={tmp_path / f'{name}.jsonl'}" for name in ("events", "relations")]
+    assert main(["synth", *o, "--n-trees", "4", "--mentions-per-event", "2", "--vocab", "120"]) == 0
+    assert main(["split", *o, *corpus]) == 0
+    assert main(["train", *o, *corpus, f"--mentions={tmp_path / 'mentions.jsonl'}",
+                 f"--splits={tmp_path / 'splits.json'}", "--strategy", "HP", "--epochs", "1"]) == 0
+    # full-size windows of the corpus's texts under new ids; repeated texts
+    # read the same tower rows, so the rows loaded do not grow with the count
+    base = load_mentions(tmp_path / "mentions.jsonl")
+    mentions = [
+        dataclasses.replace(m, id=f"Q{i:05d}", context=(m.context + " ") * 4)
+        for i, m in enumerate(base[i % len(base)] for i in range(4 * 600))
+    ]
+    assert len(span_window(mentions[0], DEFAULT_MAX_CONTEXT_CHARS)) == DEFAULT_MAX_CONTEXT_CHARS
+    # 600 mentions fill more than two runs of 256, so both counts peak while
+    # a later run is hashed, with the mention tower in use
+    peaks = []
+    for n in (600, 2400):
+        write_mentions(mentions[:n], tmp_path / f"q{n}.jsonl")
+        peaks.append(traced_peak(
+            ["retrieve", *o, corpus[0], f"--mentions={tmp_path / f'q{n}.jsonl'}",
+             f"--checkpoint={tmp_path / 'checkpoint.bin'}", "--out", f"r{n}.jsonl"]
+        ))
+    windows = [span_window(m, DEFAULT_MAX_CONTEXT_CHARS) for m in mentions[600:]]
+    added = sum(fv.indices.nbytes + fv.values.nbytes for fv in hash_texts(windows, DEFAULT_F))
+    assert peaks[1] - peaks[0] < added, (peaks, added)
 
 
 def test_fill_allocates_no_full_size_temporary():

@@ -1,9 +1,11 @@
 """Candidate index, exact top-k with id tie-break, retrieval files."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,13 +16,16 @@ from hierground import encoder, retrieval
 from hierground.dataset import Mention
 from hierground.encoder import (
     NGRAM_SIZES,
+    WARNING_COUNTS,
     EncoderParams,
     FeatureVector,
     Tower,
     encode,
     event_text,
+    feature_rows,
     init_encoder,
     load_checkpoint,
+    reset_warning_counts,
     save_checkpoint,
     span_window,
 )
@@ -349,7 +354,9 @@ class TestRowSubsetRetrieval:
         index = CandidateIndex(full, events, pool, mode, max_chars)
         want = retrieve_mentions(full, index, mentions, 3, max_chars)
 
-        featurizer, fvs, rows = hash_inputs(events, pool, mentions, F, mode, max_chars, max_chars)
+        featurizer, rows = hash_inputs(events, pool, mentions, F, mode, max_chars, max_chars)
+        fvs = encoder.hash_texts([span_window(m, max_chars) for m in mentions], F)
+        assert rows["mention"].tobytes() == feature_rows(fvs, F).tobytes()
         params = load_checkpoint(path, rows)[0]
         assert isinstance(params.W_mention, Tower) and params.W_mention.rows.size < F
         index = CandidateIndex(params, events, pool, mode, max_chars, featurizer)
@@ -367,9 +374,9 @@ class TestRowSubsetRetrieval:
 
         monkeypatch.setattr(encoder, "ngram_counts_many", counting)
         pool = [e.id for e in events]
-        featurizer, fvs, rows = hash_inputs(events, pool, mentions, 512)
+        featurizer, rows = hash_inputs(events, pool, mentions, 512)
         index = CandidateIndex(init_encoder(512, 8, seed=3), events, pool, featurizer=featurizer)
-        retrieve_mentions(index.params, index, mentions, k=2, fvs=fvs)
+        retrieve_mentions(index.params, index, mentions, k=2)
         # the mentions' three resolved languages, then the windows, each once
         assert calls == [len(events)] * 3 + [len(mentions)]
 
@@ -377,6 +384,58 @@ class TestRowSubsetRetrieval:
         events, mentions = multilingual_corpus()
         with pytest.raises(UnknownEvent, match="candidate pool"):
             hash_inputs(events, ["E1", "MISSING"], mentions, 64)
+
+
+class TestRuns:
+    """Without ``fvs``, ``retrieve_mentions`` hashes, encodes and scores a
+    run of ``_CHUNK_TEXTS`` mentions at a time."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        picks=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["en", "de", "fr", "pl"])),
+                       max_size=12),
+        chunk=st.integers(1, 4),
+        max_chars=st.sampled_from([2, 6, 128]),
+        mode=st.sampled_from(["multilingual", "crosslingual"]),
+        k=st.integers(1, 5),
+    )
+    @example(picks=[(0, "en"), (1, "de"), (2, "en"), (3, "de"), (4, "en")], chunk=2,
+             max_chars=128, mode="multilingual", k=5)
+    def test_bit_equal_to_one_shot_oracle(self, picks, chunk, max_chars, mode, k):
+        # runs that split a language group, and windows too short to hash
+        events, corpus_mentions = multilingual_corpus()
+        mentions = [
+            dataclasses.replace(corpus_mentions[i], id=f"Q{j}", language=language)
+            for j, (i, language) in enumerate(picks)
+        ]
+        params = init_encoder(512, 8, seed=3)
+        index = CandidateIndex(params, events, [e.id for e in events], mode, max_chars)
+        fvs = oracles.hash_texts([span_window(m, max_chars) for m in mentions], 512)
+        want = [
+            topk(index, encode(params, fv, "mention"), k, m.language, m.id)
+            for m, fv in zip(mentions, fvs)
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoder, "_CHUNK_TEXTS", chunk)
+            got = retrieve_mentions(params, index, mentions, k, max_chars)
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 256])
+    def test_empty_windows_warn_once_each(self, chunk, monkeypatch):
+        monkeypatch.setattr(encoder, "_CHUNK_TEXTS", chunk)
+        events, mentions = multilingual_corpus()
+        pool = [e.id for e in events]
+        reset_warning_counts()
+        # windows of two characters hold no n-gram
+        featurizer, rows = hash_inputs(events, pool, mentions, 512, max_context_chars=2)
+        empty_pool = sum(
+            fv.is_zero for language in ("en", "de", "fr") for fv in featurizer.events(pool, language)
+        )
+        assert empty_pool > 0 and rows["mention"].size == 0
+        assert WARNING_COUNTS["empty_feature_vector"] == empty_pool
+        index = CandidateIndex(init_encoder(512, 8, seed=3), events, pool, featurizer=featurizer)
+        retrieve_mentions(index.params, index, mentions, 2, max_context_chars=2)
+        assert WARNING_COUNTS["empty_feature_vector"] == empty_pool + len(mentions)
 
 
 class TestRetrievalFiles:
@@ -566,6 +625,33 @@ class TestBlockKernel:
         languages = [LANGUAGES[i % 3] for i in range(150)]
         for mode in ("multilingual", "crosslingual"):
             assert_matches_oracle(*exact_case(pools, queries, languages, mode), 7)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_group_bound_near_two_groups_per_row(self, data):
+        # two groups a row at n = 2G: both the bound's path and the full
+        # partition's (n < 2G, or k > G), with ties in every row
+        groups = 64  # the kernel's column groups per row
+        n = data.draw(st.integers(2 * groups - 2, 2 * groups + 2))
+        d, n_q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+        cells = st.integers(-2, 2)
+        pool = data.draw(hnp.arrays(np.int64, (n, d), elements=cells))
+        queries = data.draw(hnp.arrays(np.int64, (n_q, d), elements=cells))
+        k = data.draw(st.one_of(st.sampled_from([1, groups - 1, groups, groups + 1, n]),
+                                st.integers(1, n)))
+        case = exact_case({"en": pool}, queries, ["en"] * n_q, "multilingual")
+        assert_matches_oracle(*case, k)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 300)),
+                      elements=st.floats(-1e3, 1e3)), st.data())
+    def test_group_bound_is_at_most_the_kth_score(self, scores, data):
+        k = data.draw(st.integers(1, scores.shape[1]))
+        kth = np.sort(scores, axis=1)[:, -k]
+        bound = retrieval._kth_lower_bound(scores, k)
+        assert np.all(bound <= kth)
+        if scores.shape[1] < 2 * 64 or k > 64:
+            assert bound.tobytes() == kth.tobytes()
 
     def test_empty_mention_list(self):
         params, index, _, _ = exact_case({"en": np.ones((3, 2))}, np.ones((1, 2)), ["en"],
