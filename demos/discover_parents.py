@@ -4,8 +4,12 @@ Once mentions are linked to top-k event sets, the overlap score
 h(child, candidate) = |M_child & M_candidate| / |M_child| ranks candidate
 parents without ever reading the knowledge base's edges.  With perfect
 linking the true parent is always ranked first; a learned retriever
-degrades gracefully.
+degrades gracefully.  Parent discovery reads retrieval lists from a
+retrievals file, as the ``relext`` subcommand does.
 """
+
+import tempfile
+from pathlib import Path
 
 from hierground import dataset, metrics, relext, retrieval, training
 from hierground.kb import build_forest
@@ -17,6 +21,15 @@ events, edges, mentions = dataset.generate_synthetic(
 forest = build_forest(events, edges)
 instances = dataset.expand_gold(forest, mentions)
 pool = sorted(event.id for event in events)
+tmp = tempfile.TemporaryDirectory()
+
+
+def mention_lists(results):
+    """The mention-list matrix of ``results``, through a retrievals file."""
+    path = Path(tmp.name) / "retrievals.jsonl"
+    retrieval.write_retrievals(results, path)
+    return relext.build_mention_lists(path, pool, k=relext.DEFAULT_LIST_K)
+
 
 # --- oracle linking: each mention maps to exactly its gold chain -------
 oracle_results = []
@@ -31,7 +44,7 @@ for inst in instances:
         )
     )
 
-lists = relext.build_mention_lists(oracle_results, pool, k=relext.DEFAULT_LIST_K)
+lists = mention_lists(oracle_results)
 rankings, unlinked = relext.rank_all_parents(lists, pool)
 id_rankings = {e: [p for p, _ in ranked] for e, ranked in rankings.items()}
 print(f"oracle linking : parent recall@1 = {metrics.relext_recall_at_k(id_rankings, forest, 1):.4f}")
@@ -50,10 +63,11 @@ params, _head, _log = training.train(instances, events, forest, config, F=65536,
 index = retrieval.CandidateIndex(params, events, pool)
 results = retrieval.retrieve_mentions(params, index, mentions, k=relext.DEFAULT_LIST_K)
 
-lists = relext.build_mention_lists(results, pool, k=relext.DEFAULT_LIST_K)
+lists = mention_lists(results)
 rankings, unlinked = relext.rank_all_parents(lists, pool)
 id_rankings = {e: [p for p, _ in ranked] for e, ranked in rankings.items()}
 for k in (1, 2, 4):
     print(f"learned linking: parent recall@{k} = {metrics.relext_recall_at_k(id_rankings, forest, k):.4f}")
 if unlinked:
     print(f"unlinked events (overlap score undefined): {unlinked}")
+tmp.cleanup()

@@ -303,7 +303,9 @@ def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> li
     )
     for language in dict.fromkeys(m.language for m in mentions):
         index.matrix(language)
-    # the pool is encoded: the event tower goes before the mention tower loads
+    # the pool is encoded: its hashed texts and the event tower go before
+    # the mention tower loads
+    featurizer.clear()
     index.params = None
     params = encoder.load_checkpoint(checkpoint, {"mention": rows["mention"], "event": stored})[0]
     try:
@@ -462,31 +464,25 @@ def cmd_relext(config: dict, retrievals_path: str, split: str | None) -> list[st
     data = _load_corpus(config, "events", "relations", split=split)
     forest = kb.build_forest(data["events"], data["relations"], config["max_height"])
     pool = dataset.candidate_pool(data["events"], mode="inference")
-    results = retrieval.load_retrievals(retrievals_path)
-    known = set(pool)
-    for result in results:
-        retrieval.check_candidates(result, known)
-    lists = relext.build_mention_lists(results, pool, list_k)
+    lists = relext.build_mention_lists(retrievals_path, pool, list_k)
     # rankings only as long as the parents file or the report reads them
-    m = max(max_ranking, max(RELEXT_RECALL_KS))
-    rankings, unlinked = relext.rank_all_parents(lists, pool, m)
+    top = max(RELEXT_RECALL_KS)
+    rankings, unlinked = relext.rank_all_parents(lists, pool, max(max_ranking, top))
 
     evaluated = sorted(forest.parent)
     if "splits" in data:
         in_split = set(data["splits"].events_in_split(split))
         evaluated = [e for e in evaluated if e in in_split]
-    id_rankings = {
-        event_id: [parent for parent, _ in ranking]
-        for event_id, ranking in rankings.items()
-    }
     report = {
         "n_events_evaluated": len(evaluated),
         "n_unlinked": len(set(unlinked) & set(evaluated)),
     }
-    for k in RELEXT_RECALL_KS:
-        report[f"relext_recall_at_{k}"] = metrics.relext_recall_at_k(
-            id_rankings, forest, k, evaluated
-        )
+    id_rankings = {
+        e: [parent for parent, _ in rankings[e][:top]] for e in evaluated if e in rankings
+    }
+    recalls = metrics.relext_recall_at_ks(id_rankings, forest, RELEXT_RECALL_KS, evaluated)
+    for k, recall in zip(RELEXT_RECALL_KS, recalls):
+        report[f"relext_recall_at_{k}"] = recall
     out = _outdir(config)
     relext.write_parents(rankings, out / "parents.jsonl", max_ranking)
     metrics.write_report(report, out / "relext_report.json")

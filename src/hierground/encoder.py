@@ -395,6 +395,12 @@ class TextFeaturizer:
     def mention(self, mention: Mention) -> Any:
         return self.mentions([mention])[0]
 
+    def clear(self) -> None:
+        """Forget every memoized text's features; a later lookup featurizes
+        its texts again."""
+        self._mention.clear()
+        self._event.clear()
+
     def event(self, event_id: str, mention_language: str, context: str = "") -> Any:
         return self.events([event_id], mention_language, context)[0]
 

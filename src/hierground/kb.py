@@ -314,26 +314,33 @@ def read_jsonl(path: str | Path, **kinds):
         yield from _records(path, enumerate(fh, start=1), kinds)
 
 
-def scored_ids(
+def entry_ids(
     path: str | Path, line_no: int, entries: list, name: str, score: str
-) -> list[tuple[str, float]]:
-    """(id, float score) of each ``{name: string, score: number}`` object in
-    ``entries``, a JSON array of line ``line_no``; any other entry, or a
-    score past the float range, is a ParseError.  The check runs inline,
-    since a retrievals file holds tens of thousands of entries."""
+) -> list[str]:
+    """The id of each ``{name: string, score: number}`` object in ``entries``,
+    a JSON array of line ``line_no``; any other entry, or a score past the
+    float range, is a ParseError.  The check runs inline, since a
+    retrievals file holds tens of thousands of entries."""
     numbers = FIELD_KINDS[float][0]
-    pairs = [
-        (ident, float(value))
-        for entry in entries
-        if type(entry) is dict
-        for ident, value in [(entry.get(name), entry.get(score))]
-        if type(ident) is str and type(value) in numbers and -_MAX_FLOAT <= value <= _MAX_FLOAT
-    ]
-    if len(pairs) < len(entries):
+    ids = []
+    for entry in entries:
+        if type(entry) is dict:
+            ident, value = entry.get(name), entry.get(score)
+            if type(ident) is str and type(value) in numbers and -_MAX_FLOAT <= value <= _MAX_FLOAT:
+                ids.append(ident)
+                continue
         raise ParseError(
             str(path), line_no, f'each entry must be {{"{name}": string, "{score}": finite number}}'
         )
-    return pairs
+    return ids
+
+
+def scored_ids(
+    path: str | Path, line_no: int, entries: list, name: str, score: str
+) -> list[tuple[str, float]]:
+    """(id, float score) of each entry that ``entry_ids`` accepts."""
+    ids = entry_ids(path, line_no, entries, name, score)
+    return [(ident, float(entry[score])) for ident, entry in zip(ids, entries)]
 
 
 def scored_json(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,7 +166,18 @@ def relext_recall_at_k(
     events absent from it (no linked mentions, so the overlap score is
     undefined) count as misses at every k.
     """
-    if k < 1:
+    return relext_recall_at_ks(rankings, forest, [k], events)[0]
+
+
+def relext_recall_at_ks(
+    rankings: dict[str, list[str]],
+    forest: HierarchyForest,
+    ks: Sequence[int],
+    events: list[str] | None = None,
+) -> list[float]:
+    """``relext_recall_at_k`` at each k of ``ks``, from one pass that finds
+    each evaluated parent's position in its child's ranking."""
+    if min(ks) < 1:
         raise ValueError("k must be >= 1")
     if events is None:
         events = sorted(forest.parent)
@@ -172,13 +185,14 @@ def relext_recall_at_k(
         events = [e for e in events if e in forest.parent]
     if not events:
         raise EmptyRecords("no non-root hierarchy events to evaluate")
-    hits = 0
+    top = max(ks)
+    ranks = []
     for child in events:
-        ranking = rankings.get(child)
-        if ranking is None:
-            continue
-        hits += forest.parent[child] in ranking[:k]
-    return hits / len(events)
+        ranking = (rankings.get(child) or [])[:top]
+        parent = forest.parent[child]
+        ranks.append(ranking.index(parent) if parent in ranking else top)
+    ranks.sort()
+    return [bisect_left(ranks, k) / len(events) for k in ks]
 
 
 def write_report(report: dict, path: str | Path) -> None:

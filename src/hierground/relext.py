@@ -10,37 +10,53 @@ retrieval lists alone; no trained relation model is involved.
 from __future__ import annotations
 
 import json
-from itertools import islice
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, UndefinedScore
-from .kb import read_jsonl, scored_ids, scored_json
-from .retrieval import RetrievalResult
+from .errors import InvalidConfig, UndefinedScore, UnknownEvent
+from .kb import entry_ids, read_jsonl, scored_ids
+from .retrieval import retrieval_lines
 
 DEFAULT_LIST_K = 4
 DEFAULT_MAX_RANKING = 16
 
 
 def build_mention_lists(
-    results: list[RetrievalResult], pool: list[str], k: int = DEFAULT_LIST_K
+    path: str | Path, pool: list[str], k: int = DEFAULT_LIST_K
 ) -> np.ndarray:
-    """The mention lists as an n x ``k`` int64 matrix of pool positions.
+    """A retrievals file's mention lists as an n x ``k`` int64 matrix of
+    pool positions.
 
-    Row i holds the positions in ``sorted(pool)`` of the distinct pool
-    events among the first ``k`` candidates of ``results[i]``, in list
-    order, padded with -1; root-padded lists repeat ids, and a mention
-    counts once per event.  M_e is the set of rows that hold e.
+    Row i holds the positions in ``sorted(pool)`` of the distinct events
+    among the first ``k`` candidates of line i, in list order, padded with
+    -1; root-padded lists repeat ids, and a mention counts once per event.
+    M_e is the set of rows that hold e.  Each line is read once, by
+    ``retrieval_lines``.  A candidate outside the pool, at any position, is
+    UnknownEvent: the first one in the file, raised after the last line, so
+    that a ParseError anywhere comes first.
     """
     if k < 1:
         raise InvalidConfig(f"mention list length must be >= 1, got {k}")
     position = {event_id: i for i, event_id in enumerate(sorted(pool))}
-    lists = np.full((len(results), k), -1, dtype=np.int64)
-    for row, result in zip(lists, results):
-        events = [position[e] for e in dict.fromkeys(result.event_ids[:k]) if e in position]
-        row[: len(events)] = events
-    return lists
+    flat: list[int] = []
+    padding = [-1] * k
+    unknown = None
+    for mention_id, ids in retrieval_lines(path, entry_ids):
+        if unknown is not None:
+            continue
+        try:
+            row = [position[event_id] for event_id in ids]
+        except KeyError as exc:
+            unknown = UnknownEvent(exc.args[0], f"candidate of mention {mention_id!r}")
+            continue
+        row = list(dict.fromkeys(row[:k]))
+        flat += row
+        flat += padding[len(row) :]
+    if unknown is not None:
+        raise unknown
+    return np.array(flat, dtype=np.int64).reshape(-1, k)
 
 
 def rank_parents(
@@ -73,31 +89,39 @@ def rank_all_parents(
 
     ``lists`` is ``build_mention_lists`` over the same pool.  Each row's
     outer product gives one event * P + candidate key per pair sharing the
-    mention; one ``np.unique`` counts them and one ``lexsort`` by (event,
-    -count, id) orders each event's candidates.  A ranking shorter than
-    ``m`` is padded with the smallest-id zero-score pool events while the
-    pool lasts.  ``pool`` holds distinct ids in any order; unlinked ids
+    mention; one ``np.unique`` counts them and one stable ``argsort`` by
+    (event, -count) orders each event's candidates.  A ranking shorter
+    than ``m`` is padded with the smallest-id zero-score pool events while
+    the pool lasts.  ``pool`` holds distinct ids in any order; unlinked ids
     are returned apart, in pool order.
     """
     if m < 1:
         raise InvalidConfig(f"ranking length must be >= 1, got {m}")
     ids = sorted(pool)
+    P = len(ids)
     a, b = lists[:, :, None], lists[:, None, :]
-    pairs = (a * len(ids) + b)[(a >= 0) & (b >= 0) & (a != b)]
-    keys, counts = np.unique(pairs, return_counts=True)
-    denom = np.bincount(lists[lists >= 0], minlength=len(ids))
-    event, candidate = np.divmod(keys, len(ids))
-    order = np.lexsort((candidate, -counts, event))
+    pairs = (a * P + b)[(a >= 0) & (b >= 0) & (a != b)]
+    denom = np.bincount(lists[lists >= 0], minlength=P)
+    linked = np.flatnonzero(denom)
+    # the padding: each linked event's first m + 1 ids but itself, counted
+    # once less, so that at count 0 they follow its co-occurring candidates
+    # by id; an event with r < m of those finds m - r zeros among them
+    width = min(m + 1, P)
+    near = (linked[:, None] * P + np.arange(width)).ravel()
+    near = near[near // P != near % P]
+    keys, counts = np.unique(np.concatenate([pairs, near]), return_counts=True)
+    event, candidate = np.divmod(keys, P)
+    counts -= (candidate < width) & (candidate != event)
+    # keys ascend, so a stable sort by (event, -count) leaves ties by id
+    order = np.argsort(event * (counts.max(initial=0) + 1) - counts, kind="stable")
     event, candidate, h = event[order], candidate[order], (counts / denom[event])[order]
     top = np.arange(event.size) - np.searchsorted(event, event) < m
-    linked = {ids[e] for e in np.flatnonzero(denom).tolist()}
-    rankings: dict[str, list[tuple[str, float]]] = {e: [] for e in pool if e in linked}
-    for e, c, score in zip(event[top].tolist(), candidate[top].tolist(), h[top].tolist()):
-        rankings[ids[e]].append((ids[c], score))
-    for event_id, ranking in rankings.items():
-        taken = {c for c, _ in ranking} | {event_id}
-        ranking += islice(((c, 0.0) for c in ids if c not in taken), m - len(ranking))
-    return rankings, [e for e in pool if e not in linked]
+    event, candidate, h = event[top], candidate[top], h[top]
+    entries = list(zip([ids[c] for c in candidate.tolist()], h.tolist()))
+    ends = np.cumsum(np.bincount(event, minlength=P)[linked]).tolist()
+    ranked = {ids[e]: entries[i:j] for e, i, j in zip(linked.tolist(), [0, *ends], ends)}
+    rankings = {e: ranked[e] for e in pool if e in ranked}
+    return rankings, [e for e in pool if e not in ranked]
 
 
 def write_parents(
@@ -106,12 +130,18 @@ def write_parents(
     max_ranking: int = DEFAULT_MAX_RANKING,
 ) -> None:
     """One ``json.dumps(record)`` line per event in id order, formatted
-    directly as ``write_retrievals`` does."""
-    quoted: dict[str, str] = {}
+    directly: an entry is its parent's quoted prefix, made once per id, and
+    ``repr`` of its float h, made once per value (apart for a zero, whose
+    sign ``==`` does not see)."""
+    prefix = cache(lambda parent: f'{{"parent": {json.dumps(parent)}, "h": ')
+    number = cache(lambda h: f"{h!r}}}")
     with open(path, "w", encoding="utf-8") as fh:
         for event_id in sorted(rankings):
-            ranking = scored_json(rankings[event_id][:max_ranking], "parent", "h", quoted)
-            fh.write(f'{{"event": {json.dumps(event_id)}, "ranking": {ranking}}}\n')
+            entries = ", ".join([
+                prefix(parent) + (number(h) if h else f"{h!r}}}")
+                for parent, h in rankings[event_id][:max_ranking]
+            ])
+            fh.write(f'{{"event": {json.dumps(event_id)}, "ranking": [{entries}]}}\n')
 
 
 def load_parents(path: str | Path) -> dict[str, list[tuple[str, float]]]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Container
+from collections.abc import Callable, Container, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -315,18 +315,29 @@ def write_retrievals(results: list[RetrievalResult], path: str | Path) -> None:
             )
 
 
-def load_retrievals(path: str | Path) -> list[RetrievalResult]:
-    """One result per line; a repeated ``mention_id`` is a ParseError."""
-    results: list[RetrievalResult] = []
+def retrieval_lines(path: str | Path, read: Callable[..., list]) -> Iterator[tuple[str, list]]:
+    """(mention id, ``read(path, line number, candidates, "event",
+    "score")``) of each line of a retrievals file: ``kb.entry_ids`` reads
+    the candidate ids and ``kb.scored_ids`` (id, score) pairs, each after
+    checking every entry.  A repeated ``mention_id`` is a ParseError.  The
+    one reader of the format, shared by ``load_retrievals`` and
+    ``relext.build_mention_lists``."""
     first_line: dict[str, int] = {}
     for line_no, obj in read_jsonl(path, mention_id=str, candidates=list):
-        candidates = scored_ids(path, line_no, obj["candidates"], "event", "score")
+        candidates = read(path, line_no, obj["candidates"], "event", "score")
         mention_id = obj["mention_id"]
         seen = first_line.setdefault(mention_id, line_no)
         if seen != line_no:
             raise ParseError(str(path), line_no, f"mention_id {mention_id!r} repeats line {seen}")
-        results.append(RetrievalResult(mention_id, candidates))
-    return results
+        yield mention_id, candidates
+
+
+def load_retrievals(path: str | Path) -> list[RetrievalResult]:
+    """One result per line of ``retrieval_lines``."""
+    return [
+        RetrievalResult(mention_id, pairs)
+        for mention_id, pairs in retrieval_lines(path, scored_ids)
+    ]
 
 
 def check_candidates(result: RetrievalResult, events: Container[str]) -> None:

@@ -248,12 +248,11 @@ def _labels(gold_sets: list[frozenset[str]], pool_ids: list[str]) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return out
+    """The logistic function as float64, from one ``e = exp(-|x|)``:
+    ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` elsewhere, so no
+    exponential overflows and each branch rounds as its own formula does."""
+    e = np.exp(-np.abs(x))
+    return (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(float, copy=False)
 
 
 def hierarchy_loss(

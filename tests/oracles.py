@@ -1,10 +1,14 @@
 """Scalar references for the library's batched code.
 
 Nothing in ``hierground`` calls these: each is the one-text, one-pair or
-one-score form that a batched kernel replaced, kept so the tests can
-compare the kernel against it.  ``whole_towers`` wraps hand-made arrays
+one-score form that a batched kernel replaced, or the multi-pass form of a
+one-pass reader or writer, kept so the tests can compare the new code
+against it.  ``whole_towers`` wraps hand-made arrays
 as the towers ``EncoderParams`` holds.
 """
+
+import json
+import sys
 
 import numpy as np
 
@@ -22,9 +26,10 @@ from hierground.encoder import (
     ngram_counts_many,
     span_window,
 )
-from hierground.errors import DimensionMismatch
-from hierground.kb import FALLBACK_LANGUAGE, Event
+from hierground.errors import DimensionMismatch, ParseError
+from hierground.kb import FALLBACK_LANGUAGE, Event, read_jsonl, scored_json
 from hierground.rerank import BLOCK_BUCKETS, PAIR_DIM, Block, PairFeaturizer
+from hierground.retrieval import RetrievalResult, check_candidates
 from hierground.training import ComplExHead, _complex_cells, _project
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -185,3 +190,73 @@ def complex_score(head: ComplExHead, e_p_vec: np.ndarray, e_c_vec: np.ndarray) -
     if e_p_vec.shape != (head.d,) or e_c_vec.shape != (head.d,):
         raise DimensionMismatch(f"event encodings must be {head.d}-dim")
     return float(complex_score_matrix(head, e_p_vec[None, :], e_c_vec[None, :])[0, 0])
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function by sign, through boolean gathers and scatters:
+    the reference for ``training.sigmoid``."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    expx = np.exp(x[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return out
+
+
+def scored_ids(path, line_no: int, entries: list, name: str, score: str) -> list[tuple[str, float]]:
+    """(id, float score) of each ``{name: string, score: finite number}``
+    entry, any other entry a ParseError: the entry check ``kb.entry_ids``
+    replaced."""
+    numbers, top = (float, int), sys.float_info.max
+    pairs = [
+        (ident, float(value))
+        for entry in entries
+        if type(entry) is dict
+        for ident, value in [(entry.get(name), entry.get(score))]
+        if type(ident) is str and type(value) in numbers and -top <= value <= top
+    ]
+    if len(pairs) < len(entries):
+        raise ParseError(
+            str(path), line_no, f'each entry must be {{"{name}": string, "{score}": finite number}}'
+        )
+    return pairs
+
+
+def load_retrievals(path) -> list[RetrievalResult]:
+    """Every line as a result of (id, float) pairs, before any id check."""
+    results: list[RetrievalResult] = []
+    first_line: dict[str, int] = {}
+    for line_no, obj in read_jsonl(path, mention_id=str, candidates=list):
+        candidates = scored_ids(path, line_no, obj["candidates"], "event", "score")
+        mention_id = obj["mention_id"]
+        seen = first_line.setdefault(mention_id, line_no)
+        if seen != line_no:
+            raise ParseError(str(path), line_no, f"mention_id {mention_id!r} repeats line {seen}")
+        results.append(RetrievalResult(mention_id, candidates))
+    return results
+
+
+def mention_lists(path, pool: list[str], k: int) -> np.ndarray:
+    """``relext.build_mention_lists`` as three passes: load every result,
+    check every candidate against the pool, then fill the matrix a row at
+    a time."""
+    results = load_retrievals(path)
+    known = set(pool)
+    for result in results:
+        check_candidates(result, known)
+    position = {event_id: i for i, event_id in enumerate(sorted(pool))}
+    lists = np.full((len(results), k), -1, dtype=np.int64)
+    for row, result in zip(lists, results):
+        events = [position[e] for e in dict.fromkeys(result.event_ids[:k])]
+        row[: len(events)] = events
+    return lists
+
+
+def write_parents(rankings: dict[str, list[tuple[str, float]]], path, max_ranking: int) -> None:
+    """The parents file through ``kb.scored_json``, one f-string per entry:
+    the reference for ``relext.write_parents``."""
+    quoted: dict[str, str] = {}
+    with open(path, "w", encoding="utf-8") as fh:
+        for event_id in sorted(rankings):
+            ranking = scored_json(rankings[event_id][:max_ranking], "parent", "h", quoted)
+            fh.write(f'{{"event": {json.dumps(event_id)}, "ranking": {ranking}}}\n')

@@ -27,7 +27,7 @@ from hierground.kb import (
     build_forest,
 )
 from hierground.metrics import NULL_EVENT, EvalRecord
-from hierground.retrieval import RetrievalResult
+from hierground.retrieval import RetrievalResult, write_retrievals
 from hierground.training import ComplExHead, TrainConfig
 
 
@@ -417,7 +417,7 @@ def test_06_synthetic_overfit():
 # 7. Parent discovery with a perfect retriever
 
 
-def test_07_relext_with_perfect_retriever():
+def test_07_relext_with_perfect_retriever(tmp_path):
     configs = [
         SyntheticConfig(),
         SyntheticConfig(
@@ -443,7 +443,9 @@ def test_07_relext_with_perfect_retriever():
                 )
             )
         pool = sorted(e.id for e in events)
-        lists = relext.build_mention_lists(results, pool, k=relext.DEFAULT_LIST_K)
+        path = tmp_path / f"retrievals_{config.seed}.jsonl"
+        write_retrievals(results, path)
+        lists = relext.build_mention_lists(path, pool, k=relext.DEFAULT_LIST_K)
         rankings, unlinked = relext.rank_all_parents(lists, pool)
         assert unlinked == []
         id_rankings = {e: [p for p, _ in ranked] for e, ranked in rankings.items()}

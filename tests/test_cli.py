@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -486,28 +487,98 @@ def relext_argv(pipeline, tmp_path, retrievals=None) -> list[str]:
             "--retrievals", retrievals or str(pipeline / "retrievals_all.jsonl")]
 
 
-def repeated_mention(pipeline, tmp_path) -> str:
-    """A copy of the full retrievals file whose first record comes again last."""
-    lines = (pipeline / "retrievals_all.jsonl").read_text("utf-8").splitlines()
-    path = tmp_path / "repeated_retrievals_all.jsonl"
-    path.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
-    return str(path)
+ENTRY_REASON = 'each entry must be {"event": string, "score": finite number}'
+NOPE = {"event": "QNOPE", "score": 1.0}
 
 
-# row -> (extra flags, config file object or None, retrievals maker or None, error)
+# edits of the retrievals file's lines, each returning new lines
+def first_candidate(index: int, value):
+    """The first record's candidate ``index`` set to ``value``."""
+
+    def edit(lines: list[str]) -> list[str]:
+        record = json.loads(lines[0])
+        record["candidates"][index] = value
+        return [json.dumps(record), *lines[1:]]
+
+    return edit
+
+
+def first_score(literal: str):
+    """``literal`` written as the first record's first score."""
+    return lambda lines: [
+        re.sub(r'"score": [^,}]+', f'"score": {literal}', lines[0], count=1), *lines[1:]
+    ]
+
+
+def middle_line(text: str):
+    """``text`` in place of the middle line."""
+    return lambda lines: [*lines[: len(lines) // 2], text, *lines[len(lines) // 2 + 1 :]]
+
+
+def repeat_first(lines: list[str]) -> list[str]:
+    """The first record's line again, last."""
+    return [*lines, lines[0]]
+
+
+# the error context each edit gives, from the unedited lines (a
+# ParseError's path is the edited file's)
+def at_middle(reason: str):
+    return lambda lines: {"line": len(lines) // 2 + 1, "reason": reason}
+
+
+def at_first(reason: str):
+    return lambda lines: {"line": 1, "reason": reason}
+
+
+def repeats_line_1(lines: list[str]) -> dict:
+    mention_id = json.loads(lines[0])["mention_id"]
+    return {"line": len(lines) + 1, "reason": f"mention_id {mention_id!r} repeats line 1"}
+
+
+def unknown(lines: list[str]) -> dict:
+    return {"event_id": "QNOPE"}
+
+
+# row -> (extra flags, config file object or None, edit of the full
+# retrievals file or None, error, its context or None)
 BAD_RELEXT = {
-    "max-ranking--1": (["--max-ranking", "-1"], None, None, "ConfigError"),
-    "max-ranking-0": (["--max-ranking", "0"], None, None, "ConfigError"),
-    "list-k--2": (["--list-k", "-2"], None, None, "ConfigError"),
-    "config-max-ranking-x": ([], {"relext": {"max_ranking": "x"}}, None, "ConfigError"),
-    "config-list-k-true": ([], {"relext": {"list_k": True}}, None, "ConfigError"),
-    "config-relext-5": ([], {"relext": 5}, None, "ConfigError"),
-    "unknown-candidate": (
-        [], None,
-        lambda p, t: broken_retrievals(p, t, "retrievals_all.jsonl", "event"),
-        "UnknownEvent",
+    "max-ranking--1": (["--max-ranking", "-1"], None, None, "ConfigError", None),
+    "max-ranking-0": (["--max-ranking", "0"], None, None, "ConfigError", None),
+    "list-k--2": (["--list-k", "-2"], None, None, "ConfigError", None),
+    "config-max-ranking-x": (
+        [], {"relext": {"max_ranking": "x"}}, None, "ConfigError", None
     ),
-    "repeated-mention": ([], None, repeated_mention, "ParseError"),
+    "config-list-k-true": ([], {"relext": {"list_k": True}}, None, "ConfigError", None),
+    "config-relext-5": ([], {"relext": 5}, None, "ConfigError", None),
+    "unknown-candidate": ([], None, first_candidate(0, NOPE), "UnknownEvent", unknown),
+    "repeated-mention": ([], None, repeat_first, "ParseError", repeats_line_1),
+    "bad-json-middle": (
+        [], None, middle_line('{"mention_id": "MX", "candidates": [}'), "ParseError",
+        at_middle("bad JSON: Expecting value"),
+    ),
+    "array-line": (
+        [], None, middle_line("[1, 2]"), "ParseError", at_middle("must hold a JSON object")
+    ),
+    "no-candidates": (
+        [], None, middle_line('{"mention_id": "MX"}'), "ParseError",
+        at_middle("field 'candidates' is missing"),
+    ),
+    "string-score": ([], None, first_score('"1.0"'), "ParseError", at_first(ENTRY_REASON)),
+    "nan-score": (
+        [], None, first_score("NaN"), "ParseError",
+        at_first("bad JSON: NaN is not a JSON number"),
+    ),
+    "1e400-score": ([], None, first_score("1e400"), "ParseError", at_first(ENTRY_REASON)),
+    "entry-not-object": (
+        [], None, first_candidate(1, ["E0000", 1.0]), "ParseError", at_first(ENTRY_REASON)
+    ),
+    # list_k is 4 and the lists hold 8
+    "unknown-past-list-k": ([], None, first_candidate(6, NOPE), "UnknownEvent", unknown),
+    # a ParseError anywhere wins over an unknown candidate before it
+    "unknown-then-repeat": (
+        [], None, lambda lines: repeat_first(first_candidate(0, NOPE)(lines)), "ParseError",
+        repeats_line_1,
+    ),
 }
 
 
@@ -516,9 +587,13 @@ class TestRelextRejects:
 
     @pytest.mark.parametrize("row", list(BAD_RELEXT))
     def test_rejected(self, pipeline, tmp_path, capsys, row):
-        flags, config, make_retrievals, error = BAD_RELEXT[row]
-        retrievals = make_retrievals(pipeline, tmp_path) if make_retrievals else None
-        argv = relext_argv(pipeline, tmp_path, retrievals) + flags
+        flags, config, edit, error, context = BAD_RELEXT[row]
+        argv = relext_argv(pipeline, tmp_path) + flags
+        if edit is not None:
+            lines = (pipeline / "retrievals_all.jsonl").read_text("utf-8").splitlines()
+            path = tmp_path / "edited_retrievals_all.jsonl"
+            path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+            argv = relext_argv(pipeline, tmp_path, str(path)) + flags
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
             argv += ["--config", str(tmp_path / "config.json")]
@@ -526,11 +601,11 @@ class TestRelextRejects:
         record = only_error(capsys)
         assert record["error"] == error
         assert not (tmp_path / "parents.jsonl").exists()
-        if error == "ParseError":
-            lines = (pipeline / "retrievals_all.jsonl").read_text("utf-8").splitlines()
-            assert record["context"]["line"] == len(lines) + 1
-        elif error == "UnknownEvent":
-            assert record["context"]["event_id"] == "QNOPE"
+        if context is not None:
+            want = context(lines)
+            if error == "ParseError":
+                want["path"] = str(path)
+            assert record["context"] == want
 
     def test_short_parents_file_keeps_the_report(self, pipeline, tmp_path):
         assert main(relext_argv(pipeline, tmp_path) + ["--max-ranking", "1"]) == 0

@@ -1,11 +1,15 @@
 """Mention list inversion, overlap scores, parent rankings, parents file."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hierground.errors import InvalidConfig, ParseError, UndefinedScore
+import oracles
+from hierground.errors import InvalidConfig, ParseError, UndefinedScore, UnknownEvent
 from hierground.relext import (
     DEFAULT_LIST_K,
     DEFAULT_MAX_RANKING,
@@ -15,7 +19,7 @@ from hierground.relext import (
     rank_parents,
     write_parents,
 )
-from hierground.retrieval import RetrievalResult
+from hierground.retrieval import RetrievalResult, write_retrievals
 
 
 def mentions_of(assignments: dict[str, set[str]], event_id: str) -> set[str]:
@@ -34,34 +38,44 @@ def result_of(mid: str, ids: list[str]) -> RetrievalResult:
     return RetrievalResult(mid, [(event_id, 0.0) for event_id in ids])
 
 
+def mention_lists(
+    results: list[RetrievalResult], pool: list[str], k: int = DEFAULT_LIST_K
+) -> np.ndarray:
+    """``build_mention_lists`` of ``results`` written to a retrievals file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "retrievals.jsonl"
+        write_retrievals(results, path)
+        return build_mention_lists(path, pool, k)
+
+
 def lists_from(assignments: dict[str, set[str]], pool: list[str]) -> np.ndarray:
     """The mention-list matrix of mention -> events sets over ``pool``."""
     results = [result_of(mid, sorted(events)) for mid, events in assignments.items()]
     k = max([1] + [len(events) for events in assignments.values()])
-    return build_mention_lists(results, pool, k)
+    return mention_lists(results, pool, k)
 
 
 class TestBuildMentionLists:
     def test_single_mention_links_all_top_k(self):
-        lists = build_mention_lists(
+        lists = mention_lists(
             [result_of("m", ["A", "B", "C", "D"])], ["D", "C", "B", "A"], k=4
         )
         assert lists.dtype == np.int64
         assert lists.tolist() == [[0, 1, 2, 3]]
 
     def test_truncates_to_k(self):
-        lists = build_mention_lists(
+        lists = mention_lists(
             [result_of("m", ["A", "B", "C", "D"])], ["A", "B", "C", "D"], k=2
         )
         assert lists.tolist() == [[0, 1]]
 
     def test_never_retrieved_event_is_absent(self):
-        lists = build_mention_lists([result_of("m", ["A"])], ["A", "Z"], k=4)
+        lists = mention_lists([result_of("m", ["A"])], ["A", "Z"], k=4)
         assert lists.tolist() == [[0, -1, -1, -1]]
 
     def test_shared_candidate_collects_both_mentions(self):
         pool = ["A", "B", "C"]
-        lists = build_mention_lists(
+        lists = mention_lists(
             [result_of("m1", ["A", "B"]), result_of("m2", ["A", "C"])], pool, k=2
         )
         assert lists.tolist() == [[0, 1], [0, 2]]
@@ -72,26 +86,28 @@ class TestBuildMentionLists:
     def test_default_k_is_four(self):
         assert DEFAULT_LIST_K == 4
         pool = ["A", "B", "C", "D", "E"]
-        lists = build_mention_lists([result_of("m", pool)], pool)
+        lists = mention_lists([result_of("m", pool)], pool)
         assert lists.tolist() == [[0, 1, 2, 3]]
 
     def test_repeats_count_once_in_list_order(self):
         # a root-padded oracle list: the root fills the tail
-        lists = build_mention_lists(
+        lists = mention_lists(
             [result_of("m", ["C", "A", "R", "R", "R"])], ["A", "C", "R"], k=5
         )
         assert lists.tolist() == [[1, 0, 2, -1, -1]]
 
-    def test_ids_outside_the_pool_are_dropped(self):
-        lists = build_mention_lists(
-            [result_of("m", ["X", "B", "Y", "A"])], ["A", "B"], k=3
-        )
-        assert lists.tolist() == [[1, -1, -1]]
+    def test_ids_outside_the_pool_raise(self):
+        # the first unknown id of the file, inside the k cut or past it
+        for ids in (["X", "B", "Y", "A"], ["B", "A", "A", "X", "Y"]):
+            with pytest.raises(UnknownEvent) as err:
+                mention_lists([result_of("m1", ["A"]), result_of("m2", ids)], ["A", "B"], k=3)
+            assert err.value.event_id == "X"
+            assert "candidate of mention 'm2'" in str(err.value)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_non_positive_length(self, k):
         with pytest.raises(InvalidConfig):
-            build_mention_lists([result_of("m", ["A", "B"])], ["A", "B"], k)
+            mention_lists([result_of("m", ["A", "B"])], ["A", "B"], k)
 
 
 class TestHScore:
@@ -247,9 +263,10 @@ class TestRankAllParents:
     @example(case=([["E1", "E1", "E1", "E2"]], ["E2", "E1"], 3, 1))
     def test_is_prefix_of_full_ranking(self, case):
         candidates, pool, k, m = case
-        lists = build_mention_lists(
-            [result_of(f"m{j}", ids) for j, ids in enumerate(candidates)], pool, k
-        )
+        # an id outside the pool is an UnknownEvent, so only the pool ids
+        # inside the k cut are written: the matrix the drawn lists mean
+        kept = [[e for e in ids[:k] if e in pool] for ids in candidates]
+        lists = mention_lists([result_of(f"m{j}", ids) for j, ids in enumerate(kept)], pool, k)
         assignments = {f"m{j}": set(ids[:k]) for j, ids in enumerate(candidates)}
         rankings, unlinked = rank_all_parents(lists, pool, m)
         expected_unlinked = []
@@ -312,3 +329,82 @@ class TestParentsFile:
         with pytest.raises(ParseError) as err:
             load_parents(path)
         assert (err.value.path, err.value.line) == (str(path), 2)
+
+
+@st.composite
+def retrievals_files(draw):
+    """(retrievals file text, pool, k): root-padded lists that repeat ids,
+    shorter or longer than k; some files name an id outside the pool,
+    repeat a mention id or both."""
+    pool = draw(st.lists(st.sampled_from(EVENT_IDS), min_size=1, max_size=8, unique=True))
+    strays = draw(st.booleans())
+    names = st.sampled_from(sorted(pool) + (OUTSIDE_IDS if strays else []))
+    lines = []
+    for j, chain in enumerate(draw(st.lists(st.lists(names, max_size=6), max_size=9))):
+        ids = chain + chain[-1:] * draw(st.integers(0, 5))
+        scores = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(ids), max_size=len(ids)))
+        entries = ", ".join(
+            f'{{"event": "{e}", "score": {score!r}}}' for e, score in zip(ids, scores)
+        )
+        lines.append(f'{{"mention_id": "m{j}", "candidates": [{entries}]}}\n')
+    if lines and draw(st.booleans()):
+        lines.append(lines[0])
+    return "".join(lines), pool, draw(st.integers(1, 9))
+
+
+def outcome(build, path, pool, k):
+    """The matrix, or the type and text of the input error raised."""
+    try:
+        return build(path, pool, k)
+    except (ParseError, UnknownEvent) as exc:
+        return type(exc), str(exc)
+
+
+AWKWARD_IDS = ['E"1', "E\\2", "E\u2028", "E\U0001f600", "\u00e9v\u00e9nement", "", "E/3"]
+H_VALUES = [0.0, -0.0, 1.0, 5e-324, 1 / 3, 2 / 3, 0.5]
+
+
+class TestAgainstOracles:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=retrievals_files())
+    # an unknown id past the k cut, then a repeated mention id: the ParseError wins
+    @example(case=(
+        '{"mention_id": "m0", "candidates": [{"event": "E1", "score": 1.0}, '
+        '{"event": "X0", "score": 0.5}]}\n'
+        '{"mention_id": "m0", "candidates": []}\n', ["E1"], 1,
+    ))
+    def test_matrix_matches_the_three_pass_chain(self, case):
+        text, pool, k = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "retrievals.jsonl"
+            path.write_text(text, encoding="utf-8")
+            got = outcome(build_mention_lists, path, pool, k)
+            want = outcome(oracles.mention_lists, path, pool, k)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        rankings=st.dictionaries(
+            st.sampled_from(AWKWARD_IDS) | st.text(max_size=4),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(AWKWARD_IDS) | st.text(max_size=4),
+                    st.sampled_from(H_VALUES) | st.floats(0.0, 1.0),
+                ),
+                max_size=20,
+            ),
+            max_size=6,
+        ),
+        max_ranking=st.integers(1, 20),
+    )
+    def test_parents_file_matches_the_scored_json_writer(self, rankings, max_ranking):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
+            write_parents(rankings, got, max_ranking)
+            oracles.write_parents(rankings, want, max_ranking)
+            assert got.read_bytes() == want.read_bytes()

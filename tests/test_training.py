@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import (
     complex_score,
     complex_score_matrix,
@@ -920,6 +921,30 @@ def fv_batches(draw, n_slots: int):
     )
     head = ComplExHead(*(rng.uniform(-1.0, 1.0, size=s) for s in [(d, d)] * 2 + [d] * 3))
     return params, head, fvs
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+        step=st.integers(1, 3),
+    )
+    # both zeros, both infinities, subnormals and the float range's ends
+    @example(values=[0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308], step=1)
+    def test_bit_equal_to_the_masked_form(self, values, step):
+        x = np.array(values)[::step]
+        assert sigmoid(x).tobytes() == oracles.sigmoid(x).tobytes()
+
+    def test_matrices_and_other_dtypes(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((26, 44)) * 40
+        assert sigmoid(x).tobytes() == oracles.sigmoid(x).tobytes()
+        assert sigmoid(x[:, ::3]).tobytes() == oracles.sigmoid(x[:, ::3]).tobytes()
+        for dtype in (np.float32, np.int64):
+            y = x.astype(dtype)
+            got, want = sigmoid(y), oracles.sigmoid(y)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOracleEquivalence:
