@@ -8,7 +8,6 @@ fixed top-x cut it does not need to know each mention's gold-set size.
 
 from hierground import dataset, metrics, rerank, retrieval, training
 from hierground.kb import build_forest
-from hierground.metrics import EvalRecord
 
 events, edges, mentions = dataset.generate_synthetic(
     dataset.SyntheticConfig(n_trees=6, mentions_per_event=6, vocab=500)
@@ -34,19 +33,9 @@ threshold = rerank.select_threshold(
 )
 print(f"selected threshold {threshold}")
 
-records = []
-for result in results[cut:]:
-    mention = by_mention[result.mention_id]
-    scored = rerank.score_candidates(reranker, featurizer, mention, result)
-    records.append(
-        EvalRecord(
-            mention_id=result.mention_id,
-            gold=golds[result.mention_id],
-            ranking=result.event_ids,
-            predicted=rerank.kept_set(scored, rerank.candidate_probs(scored), threshold),
-            rerank_order=[e for e, _ in scored],
-        )
-    )
+(records,) = rerank.rerank_records(
+    reranker, featurizer, results[cut:], golds, by_mention, (threshold,)
+)
 
 report = metrics.set_metrics(records)
 for key in ("strict_acc", "strict_acc_top_min", "macro_f1", "micro_f1"):

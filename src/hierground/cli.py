@@ -284,36 +284,12 @@ def _select_mentions(data: dict, split: str | None) -> list[dataset.Mention]:
 
 def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> list[str]:
     data = _load_corpus(config, "events", "mentions", split=split)
-    F = encoder.tower_shape(checkpoint)[0]
-    mentions = _select_mentions(data, split)
-    pool = dataset.candidate_pool(data["events"], mode="inference")
-    k = config["retrieve"]["k"]
-    retrieval.check_k(k, len(set(pool)))
     enc = config["encoder"]
-    # the texts first, so each tower is loaded with only the rows they read
-    featurizer, rows = retrieval.hash_inputs(
-        data["events"], pool, mentions, F, config["mode"],
+    results = retrieval.retrieve_from_checkpoint(
+        checkpoint, data["events"], dataset.candidate_pool(data["events"], mode="inference"),
+        _select_mentions(data, split), config["retrieve"]["k"], config["mode"],
         enc["max_context_chars"], enc["max_cand_chars"],
     )
-    # one tower at a time; an empty row set holds the rows the file stores
-    stored = numpy.zeros(0, dtype=numpy.int64)
-    index = retrieval.CandidateIndex(
-        encoder.load_checkpoint(checkpoint, {"event": rows["event"], "mention": stored})[0],
-        data["events"], pool, config["mode"], enc["max_cand_chars"], featurizer,
-    )
-    for language in dict.fromkeys(m.language for m in mentions):
-        index.matrix(language)
-    # the pool is encoded: its hashed texts and the event tower go before
-    # the mention tower loads
-    featurizer.clear()
-    index.params = None
-    params = encoder.load_checkpoint(checkpoint, {"mention": rows["mention"], "event": stored})[0]
-    try:
-        results = retrieval.retrieve_mentions(
-            params, index, mentions, k, enc["max_context_chars"]
-        )
-    except NonFiniteScore as exc:
-        raise NonFiniteScore(exc.what, checkpoint) from None
     retrieval.write_retrievals(results, _outdir(config) / out_name)
     return [out_name]
 
@@ -388,39 +364,27 @@ def cmd_evaluate(
 
     # a set threshold takes precedence over the one the reranker stores
     threshold = _threshold(config)
-    reranker_params = featurizer = None
     if reranker_path:
         reranker_params, stored = rerank.load_reranker(reranker_path)
         threshold = stored if threshold is None else threshold
         if threshold is None:
             raise ConfigError("reranker checkpoint has no threshold; pass --threshold")
         featurizer = _pair_featurizer(config, data["events"])
-        featurizer.mentions([mentions_by_id[result.mention_id] for result in results])
-
-    records = []
-    for result in results:
-        predicted = rerank_order = None
-        if reranker_params is not None:
-            mention = mentions_by_id[result.mention_id]
-            try:
-                scored = rerank.score_candidates(reranker_params, featurizer, mention, result)
-            except NonFiniteScore as exc:
-                raise NonFiniteScore(exc.what, reranker_path) from None
-            rerank_order = [event_id for event_id, _ in scored]
-            predicted = rerank.kept_set(scored, rerank.candidate_probs(scored), threshold)
-        records.append(
-            metrics.EvalRecord(
-                mention_id=result.mention_id,
-                gold=golds[result.mention_id],
-                ranking=result.event_ids,
-                predicted=predicted,
-                rerank_order=rerank_order,
+        try:
+            (records,) = rerank.rerank_records(
+                reranker_params, featurizer, results, golds, mentions_by_id, (threshold,)
             )
-        )
+        except NonFiniteScore as exc:
+            raise NonFiniteScore(exc.what, reranker_path) from None
+    else:
+        records = [
+            metrics.EvalRecord(result.mention_id, golds[result.mention_id], result.event_ids)
+            for result in results
+        ]
 
     out = _outdir(config)
     artifacts = ["report.json", "recall_strict.tsv"]
-    if reranker_params is not None:
+    if reranker_path:
         rerank.write_predictions(
             [(r.mention_id, r.predicted) for r in records], out / "predictions.jsonl"
         )
@@ -438,7 +402,7 @@ def cmd_evaluate(
             atomic = metrics.recall_at_k(records, k, atomic_only=True)
             report[f"atomic_recall_at_{k}"] = atomic
             atomic_rows.append((k, atomic))
-    if reranker_params is not None:
+    if reranker_path:
         report.update(metrics.set_metrics(records))
         report["threshold"] = threshold
 

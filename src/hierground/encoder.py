@@ -392,17 +392,11 @@ class TextFeaturizer:
         pairs = [(event_id, mention_language) for event_id in event_ids]
         return self.featurize([], pairs, context)[1]
 
-    def mention(self, mention: Mention) -> Any:
-        return self.mentions([mention])[0]
-
     def clear(self) -> None:
         """Forget every memoized text's features; a later lookup featurizes
         its texts again."""
         self._mention.clear()
         self._event.clear()
-
-    def event(self, event_id: str, mention_language: str, context: str = "") -> Any:
-        return self.events([event_id], mention_language, context)[0]
 
 
 BLOCK_ROWS = 2048  # tower rows per block when initial values are filled or a file is read

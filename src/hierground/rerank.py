@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Container
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -125,10 +125,10 @@ class PairFeaturizer(TextFeaturizer):
         key = (mention.id, event_id)
         if self._pairs is not None and key in self._pairs:
             return self._pairs[key]
-        fv = _pair_fv(
-            self.mention(mention),
-            self.event(event_id, mention.language, _candidate_of(mention)),
+        (m,), (e,) = self.featurize(
+            [mention], [(event_id, mention.language)], _candidate_of(mention)
         )
+        fv = _pair_fv(m, e)
         if self._pairs is not None:
             self._pairs[key] = fv
         return fv
@@ -385,16 +385,9 @@ def score_candidates(
     )
 
 
-def candidate_probs(scored: list[tuple[str, float]]) -> np.ndarray:
-    """sigmoid of each score, in the order of ``scored``."""
-    return sigmoid(np.array([score for _, score in scored]))
-
-
-def kept_set(
-    scored: list[tuple[str, float]], probs: np.ndarray, threshold: float
-) -> frozenset[str]:
-    """Scored candidates whose probability is >= threshold, or {NULL} when none."""
-    kept = frozenset(event_id for (event_id, _), p in zip(scored, probs) if p >= threshold)
+def kept_set(ids: list[str], probs: np.ndarray, threshold: float) -> frozenset[str]:
+    """The ids whose probability is >= threshold, or {NULL} when none."""
+    kept = frozenset(event_id for event_id, p in zip(ids, probs) if p >= threshold)
     return kept if kept else frozenset({NULL_EVENT})
 
 
@@ -408,7 +401,39 @@ def predict_set(
 ) -> frozenset[str]:
     """Candidates with sigmoid(score) >= threshold, or {NULL} when none."""
     scored = score_candidates(params, featurizer, mention, result, k)
-    return kept_set(scored, candidate_probs(scored), threshold)
+    return kept_set([e for e, _ in scored], sigmoid(np.array([s for _, s in scored])), threshold)
+
+
+def rerank_records(
+    params: RerankerParams,
+    featurizer: PairFeaturizer,
+    results: list[RetrievalResult],
+    golds: dict[str, tuple[str, ...]],
+    mentions: dict[str, Mention],
+    thresholds: Iterable[float],
+    k: int | None = None,
+) -> Iterator[list[EvalRecord]]:
+    """One ``EvalRecord`` list per threshold, in order.  Each result's
+    candidates (its first ``k``) are scored once, before the first list;
+    each list is built when asked for, so a caller reading one at a time
+    holds one."""
+    result_mentions = [_mention_of(mentions, result.mention_id) for result in results]
+    featurizer.mentions(result_mentions)
+    ranked = []
+    for result, mention in zip(results, result_mentions):
+        scored = score_candidates(params, featurizer, mention, result, k)
+        ranked.append((result, [e for e, _ in scored], sigmoid(np.array([s for _, s in scored]))))
+    for tau in thresholds:
+        yield [
+            EvalRecord(
+                mention_id=result.mention_id,
+                gold=golds[result.mention_id],
+                ranking=result.event_ids,
+                predicted=kept_set(order, probs, tau),
+                rerank_order=order,
+            )
+            for result, order, probs in ranked
+        ]
 
 
 def select_threshold(
@@ -428,34 +453,10 @@ def select_threshold(
     """
     if not grid:
         raise InvalidConfig("threshold grid must be non-empty")
-    result_mentions = [_mention_of(mentions, result.mention_id) for result in results]
-    featurizer.mentions(result_mentions)
-    scored_results = []
-    for result, mention in zip(results, result_mentions):
-        scored = score_candidates(params, featurizer, mention, result, k)
-        scored_results.append(
-            (result, scored, candidate_probs(scored), [e for e, _ in scored])
-        )
-    best_tau = None
-    best_product = -1.0
-    for tau in sorted(grid):
-        m = set_metrics(
-            [
-                EvalRecord(
-                    mention_id=result.mention_id,
-                    gold=golds[result.mention_id],
-                    ranking=result.event_ids,
-                    predicted=kept_set(scored, probs, tau),
-                    rerank_order=order,
-                )
-                for result, scored, probs, order in scored_results
-            ]
-        )
-        product = m["strict_acc"] * m["macro_f1"] * m["micro_f1"]
-        if product > best_product:
-            best_product = product
-            best_tau = tau
-    return float(best_tau)
+    taus = sorted(grid)
+    records = rerank_records(params, featurizer, results, golds, mentions, taus, k)
+    products = [m["strict_acc"] * m["macro_f1"] * m["micro_f1"] for m in map(set_metrics, records)]
+    return float(taus[products.index(max(products))])
 
 
 def write_predictions(

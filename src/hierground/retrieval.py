@@ -100,31 +100,6 @@ class CandidateIndex:
         return self._matrices[lang]
 
 
-def hash_inputs(
-    events: list[Event],
-    pool: list[str],
-    mentions: list[Mention],
-    F: int,
-    mode: str = "multilingual",
-    max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
-    max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
-) -> tuple[TextFeaturizer, dict[str, np.ndarray]]:
-    """What retrieving ``mentions`` against ``pool`` needs before any tower
-    is loaded: a featurizer holding the pool's texts hashed in each
-    resolved language of the mentions (for ``CandidateIndex``), and the
-    rows of each tower that encoding the pool and the mention windows reads
-    (for ``load_checkpoint``).  The windows are only marked
-    (``ngram_rows``): ``retrieve_mentions`` hashes them a run at a time."""
-    featurizer = TextFeaturizer(events, hashed(F), mode, max_cand_chars=max_cand_chars)
-    ids = sorted(set(pool))
-    languages = dict.fromkeys(featurizer.language(m.language) for m in mentions)
-    pool_fvs = [
-        fv for lang in languages for fv in featurizer.events(ids, lang, "candidate pool")
-    ]
-    windows = [span_window(m, max_context_chars) for m in mentions]
-    return featurizer, {"mention": ngram_rows(windows, F), "event": feature_rows(pool_fvs, F)}
-
-
 def score_rows(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """The retrieval score of ``vec`` against each row: ``(M[j] * q).sum()``.
 
@@ -296,6 +271,47 @@ def _retrieve_run(
             for i, candidates in zip(chunk, ranked):
                 results[i] = RetrievalResult(mentions[i].id, candidates)
     return results
+
+
+def retrieve_from_checkpoint(
+    path: str | Path,
+    events: list[Event],
+    pool: list[str],
+    mentions: list[Mention],
+    k: int = DEFAULT_K,
+    mode: str = "multilingual",
+    max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
+    max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
+) -> list[RetrievalResult]:
+    """``retrieve_mentions`` with the towers of the checkpoint at ``path``,
+    loaded one at a time with only the rows their texts read: the pool is
+    hashed and encoded, and its hashed texts and the event tower dropped,
+    before the mention windows are marked (``ngram_rows``) and the mention
+    tower loads.  ``NonFiniteScore`` names the checkpoint."""
+    F = encoder.tower_shape(path)[0]
+    ids = sorted(set(pool))
+    check_k(k, len(ids))
+    featurizer = TextFeaturizer(events, hashed(F), mode, max_cand_chars=max_cand_chars)
+    languages = dict.fromkeys(featurizer.language(m.language) for m in mentions)
+    event_rows = feature_rows(
+        [fv for lang in languages for fv in featurizer.events(ids, lang, "candidate pool")], F
+    )
+    # an empty row set holds the rows the file stores
+    stored = np.zeros(0, dtype=np.int64)
+    index = CandidateIndex(
+        encoder.load_checkpoint(path, {"event": event_rows, "mention": stored})[0],
+        events, pool, mode, max_cand_chars, featurizer,
+    )
+    for language in languages:
+        index.matrix(language)
+    featurizer.clear()
+    index.params = None
+    mention_rows = ngram_rows([span_window(m, max_context_chars) for m in mentions], F)
+    params = encoder.load_checkpoint(path, {"mention": mention_rows, "event": stored})[0]
+    try:
+        return retrieve_mentions(params, index, mentions, k, max_context_chars)
+    except NonFiniteScore as exc:
+        raise NonFiniteScore(exc.what, str(path)) from None
 
 
 def write_retrievals(results: list[RetrievalResult], path: str | Path) -> None:

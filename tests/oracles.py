@@ -28,9 +28,11 @@ from hierground.encoder import (
 )
 from hierground.errors import DimensionMismatch, ParseError
 from hierground.kb import FALLBACK_LANGUAGE, Event, read_jsonl, scored_json
-from hierground.rerank import BLOCK_BUCKETS, PAIR_DIM, Block, PairFeaturizer
+from hierground.metrics import NULL_EVENT, EvalRecord
+from hierground.rerank import BLOCK_BUCKETS, PAIR_DIM, Block, PairFeaturizer, score_candidates
 from hierground.retrieval import RetrievalResult, check_candidates
 from hierground.training import ComplExHead, _complex_cells, _project
+from hierground.training import sigmoid as library_sigmoid
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -201,6 +203,40 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     expx = np.exp(x[~pos])
     out[~pos] = expx / (1.0 + expx)
     return out
+
+
+def candidate_probs(scored: list[tuple[str, float]]) -> np.ndarray:
+    """sigmoid of each score, in the order of ``scored``."""
+    return library_sigmoid(np.array([score for _, score in scored]))
+
+
+def kept_set(
+    scored: list[tuple[str, float]], probs: np.ndarray, threshold: float
+) -> frozenset[str]:
+    """Scored candidates whose probability is >= threshold, or {NULL} when none."""
+    kept = frozenset(event_id for (event_id, _), p in zip(scored, probs) if p >= threshold)
+    return kept if kept else frozenset({NULL_EVENT})
+
+
+def rerank_records(
+    params, featurizer, results, golds, mentions, threshold: float, k=None
+) -> list[EvalRecord]:
+    """``rerank.rerank_records``' list at one threshold, built one record
+    at a time: ``score_candidates``, ``candidate_probs``, ``kept_set`` over
+    the (id, score) pairs, then the record."""
+    records = []
+    for result in results:
+        scored = score_candidates(params, featurizer, mentions[result.mention_id], result, k)
+        records.append(
+            EvalRecord(
+                mention_id=result.mention_id,
+                gold=golds[result.mention_id],
+                ranking=result.event_ids,
+                predicted=kept_set(scored, candidate_probs(scored), threshold),
+                rerank_order=[event_id for event_id, _ in scored],
+            )
+        )
+    return records
 
 
 def scored_ids(path, line_no: int, entries: list, name: str, score: str) -> list[tuple[str, float]]:

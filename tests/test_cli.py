@@ -363,7 +363,8 @@ class TestErrors:
         self, pipeline, tmp_path, capsys, monkeypatch, k, mentions, error
     ):
         calls = []
-        for module, name in ((retrieval, "hash_inputs"), (encoder, "load_checkpoint")):
+        # every text is hashed or marked through _ngram_hashes
+        for module, name in ((encoder, "_ngram_hashes"), (encoder, "load_checkpoint")):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
         (tmp_path / "none.jsonl").write_text("", encoding="utf-8")
         rc = main(

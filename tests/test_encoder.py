@@ -736,12 +736,12 @@ class TestLanguageRule:
     def test_unknown_event_is_typed(self):
         featurizer = TextFeaturizer([self.EVENT], hashed(self.F))
         with pytest.raises(UnknownEvent) as err:
-            featurizer.event("QNOPE", "en")
+            featurizer.events(["QNOPE"], "en")[0]
         assert err.value.event_id == "QNOPE"
 
     def test_cache_hit_returns_the_same_object(self):
         featurizer = TextFeaturizer([self.EVENT], hashed(self.F), "crosslingual")
-        assert featurizer.event("E1", "de") is featurizer.event("E1", "fr")
+        assert featurizer.events(["E1"], "de")[0] is featurizer.events(["E1"], "fr")[0]
 
 
 @st.composite

@@ -5,10 +5,13 @@
 """
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 
+from hierground import encoder
 from hierground.cli import main
 from hierground.dataset import load_mentions, write_mentions
 from hierground.encoder import (
@@ -103,3 +106,38 @@ def test_fill_allocates_no_full_size_temporary():
     # size of the 23 MB output
     assert peak <= 3 * BLOCK_ROWS * DEFAULT_D * 8, peak
     assert out.nbytes > 20 * peak
+
+
+def test_retrieve_releases_the_pool_before_the_mention_tower_loads(tmp_path, monkeypatch):
+    """By the second of retrieve's two checkpoint loads, neither the pool's
+    hashed texts nor the event tower is reachable: only the encoded pool
+    matrix outlives the first load."""
+    o = ["--output-dir", str(tmp_path), "--seed", "0"]
+    corpus = [f"--{name}={tmp_path / f'{name}.jsonl'}" for name in ("events", "relations")]
+    mentions = f"--mentions={tmp_path / 'mentions.jsonl'}"
+    assert main(["synth", *o, "--n-trees", "4", "--mentions-per-event", "2", "--vocab", "120"]) == 0
+    assert main(["split", *o, *corpus]) == 0
+    assert main(["train", *o, *corpus, mentions, f"--splits={tmp_path / 'splits.json'}",
+                 "--strategy", "HP", "--epochs", "1", "--F", "4096", "--d", "8"]) == 0
+    hashed_refs, tower_refs, alive = [], [], []
+    hash_texts, load_checkpoint = encoder.hash_texts, encoder.load_checkpoint
+
+    def hashing(texts, F):
+        fvs = hash_texts(texts, F)
+        hashed_refs.extend(weakref.ref(fv) for fv in fvs)
+        return fvs
+
+    def loading(*args, **kwargs):
+        gc.collect()
+        alive.append((sum(ref() is not None for ref in hashed_refs),
+                      sum(ref() is not None for ref in tower_refs)))
+        params, heads = load_checkpoint(*args, **kwargs)
+        tower_refs.append(weakref.ref(params.W_event))
+        return params, heads
+
+    monkeypatch.setattr(encoder, "hash_texts", hashing)
+    monkeypatch.setattr(encoder, "load_checkpoint", loading)
+    assert main(["retrieve", *o, corpus[0], mentions,
+                 f"--checkpoint={tmp_path / 'checkpoint.bin'}", "--out", "retrievals.jsonl"]) == 0
+    # the pool was hashed before the first load and is gone by the second
+    assert len(alive) == 2 and alive[0][0] > 0 and alive[1] == (0, 0), alive

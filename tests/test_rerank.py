@@ -54,6 +54,7 @@ from hierground.rerank import (
     load_predictions,
     load_reranker,
     predict_set,
+    rerank_records,
     save_reranker,
     write_predictions,
     score_candidates,
@@ -1090,6 +1091,45 @@ class TestKeptPairs:
         assert kept == plain and kept_tau == plain_tau
         pairs = sum(len(set(r.event_ids)) for r in results)
         assert (plain_builds, kept_builds) == (2 * pairs, pairs)
+
+
+class TestRerankRecords:
+    """``rerank_records`` against the per-record chain it replaced."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), seed=st.integers(0, 3))
+    def test_equal_to_per_record_chain(self, data, seed):
+        events, mentions, golds, _ = training_fixture(4)
+        ids = [event.id for event in events]
+        # lists that repeat ids, as root-padded gold chains do
+        lists = data.draw(st.lists(
+            st.lists(st.sampled_from(ids), min_size=1, max_size=6), min_size=1, max_size=4
+        ))
+        results = [
+            RetrievalResult(mention_id, [(e, 1.0 - i / 8) for i, e in enumerate(picked)])
+            for mention_id, picked in zip(mentions, lists)
+        ]
+        k = data.draw(st.none() | st.integers(1, max(map(len, lists))))
+        params = init_reranker(PAIR_DIM, hidden=4, seed=seed)
+        params.V *= 40.0
+        params.w = np.random.default_rng(seed).normal(size=4)
+        featurizer = PairFeaturizer(events)
+        # the grid, then each candidate's exact probability
+        thresholds = list(DEFAULT_GRID) + [
+            float(p)
+            for result in results
+            for p in oracles.candidate_probs(
+                score_candidates(params, featurizer, mentions[result.mention_id], result, k)
+            )
+        ]
+        want = [
+            oracles.rerank_records(params, featurizer, results, golds, mentions, tau, k)
+            for tau in thresholds
+        ]
+        got = rerank_records(params, PairFeaturizer(events), results, golds, mentions, thresholds, k)
+        assert [[vars(r) for r in records] for records in got] == [
+            [vars(r) for r in records] for records in want
+        ]
 
 
 class TestUnknownIds:

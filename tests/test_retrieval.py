@@ -19,10 +19,11 @@ from hierground.encoder import (
     WARNING_COUNTS,
     EncoderParams,
     FeatureVector,
+    TextFeaturizer,
     Tower,
     encode,
     event_text,
-    feature_rows,
+    hashed,
     init_encoder,
     load_checkpoint,
     reset_warning_counts,
@@ -35,10 +36,10 @@ from hierground.retrieval import (
     CandidateIndex,
     RetrievalResult,
     load_retrievals,
+    retrieve_from_checkpoint,
     retrieve_mentions,
     score_rows,
     topk,
-    hash_inputs,
     write_retrievals,
 )
 
@@ -339,7 +340,7 @@ class TestRowSubsetRetrieval:
 
     @pytest.mark.parametrize("max_chars", [128, 6])
     @pytest.mark.parametrize("mode", ["multilingual", "crosslingual"])
-    def test_matches_full_towers(self, mode, max_chars, tmp_path):
+    def test_matches_full_towers(self, mode, max_chars, tmp_path, monkeypatch):
         events, mentions = multilingual_corpus()
         pool = ["E5", "E1", "E3", "E2", "E4"]
         F = 4096
@@ -354,17 +355,22 @@ class TestRowSubsetRetrieval:
         index = CandidateIndex(full, events, pool, mode, max_chars)
         want = retrieve_mentions(full, index, mentions, 3, max_chars)
 
-        featurizer, rows = hash_inputs(events, pool, mentions, F, mode, max_chars, max_chars)
-        fvs = encoder.hash_texts([span_window(m, max_chars) for m in mentions], F)
-        assert rows["mention"].tobytes() == feature_rows(fvs, F).tobytes()
-        params = load_checkpoint(path, rows)[0]
+        loaded = []
+        monkeypatch.setattr(
+            encoder, "load_checkpoint", lambda *a: loaded.append(load_checkpoint(*a)) or loaded[-1]
+        )
+        got = retrieve_from_checkpoint(path, events, pool, mentions, 3, mode, max_chars, max_chars)
+        assert got == want
+        (event_part, _), (mention_part, _) = loaded
+        params = EncoderParams(mention_part.W_mention, event_part.W_event)
         assert isinstance(params.W_mention, Tower) and params.W_mention.rows.size < F
-        index = CandidateIndex(params, events, pool, mode, max_chars, featurizer)
+        fvs = encoder.hash_texts([span_window(m, max_chars) for m in mentions], F)
+        index = CandidateIndex(params, events, pool, mode, max_chars)
         assert retrieve_mentions(params, index, mentions, 3, fvs=fvs) == want
-        assert retrieve_mentions(params, index, mentions, 3, max_chars) == want
 
-    def test_pool_texts_are_hashed_once(self, monkeypatch):
+    def test_pool_texts_are_hashed_once(self, monkeypatch, tmp_path):
         events, mentions = multilingual_corpus()
+        save_checkpoint(tmp_path / "c.bin", init_encoder(512, 8, seed=3))
         calls = []
         kernel = encoder.ngram_counts_many
 
@@ -374,16 +380,15 @@ class TestRowSubsetRetrieval:
 
         monkeypatch.setattr(encoder, "ngram_counts_many", counting)
         pool = [e.id for e in events]
-        featurizer, rows = hash_inputs(events, pool, mentions, 512)
-        index = CandidateIndex(init_encoder(512, 8, seed=3), events, pool, featurizer=featurizer)
-        retrieve_mentions(index.params, index, mentions, k=2)
+        retrieve_from_checkpoint(tmp_path / "c.bin", events, pool, mentions, k=2)
         # the mentions' three resolved languages, then the windows, each once
         assert calls == [len(events)] * 3 + [len(mentions)]
 
-    def test_unknown_pool_event(self):
+    def test_unknown_pool_event(self, tmp_path):
         events, mentions = multilingual_corpus()
+        save_checkpoint(tmp_path / "c.bin", init_encoder(64, 8, seed=3))
         with pytest.raises(UnknownEvent, match="candidate pool"):
-            hash_inputs(events, ["E1", "MISSING"], mentions, 64)
+            retrieve_from_checkpoint(tmp_path / "c.bin", events, ["E1", "MISSING"], mentions, 1)
 
 
 class TestRuns:
@@ -421,20 +426,27 @@ class TestRuns:
         assert bits(got) == bits(want)
 
     @pytest.mark.parametrize("chunk", [1, 4, 256])
-    def test_empty_windows_warn_once_each(self, chunk, monkeypatch):
+    def test_empty_windows_warn_once_each(self, chunk, monkeypatch, tmp_path):
         monkeypatch.setattr(encoder, "_CHUNK_TEXTS", chunk)
         events, mentions = multilingual_corpus()
         pool = [e.id for e in events]
-        reset_warning_counts()
-        # windows of two characters hold no n-gram
-        featurizer, rows = hash_inputs(events, pool, mentions, 512, max_context_chars=2)
+        save_checkpoint(tmp_path / "c.bin", init_encoder(512, 8, seed=3))
+        featurizer = TextFeaturizer(events, hashed(512))
         empty_pool = sum(
             fv.is_zero for language in ("en", "de", "fr") for fv in featurizer.events(pool, language)
         )
-        assert empty_pool > 0 and rows["mention"].size == 0
-        assert WARNING_COUNTS["empty_feature_vector"] == empty_pool
-        index = CandidateIndex(init_encoder(512, 8, seed=3), events, pool, featurizer=featurizer)
-        retrieve_mentions(index.params, index, mentions, 2, max_context_chars=2)
+        # the warnings and the mention rows asked for at each tower load
+        loads = []
+
+        def loading(path, rows):
+            loads.append((WARNING_COUNTS["empty_feature_vector"], rows["mention"].size))
+            return load_checkpoint(path, rows)
+
+        monkeypatch.setattr(encoder, "load_checkpoint", loading)
+        reset_warning_counts()
+        # windows of two characters hold no n-gram
+        retrieve_from_checkpoint(tmp_path / "c.bin", events, pool, mentions, 2, max_context_chars=2)
+        assert empty_pool > 0 and loads == [(empty_pool, 0), (empty_pool, 0)]
         assert WARNING_COUNTS["empty_feature_vector"] == empty_pool + len(mentions)
 
 
