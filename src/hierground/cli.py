@@ -290,6 +290,7 @@ def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> li
         _select_mentions(data, split), config["retrieve"]["k"], config["mode"],
         enc["max_context_chars"], enc["max_cand_chars"],
     )
+    # each run of results is written before the next run is hashed
     retrieval.write_retrievals(results, _outdir(config) / out_name)
     return [out_name]
 

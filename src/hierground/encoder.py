@@ -12,10 +12,12 @@ a tower holds: every other row is regenerated from the seed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -63,7 +65,13 @@ def reset_warning_counts() -> None:
 
 @dataclass
 class FeatureVector:
-    """Sparse L2-normalized bag of hashed n-grams over a space of size F."""
+    """Sparse L2-normalized bag of hashed n-grams over a space of size F.
+
+    ``hash_texts`` gives int64 indices and float64 values; the reranker's
+    pair vectors hold theirs at their true width, indices in the smallest
+    integer dtype that holds F - 1 and values in the dtype of the V they
+    multiply.  Consumers widen the indices where they index with them.
+    """
 
     indices: np.ndarray
     values: np.ndarray
@@ -128,6 +136,19 @@ def ngram_counts_many(
     does not encode as UTF-8 (a lone surrogate) raises
     ``UnicodeEncodeError``.
     """
+    return [
+        (keys[lo:hi], counts[lo:hi], values[lo:hi])
+        for keys, counts, values, bounds in ngram_count_runs(texts, buckets)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def ngram_count_runs(
+    texts: list[str], buckets: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]]:
+    """``ngram_counts_many`` before it is cut into texts: per run of
+    ``_CHUNK_TEXTS`` texts, the run's read-only keys, counts and values and
+    each text's bounds in them, for a caller that converts whole runs."""
     runs = [
         _ngram_counts_chunk(texts[lo : lo + _CHUNK_TEXTS], buckets)
         for lo in range(0, len(texts), _CHUNK_TEXTS)
@@ -138,18 +159,14 @@ def ngram_counts_many(
     # them.  In a relext-wide benchmark pass (2-core host) this order put
     # peak RSS at about 116 MB, against 124 MB for dividing inside each run
     # and 120 MB for the per-text normalization it replaced.
-    out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    out = []
     for keys, values, bounds, norms in runs:
         counts = values.copy()
         np.divide(values, np.repeat(norms, np.diff(bounds)), out=values)
         for array in (keys, counts, values):
             array.flags.writeable = False
         # slicing at Python ints costs less than at numpy ones
-        bounds = bounds.tolist()
-        out += [
-            (keys[lo:hi], counts[lo:hi], values[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
+        out.append((keys, counts, values, bounds.tolist()))
     return out
 
 
@@ -233,6 +250,12 @@ def _ngram_counts_chunk(
     return bucket, counts, bounds, norms
 
 
+def check_keys(keys: np.ndarray, buckets: int) -> None:
+    """Raise ``DimensionMismatch`` unless every key lies in [0, buckets)."""
+    if keys.size and (keys.min() < 0 or keys.max() >= buckets):
+        raise DimensionMismatch(f"feature index outside [0, {buckets})")
+
+
 def checked_counts(
     counted: list[tuple[np.ndarray, np.ndarray, np.ndarray]], buckets: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -240,9 +263,7 @@ def checked_counts(
     run of ``_CHUNK_TEXTS`` texts are checked to lie in [0, buckets) in one
     step, so vectors built from them need no check of their own."""
     for lo in range(0, len(counted), _CHUNK_TEXTS):
-        keys = np.concatenate([k for k, _, _ in counted[lo : lo + _CHUNK_TEXTS]])
-        if keys.size and (keys.min() < 0 or keys.max() >= buckets):
-            raise DimensionMismatch(f"feature index outside [0, {buckets})")
+        check_keys(np.concatenate([k for k, _, _ in counted[lo : lo + _CHUNK_TEXTS]]), buckets)
     return counted
 
 
@@ -461,13 +482,17 @@ class Tower:
     """An F x d tower that holds the rows ``rows`` (ascending global ids)
     as ``values``; every other row keeps its initial value,
     ``init_fill(*init, ...)`` with ``init`` = (seed, tower name).  A whole
-    tower holds ``arange(F)``.
+    tower holds ``arange(F)``.  A tower a checkpoint load left unread
+    holds no row and has ``init`` None: its rows are unknown, so it can be
+    neither densified nor saved.
 
     It is indexed by arrays of global row ids; a row it does not hold
     raises ``DimensionMismatch`` rather than being read.
     """
 
-    def __init__(self, F: int, rows: np.ndarray, values: np.ndarray, init: tuple[int, str]):
+    def __init__(
+        self, F: int, rows: np.ndarray, values: np.ndarray, init: tuple[int, str] | None
+    ):
         if values.ndim != 2 or values.shape[0] != rows.size:
             raise DimensionMismatch("a tower holds one row of values per row id")
         _check_rows(F, rows)
@@ -492,6 +517,8 @@ class Tower:
         return self.values.dtype
 
     def _not_held(self, rows: np.ndarray) -> DimensionMismatch:
+        if self.init is None:
+            return DimensionMismatch("the tower was left unread; load it to encode with it")
         rows = np.asarray(rows).reshape(-1)
         missing = rows[~np.isin(rows, self.rows)]
         return DimensionMismatch(
@@ -517,6 +544,8 @@ class Tower:
 
     def dense(self) -> "Tower":
         """This tower holding every row."""
+        if self.init is None:
+            raise DimensionMismatch("a tower left unread has no rows to densify or save")
         F, d = self.shape
         rows = np.arange(F)
         values = init_fill(*self.init, rows, np.empty((F, d), self.dtype))
@@ -559,14 +588,17 @@ def _check_shape(F: int, d: int) -> None:
         raise InvalidConfig(f"F and d must be positive, F at most {MAX_F} and d at most {MAX_D}")
 
 
-def _tower_rows(F: int, rows: dict[str, np.ndarray] | None) -> dict[str, np.ndarray]:
-    """Per tower name, the checked rows ``rows`` chooses of it, or every
-    row of a tower it does not name."""
+def _tower_rows(
+    F: int, rows: dict[str, np.ndarray | None] | None
+) -> dict[str, np.ndarray | None]:
+    """Per tower name, the checked rows ``rows`` chooses of it (None as it
+    is), or every row of a tower it does not name."""
     rows = rows or {}
     if not rows.keys() <= set(TOWERS):
         raise InvalidConfig(f"rows can only be chosen of the towers {TOWERS}")
     for chosen in rows.values():
-        _check_rows(F, chosen)
+        if chosen is not None:
+            _check_rows(F, chosen)
     return {name: rows[name] if name in rows else np.arange(F) for name in TOWERS}
 
 
@@ -583,6 +615,8 @@ def init_encoder(
     _check_shape(F, d)
     towers = []
     for name, held in _tower_rows(F, rows).items():
+        if held is None:
+            raise InvalidConfig("only a checkpoint load leaves a tower unread")
         values = init_fill(seed, name, held, np.empty((held.size, d), TOWER_DTYPE))
         towers.append(Tower(F, held, values, (seed, name)))
     return EncoderParams(*towers)
@@ -641,9 +675,11 @@ class DesignWorkspace:
         assignment, so each vector's indices must be distinct (``hash_texts``
         and the reranker's pair features make them ascending), and each
         vector's dimension must be ``W``'s F; the callers check both.  A row
-        ``W`` does not hold raises ``DimensionMismatch`` naming it.
+        ``W`` does not hold raises ``DimensionMismatch`` naming it.  Narrow
+        indices are widened to ``intp`` once per batch, in the one
+        concatenation.
         """
-        indices = np.concatenate([fv.indices for fv in fvs])
+        indices = np.concatenate([fv.indices for fv in fvs], dtype=np.intp)
         tower = isinstance(W, Tower)
         n_held, local = (W.rows.size, W.slot.take(indices)) if tower else (len(W), indices)
         if self.mark.size < n_held:
@@ -696,11 +732,26 @@ def _stored_dtype(array: np.ndarray) -> str:
     return "<f4" if array.dtype == np.float32 else "<f8"
 
 
+@contextlib.contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """A sibling temporary path to write ``path``'s new contents to: it is
+    moved onto ``path`` when the block ends and removed when the block
+    raises, so a write that fails leaves any earlier file at ``path`` as it
+    was and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_arrays(path: str | Path, kind: str, arrays: dict[str, np.ndarray], **meta) -> None:
-    """Write the container to a sibling temporary file, then move it onto
-    ``path``: a write that fails leaves any earlier file there as it was.
-    Each array is stored in its own dtype: an integer one as '<i8', a
-    float32 one as '<f4' and any other as '<f8'."""
+    """Write the container to ``path`` through ``replacing``.  Each array
+    is stored in its own dtype: an integer one as '<i8', a float32 one as
+    '<f4' and any other as '<f8'."""
     dtypes = {name: _stored_dtype(a) for name, a in arrays.items()}
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -711,18 +762,11 @@ def save_arrays(path: str | Path, kind: str, arrays: dict[str, np.ndarray], **me
         ],
         **meta,
     }
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for name, array in arrays.items():
-                # the array's own buffer when it already has the dtype
-                fh.write(np.ascontiguousarray(array, dtype=dtypes[name]))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for name, array in arrays.items():
+            # the array's own buffer when it already has the dtype
+            fh.write(np.ascontiguousarray(array, dtype=dtypes[name]))
 
 
 def _read_header(fh, path: str | Path, kind: str, dtypes: dict[str, str]):
@@ -814,9 +858,12 @@ def save_checkpoint(
     and the heads as they are, so loading gives back every value of
     ``TOWER_DTYPE`` towers that was saved.
     """
+    towers = (params.W_mention, params.W_event)
+    if any(W.init is None for W in towers):
+        raise DimensionMismatch("a tower left unread has no rows to densify or save")
     seed = params.W_mention.init[0]
     arrays = {}
-    for name, W in zip(TOWERS, (params.W_mention, params.W_event)):
+    for name, W in zip(TOWERS, towers):
         if W.init != (seed, name):
             W = W.dense()
         arrays[f"{name}.rows"] = W.rows
@@ -888,7 +935,7 @@ def _fill_rows_into(seed: int, tower: str, rows: np.ndarray, out: np.ndarray, at
 
 
 def load_checkpoint(
-    path: str | Path, rows: dict[str, np.ndarray] | None = None
+    path: str | Path, rows: dict[str, np.ndarray | None] | None = None
 ) -> tuple[EncoderParams, dict[str, np.ndarray]]:
     """The towers and the extra heads, by name, of an encoder checkpoint.
 
@@ -897,13 +944,19 @@ def load_checkpoint(
     of every row the file stores, and any other tower whole, both in
     ``TOWER_DTYPE``.  ``init_fill`` of the header's init seed writes each
     held row the file lacks into the tower's array, and the stored rows are
-    read into theirs, so those rows take no memory beyond that array.
+    read into theirs, so those rows take no memory beyond that array.  A
+    tower mapped to None is left unread: it holds no row (``Tower``), and
+    none of its stored values is allocated or read.
     A malformed file raises ``ParseError`` before any array is allocated.
     """
     with open(path, "rb") as fh:
         F, d, seed, stored, specs = _read_encoder(fh, path)
         towers = []
         for name, chosen in _tower_rows(F, rows).items():
+            if chosen is None:
+                unread = np.empty((0, d), TOWER_DTYPE)
+                towers.append(Tower(F, np.zeros(0, dtype=np.int64), unread, None))
+                continue
             # the union through a mask: np.union1d's sort costs more
             mask = np.zeros(F, dtype=bool)
             mask[chosen] = mask[stored[name]] = True

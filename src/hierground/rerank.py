@@ -24,12 +24,13 @@ from .encoder import (
     BLOCK_ROWS,
     DEFAULT_MAX_CAND_CHARS,
     DEFAULT_MAX_CONTEXT_CHARS,
+    NGRAM_SIZES,
     DesignWorkspace,
     FeatureVector,
     TextFeaturizer,
-    checked_counts,
+    check_keys,
     load_arrays,
-    ngram_counts_many,
+    ngram_count_runs,
     save_arrays,
 )
 from .errors import (
@@ -58,12 +59,17 @@ DEFAULT_GRID = (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9)
 # memory-bound, so float32 rows halve its bytes; c, w, b, the logits and
 # the probabilities stay float64
 V_DTYPE = np.dtype(np.float32)
+# the dtype of every bucket id of a Block and of a pair vector: the
+# smallest integer dtype that holds PAIR_DIM - 1
+ID_DTYPE = np.min_scalar_type(PAIR_DIM - 1)
 
 
 class Block(NamedTuple):
     """One text's n-gram buckets: the ascending ``keys`` in [0,
     ``BLOCK_BUCKETS``), their raw ``counts``, the L2-normalized ``values``
-    and ``shifted``, the keys' indices in the event block."""
+    and ``shifted``, the keys' indices in the event block.  Keys and
+    shifted keys are ``ID_DTYPE``, the counts an unsigned integer dtype
+    and the values ``V_DTYPE``."""
 
     keys: np.ndarray
     counts: np.ndarray
@@ -72,9 +78,31 @@ class Block(NamedTuple):
 
 
 def _blocks(texts: list[str]) -> list[Block]:
-    """Each text's ``Block``, as the kernel counted and normalized it."""
-    counted = checked_counts(ngram_counts_many(texts, BLOCK_BUCKETS), BLOCK_BUCKETS)
-    return [Block(keys, counts, values, keys + BLOCK_BUCKETS) for keys, counts, values in counted]
+    """Each text's ``Block``, as the kernel counted and normalized it.
+
+    Each run of the kernel's is range-checked and cast once: the keys to
+    ``ID_DTYPE``; the counts to the smallest unsigned dtype that holds
+    ``len(NGRAM_SIZES)`` times the longest text's length, which bounds
+    every count (a text of L characters has at most that many n-grams),
+    so no window is too long for it; and the values to ``V_DTYPE``, the
+    one rounding that scoring and the SGD design matrix would otherwise
+    each make.  The texts' arrays are read-only slices of their run's.
+    """
+    count_dtype = np.min_scalar_type(len(NGRAM_SIZES) * max(map(len, texts), default=0))
+    blocks = []
+    for keys, counts, values, bounds in ngram_count_runs(texts, BLOCK_BUCKETS):
+        check_keys(keys, BLOCK_BUCKETS)
+        # keys in range and whole counts that count_dtype holds: only the
+        # values' cast rounds
+        keys, counts = keys.astype(ID_DTYPE), counts.astype(count_dtype)
+        values, shifted = values.astype(V_DTYPE), keys + BLOCK_BUCKETS
+        for array in (keys, counts, values, shifted):
+            array.flags.writeable = False
+        blocks += [
+            Block(keys[lo:hi], counts[lo:hi], values[lo:hi], shifted[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    return blocks
 
 
 def _pair_fv(mention: Block, event: Block) -> FeatureVector:
@@ -84,7 +112,8 @@ def _pair_fv(mention: Block, event: Block) -> FeatureVector:
     smaller of the two counts; each mention key is looked up in the event
     keys with one ``searchsorted``.  Block keys lie in [0,
     ``BLOCK_BUCKETS``), so every index is in [0, ``PAIR_DIM``) and the
-    vector skips the per-vector range check.
+    vector skips the per-vector range check.  The indices keep the blocks'
+    ``ID_DTYPE`` and the values are built in ``V_DTYPE``: 6 bytes a nonzero.
     """
     if event.keys.size:
         e_at = np.searchsorted(event.keys, mention.keys)
@@ -92,10 +121,15 @@ def _pair_fv(mention: Block, event: Block) -> FeatureVector:
         e_at = e_at[m_at]
     else:
         m_at = e_at = np.empty(0, dtype=np.intp)
-    shared = np.minimum(mention.counts[m_at], event.counts[e_at])
+    # the interaction block is normalized in float64, as the float counts
+    # were, and rounded once with the rest; its sum of squared counts is an
+    # exact integer, so sqrt(shared @ shared) is np.linalg.norm's value
+    shared = np.minimum(mention.counts[m_at], event.counts[e_at]).astype(np.float64)
     return FeatureVector.prechecked(
         np.concatenate([mention.keys, event.shifted, 2 * BLOCK_BUCKETS + mention.keys[m_at]]),
-        np.concatenate([mention.values, event.values, shared / np.linalg.norm(shared)]),
+        np.concatenate(
+            [mention.values, event.values, shared / np.sqrt(shared @ shared)], dtype=V_DTYPE
+        ),
         PAIR_DIM,
     )
 
@@ -203,7 +237,9 @@ def score_pair(params: RerankerParams, fv: FeatureVector) -> float:
     (``score_candidates`` turns overflow warnings off)."""
     if fv.F != params.P:
         raise DimensionMismatch(f"pair feature dim {fv.F} vs reranker {params.P}")
-    z = fv.values.astype(params.V.dtype) @ params.V.take(fv.indices, axis=0) + params.c
+    # values already in V's dtype are used as they are; take widens the
+    # narrow ids once for its one gather
+    z = fv.values.astype(params.V.dtype, copy=False) @ params.V.take(fv.indices, axis=0) + params.c
     score = float(params.w @ np.tanh(z) + params.b)
     if not (math.isfinite(score) and np.isfinite(z).all()):
         raise NonFiniteScore("reranker scores")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Container, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,6 +86,7 @@ class CandidateIndex:
                 raise UnknownEvent(event_id, "candidate pool")
         self.ids: list[str] = sorted(set(pool))
         self._matrices: dict[str, np.ndarray] = {}
+        self._max_abs: dict[str, float] = {}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -98,6 +99,17 @@ class CandidateIndex:
             with np.errstate(over="ignore", invalid="ignore"):
                 self._matrices[lang] = np.stack([encode(self.params, fv, "event") for fv in fvs])
         return self._matrices[lang]
+
+    def checked_matrix(self, language: str) -> tuple[np.ndarray, float]:
+        """``matrix(language)``, checked finite, and its ``max|M|``, both
+        kept from call to call: what ``retrieve_mentions`` scores against.
+        A non-finite encoding raises ``NonFiniteScore``."""
+        lang = self.featurizer.language(language)
+        if lang not in self._max_abs:
+            matrix = self.matrix(lang)
+            _check_finite(matrix, f"{lang!r} pool encodings")
+            self._max_abs[lang] = np.abs(matrix).max()
+        return self._matrices[lang], self._max_abs[lang]
 
 
 def score_rows(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -229,7 +241,6 @@ def retrieve_mentions(
     raises ``NonFiniteScore``.
     """
     check_k(k, len(index))
-    pools: dict[str, tuple[np.ndarray, float]] = {}
     results: list[RetrievalResult] = []
     run = encoder._CHUNK_TEXTS
     with np.errstate(over="ignore", invalid="ignore"):
@@ -239,7 +250,7 @@ def retrieve_mentions(
                 batch_fvs = hash_texts([span_window(m, max_context_chars) for m in batch], params.F)
             else:
                 batch_fvs = fvs[lo : lo + run]
-            results += _retrieve_run(params, index, batch, batch_fvs, k, pools)
+            results += _retrieve_run(params, index, batch, batch_fvs, k)
     return results
 
 
@@ -249,20 +260,14 @@ def _retrieve_run(
     mentions: list[Mention],
     fvs: list[FeatureVector],
     k: int,
-    pools: dict[str, tuple[np.ndarray, float]],
 ) -> list[RetrievalResult]:
-    """``retrieve_mentions`` of one run; ``pools`` keeps each resolved
-    language's checked matrix and its ``max|M|`` from run to run."""
+    """``retrieve_mentions`` of one run."""
     by_language: dict[str, list[int]] = {}
     for i, mention in enumerate(mentions):
         by_language.setdefault(index.featurizer.language(mention.language), []).append(i)
     results: list = [None] * len(mentions)
     for language, positions in by_language.items():
-        if language not in pools:
-            matrix = index.matrix(language)
-            _check_finite(matrix, f"{language!r} pool encodings")
-            pools[language] = matrix, np.abs(matrix).max()
-        matrix, max_abs = pools[language]
+        matrix, max_abs = index.checked_matrix(language)
         for start in range(0, len(positions), BLOCK_MENTIONS):
             chunk = positions[start : start + BLOCK_MENTIONS]
             block = np.stack([encode(params, fvs[i], "mention") for i in chunk])
@@ -282,12 +287,17 @@ def retrieve_from_checkpoint(
     mode: str = "multilingual",
     max_context_chars: int = DEFAULT_MAX_CONTEXT_CHARS,
     max_cand_chars: int = DEFAULT_MAX_CAND_CHARS,
-) -> list[RetrievalResult]:
+) -> Iterator[RetrievalResult]:
     """``retrieve_mentions`` with the towers of the checkpoint at ``path``,
-    loaded one at a time with only the rows their texts read: the pool is
-    hashed and encoded, and its hashed texts and the event tower dropped,
-    before the mention windows are marked (``ngram_rows``) and the mention
-    tower loads.  ``NonFiniteScore`` names the checkpoint."""
+    loaded one at a time with only the rows their texts read, the other
+    tower left unread: the pool is hashed and encoded, and its hashed texts
+    and the event tower dropped, before the mention windows are marked
+    (``ngram_rows``) and the mention tower loads.
+
+    Both loads happen in this call; the results then come as they are
+    made, one run of ``_CHUNK_TEXTS`` mentions at a time, so a caller that
+    writes each as it comes (``write_retrievals``) never holds them all.
+    ``NonFiniteScore`` names the checkpoint."""
     F = encoder.tower_shape(path)[0]
     ids = sorted(set(pool))
     check_k(k, len(ids))
@@ -296,10 +306,8 @@ def retrieve_from_checkpoint(
     event_rows = feature_rows(
         [fv for lang in languages for fv in featurizer.events(ids, lang, "candidate pool")], F
     )
-    # an empty row set holds the rows the file stores
-    stored = np.zeros(0, dtype=np.int64)
     index = CandidateIndex(
-        encoder.load_checkpoint(path, {"event": event_rows, "mention": stored})[0],
+        encoder.load_checkpoint(path, {"event": event_rows, "mention": None})[0],
         events, pool, mode, max_cand_chars, featurizer,
     )
     for language in languages:
@@ -307,24 +315,45 @@ def retrieve_from_checkpoint(
     featurizer.clear()
     index.params = None
     mention_rows = ngram_rows([span_window(m, max_context_chars) for m in mentions], F)
-    params = encoder.load_checkpoint(path, {"mention": mention_rows, "event": stored})[0]
+    params = encoder.load_checkpoint(path, {"mention": mention_rows, "event": None})[0]
+    return _runs(str(path), params, index, mentions, k, max_context_chars)
+
+
+def _runs(
+    path: str,
+    params: EncoderParams,
+    index: CandidateIndex,
+    mentions: list[Mention],
+    k: int,
+    max_context_chars: int,
+) -> Iterator[RetrievalResult]:
+    """``retrieve_mentions`` of each run of ``_CHUNK_TEXTS`` mentions in
+    turn, one result at a time; ``NonFiniteScore`` names ``path``."""
+    run = encoder._CHUNK_TEXTS
     try:
-        return retrieve_mentions(params, index, mentions, k, max_context_chars)
+        for lo in range(0, len(mentions), run):
+            yield from retrieve_mentions(
+                params, index, mentions[lo : lo + run], k, max_context_chars
+            )
     except NonFiniteScore as exc:
-        raise NonFiniteScore(exc.what, str(path)) from None
+        raise NonFiniteScore(exc.what, path) from None
 
 
-def write_retrievals(results: list[RetrievalResult], path: str | Path) -> None:
+def write_retrievals(results: Iterable[RetrievalResult], path: str | Path) -> None:
     """One ``json.dumps(record)`` line per result, each formatted directly:
-    ids through ``json.dumps``, scores through ``repr``.  A non-finite score
-    raises ``NonFiniteScore`` before the file is opened."""
-    for result in results:
-        for event_id, score in result.candidates:
-            if not math.isfinite(score):
-                raise NonFiniteScore(f"score of {event_id!r} for mention {result.mention_id!r}")
+    ids through ``json.dumps``, scores through ``repr``.  Each result is
+    checked and written as it comes, to the temporary file of
+    ``encoder.replacing``: a non-finite score raises ``NonFiniteScore``, and
+    it or any error ``results`` raises leaves any earlier file at ``path``
+    as it was."""
     quoted: dict[str, str] = {}
-    with open(path, "w", encoding="utf-8") as fh:
+    with encoder.replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for result in results:
+            for event_id, score in result.candidates:
+                if not math.isfinite(score):
+                    raise NonFiniteScore(
+                        f"score of {event_id!r} for mention {result.mention_id!r}"
+                    )
             candidates = scored_json(result.candidates, "event", "score", quoted)
             fh.write(
                 f'{{"mention_id": {json.dumps(result.mention_id)}, "candidates": {candidates}}}\n'

@@ -4,7 +4,8 @@ Nothing in ``hierground`` calls these: each is the one-text, one-pair or
 one-score form that a batched kernel replaced, or the multi-pass form of a
 one-pass reader or writer, kept so the tests can compare the new code
 against it.  ``whole_towers`` wraps hand-made arrays
-as the towers ``EncoderParams`` holds.
+as the towers ``EncoderParams`` holds, and ``narrow_block`` and
+``narrow_fv`` cast a float64 reference once to the reranker's widths.
 """
 
 import json
@@ -29,7 +30,15 @@ from hierground.encoder import (
 from hierground.errors import DimensionMismatch, ParseError
 from hierground.kb import FALLBACK_LANGUAGE, Event, read_jsonl, scored_json
 from hierground.metrics import NULL_EVENT, EvalRecord
-from hierground.rerank import BLOCK_BUCKETS, PAIR_DIM, Block, PairFeaturizer, score_candidates
+from hierground.rerank import (
+    BLOCK_BUCKETS,
+    ID_DTYPE,
+    PAIR_DIM,
+    V_DTYPE,
+    Block,
+    PairFeaturizer,
+    score_candidates,
+)
 from hierground.retrieval import RetrievalResult, check_candidates
 from hierground.training import ComplExHead, _complex_cells, _project
 from hierground.training import sigmoid as library_sigmoid
@@ -73,6 +82,23 @@ def normalized(counts: np.ndarray) -> np.ndarray:
 def block(keys: np.ndarray, counts: np.ndarray) -> Block:
     """One text's ``rerank.Block`` from its ascending (keys, counts)."""
     return Block(keys, counts, normalized(counts), keys + BLOCK_BUCKETS)
+
+
+def narrow_block(block: Block) -> Block:
+    """A float64 oracle block cast once to the library's widths:
+    ``ID_DTYPE`` keys, counts in the smallest unsigned dtype that holds
+    them, ``V_DTYPE`` values."""
+    keys, counts, values, shifted = block
+    top = int(counts.max()) if counts.size else 0
+    return Block(
+        keys.astype(ID_DTYPE), counts.astype(np.min_scalar_type(top)),
+        values.astype(V_DTYPE), shifted.astype(ID_DTYPE),
+    )
+
+
+def narrow_fv(fv: FeatureVector) -> FeatureVector:
+    """A float64 oracle pair vector cast once to the library's widths."""
+    return FeatureVector(fv.indices.astype(ID_DTYPE), fv.values.astype(V_DTYPE), fv.F)
 
 
 def hash_texts(texts: list[str], F: int) -> list[FeatureVector]:

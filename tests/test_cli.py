@@ -1,6 +1,7 @@
 """End-to-end pipeline runs, config precedence, machine-readable errors."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -1174,6 +1175,51 @@ class TestNonFiniteCheckpoints:
         assert str(bad) in record["message"]
         assert captured.out == ""
         assert not (tmp_path / "retrievals.jsonl").exists()
+
+    def test_retrieve_rejects_a_row_only_a_later_run_reads(self, pipeline, tmp_path, capsys):
+        """A huge mention-tower row that only a mention past the first run
+        reads fails ``retrieve`` after the first run was written out: exit
+        1 with one JSON record, the earlier file at the output path
+        byte-identical and no stray file in the output directory."""
+        F = encoder.tower_shape(pipeline / "checkpoint.bin")[0]
+        first, *others = dataset.load_mentions(pipeline / "mentions.jsonl")
+        window = lambda m: encoder.span_window(m, DEFAULT_CONFIG["encoder"]["max_context_chars"])
+        early_rows = encoder.ngram_rows([window(first)], F)
+
+        def late_rows(mention):
+            fv = encoder.hash_texts([window(mention)], F)[0]
+            own = ~np.isin(fv.indices, early_rows)
+            return fv.indices[own], fv.values[own].sum()
+
+        # the mention whose rows no early mention reads weigh most in its window
+        late = max(others, key=lambda m: late_rows(m)[1])
+        rows, weight = late_rows(late)
+        assert weight > 1.0  # so the rows' float32 max overflows its encoding
+        run = encoder._CHUNK_TEXTS
+        mentions = [dataclasses.replace(first, id=f"Q{i:04d}") for i in range(run)] + [late]
+        dataset.write_mentions(mentions, tmp_path / "mentions.jsonl")
+        params, heads = encoder.load_checkpoint(pipeline / "checkpoint.bin", {"mention": rows})
+        params.W_mention[rows] = np.finfo(encoder.TOWER_DTYPE).max
+        bad = tmp_path / "bad.bin"
+        encoder.save_checkpoint(bad, params, heads)
+
+        def retrieve(checkpoint) -> int:
+            return main(["retrieve", "--output-dir", str(tmp_path), *SEED,
+                         "--events", str(pipeline / "events.jsonl"),
+                         "--mentions", str(tmp_path / "mentions.jsonl"),
+                         "--checkpoint", str(checkpoint), "--out", "retrievals.jsonl"])
+
+        assert retrieve(pipeline / "checkpoint.bin") == 0
+        earlier = (tmp_path / "retrievals.jsonl").read_bytes()
+        assert earlier.count(b"\n") == run + 1
+        listing = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert retrieve(bad) == 1
+        record = only_error(capsys)
+        assert record["error"] == "NonFiniteScore"
+        assert record["context"] == {"checkpoint": str(bad), "what": "mention encodings"}
+        assert (tmp_path / "retrievals.jsonl").read_bytes() == earlier
+        assert sorted(os.listdir(tmp_path)) == listing
 
 
 class TestUnencodableText:

@@ -214,9 +214,14 @@ class TestKernelNormalization:
             assert got.indices.tobytes() == want.indices.tobytes()
             assert got.values.dtype == want.values.dtype
             assert got.values.tobytes() == want.values.tobytes()
+        count_dtype = np.min_scalar_type(len(NGRAM_SIZES) * max(map(len, texts), default=0))
         for got, want in zip(blocks, oracles.blocks(texts), strict=True):
-            for a, b in zip(got, want, strict=True):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            # exact counts, then every field bit-equal to the float64 block cast once
+            assert got.counts.dtype == count_dtype and np.array_equal(got.counts, want.counts)
+            for a, b in zip(got, oracles.narrow_block(want), strict=True):
+                assert a.dtype.kind == b.dtype.kind and a.tobytes() == b.astype(a.dtype).tobytes()
+            assert got.keys.dtype == got.shifted.dtype == rerank.ID_DTYPE
+            assert got.values.dtype == rerank.V_DTYPE
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(texts=kernel_texts, chunk=st.integers(1, 4))
@@ -250,14 +255,15 @@ class TestKernelNormalization:
     def test_out_of_range_keys_are_refused_in_any_run(self, monkeypatch):
         def last_shifted(kernel):
             def counting(texts, buckets):
-                *head, (keys, counts, values) = kernel(texts, buckets)
-                return [*head, (keys + buckets, counts, values)]
+                *head, (keys, *rest) = kernel(texts, buckets)
+                return [*head, (keys + buckets, *rest)]
 
             return counting
 
         texts = ["flood relief", "river plain", "abc"]
         monkeypatch.setattr(encoder, "ngram_counts_many", last_shifted(encoder.ngram_counts_many))
-        monkeypatch.setattr(rerank, "ngram_counts_many", last_shifted(rerank.ngram_counts_many))
+        # the reranker's blocks read the kernel's runs, one text a run here
+        monkeypatch.setattr(rerank, "ngram_count_runs", last_shifted(rerank.ngram_count_runs))
         with chunk_texts(1):
             with pytest.raises(DimensionMismatch, match="outside"):
                 hash_texts(texts, 64)
@@ -720,7 +726,8 @@ class TestLanguageRule:
         )
         keys, counts, _ = oracles.ngram_counts(text, rerank.BLOCK_BUCKETS)
         assert np.array_equal(fv.indices[in_block] - rerank.BLOCK_BUCKETS, keys)
-        assert fv.values[in_block].tobytes() == (counts / np.linalg.norm(counts)).tobytes()
+        want_values = (counts / np.linalg.norm(counts)).astype(rerank.V_DTYPE)
+        assert fv.values[in_block].tobytes() == want_values.tobytes()
 
     def test_unknown_mode_rejected_everywhere(self):
         events = [self.EVENT]
@@ -933,6 +940,35 @@ class TestRowSubsets:
         assert again.W_mention.values.tobytes() == dense.W_mention.values.tobytes()
         assert again.W_event.values.tobytes() == dense.W_event.values.tobytes()
         assert part.densify().W_event.values.tobytes() == dense.W_event.values.tobytes()
+
+    def test_unread_tower_reads_nothing_and_refuses_use(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.bin"
+        params = trained(8, 2, 3, np.array([0, 6]), np.array([2, 5]), np.random.default_rng(0))
+        save_checkpoint(path, params)
+        reads = []
+        read_rows = encoder._read_rows_into
+
+        def reading(fh, spec, *args):
+            reads.append(spec)
+            return read_rows(fh, spec, *args)
+
+        monkeypatch.setattr(encoder, "_read_rows_into", reading)
+        part, _ = load_checkpoint(path, {"mention": None, "event": np.array([1])})
+        # the event tower's stored values are read, the mention tower's never
+        assert [shape for shape, _, _ in reads] == [[2, 2]]
+        unread = part.W_mention
+        assert unread.shape == (8, 2) and unread.rows.size == unread.values.size == 0
+        assert unread.init is None
+        held = params.densify().W_event[np.array([1, 2, 5])]
+        assert part.W_event.values.tobytes() == held.tobytes()
+        with pytest.raises(DimensionMismatch, match="left unread"):
+            encode(part, hash_text("flood relief", 8), "mention")
+        for use in (part.densify, lambda: save_checkpoint(tmp_path / "d.bin", part)):
+            with pytest.raises(DimensionMismatch, match="left unread"):
+                use()
+        assert not (tmp_path / "d.bin").exists()
+        with pytest.raises(InvalidConfig, match="unread"):
+            init_encoder(8, 2, 0, {"mention": None})
 
     def test_seed_comes_from_the_file(self, tmp_path):
         # the file's init seed regenerates the rows it lacks, whatever

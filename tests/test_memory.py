@@ -11,9 +11,9 @@ import weakref
 
 import numpy as np
 
-from hierground import encoder
+from hierground import encoder, rerank
 from hierground.cli import main
-from hierground.dataset import load_mentions, write_mentions
+from hierground.dataset import candidate_pool, load_mentions, write_mentions
 from hierground.encoder import (
     BLOCK_ROWS,
     DEFAULT_D,
@@ -25,6 +25,8 @@ from hierground.encoder import (
     span_window,
     tower_shape,
 )
+from hierground.kb import load_events
+from hierground.retrieval import retrieve_from_checkpoint
 
 TOWER_BYTES = DEFAULT_F * DEFAULT_D * TOWER_DTYPE.itemsize
 
@@ -90,6 +92,81 @@ def test_retrieve_holds_one_run_of_hashed_windows(tmp_path):
     windows = [span_window(m, DEFAULT_MAX_CONTEXT_CHARS) for m in mentions[600:]]
     added = sum(fv.indices.nbytes + fv.values.nbytes for fv in hash_texts(windows, DEFAULT_F))
     assert peaks[1] - peaks[0] < added, (peaks, added)
+
+
+def test_retrieve_holds_one_run_of_results(tmp_path):
+    """Four times the mentions raise retrieve's traced peak by less than
+    the added results would take: each run's results are written before
+    the next run is hashed, never all held together."""
+    o = ["--output-dir", str(tmp_path), "--seed", "0"]
+    corpus = [f"--{name}={tmp_path / f'{name}.jsonl'}" for name in ("events", "relations")]
+    assert main(["synth", *o, "--n-trees", "4", "--mentions-per-event", "2", "--vocab", "120"]) == 0
+    assert main(["split", *o, *corpus]) == 0
+    checkpoint = tmp_path / "checkpoint.bin"
+    assert main(["train", *o, *corpus, f"--mentions={tmp_path / 'mentions.jsonl'}",
+                 f"--splits={tmp_path / 'splits.json'}", "--strategy", "HP", "--epochs", "1"]) == 0
+    # every pool event a candidate, so a result outweighs its mention
+    events = load_events(tmp_path / "events.jsonl")
+    pool = candidate_pool(events, mode="inference")
+    k = len(set(pool))
+    base = load_mentions(tmp_path / "mentions.jsonl")
+    mentions = [
+        dataclasses.replace(base[i % len(base)], id=f"Q{i:05d}") for i in range(4 * 600)
+    ]
+    peaks = []
+    for n in (600, 2400):
+        write_mentions(mentions[:n], tmp_path / f"q{n}.jsonl")
+        peaks.append(traced_peak(
+            ["retrieve", *o, corpus[0], f"--mentions={tmp_path / f'q{n}.jsonl'}",
+             f"--checkpoint={checkpoint}", "--k", str(k), "--out", f"r{n}.jsonl"]
+        ))
+    # the bytes the added mentions' results take when they are all held
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        added = list(retrieve_from_checkpoint(checkpoint, events, pool, mentions[600:], k))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(added) == 1800 and len(added[0].candidates) == k
+    assert peaks[1] - peaks[0] < held, (peaks, held)
+
+
+def test_rerank_train_keeps_pairs_and_blocks_at_their_true_width(tmp_path, monkeypatch):
+    """The kept pair vectors take at most 6 bytes a nonzero (2-byte ids,
+    float32 values) and each text's block at most 12 (ids, shifted ids,
+    counts and values)."""
+    o = ["--output-dir", str(tmp_path), "--seed", "0"]
+    corpus = [f"--{name}={tmp_path / f'{name}.jsonl'}" for name in ("events", "relations")]
+    mentions = f"--mentions={tmp_path / 'mentions.jsonl'}"
+    splits = f"--splits={tmp_path / 'splits.json'}"
+    assert main(["synth", *o, "--n-trees", "4", "--mentions-per-event", "2", "--vocab", "120"]) == 0
+    assert main(["split", *o, *corpus]) == 0
+    assert main(["train", *o, *corpus, mentions, splits, "--strategy", "HP", "--epochs", "1"]) == 0
+    assert main(["retrieve", *o, corpus[0], mentions, splits, "--split", "train",
+                 f"--checkpoint={tmp_path / 'checkpoint.bin'}", "--out", "r.jsonl"]) == 0
+    featurizers = []
+
+    class Recorded(rerank.PairFeaturizer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            featurizers.append(self)
+
+    monkeypatch.setattr(rerank, "PairFeaturizer", Recorded)
+    assert main(["rerank-train", *o, *corpus, mentions, "--rerank-epochs", "1",
+                 "--train-retrievals", str(tmp_path / "r.jsonl"),
+                 "--dev-retrievals", str(tmp_path / "r.jsonl")]) == 0
+    (featurizer,) = featurizers
+    pairs = list(featurizer._pairs.values())
+    blocks = [*featurizer._mention.values(), *featurizer._event.values()]
+    assert pairs and blocks
+    nonzeros = sum(fv.indices.size for fv in pairs)
+    assert sum(fv.indices.nbytes + fv.values.nbytes for fv in pairs) <= 6 * nonzeros
+    for fv in pairs:
+        assert fv.indices.itemsize + fv.values.itemsize <= 6
+    for block in blocks:
+        assert sum(array.nbytes for array in block) <= 12 * block.keys.size
+        assert sum(array.itemsize for array in block) <= 12
 
 
 def test_fill_allocates_no_full_size_temporary():

@@ -23,6 +23,7 @@ from hierground.encoder import (
     BLOCK_ROWS,
     NGRAM_SIZES,
     FeatureVector,
+    event_text,
     hash_text,
     save_arrays,
     span_window,
@@ -43,7 +44,9 @@ from hierground.rerank import (
     BLOCK_BUCKETS,
     DEFAULT_GRID,
     DEFAULT_HIDDEN,
+    ID_DTYPE,
     PAIR_DIM,
+    V_DTYPE,
     PairFeaturizer,
     RerankConfig,
     RerankerParams,
@@ -383,13 +386,13 @@ class TestRepeatedCandidates:
     def test_candidate_texts_hashed_in_one_call(self, monkeypatch):
         events, mention, _ = overlap_corpus()
         calls = []
-        kernel = rerank.ngram_counts_many
+        kernel = rerank.ngram_count_runs
 
         def counting(texts, buckets):
             calls.append(list(texts))
             return kernel(texts, buckets)
 
-        monkeypatch.setattr(rerank, "ngram_counts_many", counting)
+        monkeypatch.setattr(rerank, "ngram_count_runs", counting)
         featurizer = PairFeaturizer(events)
         featurizer.mentions([mention])
         score_candidates(init_reranker(PAIR_DIM, hidden=2), featurizer, mention, self.RESULT)
@@ -806,15 +809,15 @@ class TestArrayPairFeatures:
         assert keys.tolist() == sorted(oracle_counts)
         assert counts.tolist() == [oracle_counts[k] for k in sorted(oracle_counts)]
 
-        got = _pair_fv(
-            oracles.block(*ngram_counts(mention_text, BLOCK_BUCKETS)[:2]),
-            oracles.block(*ngram_counts(event_text, BLOCK_BUCKETS)[:2]),
+        m_block, e_block = (
+            oracles.narrow_block(oracles.block(*ngram_counts(text, BLOCK_BUCKETS)[:2]))
+            for text in (mention_text, event_text)
         )
+        got = _pair_fv(m_block, e_block)
         want = pair_fv_oracle(bucket_oracle(mention_text), bucket_oracle(event_text))
-        assert got.indices.dtype == want.indices.dtype == np.int64
-        assert got.values.dtype == want.values.dtype
+        assert got.indices.dtype == ID_DTYPE and got.values.dtype == V_DTYPE
         assert np.array_equal(got.indices, want.indices)
-        assert got.values.tobytes() == want.values.tobytes()
+        assert got.values.tobytes() == oracles.narrow_fv(want).values.tobytes()
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(mention=bucket_counts, event=bucket_counts)
@@ -826,12 +829,33 @@ class TestArrayPairFeatures:
     @example(mention={0: 1, 7: 2, 9: 4}, event={0: 3, 7: 1, 9: 4})
     def test_bit_equal_to_intersect1d_oracle(self, mention, event):
         m, e = block_arrays(mention), block_arrays(event)
-        got = _pair_fv(oracles.block(*m), oracles.block(*e))
+        got = _pair_fv(*(oracles.narrow_block(oracles.block(*b)) for b in (m, e)))
         want = oracles.pair_fv(m, e)
-        assert got.indices.dtype == want.indices.dtype == np.int64
-        assert got.values.dtype == want.values.dtype
-        assert got.indices.tobytes() == want.indices.tobytes()
-        assert got.values.tobytes() == want.values.tobytes()
+        assert got.indices.dtype == ID_DTYPE and got.values.dtype == V_DTYPE
+        assert np.array_equal(got.indices, want.indices)
+        assert got.indices.tobytes() == oracles.narrow_fv(want).indices.tobytes()
+        assert got.values.tobytes() == oracles.narrow_fv(want).values.tobytes()
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(unit=st.sampled_from(["a", "ab", "flood ", "洪水"]), reps=st.integers(1, 30_000))
+    @example(unit="a", reps=70_000)  # "aaa" alone counts past 2^16 - 1
+    def test_counts_never_wrap_in_a_long_window(self, unit, reps):
+        """However long the window, the narrow block's counts are the exact
+        counts, and the pair vector is the float64 oracle's cast once."""
+        max_chars = 10**9
+        mention = make_mention(unit * reps)
+        event = Event("E1", {"en": Label("flood relief", unit * 3)})
+        featurizer = PairFeaturizer([event], max_context_chars=max_chars)
+        fv = featurizer.pair_fv(mention, "E1")
+        (m_block,), (e_block,) = featurizer.featurize([mention], [("E1", "en")])
+        m = ngram_counts(span_window(mention, max_chars), BLOCK_BUCKETS)[:2]
+        e = ngram_counts(event_text(event, "en"), BLOCK_BUCKETS)[:2]
+        for block, (keys, counts) in ((m_block, m), (e_block, e)):
+            assert np.array_equal(block.keys, keys)
+            assert block.counts.dtype.kind == "u" and np.array_equal(block.counts, counts)
+        want = oracles.narrow_fv(oracles.pair_fv(m, e))
+        assert fv.indices.tobytes() == want.indices.tobytes()
+        assert fv.values.tobytes() == want.values.tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(text=pair_texts, F=st.sampled_from([2**18, BLOCK_BUCKETS, 7]))

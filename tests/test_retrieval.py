@@ -360,8 +360,11 @@ class TestRowSubsetRetrieval:
             encoder, "load_checkpoint", lambda *a: loaded.append(load_checkpoint(*a)) or loaded[-1]
         )
         got = retrieve_from_checkpoint(path, events, pool, mentions, 3, mode, max_chars, max_chars)
-        assert got == want
+        assert list(got) == want
         (event_part, _), (mention_part, _) = loaded
+        # each load left the tower it does not encode with unread
+        for unread in (event_part.W_mention, mention_part.W_event):
+            assert unread.rows.size == unread.values.size == 0 and unread.init is None
         params = EncoderParams(mention_part.W_mention, event_part.W_event)
         assert isinstance(params.W_mention, Tower) and params.W_mention.rows.size < F
         fvs = encoder.hash_texts([span_window(m, max_chars) for m in mentions], F)
@@ -380,7 +383,7 @@ class TestRowSubsetRetrieval:
 
         monkeypatch.setattr(encoder, "ngram_counts_many", counting)
         pool = [e.id for e in events]
-        retrieve_from_checkpoint(tmp_path / "c.bin", events, pool, mentions, k=2)
+        list(retrieve_from_checkpoint(tmp_path / "c.bin", events, pool, mentions, k=2))
         # the mentions' three resolved languages, then the windows, each once
         assert calls == [len(events)] * 3 + [len(mentions)]
 
@@ -436,17 +439,21 @@ class TestRuns:
             fv.is_zero for language in ("en", "de", "fr") for fv in featurizer.events(pool, language)
         )
         # the warnings and the mention rows asked for at each tower load
+        # (None: the tower is left unread)
         loads = []
 
         def loading(path, rows):
-            loads.append((WARNING_COUNTS["empty_feature_vector"], rows["mention"].size))
+            mention_rows = None if rows["mention"] is None else rows["mention"].size
+            loads.append((WARNING_COUNTS["empty_feature_vector"], mention_rows))
             return load_checkpoint(path, rows)
 
         monkeypatch.setattr(encoder, "load_checkpoint", loading)
         reset_warning_counts()
         # windows of two characters hold no n-gram
-        retrieve_from_checkpoint(tmp_path / "c.bin", events, pool, mentions, 2, max_context_chars=2)
-        assert empty_pool > 0 and loads == [(empty_pool, 0), (empty_pool, 0)]
+        list(retrieve_from_checkpoint(
+            tmp_path / "c.bin", events, pool, mentions, 2, max_context_chars=2
+        ))
+        assert empty_pool > 0 and loads == [(empty_pool, None), (empty_pool, 0)]
         assert WARNING_COUNTS["empty_feature_vector"] == empty_pool + len(mentions)
 
 
