@@ -47,7 +47,7 @@ for inst in instances:
 lists = mention_lists(oracle_results)
 rankings, unlinked = relext.rank_all_parents(lists, pool)
 id_rankings = {e: [p for p, _ in ranked] for e, ranked in rankings.items()}
-print(f"oracle linking : parent recall@1 = {metrics.relext_recall_at_k(id_rankings, forest, 1):.4f}")
+print(f"oracle linking : parent recall@1 = {metrics.relext_recall_at_ks(id_rankings, forest, [1])[0]:.4f}")
 
 # one concrete ranking: the top candidates all contain the child's
 # mentions, and the tie at h = 1.0 resolves to the true parent
@@ -66,8 +66,9 @@ results = retrieval.retrieve_mentions(params, index, mentions, k=relext.DEFAULT_
 lists = mention_lists(results)
 rankings, unlinked = relext.rank_all_parents(lists, pool)
 id_rankings = {e: [p for p, _ in ranked] for e, ranked in rankings.items()}
-for k in (1, 2, 4):
-    print(f"learned linking: parent recall@{k} = {metrics.relext_recall_at_k(id_rankings, forest, k):.4f}")
+ks = (1, 2, 4)
+for k, recall in zip(ks, metrics.relext_recall_at_ks(id_rankings, forest, ks)):
+    print(f"learned linking: parent recall@{k} = {recall:.4f}")
 if unlinked:
     print(f"unlinked events (overlap score undefined): {unlinked}")
 tmp.cleanup()

@@ -44,19 +44,17 @@ from .metrics import (
     recall_at_k,
     recall_at_k_fraction,
     recall_at_min,
-    relext_recall_at_k,
     set_metrics,
 )
-from .relext import build_mention_lists, rank_parents
+from .relext import build_mention_lists
 from .rerank import (
     RerankConfig,
     RerankerParams,
-    predict_set,
     select_threshold,
     substitute_missing_golds,
     train_reranker,
 )
-from .retrieval import CandidateIndex, RetrievalResult, retrieve_mentions, topk
+from .retrieval import CandidateIndex, RetrievalResult, retrieve_mentions
 from .training import (
     ComplExHead,
     TrainConfig,
@@ -103,12 +101,9 @@ __all__ = [
     "load_checkpoint",
     "load_events",
     "load_relations",
-    "predict_set",
-    "rank_parents",
     "recall_at_k",
     "recall_at_k_fraction",
     "recall_at_min",
-    "relext_recall_at_k",
     "retrieve_mentions",
     "save_checkpoint",
     "select_split",
@@ -116,7 +111,6 @@ __all__ = [
     "set_metrics",
     "split_components",
     "substitute_missing_golds",
-    "topk",
     "train",
     "train_reranker",
 ]

@@ -117,38 +117,26 @@ def _utf8_bytes(cp: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.n
     return lead.astype(np.uint64), continuation
 
 
-def ngram_counts_many(
-    texts: list[str], buckets: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per text, the ascending bucket ids in [0, buckets) of its character
-    3-5-grams, their float counts, and the counts L2-normalized.
-
-    Bit-equal to bucketing the FNV-1a 64-bit hash of each n-gram's UTF-8
-    bytes (the scalar ``fnv1a64`` in ``tests/oracles.py``), but
-    every n-gram of a run of texts is hashed in whole-array steps: the
-    state of the n-gram starting at each character advances one character
-    at a time, its lead byte for all starts at once and its continuation
-    bytes only where the character has them.  Runs of ``_CHUNK_TEXTS``
-    texts bound the scratch arrays, and each run's counts are normalized in
-    one division, bit-equal to normalizing each text alone.  Each text's
-    three arrays are read-only slices of its run's: texts share buffers, so
-    a write into one raises rather than reaching its neighbours.  Text that
-    does not encode as UTF-8 (a lone surrogate) raises
-    ``UnicodeEncodeError``.
-    """
-    return [
-        (keys[lo:hi], counts[lo:hi], values[lo:hi])
-        for keys, counts, values, bounds in ngram_count_runs(texts, buckets)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-
-
 def ngram_count_runs(
     texts: list[str], buckets: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]]:
-    """``ngram_counts_many`` before it is cut into texts: per run of
-    ``_CHUNK_TEXTS`` texts, the run's read-only keys, counts and values and
-    each text's bounds in them, for a caller that converts whole runs."""
+    """Per run of ``_CHUNK_TEXTS`` texts, the ascending bucket ids in
+    [0, buckets) of each text's character 3-5-grams, their float counts
+    and the counts L2-normalized, as three read-only arrays of the run's,
+    and each text's bounds in them.
+
+    Bit-equal to bucketing the FNV-1a 64-bit hash of each n-gram's UTF-8
+    bytes (the scalar ``fnv1a64`` in ``tests/oracles.py``), but every
+    n-gram of a run of texts is hashed in whole-array steps: the state of
+    the n-gram starting at each character advances one character at a
+    time, its lead byte for all starts at once and its continuation bytes
+    only where the character has them.  Runs bound the scratch arrays, and
+    each run's counts are normalized in one division, bit-equal to
+    normalizing each text alone.  A caller converts whole runs and slices
+    its texts out of them; the slices share buffers, so a write into one
+    raises rather than reaching its neighbours.  Text that does not encode
+    as UTF-8 (a lone surrogate) raises ``UnicodeEncodeError``.
+    """
     runs = [
         _ngram_counts_chunk(texts[lo : lo + _CHUNK_TEXTS], buckets)
         for lo in range(0, len(texts), _CHUNK_TEXTS)
@@ -256,29 +244,22 @@ def check_keys(keys: np.ndarray, buckets: int) -> None:
         raise DimensionMismatch(f"feature index outside [0, {buckets})")
 
 
-def checked_counts(
-    counted: list[tuple[np.ndarray, np.ndarray, np.ndarray]], buckets: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``counted``, ``ngram_counts_many``'s output, once the keys of each
-    run of ``_CHUNK_TEXTS`` texts are checked to lie in [0, buckets) in one
-    step, so vectors built from them need no check of their own."""
-    for lo in range(0, len(counted), _CHUNK_TEXTS):
-        check_keys(np.concatenate([k for k, _, _ in counted[lo : lo + _CHUNK_TEXTS]]), buckets)
-    return counted
-
-
 def hash_texts(texts: list[str], F: int) -> list[FeatureVector]:
     """Count each text's character 3-5-grams, hash each into [0, F),
     L2-normalize.
 
-    Texts too short for any n-gram produce the zero vector and bump the
-    empty-feature-vector warning counter once each.
+    Each of the kernel's runs is range-checked once, so its vectors, slices
+    of the run's arrays, skip the per-vector check.  Texts too short for
+    any n-gram produce the zero vector and bump the empty-feature-vector
+    warning counter once each.
     """
     vectors = []
-    for keys, _, values in checked_counts(ngram_counts_many(texts, F), F):
-        if not keys.size:
-            WARNING_COUNTS["empty_feature_vector"] += 1
-        vectors.append(FeatureVector.prechecked(keys, values, F))
+    for keys, _, values, bounds in ngram_count_runs(texts, F):
+        check_keys(keys, F)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if lo == hi:
+                WARNING_COUNTS["empty_feature_vector"] += 1
+            vectors.append(FeatureVector.prechecked(keys[lo:hi], values[lo:hi], F))
     return vectors
 
 

@@ -154,29 +154,20 @@ def set_metrics(records: list[EvalRecord]) -> dict[str, float]:
     }
 
 
-def relext_recall_at_k(
-    rankings: dict[str, list[str]],
-    forest: HierarchyForest,
-    k: int,
-    events: list[str] | None = None,
-) -> float:
-    """Fraction of non-root hierarchy events whose parent is in their top-k.
-
-    ``rankings`` maps a child event to its ranked parent candidates;
-    events absent from it (no linked mentions, so the overlap score is
-    undefined) count as misses at every k.
-    """
-    return relext_recall_at_ks(rankings, forest, [k], events)[0]
-
-
 def relext_recall_at_ks(
     rankings: dict[str, list[str]],
     forest: HierarchyForest,
     ks: Sequence[int],
     events: list[str] | None = None,
 ) -> list[float]:
-    """``relext_recall_at_k`` at each k of ``ks``, from one pass that finds
-    each evaluated parent's position in its child's ranking."""
+    """Fraction of non-root hierarchy events whose parent is in their top-k,
+    at each k of ``ks``, from one pass that finds each evaluated parent's
+    position in its child's ranking.
+
+    ``rankings`` maps a child event to its ranked parent candidates;
+    events absent from it (no linked mentions, so the overlap score is
+    undefined) count as misses at every k.
+    """
     if min(ks) < 1:
         raise ValueError("k must be >= 1")
     if events is None:

@@ -232,49 +232,31 @@ def retrieve_mentions(
 ) -> list[RetrievalResult]:
     """Top-k candidates of each mention, bit-equal to ``topk`` on its own.
 
-    The mentions go in runs of the n-gram kernel's ``_CHUNK_TEXTS``: each
-    run's windows are hashed (unless ``fvs`` already holds every mention's),
-    encoded and scored before the next run is hashed, so no more than one
-    run of hashed windows is held.  In a run, the mentions of each resolved
-    language are encoded one by one and stacked, and scored, in blocks of
-    ``BLOCK_MENTIONS`` (``_block_topk``).  A non-finite encoding or score
-    raises ``NonFiniteScore``.
+    Every mention's window is hashed in one ``hash_texts`` call, unless
+    ``fvs`` already holds them, so all the hashed windows are held at
+    once: a large set goes through ``retrieve_from_checkpoint``, which
+    passes this one run of ``_CHUNK_TEXTS`` mentions at a time.  The
+    mentions of each resolved language are encoded one by one and stacked,
+    and scored, in blocks of ``BLOCK_MENTIONS`` (``_block_topk``).  A
+    non-finite encoding or score raises ``NonFiniteScore``.
     """
     check_k(k, len(index))
-    results: list[RetrievalResult] = []
-    run = encoder._CHUNK_TEXTS
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(mentions), run):
-            batch = mentions[lo : lo + run]
-            if fvs is None:
-                batch_fvs = hash_texts([span_window(m, max_context_chars) for m in batch], params.F)
-            else:
-                batch_fvs = fvs[lo : lo + run]
-            results += _retrieve_run(params, index, batch, batch_fvs, k)
-    return results
-
-
-def _retrieve_run(
-    params: EncoderParams,
-    index: CandidateIndex,
-    mentions: list[Mention],
-    fvs: list[FeatureVector],
-    k: int,
-) -> list[RetrievalResult]:
-    """``retrieve_mentions`` of one run."""
+    if fvs is None:
+        fvs = hash_texts([span_window(m, max_context_chars) for m in mentions], params.F)
     by_language: dict[str, list[int]] = {}
     for i, mention in enumerate(mentions):
         by_language.setdefault(index.featurizer.language(mention.language), []).append(i)
     results: list = [None] * len(mentions)
-    for language, positions in by_language.items():
-        matrix, max_abs = index.checked_matrix(language)
-        for start in range(0, len(positions), BLOCK_MENTIONS):
-            chunk = positions[start : start + BLOCK_MENTIONS]
-            block = np.stack([encode(params, fvs[i], "mention") for i in chunk])
-            _check_finite(block, "mention encodings")
-            ranked = _block_topk(matrix, max_abs, block, k, index.ids)
-            for i, candidates in zip(chunk, ranked):
-                results[i] = RetrievalResult(mentions[i].id, candidates)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for language, positions in by_language.items():
+            matrix, max_abs = index.checked_matrix(language)
+            for start in range(0, len(positions), BLOCK_MENTIONS):
+                chunk = positions[start : start + BLOCK_MENTIONS]
+                block = np.stack([encode(params, fvs[i], "mention") for i in chunk])
+                _check_finite(block, "mention encodings")
+                ranked = _block_topk(matrix, max_abs, block, k, index.ids)
+                for i, candidates in zip(chunk, ranked):
+                    results[i] = RetrievalResult(mentions[i].id, candidates)
     return results
 
 
@@ -328,7 +310,8 @@ def _runs(
     max_context_chars: int,
 ) -> Iterator[RetrievalResult]:
     """``retrieve_mentions`` of each run of ``_CHUNK_TEXTS`` mentions in
-    turn, one result at a time; ``NonFiniteScore`` names ``path``."""
+    turn, one result at a time; ``NonFiniteScore`` names ``path``.  The one
+    place mentions are cut into runs."""
     run = encoder._CHUNK_TEXTS
     try:
         for lo in range(0, len(mentions), run):

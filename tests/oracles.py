@@ -24,7 +24,7 @@ from hierground.encoder import (
     Tower,
     event_text,
     hash_text,
-    ngram_counts_many,
+    ngram_count_runs,
     span_window,
 )
 from hierground.errors import DimensionMismatch, ParseError
@@ -58,13 +58,25 @@ def whole_towers(W_mention: np.ndarray, W_event: np.ndarray) -> EncoderParams:
 def fnv1a64(data: bytes) -> int:
     """FNV-1a 64-bit hash; fixed constants, no per-process salting.
 
-    The scalar reference for ``encoder.ngram_counts_many``, which hashes
+    The scalar reference for ``encoder.ngram_count_runs``, which hashes
     whole lists of n-grams bit-equal to it.
     """
     h = FNV_OFFSET
     for byte in data:
         h = ((h ^ byte) * FNV_PRIME) & MASK64
     return h
+
+
+def ngram_counts_many(
+    texts: list[str], buckets: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per text, its keys, counts and values: read-only slices of its run's
+    arrays in ``encoder.ngram_count_runs``, the view the kernel tests read."""
+    return [
+        (keys[lo:hi], counts[lo:hi], values[lo:hi])
+        for keys, counts, values, bounds in ngram_count_runs(texts, buckets)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def ngram_counts(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -269,7 +269,7 @@ def test_03_metric_oracle_equivalence():
         children = sorted(parent)
         for k in range(1, 7):
             want = sum(parent[c] in rankings.get(c, [])[:k] for c in children) / len(children)
-            check(metrics.relext_recall_at_k(rankings, forest, k), want)
+            check(metrics.relext_recall_at_ks(rankings, forest, [k])[0], want)
 
     verdict(
         3,
@@ -449,7 +449,7 @@ def test_07_relext_with_perfect_retriever(tmp_path):
         rankings, unlinked = relext.rank_all_parents(lists, pool)
         assert unlinked == []
         id_rankings = {e: [p for p, _ in ranked] for e, ranked in rankings.items()}
-        values.append(metrics.relext_recall_at_k(id_rankings, forest, 1))
+        values.append(metrics.relext_recall_at_ks(id_rankings, forest, [1])[0])
     ok = all(v == 1.0 for v in values)
     verdict(
         7,

@@ -16,6 +16,7 @@ from oracles import (
     featurize_event,
     featurize_mention,
     fnv1a64,
+    ngram_counts_many,
     pair_score,
     whole_towers,
 )
@@ -41,7 +42,6 @@ from hierground.encoder import (
     init_encoder,
     load_arrays,
     load_checkpoint,
-    ngram_counts_many,
     reset_warning_counts,
     save_arrays,
     save_checkpoint,
@@ -261,7 +261,7 @@ class TestKernelNormalization:
             return counting
 
         texts = ["flood relief", "river plain", "abc"]
-        monkeypatch.setattr(encoder, "ngram_counts_many", last_shifted(encoder.ngram_counts_many))
+        monkeypatch.setattr(encoder, "ngram_count_runs", last_shifted(encoder.ngram_count_runs))
         # the reranker's blocks read the kernel's runs, one text a run here
         monkeypatch.setattr(rerank, "ngram_count_runs", last_shifted(rerank.ngram_count_runs))
         with chunk_texts(1):

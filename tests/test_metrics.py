@@ -14,7 +14,7 @@ from hierground.metrics import (
     recall_at_k,
     recall_at_k_fraction,
     recall_at_min,
-    relext_recall_at_k,
+    relext_recall_at_ks,
     set_metrics,
     write_recall_tsv,
     write_report,
@@ -294,33 +294,33 @@ class TestRelextRecallAtK:
             "C2": [filler[0], "P"] + filler[1:],
             "C3": filler + ["P"],
         }
-        assert relext_recall_at_k(rankings, forest, 4) == 0.5
+        assert relext_recall_at_ks(rankings, forest, [4])[0] == 0.5
 
     def test_all_parents_first(self):
         forest = parent_forest()
         rankings = {c: ["P", "X"] for c in ["C1", "C2", "C3", "C4"]}
-        assert relext_recall_at_k(rankings, forest, 1) == 1.0
+        assert relext_recall_at_ks(rankings, forest, [1])[0] == 1.0
 
     def test_large_k_with_all_linked(self):
         forest = parent_forest()
         rankings = {c: ["X1", "X2", "P"] for c in ["C1", "C2", "C3", "C4"]}
-        assert relext_recall_at_k(rankings, forest, 99) == 1.0
+        assert relext_recall_at_ks(rankings, forest, [99])[0] == 1.0
 
     def test_event_filter_keeps_non_roots_only(self):
         forest = parent_forest()
         rankings = {"C1": ["P"], "C2": ["X"]}
-        got = relext_recall_at_k(rankings, forest, 1, events=["C1", "C2", "P"])
+        got = relext_recall_at_ks(rankings, forest, [1], events=["C1", "C2", "P"])[0]
         assert got == 0.5
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            relext_recall_at_k({}, parent_forest(), 0)
+            relext_recall_at_ks({}, parent_forest(), [0])[0]
 
     def test_no_events_to_evaluate(self):
         events = [Event("A", {"en": Label("alone")})]
         forest = build_forest(events, [])
         with pytest.raises(EmptyRecords):
-            relext_recall_at_k({}, forest, 4)
+            relext_recall_at_ks({}, forest, [4])[0]
 
 
 class TestReportFiles:

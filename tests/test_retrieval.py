@@ -320,13 +320,13 @@ class TestBatchedHashing:
     def test_one_kernel_call_per_language(self, mode, languages, monkeypatch):
         events, mentions = multilingual_corpus()
         calls = []
-        kernel = encoder.ngram_counts_many
+        kernel = encoder.ngram_count_runs
 
         def counting(texts, buckets):
             calls.append(len(texts))
             return kernel(texts, buckets)
 
-        monkeypatch.setattr(encoder, "ngram_counts_many", counting)
+        monkeypatch.setattr(encoder, "ngram_count_runs", counting)
         params = init_encoder(512, 8, seed=3)
         index = CandidateIndex(params, events, [e.id for e in events], mode)
         retrieve_mentions(params, index, mentions, k=2)
@@ -375,13 +375,13 @@ class TestRowSubsetRetrieval:
         events, mentions = multilingual_corpus()
         save_checkpoint(tmp_path / "c.bin", init_encoder(512, 8, seed=3))
         calls = []
-        kernel = encoder.ngram_counts_many
+        kernel = encoder.ngram_count_runs
 
         def counting(texts, buckets):
             calls.append(len(texts))
             return kernel(texts, buckets)
 
-        monkeypatch.setattr(encoder, "ngram_counts_many", counting)
+        monkeypatch.setattr(encoder, "ngram_count_runs", counting)
         pool = [e.id for e in events]
         list(retrieve_from_checkpoint(tmp_path / "c.bin", events, pool, mentions, k=2))
         # the mentions' three resolved languages, then the windows, each once
@@ -395,8 +395,8 @@ class TestRowSubsetRetrieval:
 
 
 class TestRuns:
-    """Without ``fvs``, ``retrieve_mentions`` hashes, encodes and scores a
-    run of ``_CHUNK_TEXTS`` mentions at a time."""
+    """``retrieve_from_checkpoint`` hashes, encodes and scores a run of
+    ``_CHUNK_TEXTS`` mentions at a time, one ``retrieve_mentions`` call each."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -409,7 +409,9 @@ class TestRuns:
     )
     @example(picks=[(0, "en"), (1, "de"), (2, "en"), (3, "de"), (4, "en")], chunk=2,
              max_chars=128, mode="multilingual", k=5)
-    def test_bit_equal_to_one_shot_oracle(self, picks, chunk, max_chars, mode, k):
+    def test_bit_equal_to_one_shot_oracle(
+        self, tmp_path_factory, picks, chunk, max_chars, mode, k
+    ):
         # runs that split a language group, and windows too short to hash
         events, corpus_mentions = multilingual_corpus()
         mentions = [
@@ -417,7 +419,10 @@ class TestRuns:
             for j, (i, language) in enumerate(picks)
         ]
         params = init_encoder(512, 8, seed=3)
-        index = CandidateIndex(params, events, [e.id for e in events], mode, max_chars)
+        path = tmp_path_factory.mktemp("runs") / "c.bin"
+        save_checkpoint(path, params)
+        pool = [e.id for e in events]
+        index = CandidateIndex(params, events, pool, mode, max_chars)
         fvs = oracles.hash_texts([span_window(m, max_chars) for m in mentions], 512)
         want = [
             topk(index, encode(params, fv, "mention"), k, m.language, m.id)
@@ -425,8 +430,31 @@ class TestRuns:
         ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(encoder, "_CHUNK_TEXTS", chunk)
-            got = retrieve_mentions(params, index, mentions, k, max_chars)
+            got = list(
+                retrieve_from_checkpoint(path, events, pool, mentions, k, mode, max_chars, max_chars)
+            )
         assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 256])
+    def test_one_retrieve_mentions_call_per_run(self, chunk, monkeypatch, tmp_path):
+        events, mentions = multilingual_corpus()
+        save_checkpoint(tmp_path / "c.bin", init_encoder(512, 8, seed=3))
+        runs = []
+
+        def recording(params, index, run, *args):
+            runs.append([m.id for m in run])
+            return retrieve_mentions(params, index, run, *args)
+
+        monkeypatch.setattr(retrieval, "retrieve_mentions", recording)
+        monkeypatch.setattr(encoder, "_CHUNK_TEXTS", chunk)
+        pool = [e.id for e in events]
+        got = list(retrieve_from_checkpoint(tmp_path / "c.bin", events, pool, mentions, 2))
+        # the runs in order, each of at most _CHUNK_TEXTS mentions
+        ids = [m.id for m in mentions]
+        assert [m for run in runs for m in run] == [r.mention_id for r in got] == ids
+        assert [len(run) for run in runs] == [
+            len(ids[lo : lo + chunk]) for lo in range(0, len(ids), chunk)
+        ]
 
     @pytest.mark.parametrize("chunk", [1, 4, 256])
     def test_empty_windows_warn_once_each(self, chunk, monkeypatch, tmp_path):
