@@ -366,7 +366,7 @@ class TextFeaturizer:
         from."""
         texts: dict[Any, str] = {}
         for m in mentions:
-            if m.id not in self._mention:
+            if m.id not in self._mention and m.id not in texts:
                 texts[m.id] = span_window(m, self.max_context_chars)
         n_mentions = len(texts)
         keys = [(event_id, self.language(language)) for event_id, language in events]

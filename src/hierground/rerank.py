@@ -14,6 +14,7 @@ import json
 import math
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,6 +41,7 @@ from .errors import (
     NonFiniteScore,
     ParseError,
     TrainingDiverged,
+    UnknownEvent,
     UnknownMention,
 )
 from .kb import Event, read_jsonl
@@ -105,43 +107,70 @@ def _blocks(texts: list[str]) -> list[Block]:
     return blocks
 
 
-def _pair_fv(mention: Block, event: Block) -> FeatureVector:
-    """Concatenate the three L2-normalized blocks into one sparse vector.
+def _pair_run(mentions: list[Block], events: list[Block]) -> list[FeatureVector]:
+    """The pair vector of each (``mentions[i]``, ``events[i]``), all built
+    in one array pass.
 
-    The interaction block holds, for every bucket both texts hit, the
-    smaller of the two counts; each mention key is looked up in the event
-    keys with one ``searchsorted``.  Block keys lie in [0,
-    ``BLOCK_BUCKETS``), so every index is in [0, ``PAIR_DIM``) and the
-    vector skips the per-vector range check.  The indices keep the blocks'
-    ``ID_DTYPE`` and the values are built in ``V_DTYPE``: 6 bytes a nonzero.
+    A vector concatenates three L2-normalized blocks: the mention's, the
+    event's and the interaction block, which holds, for every bucket both
+    texts hit, the smaller of the two counts.  Every key of the run becomes
+    a (pair, bucket) code, int32 while the run's pairs fit, ascending
+    within and across pairs, so one ``searchsorted`` of the mention codes
+    in the event codes finds every shared bucket.  The interaction blocks
+    are normalized in float64, as the float counts were: each pair's norm
+    is the square root of a ``bincount`` of its squared counts, an exact
+    integer and so bit-equal to ``sqrt(shared @ shared)``; they are rounded
+    to ``V_DTYPE`` once.  One concatenation holds every vector, which is a
+    read-only view of its slice.  Block keys lie in [0, ``BLOCK_BUCKETS``),
+    so every index is in [0, ``PAIR_DIM``) and the vectors skip the
+    per-vector range check; they keep the blocks' ``ID_DTYPE``: 6 bytes a
+    nonzero.
     """
-    if event.keys.size:
-        e_at = np.searchsorted(event.keys, mention.keys)
-        m_at = np.flatnonzero(event.keys.take(e_at, mode="clip") == mention.keys)
-        e_at = e_at[m_at]
-    else:
-        m_at = e_at = np.empty(0, dtype=np.intp)
-    # the interaction block is normalized in float64, as the float counts
-    # were, and rounded once with the rest; its sum of squared counts is an
-    # exact integer, so sqrt(shared @ shared) is np.linalg.norm's value
-    shared = np.minimum(mention.counts[m_at], event.counts[e_at]).astype(np.float64)
-    return FeatureVector.prechecked(
-        np.concatenate([mention.keys, event.shifted, 2 * BLOCK_BUCKETS + mention.keys[m_at]]),
-        np.concatenate(
-            [mention.values, event.values, shared / np.sqrt(shared @ shared)], dtype=V_DTYPE
-        ),
-        PAIR_DIM,
+    n = len(mentions)
+    code_dtype = np.int32 if n * BLOCK_BUCKETS <= np.iinfo(np.int32).max else np.int64
+    first = np.arange(n, dtype=code_dtype) * BLOCK_BUCKETS
+    m_keys = np.concatenate([m.keys for m in mentions])
+    m_codes = np.repeat(first, [m.keys.size for m in mentions]) + m_keys
+    e_codes = np.repeat(first, [e.keys.size for e in events]) + np.concatenate(
+        [e.keys for e in events]
     )
+    e_at = np.searchsorted(e_codes, m_codes)
+    # the -1 after the last event code matches no mention code
+    m_at = np.flatnonzero(np.append(e_codes, -1)[e_at] == m_codes)
+    e_at = e_at[m_at]
+    shared = np.minimum(
+        np.concatenate([m.counts for m in mentions])[m_at],
+        np.concatenate([e.counts for e in events])[e_at],
+    ).astype(np.float64)
+    pair = m_codes[m_at] // BLOCK_BUCKETS
+    shared /= np.sqrt(np.bincount(pair, weights=shared * shared, minlength=n))[pair]
+    s_keys, s_values = 2 * BLOCK_BUCKETS + m_keys[m_at], shared.astype(V_DTYPE)
+    s_bounds = np.searchsorted(pair, np.arange(n + 1)).tolist()
+    index_parts, value_parts, bounds = [], [], [0]
+    for m, e, lo, hi in zip(mentions, events, s_bounds[:-1], s_bounds[1:]):
+        index_parts += (m.keys, e.shifted, s_keys[lo:hi])
+        value_parts += (m.values, e.values, s_values[lo:hi])
+        bounds.append(bounds[-1] + m.keys.size + e.keys.size + hi - lo)
+    indices, values = np.concatenate(index_parts), np.concatenate(value_parts)
+    indices.flags.writeable = values.flags.writeable = False
+    return [
+        FeatureVector.prechecked(indices[lo:hi], values[lo:hi], PAIR_DIM)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+RUN_MENTIONS = 32  # mentions whose new pair vectors one _pair_run call builds
 
 
 class PairFeaturizer(TextFeaturizer):
     """Memoized pair featurization over a fixed corpus.
 
     Each mention window and each (event, language) text is hashed once
-    into a ``Block`` of ``BLOCK_BUCKETS`` buckets, normalized once.  With
-    ``keep_pairs`` each (mention id, event id) pair vector is also built
-    once and kept, for a run that scores again the pairs it trained on;
-    without it a one-pass scorer holds no pair vector it is done with.
+    into a ``Block`` of ``BLOCK_BUCKETS`` buckets, normalized once.  Pair
+    vectors are built a run of mentions at a time.  With ``keep_pairs``
+    each (mention id, event id) pair vector is also built once and kept,
+    for a run that scores again the pairs it trained on; without it a
+    one-pass scorer holds one run's pair vectors at a time.
     """
 
     def __init__(
@@ -155,21 +184,45 @@ class PairFeaturizer(TextFeaturizer):
         super().__init__(events, _blocks, mode, max_context_chars, max_cand_chars)
         self._pairs: dict[tuple[str, str], FeatureVector] | None = {} if keep_pairs else None
 
+    def pair_fvs(
+        self, mentions: list[Mention], event_ids: Iterable[list[str]]
+    ) -> Iterator[dict[str, FeatureVector]]:
+        """Per mention, its pair vector with each of its ``event_ids``,
+        keyed by event id.
+
+        The mentions go ``RUN_MENTIONS`` at a time, each run's lists read
+        from ``event_ids`` when it starts: the texts of the run's pairs not
+        kept yet go to one ``featurize`` call, and those pairs, each built
+        once, to one ``_pair_run`` call.  A caller that drops each dict once
+        read holds at most two runs' vectors beside the kept ones: a run's
+        vectors are views of its arrays, which its last dict keeps while
+        the next run is built.
+        """
+        lists = iter(event_ids)
+        for lo in range(0, len(mentions), RUN_MENTIONS):
+            run = mentions[lo : lo + RUN_MENTIONS]
+            ids = list(islice(lists, len(run)))
+            pairs = {} if self._pairs is None else self._pairs
+            new: dict[tuple[str, str], Mention] = {}
+            for mention, listed in zip(run, ids):
+                for event_id in listed:
+                    key = (mention.id, event_id)
+                    if key not in pairs and key not in new:
+                        if event_id not in self.corpus:
+                            raise UnknownEvent(event_id, f"candidate of mention {mention.id!r}")
+                        new[key] = mention
+            if new:
+                m_blocks, e_blocks = self.featurize(
+                    list(new.values()), [(e, m.language) for (_, e), m in new.items()]
+                )
+                pairs.update(zip(new, _pair_run(m_blocks, e_blocks)))
+            for mention, listed in zip(run, ids):
+                yield {event_id: pairs[mention.id, event_id] for event_id in listed}
+
     def pair_fv(self, mention: Mention, event_id: str) -> FeatureVector:
-        key = (mention.id, event_id)
-        if self._pairs is not None and key in self._pairs:
-            return self._pairs[key]
-        (m,), (e,) = self.featurize(
-            [mention], [(event_id, mention.language)], _candidate_of(mention)
-        )
-        fv = _pair_fv(m, e)
-        if self._pairs is not None:
-            self._pairs[key] = fv
-        return fv
-
-
-def _candidate_of(mention: Mention) -> str:
-    return f"candidate of mention {mention.id!r}"
+        """The pair vector of one (mention, event id): a one-pair run."""
+        (pairs,) = self.pair_fvs([mention], [[event_id]])
+        return pairs[event_id]
 
 
 @dataclass
@@ -306,16 +359,15 @@ def train_reranker(
     if not results:
         raise EmptyRetrievals("reranker needs training retrievals")
     result_mentions = [_mention_of(mentions, result.mention_id) for result in results]
-    featurizer.mentions(result_mentions)
+    gold_sets = [frozenset(golds[result.mention_id]) for result in results]
+    candidate_lists = [
+        substitute_missing_golds(result.event_ids[: config.k], gold)
+        for result, gold in zip(results, gold_sets)
+    ]
     examples: list[tuple[FeatureVector, float]] = []
-    for result, mention in zip(results, result_mentions):
-        gold = frozenset(golds[result.mention_id])
-        candidate_ids = substitute_missing_golds(result.event_ids[: config.k], gold)
-        featurizer.events(candidate_ids, mention.language, _candidate_of(mention))
-        for event_id in candidate_ids:
-            examples.append(
-                (featurizer.pair_fv(mention, event_id), 1.0 if event_id in gold else 0.0)
-            )
+    pair_dicts = featurizer.pair_fvs(result_mentions, candidate_lists)
+    for candidate_ids, gold, pairs in zip(candidate_lists, gold_sets, pair_dicts):
+        examples += [(pairs[e], 1.0 if e in gold else 0.0) for e in candidate_ids]
 
     params = init_reranker(PAIR_DIM, config.hidden, config.seed)
     workspace = SGDWorkspace([fv for fv, _ in examples], params, config.batch_size)
@@ -340,17 +392,25 @@ class SGDWorkspace(DesignWorkspace):
     Every buffer is in V's dtype.
     Building the workspace checks every example once: its dimension is
     P and its indices are strictly ascending, as the design kernel's fill
-    by assignment needs.
+    by assignment needs; the order is checked over the concatenated
+    indices of many examples at once.
     """
 
     def __init__(self, fvs: list[FeatureVector], params: RerankerParams, batch_size: int):
-        sizes = []
         for fv in fvs:
             if fv.F != params.P:
                 raise DimensionMismatch(f"pair feature dim {fv.F} vs reranker {params.P}")
-            if np.any(fv.indices[1:] <= fv.indices[:-1]):
+        sizes = [fv.indices.size for fv in fvs]
+        # the indices of 256 examples at a time, so that the check's
+        # temporaries stay small beside the examples
+        for lo in range(0, len(fvs), 256):
+            indices = np.concatenate([fv.indices for fv in fvs[lo : lo + 256]])
+            # a step that does not rise, unless it crosses into the next example
+            flat = indices[1:] <= indices[:-1]
+            starts = np.cumsum(sizes[lo : lo + 255], dtype=np.intp)
+            flat[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+            if flat.any():
                 raise DimensionMismatch("pair feature indices must be strictly ascending")
-            sizes.append(fv.indices.size)
         # a batch touches at most the nonzeros of its batch_size largest examples
         max_rows = min(params.P, sum(sorted(sizes)[-batch_size:]))
         super().__init__(params.P, batch_size * max_rows, params.V.dtype)
@@ -398,23 +458,23 @@ def score_candidates(
     mention: Mention,
     result: RetrievalResult,
     k: int | None = None,
+    pairs: dict[str, FeatureVector] | None = None,
 ) -> list[tuple[str, float]]:
     """Candidates rescored and sorted descending, ties by ascending id.
 
     A candidate listed more than once is scored once and kept as often as
-    it is listed.  Scores are computed with overflow warnings off: an
-    overflow surfaces as ``score_pair``'s ``NonFiniteScore``.
+    it is listed.  ``pairs`` holds the mention's pair vectors by event id,
+    as ``PairFeaturizer.pair_fvs`` yields them; without it they are built
+    here as a one-mention run.  Scores are computed with overflow warnings
+    off: an overflow surfaces as ``score_pair``'s ``NonFiniteScore``.
     """
     if not result.candidates:
         raise EmptyRetrievals(f"mention {mention.id!r} has no candidates")
     ids = result.event_ids if k is None else result.event_ids[:k]
-    distinct = list(dict.fromkeys(ids))
-    featurizer.events(distinct, mention.language, _candidate_of(mention))
+    if pairs is None:
+        (pairs,) = featurizer.pair_fvs([mention], [ids])
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = {
-            event_id: score_pair(params, featurizer.pair_fv(mention, event_id))
-            for event_id in distinct
-        }
+        scores = {event_id: score_pair(params, pairs[event_id]) for event_id in dict.fromkeys(ids)}
     return sorted(
         ((event_id, scores[event_id]) for event_id in ids),
         key=lambda pair: (-pair[1], pair[0]),
@@ -450,14 +510,15 @@ def rerank_records(
     k: int | None = None,
 ) -> Iterator[list[EvalRecord]]:
     """One ``EvalRecord`` list per threshold, in order.  Each result's
-    candidates (its first ``k``) are scored once, before the first list;
-    each list is built when asked for, so a caller reading one at a time
-    holds one."""
+    candidates (its first ``k``) are scored once, before the first list,
+    from pair vectors built a run of mentions at a time; each list is built
+    when asked for, so a caller reading one at a time holds one."""
     result_mentions = [_mention_of(mentions, result.mention_id) for result in results]
-    featurizer.mentions(result_mentions)
+    ids = (result.event_ids if k is None else result.event_ids[:k] for result in results)
     ranked = []
-    for result, mention in zip(results, result_mentions):
-        scored = score_candidates(params, featurizer, mention, result, k)
+    pair_dicts = featurizer.pair_fvs(result_mentions, ids)
+    for result, mention, pairs in zip(results, result_mentions, pair_dicts):
+        scored = score_candidates(params, featurizer, mention, result, k, pairs)
         ranked.append((result, [e for e, _ in scored], sigmoid(np.array([s for _, s in scored]))))
     for tau in thresholds:
         yield [

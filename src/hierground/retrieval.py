@@ -35,7 +35,14 @@ from .encoder import (
     ngram_rows,
     span_window,
 )
-from .errors import InvalidConfig, KTooLarge, NonFiniteScore, ParseError, UnknownEvent
+from .errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    KTooLarge,
+    NonFiniteScore,
+    ParseError,
+    UnknownEvent,
+)
 from .kb import Event, read_jsonl, scored_ids, scored_json
 
 DEFAULT_K = 8
@@ -233,16 +240,19 @@ def retrieve_mentions(
     """Top-k candidates of each mention, bit-equal to ``topk`` on its own.
 
     Every mention's window is hashed in one ``hash_texts`` call, unless
-    ``fvs`` already holds them, so all the hashed windows are held at
-    once: a large set goes through ``retrieve_from_checkpoint``, which
-    passes this one run of ``_CHUNK_TEXTS`` mentions at a time.  The
-    mentions of each resolved language are encoded one by one and stacked,
-    and scored, in blocks of ``BLOCK_MENTIONS`` (``_block_topk``).  A
-    non-finite encoding or score raises ``NonFiniteScore``.
+    ``fvs`` already holds them (one a mention, else ``DimensionMismatch``),
+    so all the hashed windows are held at once: a large set goes through
+    ``retrieve_from_checkpoint``, which passes this one run of
+    ``_CHUNK_TEXTS`` mentions at a time.  The mentions of each resolved
+    language are encoded one by one and stacked, and scored, in blocks of
+    ``BLOCK_MENTIONS`` (``_block_topk``).  A non-finite encoding or score
+    raises ``NonFiniteScore``.
     """
     check_k(k, len(index))
     if fvs is None:
         fvs = hash_texts([span_window(m, max_context_chars) for m in mentions], params.F)
+    elif len(fvs) != len(mentions):
+        raise DimensionMismatch(f"{len(fvs)} hashed windows for {len(mentions)} mentions")
     by_language: dict[str, list[int]] = {}
     for i, mention in enumerate(mentions):
         by_language.setdefault(index.featurizer.language(mention.language), []).append(i)

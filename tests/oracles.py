@@ -199,7 +199,7 @@ def pair_fv(
 ) -> FeatureVector:
     """The three L2-normalized blocks of a pair from each text's ascending
     (keys, counts), normalized per pair and intersected by ``intersect1d``:
-    the reference for ``rerank._pair_fv``."""
+    the reference for ``block_pair_fv`` and ``rerank._pair_run``."""
     (m_keys, m_counts), (e_keys, e_counts) = mention, event
     shared, m_at, e_at = np.intersect1d(
         m_keys, e_keys, assume_unique=True, return_indices=True
@@ -211,6 +211,28 @@ def pair_fv(
         ),
         values=np.concatenate([counts / np.linalg.norm(counts) for _, counts in blocks]),
         F=PAIR_DIM,
+    )
+
+
+def block_pair_fv(mention: Block, event: Block) -> FeatureVector:
+    """One pair's vector from its two narrow blocks, built alone: each
+    mention key looked up in the event keys with one ``searchsorted``, the
+    interaction block normalized by ``sqrt(shared @ shared)`` in float64 and
+    the values concatenated into ``V_DTYPE``.  The per-pair reference for
+    ``rerank._pair_run``."""
+    if event.keys.size:
+        e_at = np.searchsorted(event.keys, mention.keys)
+        m_at = np.flatnonzero(event.keys.take(e_at, mode="clip") == mention.keys)
+        e_at = e_at[m_at]
+    else:
+        m_at = e_at = np.empty(0, dtype=np.intp)
+    shared = np.minimum(mention.counts[m_at], event.counts[e_at]).astype(np.float64)
+    return FeatureVector.prechecked(
+        np.concatenate([mention.keys, event.shifted, 2 * BLOCK_BUCKETS + mention.keys[m_at]]),
+        np.concatenate(
+            [mention.values, event.values, shared / np.sqrt(shared @ shared)], dtype=V_DTYPE
+        ),
+        PAIR_DIM,
     )
 
 

@@ -1,4 +1,5 @@
-"""Peak traced memory of the stages that use the bi-encoder.
+"""Peak traced memory of the stages that use the bi-encoder, and of
+reranking.
 
 ``tracemalloc`` sees numpy's array buffers, so a stage that held a whole
 2^18 x 32 tower (33.5 MB of float32) would show it here.
@@ -13,7 +14,13 @@ import numpy as np
 
 from hierground import encoder, rerank
 from hierground.cli import main
-from hierground.dataset import candidate_pool, load_mentions, write_mentions
+from hierground.dataset import (
+    SyntheticConfig,
+    candidate_pool,
+    generate_synthetic,
+    load_mentions,
+    write_mentions,
+)
 from hierground.encoder import (
     BLOCK_ROWS,
     DEFAULT_D,
@@ -26,7 +33,7 @@ from hierground.encoder import (
     tower_shape,
 )
 from hierground.kb import load_events
-from hierground.retrieval import retrieve_from_checkpoint
+from hierground.retrieval import RetrievalResult, retrieve_from_checkpoint
 
 TOWER_BYTES = DEFAULT_F * DEFAULT_D * TOWER_DTYPE.itemsize
 
@@ -130,6 +137,43 @@ def test_retrieve_holds_one_run_of_results(tmp_path):
         tracemalloc.stop()
     assert len(added) == 1800 and len(added[0].candidates) == k
     assert peaks[1] - peaks[0] < held, (peaks, held)
+
+
+def test_rerank_records_holds_one_run_of_pair_vectors():
+    """Four times the mentions raise ``rerank_records``' traced peak by
+    less than the pair vectors of the added mentions: without kept pairs
+    they are built and scored a run of mentions at a time, never all held
+    together, and neither are the run kernel's temporaries."""
+    events, _, base = generate_synthetic(SyntheticConfig(n_trees=4, vocab=120))
+    ids = [event.id for event in events]
+    mentions = [dataclasses.replace(base[i % len(base)], id=f"Q{i:05d}") for i in range(4 * 96)]
+    # 8 candidates a mention; 96 mentions fill three runs
+    results = [
+        RetrievalResult(m.id, [(ids[(i + j) % len(ids)], 1.0) for j in range(8)])
+        for i, m in enumerate(mentions)
+    ]
+    by_id = {m.id: m for m in mentions}
+    golds = {m.id: (m.anchor_event,) for m in mentions}
+    params = rerank.init_reranker(hidden=4)
+    peaks = []
+    for n in (96, 4 * 96):
+        tracemalloc.start()
+        try:
+            featurizer = rerank.PairFeaturizer(events)
+            (records,) = rerank.rerank_records(
+                params, featurizer, results[:n], golds, by_id, [0.5]
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(records) == n
+    pair_dicts = rerank.PairFeaturizer(events).pair_fvs(
+        mentions[96:], [result.event_ids for result in results[96:]]
+    )
+    added = sum(
+        fv.indices.nbytes + fv.values.nbytes for pairs in pair_dicts for fv in pairs.values()
+    )
+    assert peaks[1] - peaks[0] < added, (peaks, added)
 
 
 def test_rerank_train_keeps_pairs_and_blocks_at_their_true_width(tmp_path, monkeypatch):

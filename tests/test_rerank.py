@@ -51,7 +51,7 @@ from hierground.rerank import (
     RerankConfig,
     RerankerParams,
     SGDWorkspace,
-    _pair_fv,
+    _pair_run,
     _reranker_sgd_step,
     init_reranker,
     load_predictions,
@@ -813,7 +813,7 @@ class TestArrayPairFeatures:
             oracles.narrow_block(oracles.block(*ngram_counts(text, BLOCK_BUCKETS)[:2]))
             for text in (mention_text, event_text)
         )
-        got = _pair_fv(m_block, e_block)
+        (got,) = _pair_run([m_block], [e_block])
         want = pair_fv_oracle(bucket_oracle(mention_text), bucket_oracle(event_text))
         assert got.indices.dtype == ID_DTYPE and got.values.dtype == V_DTYPE
         assert np.array_equal(got.indices, want.indices)
@@ -829,7 +829,7 @@ class TestArrayPairFeatures:
     @example(mention={0: 1, 7: 2, 9: 4}, event={0: 3, 7: 1, 9: 4})
     def test_bit_equal_to_intersect1d_oracle(self, mention, event):
         m, e = block_arrays(mention), block_arrays(event)
-        got = _pair_fv(*(oracles.narrow_block(oracles.block(*b)) for b in (m, e)))
+        (got,) = _pair_run(*([oracles.narrow_block(oracles.block(*b))] for b in (m, e)))
         want = oracles.pair_fv(m, e)
         assert got.indices.dtype == ID_DTYPE and got.values.dtype == V_DTYPE
         assert np.array_equal(got.indices, want.indices)
@@ -869,6 +869,69 @@ class TestArrayPairFeatures:
         assert np.array_equal(fv.indices, keys)
         want = counts / np.linalg.norm(counts) if keys.size else counts
         assert fv.values.tobytes() == want.tobytes()
+
+
+def assert_same_vector(got: FeatureVector, want: FeatureVector) -> None:
+    assert got.F == want.F == PAIR_DIM
+    for name in ("indices", "values"):
+        got_array, want_array = getattr(got, name), getattr(want, name)
+        assert got_array.dtype == want_array.dtype
+        assert got_array.tobytes() == want_array.tobytes()
+
+
+# E1 has a German label, and E3 an empty text and so an empty block
+RUN_EVENTS = [
+    Event("E0", {"en": Label("ab", "abcab")}),
+    Event("E1", {"en": Label("aaaab", ""), "de": Label("bbba", "éß中")}),
+    Event("E2", {"en": Label("zzzz", "qqqq")}),
+    Event("E3", {"en": Label("", "")}),
+]
+
+
+class TestPairRuns:
+    """The run kernel against the per-pair oracle ``block_pair_fv``, by
+    dtype and bytes, on every pair of a run."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pairs=st.lists(st.tuples(bucket_counts, bucket_counts), min_size=1, max_size=70))
+    @example(pairs=[({}, {})])
+    @example(pairs=[({}, {3: 1}), ({3: 1}, {}), ({1: 2, 5: 1}, {2: 1, 4: 3})])
+    @example(pairs=[({BLOCK_BUCKETS - 1: 1}, {0: 2}), ({0: 2}, {BLOCK_BUCKETS - 1: 1})])
+    def test_blocks_bit_equal_to_per_pair_oracle(self, pairs):
+        m_blocks, e_blocks = (
+            [oracles.narrow_block(oracles.block(*block_arrays(counts))) for counts in side]
+            for side in zip(*pairs)
+        )
+        got = _pair_run(m_blocks, e_blocks)
+        assert len(got) == len(pairs)
+        for fv, m, e in zip(got, m_blocks, e_blocks):
+            assert_same_vector(fv, oracles.block_pair_fv(m, e))
+
+    # up to 70 mentions: one-pair runs and runs across the RUN_MENTIONS cut
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        listed=st.lists(
+            st.tuples(pair_texts, st.lists(st.sampled_from(["E0", "E1", "E2", "E3"]), max_size=6)),
+            min_size=1, max_size=70,
+        ),
+        keep=st.booleans(),
+    )
+    @example(listed=[("a" * 70_000, ["E0", "E1", "E0"])], keep=False)  # "aaa" past 2^16 - 1
+    @example(listed=[("ab", ["E0", "E3", "E1", "E1"])] * 33, keep=True)
+    def test_featurizer_runs_bit_equal_to_per_pair_oracle(self, listed, keep):
+        mentions = [
+            make_mention(text + " x", f"M{i:02d}", ("en", "de")[i % 2])
+            for i, (text, _) in enumerate(listed)
+        ]
+        ids = [event_ids for _, event_ids in listed]
+        featurizer = PairFeaturizer(RUN_EVENTS, max_context_chars=10**9, keep_pairs=keep)
+        got = list(featurizer.pair_fvs(mentions, ids))
+        assert [sorted(pairs) for pairs in got] == [sorted(set(i)) for i in ids]
+        alone = PairFeaturizer(RUN_EVENTS, max_context_chars=10**9)
+        for mention, pairs in zip(mentions, got):
+            for event_id, fv in pairs.items():
+                (m,), (e,) = alone.featurize([mention], [(event_id, mention.language)])
+                assert_same_vector(fv, oracles.block_pair_fv(m, e))
 
 
 def sgd_batch(seed: int, size: int):
@@ -1010,6 +1073,27 @@ class TestWorkspaceStep:
         with pytest.raises(DimensionMismatch):
             SGDWorkspace([good, bad], init_reranker(PAIR_DIM, hidden=2), batch_size=1)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=6))
+    @example([[5, 9], [], [1, 2], [], [0]])  # steps down only between examples
+    @example([[], [4, 4]])
+    @example([[7], [], [3, 2], []])
+    @example([[2, 3]] * 300 + [[]])  # steps down into each example, past 256
+    @example([[1]] * 256 + [[], [4, 4]])
+    def test_one_pass_order_check_matches_per_example_check(self, index_lists):
+        """The check over all examples' indices at once rejects exactly
+        the sets with an example that is not strictly ascending."""
+        fvs = [
+            FeatureVector(np.array(ids, dtype=ID_DTYPE), np.ones(len(ids), V_DTYPE), PAIR_DIM)
+            for ids in index_lists
+        ]
+        params = init_reranker(PAIR_DIM, hidden=2)
+        if all(np.all(np.diff(ids) > 0) for ids in index_lists):
+            SGDWorkspace(fvs, params, batch_size=2)
+        else:
+            with pytest.raises(DimensionMismatch):
+                SGDWorkspace(fvs, params, batch_size=2)
+
 
 class TestRerankerDivergence:
     def test_diverging_training_raises_without_warnings(self):
@@ -1102,8 +1186,9 @@ class TestKeptPairs:
         events, mentions, golds, results = calibration_corpus(seed)
         config = RerankConfig(k=3, epochs=2, batch_size=4, seed=seed)
         builds = []
-        original = rerank._pair_fv
-        monkeypatch.setattr(rerank, "_pair_fv", lambda *a: builds.append(a) or original(*a))
+        original = rerank._pair_run
+        # the pairs each run kernel call builds
+        monkeypatch.setattr(rerank, "_pair_run", lambda m, e: builds.extend(m) or original(m, e))
         runs = []
         for keep in (False, True):
             builds.clear()

@@ -30,7 +30,14 @@ from hierground.encoder import (
     save_checkpoint,
     span_window,
 )
-from hierground.errors import InvalidConfig, KTooLarge, NonFiniteScore, ParseError, UnknownEvent
+from hierground.errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    KTooLarge,
+    NonFiniteScore,
+    ParseError,
+    UnknownEvent,
+)
 from hierground.kb import FALLBACK_LANGUAGE, Event, Label
 from hierground.retrieval import (
     CandidateIndex,
@@ -333,6 +340,15 @@ class TestBatchedHashing:
         retrieve_mentions(params, index, mentions, k=2)
         # the mention windows once per call, the pool once per language
         assert sorted(calls) == sorted([len(mentions)] * 2 + [len(events)] * languages)
+
+    @pytest.mark.parametrize("n_fvs, n_mentions", [(2, 6), (6, 3)], ids=["fewer", "more"])
+    def test_hashed_windows_must_match_the_mentions(self, n_fvs, n_mentions):
+        events, mentions = multilingual_corpus()
+        params = init_encoder(512, 8, seed=3)
+        index = CandidateIndex(params, events, [e.id for e in events])
+        fvs = encoder.hash_texts([span_window(m, 128) for m in mentions[:n_fvs]], params.F)
+        with pytest.raises(DimensionMismatch):
+            retrieve_mentions(params, index, mentions[:n_mentions], 2, fvs=fvs)
 
 
 class TestRowSubsetRetrieval:
