@@ -159,9 +159,7 @@ def _outdir(config: dict) -> Path:
 def _finish(config: dict, command: str, artifacts: list[str]) -> None:
     """Write the resolved config and update the run manifest."""
     out = _outdir(config)
-    (out / RESOLVED_CONFIG_NAME).write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    kb.write_json(config, out / RESOLVED_CONFIG_NAME)
     manifest_path = out / MANIFEST_NAME
     manifest = {"format_version": 1, "runs": {}}
     if manifest_path.exists():
@@ -174,9 +172,7 @@ def _finish(config: dict, command: str, artifacts: list[str]) -> None:
             manifest = loaded
     manifest["runs"][command] = {"artifacts": sorted(artifacts)}
     manifest["format_version"] = 1
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    kb.write_json(manifest, manifest_path)
 
 
 def _require_paths(config: dict, *names: str) -> dict[str, Path]:
@@ -219,9 +215,7 @@ def cmd_ingest(config: dict) -> list[str]:
         data["events"], data["relations"], data["mentions"], forest
     )
     out = _outdir(config)
-    (out / "stats.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    kb.write_json(stats, out / "stats.json")
     kb.save_forest(forest, out / "forest.json")
     return ["stats.json", "forest.json"]
 
@@ -413,7 +407,7 @@ def cmd_evaluate(
         "ks": ks,
         "split": split or "all",
     }
-    metrics.write_report(report, out / "report.json")
+    kb.write_json(report, out / "report.json")
     metrics.write_recall_tsv(strict_rows, out / "recall_strict.tsv")
     if atomic_only:
         metrics.write_recall_tsv(atomic_rows, out / "recall_atomic.tsv")
@@ -450,7 +444,7 @@ def cmd_relext(config: dict, retrievals_path: str, split: str | None) -> list[st
         report[f"relext_recall_at_{k}"] = recall
     out = _outdir(config)
     relext.write_parents(rankings, out / "parents.jsonl", max_ranking)
-    metrics.write_report(report, out / "relext_report.json")
+    kb.write_json(report, out / "relext_report.json")
     return ["parents.jsonl", "relext_report.json"]
 
 
@@ -460,7 +454,7 @@ def cmd_grad_check(config: dict) -> list[str]:
         "hierarchy_max_rel_error": training.gradient_check("hierarchy", seed=config["seed"]),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
-    metrics.write_report(report, _outdir(config) / "grad_check.json")
+    kb.write_json(report, _outdir(config) / "grad_check.json")
     return ["grad_check.json"]
 
 

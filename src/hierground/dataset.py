@@ -28,6 +28,8 @@ from .kb import (
     read_json_fields,
     read_jsonl,
     require_text,
+    write_json,
+    write_lines,
 )
 from .seeding import substream_rng
 
@@ -473,16 +475,11 @@ def load_mentions(path: str | Path) -> list[Mention]:
 
 
 def write_mentions(mentions: list[Mention], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for m in mentions:
-            fh.write(json.dumps(vars(m), ensure_ascii=False) + "\n")
+    write_lines((json.dumps(vars(m), ensure_ascii=False) for m in mentions), path)
 
 
 def save_splits(assignment: SplitAssignment, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(assignment.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(assignment.to_dict(), path)
 
 
 def load_splits(path: str | Path) -> SplitAssignment:

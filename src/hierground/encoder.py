@@ -12,12 +12,10 @@ a tower holds: every other row is regenerated from the seed.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -26,7 +24,7 @@ import numpy as np
 
 from .dataset import Mention
 from .errors import DimensionMismatch, InvalidConfig, ParseError, UnknownEvent
-from .kb import FALLBACK_LANGUAGE, Event
+from .kb import FALLBACK_LANGUAGE, Event, replacing
 from .seeding import substream_seed
 
 DEFAULT_F = 2**18
@@ -711,22 +709,6 @@ def _stored_dtype(array: np.ndarray) -> str:
     if array.dtype.kind in "iu":
         return "<i8"
     return "<f4" if array.dtype == np.float32 else "<f8"
-
-
-@contextlib.contextmanager
-def replacing(path: str | Path) -> Iterator[Path]:
-    """A sibling temporary path to write ``path``'s new contents to: it is
-    moved onto ``path`` when the block ends and removed when the block
-    raises, so a write that fails leaves any earlier file at ``path`` as it
-    was and no temporary file behind."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_arrays(path: str | Path, kind: str, arrays: dict[str, np.ndarray], **meta) -> None:

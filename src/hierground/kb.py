@@ -8,9 +8,12 @@ followed-by), which only participate in zero-shot split construction.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -227,10 +230,38 @@ def ancestor_chain(forest: HierarchyForest, event_id: str) -> list[str]:
 
 
 def save_forest(forest: HierarchyForest, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(forest.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(forest.to_dict(), path)
+
+
+@contextlib.contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """A sibling temporary path to write ``path``'s new contents to: it is
+    moved onto ``path`` when the block ends and removed when the block
+    raises, so a write that fails leaves any earlier file at ``path`` as it
+    was and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_lines(lines: Iterable[str], path: str | Path) -> None:
+    """The one text writer: each string of ``lines`` and a newline, in
+    UTF-8, written as it comes through ``replacing``, so a line that cannot
+    be encoded or an error ``lines`` raises leaves ``path`` as it was."""
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_json(obj, path: str | Path) -> None:
+    """``obj`` as indented JSON with sorted keys; a NaN or an infinity,
+    which JSON cannot spell, raises ValueError."""
+    write_lines([json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)], path)
 
 
 _MAX_FLOAT = sys.float_info.max
@@ -419,27 +450,25 @@ def load_relations(path: str | Path) -> list[RelationEdge]:
 
 
 def write_events(events: list[Event], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            record = {
-                "id": event.id,
-                "labels": {
-                    lang: {"title": lab.title, "description": lab.description}
-                    for lang, lab in event.labels.items()
-                },
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = (
+        {
+            "id": event.id,
+            "labels": {
+                lang: {"title": lab.title, "description": lab.description}
+                for lang, lab in event.labels.items()
+            },
+        }
+        for event in events
+    )
+    write_lines((json.dumps(record, ensure_ascii=False) for record in records), path)
 
 
 def write_relations(edges: list[RelationEdge], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for edge in edges:
-            record = {
-                "subject": edge.subject,
-                "property": edge.property.value,
-                "object": edge.object,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = (
+        {"subject": edge.subject, "property": edge.property.value, "object": edge.object}
+        for edge in edges
+    )
+    write_lines((json.dumps(record, ensure_ascii=False) for record in records), path)
 
 
 def require_text(path: str | Path, line_no: int, field: str, value: str) -> str:

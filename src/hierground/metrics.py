@@ -8,7 +8,6 @@ averaged precision and recall, not the average of per-mention F1s.
 
 from __future__ import annotations
 
-import json
 import warnings
 from bisect import bisect_left
 from collections.abc import Sequence
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyRecords
-from .kb import HierarchyForest
+from .kb import HierarchyForest, write_lines
 
 NULL_EVENT = "NULL"
 MIN_STRICT_K = 4
@@ -186,16 +185,6 @@ def relext_recall_at_ks(
     return [bisect_left(ranks, k) / len(events) for k in ks]
 
 
-def write_report(report: dict, path: str | Path) -> None:
-    """report.json: flat metric map plus whatever config echo is passed."""
-    Path(path).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def write_recall_tsv(rows: list[tuple[int, float]], path: str | Path) -> None:
     """(k, recall) rows for plotting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k\trecall\n")
-        for k, recall in rows:
-            fh.write(f"{k}\t{recall}\n")
+    write_lines(["k\trecall", *(f"{k}\t{recall}" for k, recall in rows)], path)

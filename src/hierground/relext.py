@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, UndefinedScore, UnknownEvent
-from .kb import entry_ids, read_jsonl, scored_ids
+from .kb import entry_ids, read_jsonl, scored_ids, write_lines
 from .retrieval import retrieval_lines
 
 DEFAULT_LIST_K = 4
@@ -135,13 +135,15 @@ def write_parents(
     sign ``==`` does not see)."""
     prefix = cache(lambda parent: f'{{"parent": {json.dumps(parent)}, "h": ')
     number = cache(lambda h: f"{h!r}}}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for event_id in sorted(rankings):
-            entries = ", ".join([
-                prefix(parent) + (number(h) if h else f"{h!r}}}")
-                for parent, h in rankings[event_id][:max_ranking]
-            ])
-            fh.write(f'{{"event": {json.dumps(event_id)}, "ranking": [{entries}]}}\n')
+
+    def line(event_id: str) -> str:
+        entries = ", ".join([
+            prefix(parent) + (number(h) if h else f"{h!r}}}")
+            for parent, h in rankings[event_id][:max_ranking]
+        ])
+        return f'{{"event": {json.dumps(event_id)}, "ranking": [{entries}]}}'
+
+    write_lines(map(line, sorted(rankings)), path)
 
 
 def load_parents(path: str | Path) -> dict[str, list[tuple[str, float]]]:

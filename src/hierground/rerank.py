@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Container, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
@@ -44,7 +44,7 @@ from .errors import (
     UnknownEvent,
     UnknownMention,
 )
-from .kb import Event, read_jsonl
+from .kb import Event, read_jsonl, write_lines
 from .metrics import NULL_EVENT, EvalRecord, set_metrics
 from .retrieval import RetrievalResult, check_candidates
 from .seeding import substream_rng
@@ -261,8 +261,8 @@ class RerankConfig:
     def __post_init__(self):
         if self.k < 1 or self.epochs < 1 or self.batch_size < 1 or self.hidden < 1:
             raise InvalidConfig("k, epochs, batch_size and hidden must be >= 1")
-        if not self.learning_rate > 0:  # NaN fails
-            raise InvalidConfig("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails, as infinity does
+            raise InvalidConfig("learning_rate must be positive and finite")
         if not self.grid or any(not 0.0 < g < 1.0 for g in self.grid):
             raise InvalidConfig("grid values must lie in (0, 1)")
         if self.threshold is not None and not 0.0 < self.threshold < 1.0:
@@ -560,10 +560,11 @@ def write_predictions(
     predictions: list[tuple[str, frozenset[str]]], path: str | Path
 ) -> None:
     """predictions.jsonl: per mention, the predicted ids in sorted order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for mention_id, predicted in predictions:
-            record = {"mention_id": mention_id, "predicted": sorted(predicted)}
-            fh.write(json.dumps(record) + "\n")
+    records = (
+        {"mention_id": mention_id, "predicted": sorted(predicted)}
+        for mention_id, predicted in predictions
+    )
+    write_lines(map(json.dumps, records), path)
 
 
 def load_predictions(path: str | Path) -> dict[str, frozenset[str]]:

@@ -12,10 +12,11 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Callable, Container, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .errors import (
     ParseError,
     UnknownEvent,
 )
-from .kb import Event, read_jsonl, scored_ids, scored_json
+from .kb import Event, read_jsonl, scored_ids, scored_json, write_lines
 
 DEFAULT_K = 8
 
@@ -54,15 +55,12 @@ class RetrievalResult:
 
     mention_id: str
     candidates: list[tuple[str, float]]
-    _event_ids: list[str] | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def event_ids(self) -> list[str]:
         """The candidates' ids, listed on first use and then kept: callers
         read them several times per result, and many results never."""
-        if self._event_ids is None:
-            self._event_ids = [event_id for event_id, _ in self.candidates]
-        return self._event_ids
+        return [event_id for event_id, _ in self.candidates]
 
 
 class CandidateIndex:
@@ -335,22 +333,19 @@ def _runs(
 def write_retrievals(results: Iterable[RetrievalResult], path: str | Path) -> None:
     """One ``json.dumps(record)`` line per result, each formatted directly:
     ids through ``json.dumps``, scores through ``repr``.  Each result is
-    checked and written as it comes, to the temporary file of
-    ``encoder.replacing``: a non-finite score raises ``NonFiniteScore``, and
-    it or any error ``results`` raises leaves any earlier file at ``path``
-    as it was."""
+    checked and written as it comes, through ``kb.write_lines``: a
+    non-finite score raises ``NonFiniteScore``, and it or any error
+    ``results`` raises leaves any earlier file at ``path`` as it was."""
     quoted: dict[str, str] = {}
-    with encoder.replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        for result in results:
-            for event_id, score in result.candidates:
-                if not math.isfinite(score):
-                    raise NonFiniteScore(
-                        f"score of {event_id!r} for mention {result.mention_id!r}"
-                    )
-            candidates = scored_json(result.candidates, "event", "score", quoted)
-            fh.write(
-                f'{{"mention_id": {json.dumps(result.mention_id)}, "candidates": {candidates}}}\n'
-            )
+
+    def line(result: RetrievalResult) -> str:
+        for event_id, score in result.candidates:
+            if not math.isfinite(score):
+                raise NonFiniteScore(f"score of {event_id!r} for mention {result.mention_id!r}")
+        candidates = scored_json(result.candidates, "event", "score", quoted)
+        return f'{{"mention_id": {json.dumps(result.mention_id)}, "candidates": {candidates}}}'
+
+    write_lines(map(line, results), path)
 
 
 def retrieval_lines(path: str | Path, read: Callable[..., list]) -> Iterator[tuple[str, list]]:

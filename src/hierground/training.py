@@ -17,6 +17,7 @@ so disabling one objective never perturbs the batches of another.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +49,7 @@ from .errors import (
     NoHierarchyEdges,
     TrainingDiverged,
 )
-from .kb import FALLBACK_LANGUAGE, Event, HierarchyForest
+from .kb import FALLBACK_LANGUAGE, Event, HierarchyForest, write_lines
 from .seeding import substream_rng
 
 STRATEGIES = ("BASELINE", "HP", "HJL", "HP_HJL")
@@ -75,15 +76,6 @@ class ComplExHead:
     @property
     def d(self) -> int:
         return self.r.shape[0]
-
-    def copy(self) -> "ComplExHead":
-        return ComplExHead(
-            self.W_re.copy(),
-            self.W_im.copy(),
-            self.b_re.copy(),
-            self.b_im.copy(),
-            self.r.copy(),
-        )
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in HEAD_ARRAY_NAMES}
@@ -115,10 +107,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise InvalidConfig(f"strategy must be one of {STRATEGIES}")
-        if not self.learning_rate > 0 or self.epochs < 1 or self.batch_size < 1:  # NaN fails
-            raise InvalidConfig("learning_rate, epochs and batch_size must be positive")
-        if self.hier_batch_size < 1 or not self.hier_loss_weight >= 0:  # NaN fails
-            raise InvalidConfig("hier_batch_size >= 1 and hier_loss_weight >= 0")
+        # NaN fails each chained range check, as infinity does
+        if not 0 < self.learning_rate < math.inf or self.epochs < 1 or self.batch_size < 1:
+            raise InvalidConfig("learning_rate (finite), epochs and batch_size must be positive")
+        if self.hier_batch_size < 1 or not 0 <= self.hier_loss_weight < math.inf:
+            raise InvalidConfig("hier_batch_size >= 1 and finite hier_loss_weight >= 0")
         if self.pretrain_epochs < 0 or self.pretrain_epochs > self.epochs:
             raise InvalidConfig("pretrain_epochs must be in [0, epochs]")
 
@@ -360,9 +353,7 @@ class TrainLog:
 
 
 def write_training_log(log: TrainLog, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in log.to_records():
-            fh.write(json.dumps(record, allow_nan=False) + "\n")
+    write_lines((json.dumps(record, allow_nan=False) for record in log.to_records()), path)
 
 
 def _apply_sparse(W: Tower, grad: SparseGrad, lr: float) -> None:

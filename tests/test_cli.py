@@ -173,6 +173,20 @@ class TestPipeline:
         assert resolved["seed"] == 0
         assert resolved["mode"] == "multilingual"
 
+    def test_every_artifact_is_strict_json(self, pipeline):
+        def no_constant(literal):
+            raise AssertionError(f"{literal} is not JSON")
+
+        names = sorted(p.name for p in pipeline.iterdir())
+        checked = [name for name in names if name.endswith((".json", ".jsonl"))]
+        assert len(checked) == 16, checked
+        for name in checked:
+            text = (pipeline / name).read_text("utf-8")
+            for line in text.splitlines() if name.endswith(".jsonl") else [text]:
+                json.loads(line, parse_constant=no_constant)
+        # every file was renamed onto its name: no temporary file is left
+        assert not [name for name in names if name.startswith(".") or name.endswith(".tmp")]
+
 
 # sha256 of the synth and split files at seed 0: every workload and test
 # corpus comes from them, so a refactor of the corpus layer keeps each byte
@@ -847,8 +861,8 @@ NAN = float("nan")
 
 
 class TestNaNSettings:
-    """A NaN setting fails its range check, from a flag or a config file,
-    rather than silently changing the run."""
+    """A NaN or infinite setting fails its range check, from a flag or a
+    config file, rather than silently changing the run."""
 
     @pytest.mark.parametrize("command, flags, config, setting", [
         ("train", {"--strategy": "HP", "--hier-loss-weight": "nan"}, None, "hier_loss_weight"),
@@ -858,13 +872,20 @@ class TestNaNSettings:
         ("rerank-train", {}, {"rerank": {"learning_rate": NAN}}, "learning_rate"),
         ("split", {"--ratios": "nan,0.5,0.5"}, None, "ratios"),
         ("split", {}, {"split": {"ratios": [NAN, 0.5, 0.5]}}, "ratios"),
+        # infinity, as a flag or as a config file number past the float range
+        ("train", {"--hier-loss-weight": "inf"}, None, "hier_loss_weight"),
+        ("train", {}, '{"train": {"hier_loss_weight": 1e400}}', "hier_loss_weight"),
+        ("train", {"--learning-rate": "inf"}, None, "learning_rate"),
+        ("train", {}, '{"train": {"learning_rate": 1e400}}', "learning_rate"),
+        ("rerank-train", {"--rerank-learning-rate": "inf"}, None, "learning_rate"),
+        ("rerank-train", {}, '{"rerank": {"learning_rate": 1e400}}', "learning_rate"),
     ])
     def test_rejected(self, pipeline, tmp_path, capsys, command, flags, config, setting):
         flags = {**command_flags(pipeline, tmp_path, command), **flags}
         argv = [command, *[arg for item in flags.items() for arg in item]]
         if config is not None:
-            text = json.dumps(config)
-            assert "NaN" in text
+            text = config if isinstance(config, str) else json.dumps(config)
+            assert "NaN" in text or "1e400" in text
             (tmp_path / "config.json").write_text(text, encoding="utf-8")
             argv += ["--config", str(tmp_path / "config.json")]
         assert main(argv) == 1
@@ -872,6 +893,23 @@ class TestNaNSettings:
         assert record["error"] == "InvalidConfig"
         assert setting in record["message"]
         assert not (tmp_path / MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"train": {"learning_rate": NaN}}',
+        '{"train": {"learning_rate": 1e400}}',
+        '{"rerank": {"learning_rate": -Infinity}}',
+    ])
+    def test_unread_section_is_not_written(self, tmp_path, capsys, text):
+        # synth never reads train or rerank, so no range check sees the
+        # value; the resolved config, which would spell it, is refused
+        (tmp_path / "config.json").write_text(text, encoding="utf-8")
+        argv = ["synth", "--output-dir", str(tmp_path), *SEED, "--n-trees", "2",
+                "--mentions-per-event", "1", "--config", str(tmp_path / "config.json")]
+        assert main(argv) == 1
+        assert only_error(capsys)["error"] == "ValueError"
+        names = {p.name for p in tmp_path.iterdir()}
+        assert not names & {RESOLVED_CONFIG_NAME, MANIFEST_NAME}
+        assert not [name for name in names if name.endswith(".tmp")]
 
 
 class TestDevRetrievalsCheckedFirst:

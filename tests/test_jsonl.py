@@ -1,6 +1,8 @@
-"""The one typed JSONL reader, and every JSONL writer read back by its loader."""
+"""The one typed JSONL reader, every JSONL writer read back by its loader,
+and every text writer's failure leaving the earlier file as it was."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -8,10 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierground.dataset import Mention, load_mentions, write_mentions
-from hierground.errors import ParseError
+from hierground.dataset import (
+    Mention,
+    SplitAssignment,
+    load_mentions,
+    save_splits,
+    write_mentions,
+)
+from hierground.errors import NonFiniteScore, ParseError
 from hierground.kb import (
     Event,
+    HierarchyForest,
     Label,
     RelationEdge,
     RelationProperty,
@@ -19,13 +28,18 @@ from hierground.kb import (
     load_relations,
     read_json_fields,
     read_jsonl,
+    save_forest,
     scored_ids,
     write_events,
+    write_json,
+    write_lines,
     write_relations,
 )
+from hierground.metrics import write_recall_tsv
 from hierground.relext import load_parents, write_parents
 from hierground.rerank import load_predictions, write_predictions
 from hierground.retrieval import RetrievalResult, load_retrievals, write_retrievals
+from hierground.training import EpochLog, TrainLog, write_training_log
 
 
 def read(tmp_path, text: str, **kinds) -> list:
@@ -250,3 +264,62 @@ def test_predictions_round_trip(value):
 @given(st.dictionaries(texts, st.lists(st.tuples(texts, scores), max_size=4), max_size=4))
 def test_parents_round_trip(value):
     assert round_trip(write_parents, load_parents, value) == value
+
+
+LONE = "\ud800"  # JSON can spell a lone surrogate; UTF-8 cannot encode it
+NAN = float("nan")
+
+# writer -> (value whose last record cannot be written, the error it raises)
+FAILED_WRITES = {
+    "events": (
+        write_events,
+        [Event("E1", {"en": Label("ok")}), Event("E2", {"en": Label(LONE)})],
+        UnicodeEncodeError,
+    ),
+    "relations": (
+        write_relations,
+        [RelationEdge("E1", RelationProperty.PART_OF, "E2"),
+         RelationEdge(LONE, RelationProperty.PART_OF, "E2")],
+        UnicodeEncodeError,
+    ),
+    "mentions": (
+        write_mentions,
+        [Mention("M1", "en", "ok", 0, 1, "E1"), Mention("M2", "en", LONE, 0, 1, "E1")],
+        UnicodeEncodeError,
+    ),
+    "predictions": (
+        write_predictions,
+        [("M1", frozenset({"E1"})), ("M2", frozenset({b"E2"}))],
+        TypeError,
+    ),
+    "training_log": (
+        write_training_log, TrainLog([EpochLog(0, 0.5, None), EpochLog(1, NAN, None)]), ValueError
+    ),
+    "recall_tsv": (write_recall_tsv, [(1, 0.5), (LONE, 1.0)], UnicodeEncodeError),
+    "parents": (write_parents, {"E1": [("P", 0.5)], "E2": [(b"P", 0.5)]}, TypeError),
+    "retrievals": (
+        write_retrievals,
+        [RetrievalResult("M1", [("E1", 0.5)]), RetrievalResult("M2", [("E1", NAN)])],
+        NonFiniteScore,
+    ),
+    "forest": (save_forest, HierarchyForest({}, frozenset({"E1"}), math.inf), ValueError),
+    "splits": (save_splits, SplitAssignment({"E1": "C1"}, {"C1": "train"}, NAN), ValueError),
+    "json": (write_json, {"recall": NAN}, ValueError),
+    "lines": (write_lines, ["ok", LONE], UnicodeEncodeError),
+}
+
+
+@pytest.mark.parametrize(
+    "write, value, error", list(FAILED_WRITES.values()), ids=list(FAILED_WRITES)
+)
+def test_failed_write_leaves_the_earlier_file(tmp_path, write, value, error):
+    path = tmp_path / "artifact"
+    with pytest.raises(error):
+        write(value, path)
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"earlier\n")
+    with pytest.raises(error):
+        write(value, path)
+    assert path.read_bytes() == b"earlier\n"
+    # no temporary file is left beside it
+    assert list(tmp_path.iterdir()) == [path]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hierground.errors import EmptyRecords
-from hierground.kb import Event, Label, RelationEdge, RelationProperty, build_forest
+from hierground.kb import Event, Label, RelationEdge, RelationProperty, build_forest, write_json
 from hierground.metrics import (
     MIN_STRICT_K,
     NULL_EVENT,
@@ -17,7 +17,6 @@ from hierground.metrics import (
     relext_recall_at_ks,
     set_metrics,
     write_recall_tsv,
-    write_report,
 )
 
 
@@ -327,14 +326,14 @@ class TestReportFiles:
     def test_report_round_trip(self, tmp_path):
         report = {"recall_at_min": 0.5, "config": {"k": 8}}
         path = tmp_path / "report.json"
-        write_report(report, path)
+        write_json(report, path)
         assert json.loads(path.read_text("utf-8")) == report
 
     def test_report_is_deterministic(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        write_report({"z": 1.0, "a": 2.0}, a)
-        write_report({"a": 2.0, "z": 1.0}, b)
+        write_json({"z": 1.0, "a": 2.0}, a)
+        write_json({"a": 2.0, "z": 1.0}, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_recall_tsv(self, tmp_path):
