@@ -38,7 +38,7 @@ def _defaults(cls) -> dict:
     return {f.name: f.default for f in dataclasses.fields(cls) if f.name != "seed"}
 
 
-# every setting and its default; a null default is checked where it is read
+# every setting and its default; NULL_KINDS gives a null default's kind
 DEFAULT_CONFIG: dict = {
     "output_dir": None,
     "mode": "multilingual",
@@ -60,19 +60,16 @@ DEFAULT_CONFIG: dict = {
     "synth": _defaults(dataset.SyntheticConfig),
 }
 
-# default type -> (types of the JSON values that fit it, their name); a bool
-# is never an int
-JSON_TYPES = {
-    bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
-    float: ((int, float), "a number"), str: ((str,), "a string"),
+# the kind in kb.FIELD_KINDS of each setting whose default is null
+NULL_KINDS = {
+    "output_dir": str, **{f"paths.{name}": str for name in DEFAULT_CONFIG["paths"]},
+    "rerank.threshold": float,
 }
 
 
 def _check_file(value, default, path: str = "") -> None:
-    """Raise ConfigError naming the dotted path of the first config file
-    value that is no setting or does not have its default's JSON type."""
-    if default is None:
-        return
+    """Raise ConfigError naming the dotted path of the first config file value that
+    is no setting, or not of the kb.FIELD_KINDS kind of its default or NULL_KINDS."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{path or 'a config file'} must be a JSON object, got {value!r}")
@@ -86,9 +83,9 @@ def _check_file(value, default, path: str = "") -> None:
             raise ConfigError(f"{path} must be a JSON array, got {value!r}")
         for i, item in enumerate(value):
             _check_file(item, default[0], f"{path}[{i}]")
-    else:
-        fits, name = JSON_TYPES[type(default)]
-        if type(value) not in fits:
+    elif value is not None or default is not None:
+        types, test, name = kb.FIELD_KINDS[NULL_KINDS[path] if default is None else type(default)]
+        if type(value) not in types or test and not test(value):
             raise ConfigError(f"{path} must be {name}, got {value!r}")
 
 
@@ -126,8 +123,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
             (config[section] if section else config)[key] = value
     if config["output_dir"] is None:
         config["output_dir"] = "."
-    if not isinstance(config["output_dir"], str):
-        raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
     ks = config["evaluate"]["ks"]
     if not ks or min(ks) < 1:
         raise ConfigError(f"evaluate.ks must be a non-empty array of integers >= 1, got {ks!r}")
@@ -145,7 +140,7 @@ def _section(config: dict, name: str, cls):
 def _threshold(config: dict) -> float | None:
     """rerank.threshold: null, or a number in (0, 1)."""
     value = config["rerank"]["threshold"]
-    if value is not None and (type(value) not in (int, float) or not 0 < value < 1):
+    if value is not None and not 0 < value < 1:
         raise ConfigError(f"rerank.threshold must be null or a number in (0, 1), got {value!r}")
     return value
 
@@ -179,8 +174,6 @@ def _require_paths(config: dict, *names: str) -> dict[str, Path]:
     paths = {}
     for name in names:
         value = config["paths"][name]
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"paths.{name} must be a string, got {value!r}")
         if not value:
             raise ConfigError(f"missing required path: {name}")
         path = Path(value)
@@ -207,7 +200,7 @@ def _load_corpus(config: dict, *names: str, split: str | None = None) -> dict:
 # Subcommands
 
 
-def cmd_ingest(config: dict) -> list[str]:
+def cmd_ingest(config: dict, args: argparse.Namespace) -> list[str]:
     data = _load_corpus(config, "events", "relations", "mentions")
     forest = kb.build_forest(data["events"], data["relations"], config["max_height"])
     dataset.expand_gold(forest, data["mentions"])
@@ -220,7 +213,7 @@ def cmd_ingest(config: dict) -> list[str]:
     return ["stats.json", "forest.json"]
 
 
-def cmd_split(config: dict) -> list[str]:
+def cmd_split(config: dict, args: argparse.Namespace) -> list[str]:
     data = _load_corpus(config, "events", "relations")
     ratios = tuple(config["split"]["ratios"])
     assignment = dataset.split_components(
@@ -230,7 +223,7 @@ def cmd_split(config: dict) -> list[str]:
     return ["splits.json"]
 
 
-def cmd_synth(config: dict) -> list[str]:
+def cmd_synth(config: dict, args: argparse.Namespace) -> list[str]:
     events, edges, mentions = dataset.generate_synthetic(
         _section(config, "synth", dataset.SyntheticConfig)
     )
@@ -241,7 +234,7 @@ def cmd_synth(config: dict) -> list[str]:
     return ["events.jsonl", "relations.jsonl", "mentions.jsonl"]
 
 
-def cmd_train(config: dict) -> list[str]:
+def cmd_train(config: dict, args: argparse.Namespace) -> list[str]:
     data = _load_corpus(config, "events", "relations", "mentions", "splits")
     forest = kb.build_forest(data["events"], data["relations"], config["max_height"])
     train_mentions = dataset.select_split(data["mentions"], data["splits"], "train")
@@ -276,17 +269,17 @@ def _select_mentions(data: dict, split: str | None) -> list[dataset.Mention]:
     return data["mentions"]
 
 
-def cmd_retrieve(config: dict, checkpoint: str, split: str, out_name: str) -> list[str]:
-    data = _load_corpus(config, "events", "mentions", split=split)
+def cmd_retrieve(config: dict, args: argparse.Namespace) -> list[str]:
+    data = _load_corpus(config, "events", "mentions", split=args.split)
     enc = config["encoder"]
     results = retrieval.retrieve_from_checkpoint(
-        checkpoint, data["events"], dataset.candidate_pool(data["events"], mode="inference"),
-        _select_mentions(data, split), config["retrieve"]["k"], config["mode"],
+        args.checkpoint, data["events"], dataset.candidate_pool(data["events"], mode="inference"),
+        _select_mentions(data, args.split), config["retrieve"]["k"], config["mode"],
         enc["max_context_chars"], enc["max_cand_chars"],
     )
     # each run of results is written before the next run is hashed
-    retrieval.write_retrievals(results, _outdir(config) / out_name)
-    return [out_name]
+    retrieval.write_retrievals(results, _outdir(config) / args.out)
+    return [args.out]
 
 
 def _gold_chains(
@@ -307,14 +300,7 @@ def _pair_featurizer(
     )
 
 
-def cmd_rerank_train(
-    config: dict, train_retrievals: str, dev_retrievals: str | None, checkpoint: str | None
-) -> list[str]:
-    if checkpoint is not None:
-        raise ConfigError(
-            "rerank-train does not use --checkpoint: the bi-encoder "
-            "checkpoint fixed the retrievals upstream"
-        )
+def cmd_rerank_train(config: dict, args: argparse.Namespace) -> list[str]:
     _threshold(config)  # before RerankConfig compares it
     rerank_config = _section(config, "rerank", rerank.RerankConfig)
     data = _load_corpus(config, "events", "relations", "mentions")
@@ -322,12 +308,12 @@ def cmd_rerank_train(
     mentions_by_id = {m.id: m for m in data["mentions"]}
     # calibration scores the pairs training built, when both read one file
     featurizer = _pair_featurizer(config, data["events"], keep_pairs=True)
-    train_results = retrieval.load_retrievals(train_retrievals)
+    train_results = retrieval.load_retrievals(args.train_retrievals)
     rerank.check_retrieval_ids(train_results, mentions_by_id, featurizer.corpus)
     threshold = rerank_config.threshold
     dev_results = None
-    if threshold is None and dev_retrievals:
-        dev_results = retrieval.load_retrievals(dev_retrievals)
+    if threshold is None and args.dev_retrievals:
+        dev_results = retrieval.load_retrievals(args.dev_retrievals)
         rerank.check_retrieval_ids(dev_results, mentions_by_id, featurizer.corpus)
     params = rerank.train_reranker(
         train_results, golds, mentions_by_id, featurizer, rerank_config
@@ -341,26 +327,20 @@ def cmd_rerank_train(
     return ["reranker.bin"]
 
 
-def cmd_evaluate(
-    config: dict,
-    retrievals_path: str,
-    reranker_path: str | None,
-    split: str | None,
-    atomic_only: bool,
-) -> list[str]:
-    data = _load_corpus(config, "events", "relations", "mentions", split=split)
+def cmd_evaluate(config: dict, args: argparse.Namespace) -> list[str]:
+    data = _load_corpus(config, "events", "relations", "mentions", split=args.split)
     mentions_by_id = {m.id: m for m in data["mentions"]}
-    results = retrieval.load_retrievals(retrievals_path)
+    results = retrieval.load_retrievals(args.retrievals)
     rerank.check_retrieval_ids(results, mentions_by_id, {e.id for e in data["events"]})
-    golds = _gold_chains(config, data, _select_mentions(data, split))
+    golds = _gold_chains(config, data, _select_mentions(data, args.split))
     results = [r for r in results if r.mention_id in golds]
     if not results:
         raise ConfigError("no retrievals match the selected mentions")
 
     # a set threshold takes precedence over the one the reranker stores
     threshold = _threshold(config)
-    if reranker_path:
-        reranker_params, stored = rerank.load_reranker(reranker_path)
+    if args.reranker:
+        reranker_params, stored = rerank.load_reranker(args.reranker)
         threshold = stored if threshold is None else threshold
         if threshold is None:
             raise ConfigError("reranker checkpoint has no threshold; pass --threshold")
@@ -370,7 +350,7 @@ def cmd_evaluate(
                 reranker_params, featurizer, results, golds, mentions_by_id, (threshold,)
             )
         except NonFiniteScore as exc:
-            raise NonFiniteScore(exc.what, reranker_path) from None
+            raise NonFiniteScore(exc.what, args.reranker) from None
     else:
         records = [
             metrics.EvalRecord(result.mention_id, golds[result.mention_id], result.event_ids)
@@ -379,7 +359,7 @@ def cmd_evaluate(
 
     out = _outdir(config)
     artifacts = ["report.json", "recall_strict.tsv"]
-    if reranker_path:
+    if args.reranker:
         rerank.write_predictions(
             [(r.mention_id, r.predicted) for r in records], out / "predictions.jsonl"
         )
@@ -393,11 +373,11 @@ def cmd_evaluate(
         report[f"recall_at_{k}"] = strict
         report[f"recall_at_{k}_fraction"] = metrics.recall_at_k_fraction(records, k)
         strict_rows.append((k, strict))
-        if atomic_only:
+        if args.atomic_only:
             atomic = metrics.recall_at_k(records, k, atomic_only=True)
             report[f"atomic_recall_at_{k}"] = atomic
             atomic_rows.append((k, atomic))
-    if reranker_path:
+    if args.reranker:
         report.update(metrics.set_metrics(records))
         report["threshold"] = threshold
 
@@ -405,32 +385,32 @@ def cmd_evaluate(
         "mode": config["mode"],
         "seed": config["seed"],
         "ks": ks,
-        "split": split or "all",
+        "split": args.split or "all",
     }
     kb.write_json(report, out / "report.json")
     metrics.write_recall_tsv(strict_rows, out / "recall_strict.tsv")
-    if atomic_only:
+    if args.atomic_only:
         metrics.write_recall_tsv(atomic_rows, out / "recall_atomic.tsv")
         artifacts.append("recall_atomic.tsv")
     return artifacts
 
 
-def cmd_relext(config: dict, retrievals_path: str, split: str | None) -> list[str]:
+def cmd_relext(config: dict, args: argparse.Namespace) -> list[str]:
     for key, value in config["relext"].items():
         if value < 1:
             raise ConfigError(f"relext.{key} must be an integer >= 1, got {value!r}")
     list_k, max_ranking = config["relext"]["list_k"], config["relext"]["max_ranking"]
-    data = _load_corpus(config, "events", "relations", split=split)
+    data = _load_corpus(config, "events", "relations", split=args.split)
     forest = kb.build_forest(data["events"], data["relations"], config["max_height"])
     pool = dataset.candidate_pool(data["events"], mode="inference")
-    lists = relext.build_mention_lists(retrievals_path, pool, list_k)
+    lists = relext.build_mention_lists(args.retrievals, pool, list_k)
     # rankings only as long as the parents file or the report reads them
     top = max(RELEXT_RECALL_KS)
     rankings, unlinked = relext.rank_all_parents(lists, pool, max(max_ranking, top))
 
     evaluated = sorted(forest.parent)
     if "splits" in data:
-        in_split = set(data["splits"].events_in_split(split))
+        in_split = set(data["splits"].events_in_split(args.split))
         evaluated = [e for e in evaluated if e in in_split]
     report = {
         "n_events_evaluated": len(evaluated),
@@ -448,7 +428,7 @@ def cmd_relext(config: dict, retrievals_path: str, split: str | None) -> list[st
     return ["parents.jsonl", "relext_report.json"]
 
 
-def cmd_grad_check(config: dict) -> list[str]:
+def cmd_grad_check(config: dict, args: argparse.Namespace) -> list[str]:
     report = {
         "linking_max_rel_error": training.gradient_check("linking", seed=config["seed"]),
         "hierarchy_max_rel_error": training.gradient_check("hierarchy", seed=config["seed"]),
@@ -492,9 +472,16 @@ def _csv_floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, of this parser and of its subparsers, are ConfigErrors."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Every flag that sets a setting has its dotted config path as dest."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hierground",
         description="Ground text mentions to hierarchies of knowledge-base events.",
     )
@@ -533,9 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerank-train", help="train the pair reranker")
     _add_common(p, "events", "relations", "mentions")
-    p.add_argument(
-        "--checkpoint", help="rejected: the retrievals already fix the bi-encoder"
-    )
     p.add_argument("--train-retrievals", required=True)
     p.add_argument("--dev-retrievals")
     _add_settings(p, "rerank", "k", "epochs", "learning_rate", prefix="rerank-")
@@ -581,19 +565,15 @@ def _error_record(exc: Exception) -> str:
 
 # subcommand -> handler(resolved config, parsed arguments) -> artifact names
 COMMANDS = {
-    "ingest": lambda config, args: cmd_ingest(config),
-    "split": lambda config, args: cmd_split(config),
-    "synth": lambda config, args: cmd_synth(config),
-    "train": lambda config, args: cmd_train(config),
-    "retrieve": lambda config, args: cmd_retrieve(config, args.checkpoint, args.split, args.out),
-    "rerank-train": lambda config, args: cmd_rerank_train(
-        config, args.train_retrievals, args.dev_retrievals, args.checkpoint
-    ),
-    "evaluate": lambda config, args: cmd_evaluate(
-        config, args.retrievals, args.reranker, args.split, args.atomic_only
-    ),
-    "relext": lambda config, args: cmd_relext(config, args.retrievals, args.split),
-    "grad-check": lambda config, args: cmd_grad_check(config),
+    "ingest": cmd_ingest,
+    "split": cmd_split,
+    "synth": cmd_synth,
+    "train": cmd_train,
+    "retrieve": cmd_retrieve,
+    "rerank-train": cmd_rerank_train,
+    "evaluate": cmd_evaluate,
+    "relext": cmd_relext,
+    "grad-check": cmd_grad_check,
 }
 
 
@@ -615,8 +595,8 @@ def pin_blas_threads() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     pin_blas_threads()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = resolve_config(args)
         artifacts = COMMANDS[args.command](config, args)
         _finish(config, args.command, artifacts)

@@ -340,6 +340,11 @@ class TextFeaturizer:
     ):
         if mode not in LANGUAGE_MODES:
             raise InvalidConfig(f"language mode must be one of {LANGUAGE_MODES}, got {mode!r}")
+        if min(max_context_chars, max_cand_chars) < 1:
+            raise InvalidConfig(
+                "max_context_chars and max_cand_chars must be >= 1, got "
+                f"{max_context_chars} and {max_cand_chars}"
+            )
         self.corpus = {event.id: event for event in events}
         self.features = features
         self.mode = mode

@@ -144,7 +144,10 @@ class ParseError(HiergroundError):
 
 
 class ConfigError(HiergroundError):
-    """An experiment configuration file is malformed."""
+    """A command line or config file the CLI cannot run: a usage error (an
+    unknown flag, a mistyped flag value, a missing argument), a config file
+    value that is no setting or not of its kind, a setting out of the range
+    the CLI itself checks, or a missing input file."""
 
 
 class NonFiniteScore(HiergroundError):

@@ -291,7 +291,7 @@ def retrieve_from_checkpoint(
     F = encoder.tower_shape(path)[0]
     ids = sorted(set(pool))
     check_k(k, len(ids))
-    featurizer = TextFeaturizer(events, hashed(F), mode, max_cand_chars=max_cand_chars)
+    featurizer = TextFeaturizer(events, hashed(F), mode, max_context_chars, max_cand_chars)
     languages = dict.fromkeys(featurizer.language(m.language) for m in mentions)
     event_rows = feature_rows(
         [fv for lang in languages for fv in featurizer.events(ids, lang, "candidate pool")], F

@@ -16,8 +16,10 @@ import pytest
 from hierground import dataset, encoder, kb, relext, retrieval, rerank
 from hierground.errors import ParseError
 from hierground.cli import (
+    COMMANDS,
     DEFAULT_CONFIG,
     MANIFEST_NAME,
+    NULL_KINDS,
     OUTPUT_DIR_ENV,
     RESOLVED_CONFIG_NAME,
     build_parser,
@@ -754,6 +756,13 @@ BAD_CONFIG = {
     "rerank-train-threshold-string": (
         "rerank-train", {"rerank": {"threshold": "x"}}, None, "ConfigError", "rerank.threshold"
     ),
+    # usage errors: an unknown flag, a mistyped flag value, a missing argument
+    "synth-unknown-flag": ("synth", None, lambda p, t: {"--epochs": "3"}, "ConfigError",
+                           "--epochs"),
+    "train-epochs-not-an-integer": ("train", None, lambda p, t: {"--epochs": "x"},
+                                    "ConfigError", "--epochs"),
+    "retrieve-without-checkpoint": ("retrieve", None, lambda p, t: {"--checkpoint": None},
+                                    "ConfigError", "--checkpoint"),
     "splits-without-splits": (
         "train", None, written("--splits", '{"components": {}}'), "ParseError", None
     ),
@@ -832,6 +841,64 @@ class TestConfigRejects:
         }
 
 
+class TestUsageErrors:
+    """A usage error, which argparse would print as text with exit 2, is one
+    JSON ConfigError record and exit 1; --help still exits 0."""
+
+    def test_no_subcommand(self, capsys):
+        assert main([]) == 1
+        record = only_error(capsys)
+        assert record["error"] == "ConfigError" and "command" in record["message"]
+
+    def test_fresh_process(self, tmp_path):
+        src = str(Path(encoder.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hierground.cli", "train", "--epochs", "x"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, lines
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigError" and "--epochs" in record["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        # each flag that sets a section's setting shows its dotted path as
+        # its metavar, unless it lists its choices
+        parser = subcommand_parsers()[command]
+        for action in parser._actions:
+            if "." in action.dest and action.choices is None:
+                assert f" {action.dest.upper()}" in out, action.dest
+        if command == "train":
+            assert "--learning-rate TRAIN.LEARNING_RATE" in out
+            assert "--events PATHS.EVENTS" in out
+
+
+@pytest.mark.parametrize("setting, value", [("max_context_chars", 0), ("max_cand_chars", -1)])
+@pytest.mark.parametrize("command", ["train", "retrieve", "rerank-train"])
+def test_window_below_one_is_rejected(pipeline, tmp_path, capsys, command, setting, value):
+    # a window of 0 hashes every mention to the empty text, and -1 cuts the
+    # last character of every event text
+    flags = command_flags(pipeline, tmp_path, command)
+    (tmp_path / "config.json").write_text(
+        json.dumps({"encoder": {setting: value}}), encoding="utf-8"
+    )
+    argv = [command, *[arg for item in flags.items() for arg in item],
+            "--config", str(tmp_path / "config.json")]
+    assert main(argv) == 1
+    record = only_error(capsys)
+    assert record["error"] == "InvalidConfig" and setting in record["message"]
+    assert {p.name for p in tmp_path.iterdir()} == {"config.json"}
+
+
 class TestEvaluateThreshold:
     """A set rerank.threshold, a flag over a config file, replaces the one
     the reranker stores; with none set the stored one is used."""
@@ -861,8 +928,9 @@ NAN = float("nan")
 
 
 class TestNaNSettings:
-    """A NaN or infinite setting fails its range check, from a flag or a
-    config file, rather than silently changing the run."""
+    """A NaN or infinite setting fails rather than silently changing the
+    run: from a flag, its range check (InvalidConfig); from a config file,
+    the file check (ConfigError naming the dotted path)."""
 
     @pytest.mark.parametrize("command, flags, config, setting", [
         ("train", {"--strategy": "HP", "--hier-loss-weight": "nan"}, None, "hier_loss_weight"),
@@ -883,14 +951,16 @@ class TestNaNSettings:
     def test_rejected(self, pipeline, tmp_path, capsys, command, flags, config, setting):
         flags = {**command_flags(pipeline, tmp_path, command), **flags}
         argv = [command, *[arg for item in flags.items() for arg in item]]
+        error = "InvalidConfig"
         if config is not None:
             text = config if isinstance(config, str) else json.dumps(config)
             assert "NaN" in text or "1e400" in text
             (tmp_path / "config.json").write_text(text, encoding="utf-8")
             argv += ["--config", str(tmp_path / "config.json")]
+            error, setting = "ConfigError", f"{next(iter(json.loads(text)))}.{setting}"
         assert main(argv) == 1
         record = only_error(capsys)
-        assert record["error"] == "InvalidConfig"
+        assert record["error"] == error
         assert setting in record["message"]
         assert not (tmp_path / MANIFEST_NAME).exists()
 
@@ -901,15 +971,15 @@ class TestNaNSettings:
     ])
     def test_unread_section_is_not_written(self, tmp_path, capsys, text):
         # synth never reads train or rerank, so no range check sees the
-        # value; the resolved config, which would spell it, is refused
+        # value; the config file check refuses it before synth writes
         (tmp_path / "config.json").write_text(text, encoding="utf-8")
         argv = ["synth", "--output-dir", str(tmp_path), *SEED, "--n-trees", "2",
                 "--mentions-per-event", "1", "--config", str(tmp_path / "config.json")]
         assert main(argv) == 1
-        assert only_error(capsys)["error"] == "ValueError"
-        names = {p.name for p in tmp_path.iterdir()}
-        assert not names & {RESOLVED_CONFIG_NAME, MANIFEST_NAME}
-        assert not [name for name in names if name.endswith(".tmp")]
+        record = only_error(capsys)
+        assert record["error"] == "ConfigError"
+        assert f"{next(iter(json.loads(text)))}.learning_rate" in record["message"]
+        assert {p.name for p in tmp_path.iterdir()} == {"config.json"}
 
 
 class TestDevRetrievalsCheckedFirst:
@@ -1379,6 +1449,16 @@ class TestFlagsAreSettings:
                 for key, value in values.items():
                     assert resolved[section][key] == value, (section, key)
         assert resolved["encoder"] == DEFAULT_CONFIG["encoder"]
+
+    def test_every_null_default_has_a_kind(self):
+        def leaves(node, path=""):
+            for key, value in node.items():
+                dotted = f"{path}.{key}" if path else key
+                yield from leaves(value, dotted) if isinstance(value, dict) else [(dotted, value)]
+
+        nulls = {dotted for dotted, value in leaves(DEFAULT_CONFIG) if value is None}
+        assert nulls == set(NULL_KINDS)
+        assert all(kind in kb.FIELD_KINDS for kind in NULL_KINDS.values())
 
     def test_flags_set_their_dotted_paths(self):
         args = build_parser().parse_args(

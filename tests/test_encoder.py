@@ -740,6 +740,22 @@ class TestLanguageRule:
         with pytest.raises(InvalidConfig):
             rerank.PairFeaturizer(events, "bilingual")
 
+    @pytest.mark.parametrize("context, cand", [(0, 256), (-3, 256), (128, 0), (128, -1)])
+    def test_window_below_one_rejected_everywhere(self, context, cand):
+        # an empty or end-cut window would hash every text to the same
+        # (or a clipped) vector and train or score on nothing
+        events = [self.EVENT]
+        message = "max_context_chars and max_cand_chars must be >= 1"
+        with pytest.raises(InvalidConfig, match=message):
+            TextFeaturizer(events, hashed(self.F), "multilingual", context, cand)
+        with pytest.raises(InvalidConfig, match=message):
+            rerank.PairFeaturizer(events, "multilingual", context, cand)
+        if context > 0:  # the index featurizes events only
+            with pytest.raises(InvalidConfig, match=message):
+                retrieval.CandidateIndex(
+                    init_encoder(F=self.F, d=4, seed=0), events, ["E1"], max_cand_chars=cand
+                )
+
     def test_unknown_event_is_typed(self):
         featurizer = TextFeaturizer([self.EVENT], hashed(self.F))
         with pytest.raises(UnknownEvent) as err:
